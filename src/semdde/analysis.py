@@ -32,7 +32,7 @@ from .errors import (
 )
 from .nodes import NodeKind
 from .oracle import phi_m_defect
-from .piecewise import FORMAT_VERSION, Mesh
+from .piecewise import FORMAT_VERSION, Mesh, _wrap_time
 from .problems import DdeProblem, RescaledRhs
 
 DEFAULT_ERR_GRID = 10001
@@ -348,15 +348,11 @@ class CircleMapResult:
                            tuple(self.periodic_points))
 
 
-def _wrap(t):
-    return t - np.floor(t)
-
-
 def _lift_iterate(r: Callable, t, k: int):
     """k-fold application of t -> t - r(t mod 1) without taking mod."""
     x = np.asarray(t, dtype=float)
     for _ in range(k):
-        x = x - r(_wrap(x))
+        x = x - r(_wrap_time(x))
     return x
 
 
@@ -407,9 +403,9 @@ def circle_map_analysis(r: Callable, k_max: int, grid: int,
     lifts = []
     x = times
     for _ in range(k_max):
-        x = x - r(_wrap(x))
+        x = x - r(_wrap_time(x))
         lifts.append(x)
-    iterates = np.array([_wrap(x) for x in lifts])
+    iterates = np.array([_wrap_time(x) for x in lifts])
 
     base_disp = lifts[0] - times
     if float(np.max(base_disp) - np.min(base_disp)) <= 1e-9:

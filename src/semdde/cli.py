@@ -59,7 +59,8 @@ from .errors import (
 )
 from .nodes import NodeKind, lebesgue_constant, make_nodes
 from .oracle import phi_m_defect
-from .piecewise import FORMAT_VERSION, Mesh, sample_periodic
+from .piecewise import FORMAT_VERSION, Mesh, check_format_version, \
+    sample_periodic
 from .problems import get_problem
 
 log = logging.getLogger("semdde.cli")
@@ -214,16 +215,6 @@ def _load_state(path: str) -> DiscreteState:
         return state_from_document(json.load(handle))
 
 
-def _check_version(doc: dict, what: str) -> None:
-    version = doc.get("format_version")
-    if not isinstance(version, int) or version < 1:
-        raise FormatVersionError(f"bad format_version {version!r} in {what}")
-    if version > FORMAT_VERSION:
-        raise FormatVersionError(
-            f"{what} declares format_version {version}; this build reads "
-            f"up to {FORMAT_VERSION}")
-
-
 def _initial_state(cfg: RunConfig) -> DiscreteState:
     guess = _require(cfg.guess, "guess")
     kind = guess["kind"]
@@ -315,7 +306,7 @@ def cmd_continue(cfg: RunConfig, out_dir: Path) -> int:
                 f"resume needs schedule.json and branch.csv in {out_dir}")
         with open(schedule_path) as handle:
             sched = json.load(handle)
-        _check_version(sched, "schedule.json")
+        check_format_version(sched.get("format_version"), "schedule.json")
         if sched.get("p_to") != p_to or sched.get("steps") != steps:
             raise ConfigError(
                 "schedule.json disagrees with the config: stored "

@@ -1,13 +1,14 @@
 """Discretized periodic BVP and its damped Newton solver.
 
-The unknowns are the representation values of the periodic piecewise
-polynomial (the shared break values stored once) plus mu = (period,
-parameters).  The residual collects the rescaled equation at the
-collocation points of every mesh interval, followed by the affine
+The unknowns are the free values of the periodic piecewise polynomial
+(nodes 0..m-1 of each interval, exactly what the polynomial stores) plus
+mu = (period, parameters).  The residual collects the rescaled equation
+at the collocation points of every mesh interval, followed by the affine
 constraint rows that square the system.
 
 Jacobians are forward finite differences on the full residual; the
-constraint rows are overwritten with their exact affine coefficients.
+constraint rows are overwritten with their exact affine gradients, built
+from the same barycentric basis rows that evaluation uses.
 The Newton iteration damps by halving on residual increase, down to a
 floor, and factors the dense Jacobian by LU with partial pivoting.
 """
@@ -22,17 +23,19 @@ import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .errors import (
-    FormatVersionError,
     InvalidArgumentError,
     MaxIterExceededError,
     NonFiniteResidualError,
     SingularJacobianError,
 )
-from .nodes import NodeKind, make_nodes
+from .nodes import NodeKind, lagrange_rows, make_nodes
 from .piecewise import (
     FORMAT_VERSION,
     Mesh,
     PeriodicPiecewisePoly,
+    _document_array,
+    _wrap_time,
+    check_format_version,
     poly_from_document,
     poly_to_document,
     sample_periodic,
@@ -45,9 +48,8 @@ DEFAULT_COLLOCATION_KIND = NodeKind.GAUSS_LEGENDRE
 class DiscreteState:
     """A candidate solution: periodic profile plus mu = (period, params).
 
-    ``flatten`` packs the free representation values (nodes 0..m-1 of
-    each interval; the right endpoint is the next interval's left one)
-    and mu into one vector; ``from_flat`` inverts it bitwise.
+    ``flatten`` packs the profile's free values (nodes 0..m-1 of each
+    interval) and mu into one vector; ``from_flat`` inverts it bitwise.
     """
 
     def __init__(self, poly: PeriodicPiecewisePoly, mu):
@@ -77,9 +79,7 @@ class DiscreteState:
                 + self.mu.size)
 
     def flatten(self) -> np.ndarray:
-        m = self.poly.degree
-        free = self.poly.values[:, :m, :]
-        return np.concatenate([free.ravel(), self.mu])
+        return np.concatenate([self.poly.free_values.ravel(), self.mu])
 
     @classmethod
     def from_flat(cls, flat, mesh: Mesh, degree: int, dim: int,
@@ -92,8 +92,8 @@ class DiscreteState:
             raise InvalidArgumentError(
                 f"flat vector must have length {n_free + n_mu}, got "
                 f"{flat.shape}")
-        free = flat[:n_free].reshape(L, degree, dim)
-        poly = PeriodicPiecewisePoly.from_free_values(mesh, degree, free)
+        poly = PeriodicPiecewisePoly(mesh, degree,
+                                     flat[:n_free].reshape(L, degree, dim))
         return cls(poly, flat[n_free:])
 
 
@@ -130,18 +130,13 @@ def state_to_document(state: DiscreteState) -> dict:
 
 def state_from_document(doc: dict) -> DiscreteState:
     required = {"format_version", "mu", "profile"}
-    if set(doc) != required:
+    if not isinstance(doc, dict) or set(doc) != required:
+        keys = sorted(doc) if isinstance(doc, dict) else type(doc).__name__
         raise InvalidArgumentError(
-            f"state document needs keys {sorted(required)}, got "
-            f"{sorted(doc)}")
-    version = doc["format_version"]
-    if not isinstance(version, int) or version < 1:
-        raise FormatVersionError(f"bad format_version {version!r}")
-    if version > FORMAT_VERSION:
-        raise FormatVersionError(
-            f"file declares format_version {version}; this build reads "
-            f"up to {FORMAT_VERSION}")
-    return DiscreteState(poly_from_document(doc["profile"]), doc["mu"])
+            f"state document needs keys {sorted(required)}, got {keys}")
+    check_format_version(doc["format_version"], "state document")
+    return DiscreteState(poly_from_document(doc["profile"]),
+                         _document_array(doc["mu"], "mu"))
 
 
 @dataclass(frozen=True)
@@ -229,14 +224,6 @@ class NewtonSettings:
             raise InvalidArgumentError("max_iter must be at least 1")
 
 
-def collocation_times(mesh: Mesh, m: int,
-                      kind: NodeKind = DEFAULT_COLLOCATION_KIND) -> np.ndarray:
-    """Global collocation times, shape (intervals, m)."""
-    family = make_nodes(kind, m)
-    return (mesh.breaks[:-1, None]
-            + mesh.lengths[:, None] * family.nodes[None, :])
-
-
 def assemble_residual(state: DiscreteState, prob: DdeProblem,
                       cons: Sequence[AffineRow],
                       kind: NodeKind = DEFAULT_COLLOCATION_KIND) -> np.ndarray:
@@ -247,7 +234,7 @@ def assemble_residual(state: DiscreteState, prob: DdeProblem,
             f"need {state.mu.size} constraint rows to square the system, "
             f"got {len(cons)}")
     poly = state.poly
-    times = collocation_times(poly.mesh, poly.degree, kind).ravel()
+    times = poly.mesh.node_times(make_nodes(kind, poly.degree).nodes).ravel()
     deriv = poly.eval_deriv(times)
     rhs_vals = RescaledRhs(prob)(poly, times, state.mu)
     rows = (deriv - rhs_vals).ravel()
@@ -255,37 +242,23 @@ def assemble_residual(state: DiscreteState, prob: DdeProblem,
     return np.concatenate([rows, cons_vals])
 
 
-def _basis_row(node_times, weights, t):
-    """Lagrange basis values at t for one interval's global nodes."""
-    diff = t - node_times
-    hits = np.nonzero(diff == 0.0)[0]
-    if hits.size:
-        row = np.zeros(node_times.size)
-        row[hits[0]] = 1.0
-        return row
-    ratio = weights / diff
-    return ratio / np.sum(ratio)
-
-
 def constraint_gradient(row: AffineRow, state: DiscreteState) -> np.ndarray:
     """Exact gradient of an affine row with respect to the flat vector."""
     poly = state.poly
-    mesh = poly.mesh
-    L = mesh.num_intervals
+    L = poly.mesh.num_intervals
     m = poly.degree
     dim = poly.dim
     n_free = L * m * dim
     grad = np.zeros(n_free + state.mu.size)
     for time, comp, coeff in row.point_terms:
-        wrapped = float(np.asarray(time) - np.floor(time))
-        i = int(mesh.interval_index(wrapped))
-        basis = _basis_row(poly.node_times[i], poly.rep_family.bary_weights,
-                           wrapped)
-        for j in range(m):
-            grad[(i * m + j) * dim + comp] += coeff * basis[j]
-        # the interval's right endpoint is stored as the next interval's
-        # (or, wrapping, the first interval's) left node
-        grad[(((i + 1) % L) * m) * dim + comp] += coeff * basis[m]
+        t = _wrap_time(np.array([float(time)]))
+        i = poly.mesh.interval_index(t)
+        basis = lagrange_rows(t, poly.node_times[i],
+                              poly.rep_family.bary_weights)[0]
+        # node m of interval i is free node 0 of the next interval (or,
+        # wrapping, of the first); add.at sums both terms when L = 1
+        free = (i[0] * m + np.arange(m + 1)) % (L * m)
+        np.add.at(grad, free * dim + comp, coeff * basis)
     grad[n_free:] = row.mu_coeffs
     return grad
 

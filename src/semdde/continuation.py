@@ -42,7 +42,8 @@ from .errors import (
 )
 from .nodes import NodeKind
 from .oracle import phi_m_defect
-from .piecewise import FORMAT_VERSION, Mesh, sample_periodic
+from .piecewise import FORMAT_VERSION, Mesh, check_format_version, \
+    sample_periodic
 from .problems import MACKEY_GLASS_A, MACKEY_GLASS_B, MACKEY_GLASS_C, \
     DdeProblem
 
@@ -266,11 +267,7 @@ def sd_quadratic_seed(tau: float) -> DiscreteState:
     text = resources.files("semdde").joinpath(
         "data/sd_quadratic_seed.json").read_text()
     doc = json.loads(text)
-    version = doc.get("format_version")
-    if not isinstance(version, int) or version > FORMAT_VERSION:
-        raise FormatVersionError(
-            f"seed file declares format_version {version!r}; this build "
-            f"reads up to {FORMAT_VERSION}")
+    check_format_version(doc.get("format_version"), "seed file")
     key = f"{tau:g}"
     states = doc["states"]
     if key not in states:
@@ -310,10 +307,7 @@ def read_branch_csv(stream) -> List[dict]:
         version = int(first[len(prefix):])
     except ValueError:
         raise FormatVersionError(f"bad format_version in {first!r}") from None
-    if version > FORMAT_VERSION:
-        raise FormatVersionError(
-            f"file declares format_version {version}; this build reads "
-            f"up to {FORMAT_VERSION}")
+    check_format_version(version, "branch CSV")
     reader = csv.DictReader(stream)
     if reader.fieldnames is None or tuple(reader.fieldnames) != \
             BRANCH_CSV_COLUMNS:

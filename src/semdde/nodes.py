@@ -3,6 +3,9 @@
 Each family bundles the nodes with their barycentric weights and the
 spectral differentiation matrix, which is everything barycentric Lagrange
 interpolation needs (Berrut & Trefethen, SIAM Review 46(3), 2004).
+``lagrange_rows`` is the one barycentric kernel of the package: reference
+interpolation matrices, piecewise evaluation and integration, and
+constraint gradients all take their basis rows from it.
 """
 
 from __future__ import annotations
@@ -173,24 +176,48 @@ def gauss_weights(family: NodeFamily) -> np.ndarray:
     return 1.0 / ((1.0 - x * x) * dp * dp)
 
 
+@lru_cache(maxsize=None)
+def gauss_rule(m: int):
+    """The m-point Gauss-Legendre rule on [0, 1] as (nodes, weights).
+
+    Exact for polynomials up to degree ``2 m - 1``; cached, and both arrays
+    are read-only.
+    """
+    family = make_nodes(NodeKind.GAUSS_LEGENDRE, m)
+    weights = gauss_weights(family)
+    weights.flags.writeable = False
+    return family.nodes, weights
+
+
+def lagrange_rows(points: np.ndarray, node_times: np.ndarray,
+                  weights: np.ndarray) -> np.ndarray:
+    """Lagrange basis values at each point for its own set of nodes.
+
+    ``points`` has shape (k,); ``node_times`` holds the nodes of each point,
+    shape (k, n), or one set shared by all points, shape (n,); ``weights``
+    are the family's barycentric weights, which an affine map of the nodes
+    changes only by a common factor.  Row i holds the n basis values at
+    ``points[i]`` by the second barycentric formula, or a unit row where
+    ``points[i]`` equals one of its nodes bitwise.  Every reduction runs
+    along a row, so a row does not depend on the other rows of the batch.
+    """
+    diff = points[:, None] - node_times
+    hit = diff == 0.0
+    diff[hit] = 1.0
+    ratio = weights / diff
+    on_node = np.any(hit, axis=1)
+    ratio[on_node] = hit[on_node]
+    return ratio / np.sum(ratio, axis=1, keepdims=True)
+
+
 def interpolation_matrix(family: NodeFamily, points: np.ndarray) -> np.ndarray:
     """Matrix mapping values at the family's nodes to values at ``points``.
 
-    Row ``i`` holds the Lagrange basis evaluated at ``points[i]`` via the
-    second barycentric formula; rows for points that coincide with a node
-    reduce to a unit row.
+    Row ``i`` holds the Lagrange basis evaluated at ``points[i]``; rows for
+    points that coincide with a node reduce to a unit row.
     """
     points = np.asarray(points, dtype=float)
-    diff = np.subtract.outer(points, family.nodes)
-    hit_rows, hit_cols = np.nonzero(diff == 0.0)
-    diff[hit_rows, hit_cols] = 1.0
-    ratio = family.bary_weights[None, :] / diff
-    denom = np.sum(ratio, axis=1)
-    denom[hit_rows] = 1.0  # row is replaced below; avoid 0/0 on the way
-    mat = ratio / denom[:, None]
-    mat[hit_rows, :] = 0.0
-    mat[hit_rows, hit_cols] = 1.0
-    return mat
+    return lagrange_rows(points, family.nodes, family.bary_weights)
 
 
 def lebesgue_constant(family: NodeFamily, samples: int = 10001) -> float:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .collocation import AffineRow, DiscreteState
 from .errors import InvalidArgumentError
-from .nodes import NodeKind, gauss_weights, make_nodes
+from .nodes import NodeKind, gauss_rule
 from .piecewise import PiecewiseProjection, project
 from .problems import DdeProblem, RescaledRhs
 
@@ -53,27 +53,21 @@ class FixedPointDefect:
 
 def _prefix_integrals(proj: PiecewiseProjection, times: np.ndarray,
                       ) -> np.ndarray:
-    """integral_0^t of the projection, vectorized over sorted-or-not times."""
+    """integral_0^t of the projection at each time in [0, 1]: the whole
+    intervals before t plus [t_i, t], each by a Gauss rule that is exact
+    for the projection's degree."""
     mesh = proj.mesh
-    per_interval = np.array([
-        proj.integrate(float(mesh.breaks[i]), float(mesh.breaks[i + 1]))
-        for i in range(mesh.num_intervals)
-    ])
-    prefix = np.vstack([np.zeros((1, proj.dim)),
-                        np.cumsum(per_interval, axis=0)])
-    rule = make_nodes(NodeKind.GAUSS_LEGENDRE, proj.node_family.m)
-    quad_w = gauss_weights(rule)
+    quad_nodes, quad_w = gauss_rule(proj.node_family.m)
+
+    def from_break(idx, span):
+        pts = mesh.breaks[idx, None] + span[:, None] * quad_nodes
+        vals = proj.eval(pts.ravel()).reshape(idx.size, quad_nodes.size, -1)
+        return span[:, None] * np.einsum("q,kqs->ks", quad_w, vals)
+
+    whole = from_break(np.arange(mesh.num_intervals), mesh.lengths)
+    prefix = np.vstack([np.zeros((1, proj.dim)), np.cumsum(whole, axis=0)])
     idx = mesh.interval_index(times)
-    out = np.empty((times.size, proj.dim))
-    for i in np.unique(idx):
-        sel = np.nonzero(idx == i)[0]
-        lo = mesh.breaks[i]
-        span = times[sel] - lo  # (k,)
-        pts = lo + span[:, None] * rule.nodes[None, :]  # (k, q)
-        vals = proj.eval(pts.ravel()).reshape(sel.size, rule.m, proj.dim)
-        local = span[:, None] * np.einsum("q,kqs->ks", quad_w, vals)
-        out[sel] = prefix[i] + local
-    return out
+    return prefix[idx] + from_break(idx, times - mesh.breaks[idx])
 
 
 def phi_m_defect(state: DiscreteState, prob: DdeProblem,

@@ -1,18 +1,20 @@
 """Continuous 1-periodic piecewise polynomials on a mesh of [0, 1].
 
 Two representations live here.  ``PeriodicPiecewisePoly`` stores degree-m
-polynomials per interval through values at Chebyshev-Lobatto nodes, with
-matching values at shared break points so the function is continuous and
-1-periodic.  Builders in this package obtain only the m free values of
-each interval (nodes 0..m-1) and copy each right-end value from the next
-interval's first node, so those matches hold by construction.
-``PiecewiseProjection`` stores the degree-(m-1) interpolation projection on
-m collocation nodes per interval, with no continuity across breaks.
+polynomials per interval through values at Chebyshev-Lobatto nodes, and
+only the m free ones of each interval (nodes 0..m-1): the right end of an
+interval is the next interval's first node and the last interval closes
+onto the first, so the function is continuous and 1-periodic by
+construction.  ``PiecewiseProjection`` stores the degree-(m-1)
+interpolation projection on m collocation nodes per interval, with no
+continuity across breaks.
 
-Evaluation uses barycentric interpolation against precomputed global node
-times, so querying a stored node time returns the stored value bitwise.
-Interval lookup follows the half-open convention: a break time belongs to
-the interval starting there, and t = 1 wraps to 0.
+Evaluation and integration gather each query's interval nodes and take
+the barycentric basis rows from ``nodes.lagrange_rows``; every reduction
+runs along one query's row, so a query's result does not depend on the
+rest of the batch, and querying a stored node time returns the stored
+value bitwise.  Interval lookup follows the half-open convention: a break
+time belongs to the interval starting there, and t = 1 wraps to 0.
 """
 
 from __future__ import annotations
@@ -22,12 +24,29 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidArgumentError
-from .nodes import NodeFamily, NodeKind, gauss_weights, make_nodes
+from .errors import FormatVersionError, InvalidArgumentError
+from .nodes import (NodeFamily, NodeKind, gauss_rule, lagrange_rows,
+                    make_nodes)
 
 #: version stamp carried by every file this package writes; readers
 #: reject anything newer
 FORMAT_VERSION = 1
+
+#: query rows per gather in evaluation; bounds the temporaries at a few
+#: (rows, nodes) arrays whatever the batch size
+_CHUNK = 1024
+
+
+def check_format_version(version, what: str) -> None:
+    """Reject a format_version that is not an integer >= 1 or is newer
+    than this build reads."""
+    if (isinstance(version, bool) or not isinstance(version, int)
+            or version < 1):
+        raise FormatVersionError(f"bad format_version {version!r} in {what}")
+    if version > FORMAT_VERSION:
+        raise FormatVersionError(
+            f"{what} declares format_version {version}; this build reads "
+            f"up to {FORMAT_VERSION}")
 
 
 class Mesh:
@@ -59,6 +78,15 @@ class Mesh:
     def lengths(self) -> np.ndarray:
         return np.diff(self.breaks)
 
+    def node_times(self, nodes) -> np.ndarray:
+        """Global times of reference nodes on every interval, shape
+        (intervals, nodes).  Nodes at exactly 0 or 1 land on the breaks
+        bitwise, which the affine map alone may miss by an ulp."""
+        times = self.breaks[:-1, None] + self.lengths[:, None] * nodes
+        times[:, nodes == 0.0] = self.breaks[:-1, None]
+        times[:, nodes == 1.0] = self.breaks[1:, None]
+        return times
+
     def interval_index(self, t):
         """Index of the half-open interval [t_i, t_{i+1}) containing t."""
         idx = np.searchsorted(self.breaks, t, side="right") - 1
@@ -77,21 +105,6 @@ def _wrap_time(t: np.ndarray) -> np.ndarray:
     return t - np.floor(t)
 
 
-def _bary_rows(node_times, weights, node_values, query):
-    """Interpolate one interval's data at query times (second barycentric
-    form).  Queries that hit a node bitwise return the stored value bitwise.
-    """
-    diff = query[:, None] - node_times[None, :]
-    hit_rows, hit_cols = np.nonzero(diff == 0.0)
-    diff[hit_rows, hit_cols] = 1.0
-    ratio = weights[None, :] / diff
-    denom = np.sum(ratio, axis=1)
-    denom[hit_rows] = 1.0
-    out = (ratio @ node_values) / denom[:, None]
-    out[hit_rows] = node_values[hit_cols]
-    return out
-
-
 class _PiecewiseBase:
     """Shared evaluation and integration over per-interval nodal values."""
 
@@ -100,53 +113,61 @@ class _PiecewiseBase:
     values: np.ndarray      # (L, nodes per interval, dim)
     node_times: np.ndarray  # (L, nodes per interval), global times
 
-    def _init_storage(self, mesh, node_family, values, snap_breaks):
-        values = np.array(values, dtype=float)
-        if values.ndim != 3:
+    def _init_storage(self, mesh, node_family, data, per_interval):
+        """Set the mesh, family and node times; return ``data`` checked
+        to shape (L, per_interval, dim), finite and read-only."""
+        data = np.array(data, dtype=float)
+        if data.ndim != 3:
             raise InvalidArgumentError(
                 f"values must have shape (intervals, nodes, dim), got "
-                f"{values.shape}")
-        expect = (mesh.num_intervals, node_family.m)
-        if values.shape[:2] != expect:
+                f"{data.shape}")
+        expect = (mesh.num_intervals, per_interval)
+        if data.shape[:2] != expect:
             raise InvalidArgumentError(
-                f"values shape {values.shape[:2]} does not match "
+                f"values shape {data.shape[:2]} does not match "
                 f"(intervals, nodes) = {expect}")
-        if not np.all(np.isfinite(values)):
+        if not np.all(np.isfinite(data)):
             raise InvalidArgumentError("values must be finite")
-        times = (mesh.breaks[:-1, None]
-                 + mesh.lengths[:, None] * node_family.nodes[None, :])
-        if snap_breaks:
-            # the affine map may not round back onto the break exactly
-            times[:, 0] = mesh.breaks[:-1]
-            times[:, -1] = mesh.breaks[1:]
-        values.flags.writeable = False
+        times = mesh.node_times(node_family.nodes)
+        data.flags.writeable = False
         times.flags.writeable = False
         self.mesh = mesh
         self.node_family = node_family
-        self.values = values
         self.node_times = times
+        return data
 
     @property
     def dim(self) -> int:
         return self.values.shape[2]
 
     @cached_property
-    def _deriv_values(self) -> np.ndarray:
+    def _value_table(self) -> np.ndarray:
+        # (L, dim, nodes): the node axis last and contiguous, so the sum
+        # over a query's nodes runs along one row of memory
+        return np.ascontiguousarray(self.values.transpose(0, 2, 1))
+
+    @cached_property
+    def _deriv_table(self) -> np.ndarray:
         # derivative of each local polynomial at the same nodes; one degree
         # lower, so interpolating it on the full node set stays exact
         scaled = self.values / self.mesh.lengths[:, None, None]
-        return np.einsum("jk,iks->ijs", self.node_family.diff_matrix, scaled)
+        return np.ascontiguousarray(
+            np.einsum("jk,iks->isj", self.node_family.diff_matrix, scaled))
 
-    def _eval_values(self, data, t):
+    def _interpolate(self, table, idx, t):
+        """Values at times ``t`` of the polynomials of intervals ``idx``."""
+        out = np.empty((t.size, table.shape[1]))
+        for lo in range(0, t.size, _CHUNK):
+            rows = slice(lo, lo + _CHUNK)
+            basis = lagrange_rows(t[rows], self.node_times[idx[rows]],
+                                  self.node_family.bary_weights)
+            out[rows] = np.sum(basis[:, None, :] * table[idx[rows]], axis=2)
+        return out
+
+    def _eval_table(self, table, t):
         t_arr = np.asarray(t, dtype=float)
         flat = _wrap_time(np.atleast_1d(t_arr).ravel())
-        idx = self.mesh.interval_index(flat)
-        out = np.empty((flat.size, self.dim))
-        for i in np.unique(idx):
-            sel = idx == i
-            out[sel] = _bary_rows(self.node_times[i],
-                                  self.node_family.bary_weights,
-                                  data[i], flat[sel])
+        out = self._interpolate(table, self.mesh.interval_index(flat), flat)
         if t_arr.ndim == 0:
             return out[0]
         return out.reshape(t_arr.shape + (self.dim,))
@@ -156,7 +177,7 @@ class _PiecewiseBase:
 
         Scalar t gives shape (dim,), an array gives t.shape + (dim,).
         """
-        return self._eval_values(self.values, t)
+        return self._eval_table(self._value_table, t)
 
     def eval_deriv(self, t):
         """Derivative of the local polynomial at time t.
@@ -164,84 +185,55 @@ class _PiecewiseBase:
         At a break the right-interval one-sided derivative is returned,
         consistent with the half-open interval convention.
         """
-        return self._eval_values(self._deriv_values, t)
+        return self._eval_table(self._deriv_table, t)
 
     def integrate(self, a: float, b: float):
         """Exact integral over [a, b] within [0, 1], split at breaks."""
         if not 0.0 <= a <= b <= 1.0:
             raise InvalidArgumentError(
                 f"integration bounds need 0 <= a <= b <= 1, got [{a}, {b}]")
-        quad_nodes, quad_wts = _gauss_rule(self.node_family.m)
+        quad_nodes, quad_wts = gauss_rule(self.node_family.m)
         breaks = self.mesh.breaks
-        total = np.zeros(self.dim)
-        first = int(self.mesh.interval_index(a))
-        last = int(self.mesh.interval_index(b))
-        for i in range(first, last + 1):
-            lo = max(a, breaks[i])
-            hi = min(b, breaks[i + 1])
-            if hi <= lo:
-                continue
-            pts = lo + (hi - lo) * quad_nodes
-            vals = _bary_rows(self.node_times[i],
-                              self.node_family.bary_weights,
-                              self.values[i], pts)
-            total += (hi - lo) * (quad_wts @ vals)
-        return total
-
-
-_GAUSS_RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gauss_rule(m: int):
-    """Cached Gauss-Legendre rule on [0,1], exact for the stored degree."""
-    rule = _GAUSS_RULES.get(m)
-    if rule is None:
-        fam = make_nodes(NodeKind.GAUSS_LEGENDRE, m)
-        rule = (fam.nodes, gauss_weights(fam))
-        _GAUSS_RULES[m] = rule
-    return rule
+        idx = np.arange(self.mesh.interval_index(a),
+                        self.mesh.interval_index(b) + 1)
+        lo = np.maximum(a, breaks[idx])
+        span = np.minimum(b, breaks[idx + 1]) - lo
+        keep = span > 0.0
+        idx, lo, span = idx[keep], lo[keep], span[keep]
+        pts = lo[:, None] + span[:, None] * quad_nodes
+        vals = self._interpolate(self._value_table,
+                                 np.repeat(idx, quad_nodes.size), pts.ravel())
+        vals = vals.reshape(idx.size, quad_nodes.size, self.dim)
+        return np.einsum("i,q,iqs->s", span, quad_wts, vals)
 
 
 class PeriodicPiecewisePoly(_PiecewiseBase):
     """Continuous 1-periodic piecewise polynomial of degree m per interval.
 
-    ``values[i, j, :]`` is the function value at the j-th Chebyshev-Lobatto
-    representation node of interval i.  Neighbouring intervals must agree
-    bitwise at shared breaks, and the last interval must close up with the
-    first; both are checked at construction.
+    ``free_values[i, j, :]`` is the function value at the j-th
+    Chebyshev-Lobatto representation node of interval i, j = 0..m-1; it has
+    the (L, m, dim) layout of ``DiscreteState.flatten``.  The value at each
+    interval's right end is the next interval's first value, the last
+    interval closing onto the first, so continuity at the breaks and
+    periodic closure hold by construction.
     """
 
-    def __init__(self, mesh: Mesh, degree: int, values):
+    def __init__(self, mesh: Mesh, degree: int, free_values):
         if degree < 1:
             raise InvalidArgumentError(f"degree must be >= 1, got {degree}")
         family = make_nodes(NodeKind.CHEBYSHEV_LOBATTO, degree)
-        self._init_storage(mesh, family, values, snap_breaks=True)
+        self.free_values = self._init_storage(mesh, family, free_values,
+                                              degree)
         self.degree = degree
-        v = self.values
-        if not np.array_equal(v[:-1, -1, :], v[1:, 0, :]):
-            raise InvalidArgumentError(
-                "values must match bitwise at interior breaks")
-        if not np.array_equal(v[-1, -1, :], v[0, 0, :]):
-            raise InvalidArgumentError(
-                "periodic closure requires the last value to equal the first")
 
-    @classmethod
-    def from_free_values(cls, mesh: Mesh, degree: int,
-                         free) -> "PeriodicPiecewisePoly":
-        """Build from the values at the first m nodes of each interval.
-
-        ``free`` has shape (L, m, dim), m = degree.  Each interval's right
-        end takes the next interval's first value and the last interval
-        closes onto the first, so continuity and periodic closure hold
-        bitwise by construction.
-        """
-        free = np.asarray(free, dtype=float)
-        if free.ndim != 3:
-            raise InvalidArgumentError(
-                f"free values must have shape (intervals, degree, dim), got "
-                f"{free.shape}")
-        right = np.roll(free[:, :1, :], -1, axis=0)
-        return cls(mesh, degree, np.concatenate([free, right], axis=1))
+    @cached_property
+    def values(self) -> np.ndarray:
+        """Values at all m+1 nodes of each interval, shape (L, m+1, dim);
+        read-only."""
+        right = np.roll(self.free_values[:, :1, :], -1, axis=0)
+        values = np.concatenate([self.free_values, right], axis=1)
+        values.flags.writeable = False
+        return values
 
     @property
     def rep_family(self) -> NodeFamily:
@@ -259,7 +251,7 @@ class PiecewiseProjection(_PiecewiseBase):
     """
 
     def __init__(self, mesh: Mesh, family: NodeFamily, values):
-        self._init_storage(mesh, family, values, snap_breaks=False)
+        self.values = self._init_storage(mesh, family, values, family.m)
         self.degree = family.m - 1
 
     @property
@@ -268,27 +260,27 @@ class PiecewiseProjection(_PiecewiseBase):
         return self.node_times
 
 
+def _sample(f, mesh: Mesh, nodes) -> np.ndarray:
+    """f on the given reference nodes of every interval, called once;
+    shape (intervals, nodes, dim)."""
+    times = mesh.node_times(nodes)
+    return np.asarray(f(times.ravel()), dtype=float).reshape(
+        times.shape + (-1,))
+
+
 def sample_periodic(f, mesh: Mesh, degree: int) -> PeriodicPiecewisePoly:
     """Periodic piecewise polynomial through samples of a 1-periodic f.
 
     ``f`` is called once, on the L*m free representation times (nodes
-    0..m-1 of each interval, all in [0, 1)).  Each right-end value is
-    copied from the next interval's first node, the last closing onto
-    t=0, so shared breaks agree bitwise whatever rounding f does, even
-    when its result for a time depends on where that time sits in the
-    batch.
+    0..m-1 of each interval, all in [0, 1)); the polynomial derives each
+    right-end value from the next interval's first sample, so shared
+    breaks agree bitwise whatever rounding f does.
     """
     if degree < 1:
         raise InvalidArgumentError(f"degree must be >= 1, got {degree}")
     family = make_nodes(NodeKind.CHEBYSHEV_LOBATTO, degree)
-    times = (mesh.breaks[:-1, None]
-             + mesh.lengths[:, None] * family.nodes[None, :-1])
-    times[:, 0] = mesh.breaks[:-1]
-    samples = np.asarray(f(_wrap_time(times.ravel())), dtype=float)
-    if samples.ndim == 1:
-        samples = samples[:, None]
-    free = samples.reshape(mesh.num_intervals, degree, -1)
-    return PeriodicPiecewisePoly.from_free_values(mesh, degree, free)
+    return PeriodicPiecewisePoly(mesh, degree,
+                                 _sample(f, mesh, family.nodes[:-1]))
 
 
 def project(f, mesh: Mesh, m: int,
@@ -301,13 +293,7 @@ def project(f, mesh: Mesh, m: int,
     if m < 1:
         raise InvalidArgumentError(f"node count must be >= 1, got {m}")
     family = make_nodes(kind, m)
-    times = (mesh.breaks[:-1, None]
-             + mesh.lengths[:, None] * family.nodes[None, :])
-    samples = np.asarray(f(times.ravel()), dtype=float)
-    if samples.ndim == 1:
-        samples = samples[:, None]
-    values = samples.reshape(mesh.num_intervals, family.m, -1)
-    return PiecewiseProjection(mesh, family, values)
+    return PiecewiseProjection(mesh, family, _sample(f, mesh, family.nodes))
 
 
 def poly_to_document(p: PeriodicPiecewisePoly) -> dict:
@@ -325,23 +311,59 @@ def poly_to_document(p: PeriodicPiecewisePoly) -> dict:
     }
 
 
+def _document_int(doc: dict, key: str) -> int:
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidArgumentError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _document_array(value, name: str) -> np.ndarray:
+    """A numeric field of a document as a float array; strings, booleans,
+    nulls and ragged nesting are rejected."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise InvalidArgumentError(f"{name} must be a numeric array")
+    return arr.astype(float)
+
+
 def poly_from_document(doc: dict) -> PeriodicPiecewisePoly:
-    """Rebuild a periodic piecewise polynomial from its JSON document."""
+    """Rebuild a periodic piecewise polynomial from its JSON document.
+
+    The document lists the values at all m+1 nodes of each interval.  It
+    comes from outside the program, so the two copies of each shared break
+    value must agree bitwise and the last value must close onto the first
+    before the free values are kept.
+    """
     required = {"breaks", "degree", "dim", "rep_kind", "values"}
-    if set(doc) != required:
+    if not isinstance(doc, dict) or set(doc) != required:
+        keys = sorted(doc) if isinstance(doc, dict) else type(doc).__name__
         raise InvalidArgumentError(
-            f"polynomial document needs keys {sorted(required)}, got "
-            f"{sorted(doc)}")
+            f"polynomial document needs keys {sorted(required)}, got {keys}")
+    degree = _document_int(doc, "degree")
+    dim = _document_int(doc, "dim")
     kind = NodeKind.from_name(doc["rep_kind"])
     if kind != NodeKind.CHEBYSHEV_LOBATTO:
         raise InvalidArgumentError(
             "representation nodes must include both interval endpoints; "
             f"got {kind.value}")
-    values = np.asarray(doc["values"], dtype=float)
-    if values.ndim != 3 or values.shape[2] != doc["dim"]:
+    mesh = Mesh(_document_array(doc["breaks"], "breaks"))
+    values = _document_array(doc["values"], "values")
+    expect = (mesh.num_intervals, degree + 1, dim)
+    if values.shape != expect:
         raise InvalidArgumentError(
-            f"values shape {values.shape} inconsistent with dim {doc['dim']}")
-    return PeriodicPiecewisePoly(Mesh(doc["breaks"]), doc["degree"], values)
+            f"values shape {values.shape} does not match "
+            f"(intervals, degree + 1, dim) = {expect}")
+    if not np.array_equal(values[:-1, -1], values[1:, 0]):
+        raise InvalidArgumentError(
+            "values must match bitwise at interior breaks")
+    if not np.array_equal(values[-1, -1], values[0, 0]):
+        raise InvalidArgumentError(
+            "periodic closure requires the last value to equal the first")
+    return PeriodicPiecewisePoly(mesh, degree, values[:, :-1, :])
 
 
 def poly_to_json(p: PeriodicPiecewisePoly) -> str:

@@ -192,6 +192,31 @@ class TestSolve:
         assert main(["solve", "--config", path]) == 2
         assert read_error(capsys)["type"] == "MaxIterExceededError"
 
+    @pytest.mark.parametrize("section,key,bad", [
+        ("profile", "degree", 5.0),
+        ("profile", "degree", "5"),
+        ("profile", "degree", True),
+        ("profile", "dim", 1.0),
+        ("profile", "dim", True),
+        ("profile", "values", "abc"),
+        ("profile", "values", [[["1.0"]]]),
+        (None, "mu", "abc"),
+        (None, "mu", [1.6, None]),
+    ])
+    def test_malformed_guess_file_exits_1(self, mg_solution, tmp_path,
+                                          capsys, section, key, bad):
+        doc = json.loads((mg_solution / "solution.json").read_text())
+        (doc[section] if section else doc)[key] = bad
+        guess = tmp_path / "guess.json"
+        guess.write_text(json.dumps(doc))
+        path = write_config(tmp_path / "c.json", {
+            "problem": "mackey_glass", "mesh": 11, "degree": 5,
+            "guess": {"kind": "file", "path": str(guess)},
+            "out_dir": str(tmp_path),
+        })
+        assert main(["solve", "--config", path]) == 1
+        assert read_error(capsys)["type"] == "InvalidArgumentError"
+
     def test_hopf_guess_requires_mackey_glass(self, tmp_path, capsys):
         path = write_config(tmp_path / "c.json", {
             "problem": "sd_quadratic", "mesh": 4, "degree": 4,

@@ -90,7 +90,7 @@ class TestPhiMDefect:
             self, near_hopf_orbit):
         """A shifted orbit still solves the equation, not the anchor."""
         prob, cons, state = near_hopf_orbit
-        shifted_values = np.roll(state.poly.values, -3, axis=0)
+        shifted_values = np.roll(state.poly.free_values, -3, axis=0)
         shifted = DiscreteState(
             PeriodicPiecewisePoly(state.poly.mesh, state.poly.degree,
                                   shifted_values), state.mu)

@@ -6,6 +6,7 @@ under test.
 """
 
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -26,12 +27,17 @@ from semdde.piecewise import (
 
 
 def _random_continuous_poly(rng, num_intervals, degree, dim):
-    """Random values made continuous and periodic by copying shared breaks."""
+    """Random free values; the polynomial is continuous and periodic by
+    construction."""
     mesh = Mesh.uniform(num_intervals)
-    values = rng.standard_normal((num_intervals, degree + 1, dim))
-    values[1:, 0, :] = values[:-1, -1, :]
-    values[0, 0, :] = values[-1, -1, :]
-    return PeriodicPiecewisePoly(mesh, degree, values)
+    free = rng.standard_normal((num_intervals, degree, dim))
+    return PeriodicPiecewisePoly(mesh, degree, free)
+
+
+def _full_values_document(mesh, degree, values):
+    return {"breaks": mesh.breaks.tolist(), "degree": degree,
+            "dim": values.shape[2], "rep_kind": "chebyshev_lobatto",
+            "values": values.tolist()}
 
 
 class TestMesh:
@@ -72,14 +78,14 @@ class TestPeriodicPolyConstruction:
         values = np.zeros((2, 3, 1))
         values[1, 0, 0] = 1e-16  # mismatch at the shared break
         with pytest.raises(InvalidArgumentError):
-            PeriodicPiecewisePoly(mesh, 2, values)
+            poly_from_document(_full_values_document(mesh, 2, values))
 
     def test_rejects_broken_periodic_closure(self):
         mesh = Mesh.uniform(2)
         values = np.zeros((2, 3, 1))
         values[1, 2, 0] = 0.5  # last value differs from the first
         with pytest.raises(InvalidArgumentError):
-            PeriodicPiecewisePoly(mesh, 2, values)
+            poly_from_document(_full_values_document(mesh, 2, values))
 
     def test_rejects_bad_shapes_and_degree(self):
         mesh = Mesh.uniform(2)
@@ -92,7 +98,7 @@ class TestPeriodicPolyConstruction:
 
     def test_rejects_nonfinite_values(self):
         mesh = Mesh.uniform(1)
-        values = np.full((1, 3, 1), np.nan)
+        values = np.full((1, 2, 1), np.nan)
         with pytest.raises(InvalidArgumentError):
             PeriodicPiecewisePoly(mesh, 2, values)
 
@@ -106,7 +112,7 @@ class TestEval:
     def test_constant_everywhere(self):
         mesh = Mesh.uniform(3)
         c = np.array([2.5, -1.0])
-        values = np.tile(c, (3, 5, 1))
+        values = np.tile(c, (3, 4, 1))
         p = PeriodicPiecewisePoly(mesh, 4, values)
         for t in (-1.7, 0.0, 0.123, 0.75, 2.0, 5.25):
             # numerator and denominator of the barycentric form round
@@ -149,6 +155,17 @@ class TestEval:
                 got = p.eval(p.rep_times[i, j])
                 assert np.array_equal(got, p.values[i, j])
 
+    @pytest.mark.parametrize("method", ["eval", "eval_deriv"])
+    def test_results_do_not_depend_on_the_batch(self, method):
+        p = sample_periodic(
+            lambda t: np.sin(2 * np.pi * t) + 0.3 * np.cos(6 * np.pi * t),
+            Mesh.uniform(5), 12)
+        t = np.random.default_rng(12).uniform(-1.0, 2.0, 4000)
+        fn = getattr(p, method)
+        batch = fn(t)
+        one_at_a_time = np.array([fn(x) for x in t])
+        np.testing.assert_array_equal(batch, one_at_a_time)
+
     def test_array_argument_shapes(self):
         p = _random_continuous_poly(np.random.default_rng(1), 2, 3, 2)
         assert p.eval(0.3).shape == (2,)
@@ -184,7 +201,7 @@ class TestSamplePeriodic:
 class TestEvalDeriv:
     def test_constant_has_zero_derivative(self):
         mesh = Mesh.uniform(2)
-        p = PeriodicPiecewisePoly(mesh, 3, np.full((2, 4, 1), 1.25))
+        p = PeriodicPiecewisePoly(mesh, 3, np.full((2, 3, 1), 1.25))
         for t in (0.0, 0.2, 0.5, 0.9):
             assert abs(p.eval_deriv(t)[0]) <= 1e-12
 
@@ -258,7 +275,7 @@ class TestProject:
 class TestIntegrate:
     def test_constant(self):
         mesh = Mesh.uniform(3)
-        p = PeriodicPiecewisePoly(mesh, 2, np.full((3, 3, 1), 2.0))
+        p = PeriodicPiecewisePoly(mesh, 2, np.full((3, 2, 1), 2.0))
         assert abs(p.integrate(0.0, 1.0)[0] - 2.0) <= 1e-14
         assert abs(p.integrate(0.25, 0.75)[0] - 1.0) <= 1e-14
 
@@ -296,6 +313,16 @@ class TestSerialization:
                             Mesh.uniform(2), 6)
         q = poly_from_json(poly_to_json(p))
         assert np.array_equal(q.values, p.values)
+
+    def test_shipped_format_1_profiles_write_back_bitwise(self):
+        text = resources.files("semdde").joinpath(
+            "data/sd_quadratic_seed.json").read_text()
+        states = json.loads(text)["states"]
+        assert states
+        for state in states.values():
+            profile = state["profile"]
+            back = poly_to_document(poly_from_document(profile))
+            assert json.dumps(back) == json.dumps(profile)
 
     def test_rejects_malformed_documents(self):
         p = _random_continuous_poly(np.random.default_rng(2), 2, 2, 1)
