@@ -15,7 +15,8 @@ import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from time import perf_counter
 from typing import Optional, Tuple
@@ -23,7 +24,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .analysis import (
-    ConvergenceCell,
     ConvergenceTable,
     circle_map_analysis,
     convergence_study,
@@ -43,12 +43,14 @@ from .collocation import (
     state_to_document,
 )
 from .continuation import (
-    BRANCH_CSV_COLUMNS,
+    DEFAULT_HOPF_OFFSET,
+    append_branch_row,
     continue_branch,
     hopf_initial_guess,
     mackey_glass_hopf,
     read_branch_csv,
     sd_quadratic_seed,
+    write_branch_csv,
 )
 from .errors import (
     ConfigError,
@@ -71,7 +73,9 @@ EXIT_FAILURE = 2
 
 _NEWTON_KEYS = {"tol_residual", "tol_step", "max_iter", "damping_min",
                 "fd_step"}
-_GUESS_KINDS = {"hopf", "file", "constant", "seed"}
+#: keys each guess kind accepts besides "kind"
+_GUESS_KEYS = {"hopf": {"amplitude", "offset"}, "file": {"path"},
+               "constant": {"values", "period"}, "seed": set()}
 
 #: delay of each shipped problem as a function of the profile value;
 #: feeds the circle-map diagnostic
@@ -80,6 +84,52 @@ _DELAY_LAGS = {
         p[0], np.shape(y[..., 0])).astype(float),
     "sd_quadratic": lambda y, p: p[0] + y[..., 0] + y[..., 0] ** 2,
 }
+
+
+def _real(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or \
+            not np.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _int(value, name: str, minimum: int = 1) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or \
+            value < minimum:
+        raise ConfigError(f"{name} must be an int >= {minimum}, got {value!r}")
+    return value
+
+
+def _items(parse, value, name: str) -> tuple:
+    """A value or a nonempty list of values, each checked by parse."""
+    values = value if isinstance(value, list) else [value]
+    if not values:
+        raise ConfigError(f"{name} must not be empty")
+    return tuple(parse(v, name) for v in values)
+
+
+def _guess(doc) -> dict:
+    """Checked guess with every value converted and defaults filled in."""
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if kind not in _GUESS_KEYS:
+        raise ConfigError(
+            f"guess must be an object with kind in {sorted(_GUESS_KEYS)}")
+    extras = set(doc) - _GUESS_KEYS[kind] - {"kind"}
+    if extras:
+        raise ConfigError(f"unknown {kind} guess keys {sorted(extras)}")
+    guess = dict(doc)
+    if kind == "hopf":
+        guess["amplitude"] = _real(doc.get("amplitude", 0.01),
+                                   "guess.amplitude")
+        guess["offset"] = _real(doc.get("offset", DEFAULT_HOPF_OFFSET),
+                                "guess.offset")
+    elif kind == "constant":
+        guess["values"] = _items(_real, doc.get("values"), "guess.values")
+        guess["period"] = _real(doc.get("period"), "guess.period")
+    elif kind == "file" and not isinstance(doc.get("path"), str):
+        raise ConfigError(
+            f"guess.path must be a file name, got {doc.get('path')!r}")
+    return guess
 
 
 @dataclass(frozen=True)
@@ -125,28 +175,14 @@ class RunConfig:
             values["node_kind"] = NodeKind.from_name(doc["node_kind"])
         if "mesh" in doc:
             mesh = doc["mesh"]
-            values["mesh"] = Mesh.uniform(mesh) if isinstance(mesh, int) \
-                else Mesh(mesh)
+            values["mesh"] = Mesh(mesh) if isinstance(mesh, list) \
+                else Mesh.uniform(_int(mesh, "mesh"))
         if "mesh_list" in doc:
-            sizes = doc["mesh_list"]
-            if not isinstance(sizes, list) or not sizes or \
-                    not all(isinstance(v, int) and v >= 1 for v in sizes):
-                raise ConfigError("mesh_list must be a list of sizes >= 1")
-            values["mesh_list"] = tuple(sizes)
+            values["mesh_list"] = _items(_int, doc["mesh_list"], "mesh_list")
         if "degree" in doc:
-            degree = doc["degree"]
-            if isinstance(degree, int):
-                degree = [degree]
-            if not isinstance(degree, list) or not degree or \
-                    not all(isinstance(v, int) and v >= 1 for v in degree):
-                raise ConfigError(
-                    "degree must be an int or a list of ints >= 1")
-            values["degree"] = tuple(degree)
+            values["degree"] = _items(_int, doc["degree"], "degree")
         if "params" in doc:
-            params = doc["params"]
-            if isinstance(params, (int, float)):
-                params = [params]
-            values["params"] = tuple(float(v) for v in params)
+            values["params"] = _items(_real, doc["params"], "params")
         if "newton" in doc:
             sub = doc["newton"]
             if not isinstance(sub, dict) or set(sub) - _NEWTON_KEYS:
@@ -156,31 +192,24 @@ class RunConfig:
         if "out_dir" in doc:
             values["out_dir"] = str(doc["out_dir"])
         if "grid" in doc:
-            values["grid"] = int(doc["grid"])
+            values["grid"] = _int(doc["grid"], "grid", 2)
         if "guess" in doc:
-            guess = doc["guess"]
-            if not isinstance(guess, dict) or \
-                    guess.get("kind") not in _GUESS_KINDS:
-                raise ConfigError(
-                    f"guess must be an object with kind in "
-                    f"{sorted(_GUESS_KINDS)}")
-            values["guess"] = dict(guess)
+            values["guess"] = _guess(doc["guess"])
         if "p_to" in doc:
-            values["p_to"] = float(doc["p_to"])
+            values["p_to"] = _real(doc["p_to"], "p_to")
         if "steps" in doc:
-            steps = doc["steps"]
-            if not isinstance(steps, int) or steps < 1:
-                raise ConfigError(
-                    f"steps must be a positive int, got {steps!r}")
-            values["steps"] = steps
+            values["steps"] = _int(doc["steps"], "steps")
         if "resume" in doc:
-            values["resume"] = bool(doc["resume"])
+            if not isinstance(doc["resume"], bool):
+                raise ConfigError(
+                    f"resume must be true or false, got {doc['resume']!r}")
+            values["resume"] = doc["resume"]
         if "k_max" in doc:
-            values["k_max"] = int(doc["k_max"])
+            values["k_max"] = _int(doc["k_max"], "k_max")
         if "solution" in doc:
             values["solution"] = str(doc["solution"])
         if "samples" in doc:
-            values["samples"] = int(doc["samples"])
+            values["samples"] = _int(doc["samples"], "samples")
         return cls(**values)
 
 
@@ -223,27 +252,21 @@ def _initial_state(cfg: RunConfig) -> DiscreteState:
             raise ConfigError(
                 "the hopf guess is wired for mackey_glass; supply a file "
                 "or constant guess instead")
-        extras = set(guess) - {"kind", "amplitude", "offset"}
-        if extras:
-            raise ConfigError(f"unknown hopf guess keys {sorted(extras)}")
         return hopf_initial_guess(
-            mackey_glass_hopf(), float(guess.get("amplitude", 0.01)),
+            mackey_glass_hopf(), guess["amplitude"],
             _require(cfg.mesh, "mesh"), _single_degree(cfg),
-            offset=float(guess.get("offset", 1e-3)))
+            offset=guess["offset"])
     if kind == "file":
-        return _load_state(_require(guess.get("path"), "guess.path"))
+        return _load_state(guess["path"])
     if kind == "seed":
         if cfg.problem != "sd_quadratic":
             raise ConfigError("the shipped seed belongs to sd_quadratic")
         return sd_quadratic_seed(_require(cfg.params, "params")[0])
-    values = np.atleast_1d(np.asarray(
-        _require(guess.get("values"), "guess.values"), dtype=float))
-    period = float(_require(guess.get("period"), "guess.period"))
     params = _require(cfg.params, "params")
     poly = sample_periodic(
-        lambda t: np.broadcast_to(values, (t.size, values.size)).copy(),
+        lambda t: np.tile(guess["values"], (t.size, 1)),
         _require(cfg.mesh, "mesh"), _single_degree(cfg))
-    return DiscreteState(poly, np.concatenate([[period], params]))
+    return DiscreteState(poly, np.array((guess["period"],) + params))
 
 
 def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
@@ -277,30 +300,15 @@ def _point_path(out_dir: Path, index: int) -> Path:
     return out_dir / f"point_{index:04d}.json"
 
 
-def _write_branch_rows(handle, done_rows, points) -> None:
-    """Stored rows (dicts) first, then fresh branch points, one format."""
-    handle.write(f"# format_version={FORMAT_VERSION}\n")
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(BRANCH_CSV_COLUMNS)
-    for row in done_rows:
-        writer.writerow([repr(row["p"]), repr(row["T"]),
-                         repr(row["amplitude"]), row["newton_iters"],
-                         repr(row["residual_err"]), repr(row["phi_defect"])])
-    for point in points:
-        writer.writerow([repr(point.parameter), repr(point.period),
-                         repr(point.amplitude), point.newton_iters,
-                         repr(point.err), repr(point.phi_defect)])
-
-
 def cmd_continue(cfg: RunConfig, out_dir: Path) -> int:
     prob = get_problem(_require(cfg.problem, "problem"))
     p_to = _require(cfg.p_to, "p_to")
     steps = _require(cfg.steps, "steps")
     start_time = perf_counter()
+    csv_path = out_dir / "branch.csv"
 
     if cfg.resume:
         schedule_path = out_dir / "schedule.json"
-        csv_path = out_dir / "branch.csv"
         if not schedule_path.exists() or not csv_path.exists():
             raise ConfigError(
                 f"resume needs schedule.json and branch.csv in {out_dir}")
@@ -314,20 +322,19 @@ def cmd_continue(cfg: RunConfig, out_dir: Path) -> int:
                 f"config p_to={p_to} steps={steps}")
         targets = [float(v) for v in sched["targets"]]
         with open(csv_path) as handle:
-            done_rows = read_branch_csv(handle)
-        if not done_rows:
+            stored = [row["p"] for row in read_branch_csv(handle)]
+        if not stored:
             raise ConfigError(
                 "resume requested but the stored branch has no points; "
                 "rerun without resume")
-        if len(done_rows) > len(targets):
+        if stored != targets[:len(stored)]:
             raise ConfigError(
-                f"branch.csv holds {len(done_rows)} rows but the schedule "
-                f"has only {len(targets)} targets")
-        state = _load_state(str(_point_path(out_dir, len(done_rows) - 1)))
-        p_cur = targets[len(done_rows) - 1]
-        remaining = targets[len(done_rows):]
-        log.info("resuming after %d stored points at p=%.6g",
-                 len(done_rows), p_cur)
+                f"branch.csv holds p={stored}, which is not the start of "
+                f"the schedule's targets {targets}")
+        done = len(stored)
+        state = _load_state(str(_point_path(out_dir, done - 1)))
+        p_cur = targets[done - 1]
+        log.info("resuming after %d stored points at p=%.6g", done, p_cur)
     else:
         init = _initial_state(cfg)
         cons = default_constraints(prob, init.params)
@@ -335,98 +342,77 @@ def cmd_continue(cfg: RunConfig, out_dir: Path) -> int:
                              cfg.node_kind).state
         p_cur = float(state.params[0])
         targets = [float(v) for v in np.linspace(p_cur, p_to, steps + 1)[1:]]
-        remaining = targets
-        done_rows = []
+        done = 0
         _write_json(out_dir / "schedule.json", {
             "format_version": FORMAT_VERSION, "p_start": p_cur,
             "p_to": float(p_to), "steps": steps, "targets": targets})
+        with open(csv_path, "w") as handle:
+            write_branch_csv([], handle)
 
-    # One scheduled target per call so an interrupted run leaves every
-    # completed point on disk for resume.
-    points = []
+    # One scheduled target per call, and each row flushed right after its
+    # point file, so an interrupted run leaves a branch.csv whose rows
+    # are exactly the completed points; resume continues from there.
+    first_new = done
     failure = None
-    for target in remaining:
-        try:
-            step = continue_branch(state, prob, p_cur, target, 1,
-                                   cfg.newton, kind=cfg.node_kind,
-                                   grid_points=cfg.grid)
-        except StepFailureError as exc:
-            failure = exc
-            break
-        point = step[-1]
-        _write_json(_point_path(out_dir, len(done_rows) + len(points)),
-                    state_to_document(point.state))
-        points.append(point)
-        state = point.state
-        p_cur = target
-        log.info("branch point p=%.6g T=%.6g amplitude=%.3e",
-                 point.parameter, point.period, point.amplitude)
+    with open(csv_path, "a") as handle:
+        for target in targets[done:]:
+            try:
+                point = continue_branch(
+                    state, prob, p_cur, target, 1, cfg.newton,
+                    kind=cfg.node_kind, grid_points=cfg.grid)[-1]
+            except StepFailureError as exc:
+                failure = exc
+                break
+            _write_json(_point_path(out_dir, done),
+                        state_to_document(point.state))
+            append_branch_row(point, handle)
+            handle.flush()
+            done += 1
+            state, p_cur = point.state, target
+            log.info("branch point p=%.6g T=%.6g amplitude=%.3e",
+                     point.parameter, point.period, point.amplitude)
 
-    with open(out_dir / "branch.csv", "w") as handle:
-        _write_branch_rows(handle, done_rows, points)
     _write_metadata(out_dir, "continue", perf_counter() - start_time,
-                    {"new_points": len(points)})
+                    {"new_points": done - first_new})
     if failure is not None:
         _emit_error(failure)
         return EXIT_FAILURE
-    print(f"wrote {out_dir / 'branch.csv'} "
-          f"({len(done_rows) + len(points)} points)")
+    print(f"wrote {csv_path} ({done} points)")
     return EXIT_OK
 
 
-def _convergence_chain(problem_name, params, num_intervals, m_list,
-                       settings_doc, kind_name, grid, seed_doc):
-    """Worker for one mesh-size column; primitives only, so it pickles."""
-    prob = get_problem(problem_name)
-    seed = state_from_document(seed_doc)
-    table = convergence_study(
-        prob, params, [num_intervals], list(m_list),
-        NewtonSettings(**settings_doc), seed=seed,
-        kind=NodeKind.from_name(kind_name), grid_points=grid)
-    return [asdict(row) for row in table.rows]
-
-
-def _convergence_seed(cfg: RunConfig) -> DiscreteState:
-    guess = _require(cfg.guess, "guess")
-    kind = guess.get("kind")
-    if kind == "file":
-        return _load_state(_require(guess.get("path"), "guess.path"))
-    if kind == "seed":
-        return sd_quadratic_seed(_require(cfg.params, "params")[0])
-    raise ConfigError(
-        "convergence needs a converged orbit as seed: guess kind 'file' "
-        "or 'seed'")
+def _convergence_column(cfg: RunConfig, seed_doc: dict,
+                        num_intervals: int) -> ConvergenceTable:
+    """Table of one mesh-size column; a worker, so its arguments pickle."""
+    return convergence_study(
+        get_problem(cfg.problem), cfg.params, [num_intervals], cfg.degree,
+        cfg.newton, seed=state_from_document(seed_doc), kind=cfg.node_kind,
+        grid_points=cfg.grid)
 
 
 def cmd_convergence(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
-    prob = get_problem(_require(cfg.problem, "problem"))
+    # resolve the problem here so a bad name fails before any worker starts
+    get_problem(_require(cfg.problem, "problem"))
     sizes = _require(cfg.mesh_list, "mesh_list")
-    degrees = _require(cfg.degree, "degree")
-    params = _require(cfg.params, "params")
-    seed = _convergence_seed(cfg)
+    _require(cfg.degree, "degree")
+    _require(cfg.params, "params")
+    if _require(cfg.guess, "guess")["kind"] not in ("file", "seed"):
+        raise ConfigError(
+            "convergence needs a converged orbit as seed: guess kind 'file' "
+            "or 'seed'")
+    column = partial(_convergence_column, cfg,
+                     state_to_document(_initial_state(cfg)))
     start = perf_counter()
-    if jobs <= 1:
-        table = convergence_study(
-            prob, list(params), list(sizes), list(degrees), cfg.newton,
-            seed=seed, kind=cfg.node_kind, grid_points=cfg.grid)
+    # every column restarts from the seed, so any job count gives the
+    # same rows
+    if jobs == 1:
+        tables = list(map(column, sizes))
     else:
-        seed_doc = state_to_document(seed)
-        settings_doc = asdict(cfg.newton)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_convergence_chain, prob.name, list(params),
-                            size, list(degrees), settings_doc,
-                            cfg.node_kind.value, cfg.grid, seed_doc)
-                for size in sizes
-            ]
-            rows = [ConvergenceCell(**row)
-                    for future in futures for row in future.result()]
-        table = ConvergenceTable(tuple(rows), {
-            "problem": prob.name,
-            "params": [float(v) for v in params],
-            "node_kind": cfg.node_kind.value,
-            "grid_points": cfg.grid,
-        })
+            tables = list(pool.map(column, sizes))
+    table = ConvergenceTable(
+        tuple(row for part in tables for row in part.rows),
+        tables[0].metadata)
     with open(out_dir / "convergence.csv", "w") as handle:
         write_convergence_csv(table, handle)
     _write_json(out_dir / "convergence.json",
@@ -551,9 +537,9 @@ def main(argv=None) -> int:
         if args.grid is not None:
             if args.grid < 2:
                 raise ConfigError(f"--grid must be >= 2, got {args.grid}")
-            fields = {name: getattr(cfg, name)
-                      for name in cfg.__dataclass_fields__}
-            cfg = RunConfig(**{**fields, "grid": args.grid})
+            cfg = replace(cfg, grid=args.grid)
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         out_dir = Path(args.out or cfg.out_dir or ".")
         out_dir.mkdir(parents=True, exist_ok=True)
     except (SemDdeError, OSError, ValueError, TypeError) as exc:

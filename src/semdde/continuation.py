@@ -284,39 +284,52 @@ BRANCH_CSV_COLUMNS = ("p", "T", "amplitude", "newton_iters", "residual_err",
 def write_branch_csv(points: Sequence[BranchPoint], stream) -> None:
     """One CSV row per branch point, preceded by the format version."""
     stream.write(f"# format_version={FORMAT_VERSION}\n")
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(BRANCH_CSV_COLUMNS)
+    csv.writer(stream, lineterminator="\n").writerow(BRANCH_CSV_COLUMNS)
     for point in points:
-        writer.writerow([repr(point.parameter), repr(point.period),
-                         repr(point.amplitude), point.newton_iters,
-                         repr(point.err), repr(point.phi_defect)])
+        append_branch_row(point, stream)
+
+
+def append_branch_row(point: BranchPoint, stream) -> None:
+    """Append one point's row to a branch CSV that write_branch_csv began."""
+    csv.writer(stream, lineterminator="\n").writerow([
+        repr(point.parameter), repr(point.period), repr(point.amplitude),
+        point.newton_iters, repr(point.err), repr(point.phi_defect)])
 
 
 def read_branch_csv(stream) -> List[dict]:
     """Parse a branch CSV back into one dict per row.
 
     The states themselves live in separate solution files; this reads
-    the tabular columns only.
+    the tabular columns only.  Every row is written whole with its line
+    end, so a last line without one is a cut-off write and is rejected
+    like a short row or a non-numeric cell.
     """
-    first = stream.readline().strip()
+    lines = stream.readlines()
+    first = lines[0] if lines else ""
     prefix = "# format_version="
-    if not first.startswith(prefix):
+    version = first[len(prefix):].strip()
+    if not first.startswith(prefix) or not version.isdecimal():
         raise FormatVersionError(
             f"branch CSV must start with '{prefix}<n>', got {first!r}")
-    try:
-        version = int(first[len(prefix):])
-    except ValueError:
-        raise FormatVersionError(f"bad format_version in {first!r}") from None
-    check_format_version(version, "branch CSV")
-    reader = csv.DictReader(stream)
-    if reader.fieldnames is None or tuple(reader.fieldnames) != \
-            BRANCH_CSV_COLUMNS:
+    check_format_version(int(version), "branch CSV")
+    if not lines[-1].endswith("\n"):
         raise InvalidArgumentError(
-            f"branch CSV needs columns {BRANCH_CSV_COLUMNS}, got "
-            f"{reader.fieldnames}")
+            f"branch CSV ends in a partial line {lines[-1]!r}")
+    reader = csv.reader(lines[1:])
+    header = next(reader, None)
+    if header is None or tuple(header) != BRANCH_CSV_COLUMNS:
+        raise InvalidArgumentError(
+            f"branch CSV needs columns {BRANCH_CSV_COLUMNS}, got {header}")
     rows = []
-    for raw in reader:
-        row = {key: float(raw[key]) for key in BRANCH_CSV_COLUMNS}
-        row["newton_iters"] = int(raw["newton_iters"])
+    for cells in reader:
+        try:
+            if len(cells) != len(BRANCH_CSV_COLUMNS):
+                raise ValueError(f"expected {len(BRANCH_CSV_COLUMNS)} cells")
+            raw = dict(zip(BRANCH_CSV_COLUMNS, cells))
+            row = {key: float(raw[key]) for key in BRANCH_CSV_COLUMNS}
+            row["newton_iters"] = int(raw["newton_iters"])
+        except ValueError as exc:
+            raise InvalidArgumentError(
+                f"bad branch CSV row {cells}: {exc}") from None
         rows.append(row)
     return rows

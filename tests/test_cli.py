@@ -17,7 +17,7 @@ import pytest
 import semdde
 from semdde.cli import RunConfig, main
 from semdde.collocation import state_from_document, state_to_document
-from semdde.continuation import sd_quadratic_seed
+from semdde.continuation import continue_branch, sd_quadratic_seed
 from semdde.errors import ConfigError
 from semdde.nodes import NodeKind, lebesgue_constant, make_nodes
 
@@ -98,6 +98,34 @@ class TestRunConfig:
     def test_mesh_list_type_check(self):
         with pytest.raises(ConfigError, match="mesh_list"):
             RunConfig.from_document({"mesh_list": [2, 0]})
+
+    @pytest.mark.parametrize("change", [
+        {"guess": {"kind": "constant", "values": ["a"], "period": 1.6}},
+        {"guess": {"kind": "constant", "values": [True], "period": 1.6}},
+        {"guess": {"kind": "constant", "values": [], "period": 1.6}},
+        {"guess": {"kind": "constant", "values": [1.0], "period": "x"}},
+        {"guess": {"kind": "constant", "values": [1.0]}},
+        {"guess": {"kind": "hopf", "amplitude": "x"}},
+        {"guess": {"kind": "hopf", "offset": None}},
+        {"guess": {"kind": "file", "path": ["solution.json"]}},
+        {"guess": {"kind": "constant", "values": [1.0], "period": 1.6,
+                   "amplitude": 0.1}},
+        {"resume": "false"},
+        {"steps": True},
+        {"mesh": True},
+    ], ids=["values_str", "values_bool", "values_empty", "period_str",
+            "period_missing", "amplitude_str", "offset_null", "path_list",
+            "constant_extra_key", "resume_str", "steps_bool", "mesh_bool"])
+    def test_malformed_value_exits_1_before_solving(self, tmp_path, capsys,
+                                                     change):
+        path = write_config(tmp_path / "c.json", {
+            "problem": "mackey_glass", "mesh": 3, "degree": 3,
+            "guess": {"kind": "constant", "values": [1.0], "period": 1.6},
+            "params": [0.3], "out_dir": str(tmp_path), **change,
+        })
+        assert main(["solve", "--config", path]) == 1
+        assert read_error(capsys)["type"] == "ConfigError"
+        assert not (tmp_path / "solution.json").exists()
 
 
 class TestSolve:
@@ -260,6 +288,73 @@ class TestContinue:
             name = f"point_{i:04d}.json"
             assert (partial / name).read_bytes() == (out / name).read_bytes()
 
+    def test_interrupted_run_resumes_to_the_full_run_bitwise(
+            self, mg_branch, tmp_path, monkeypatch):
+        out, doc = mg_branch
+        run = tmp_path / "run"
+        calls = []
+
+        def interrupt_third_point(*args, **kwargs):
+            calls.append(args[3])
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return continue_branch(*args, **kwargs)
+
+        monkeypatch.setattr("semdde.cli.continue_branch",
+                            interrupt_third_point)
+        path = write_config(tmp_path / "c.json", dict(doc, out_dir=str(run)))
+        with pytest.raises(KeyboardInterrupt):
+            main(["continue", "--config", path])
+        monkeypatch.undo()
+        assert len((run / "branch.csv").read_text().splitlines()) == 4
+        path = write_config(tmp_path / "r.json",
+                            dict(doc, resume=True, out_dir=str(run)))
+        assert main(["continue", "--config", path]) == 0
+        assert (run / "branch.csv").read_bytes() == \
+            (out / "branch.csv").read_bytes()
+        for i in range(4):
+            name = f"point_{i:04d}.json"
+            assert (run / name).read_bytes() == (out / name).read_bytes()
+
+    @pytest.mark.parametrize("tamper", ["p_off_by_one_ulp", "other_schedule"])
+    def test_resume_with_rows_off_the_schedule_exits_1(
+            self, mg_branch, tmp_path, capsys, tamper):
+        out, doc = mg_branch
+        partial = tmp_path / "partial"
+        shutil.copytree(out, partial)
+        lines = (out / "branch.csv").read_text().splitlines()
+        if tamper == "p_off_by_one_ulp":
+            cells = lines[3].split(",")
+            cells[0] = repr(float(np.nextafter(float(cells[0]), 1.0)))
+            lines[3] = ",".join(cells)
+            (partial / "branch.csv").write_text("\n".join(lines) + "\n")
+        else:
+            # a stale branch from a longer run beside a new schedule
+            sched = json.loads((out / "schedule.json").read_text())
+            sched["p_to"] = 0.53
+            doc = dict(doc, p_to=0.53)
+            sched["targets"] = np.linspace(
+                sched["p_start"], 0.53, sched["steps"] + 1)[1:].tolist()
+            (partial / "schedule.json").write_text(json.dumps(sched))
+        path = write_config(tmp_path / "c.json",
+                            dict(doc, resume=True, out_dir=str(partial)))
+        assert main(["continue", "--config", path]) == 1
+        assert read_error(capsys)["type"] == "ConfigError"
+        assert (partial / "branch.csv").read_text().splitlines()[2:] == \
+            lines[2:]
+
+    def test_resume_with_truncated_last_row_exits_1(self, mg_branch,
+                                                    tmp_path, capsys):
+        out, doc = mg_branch
+        partial = tmp_path / "partial"
+        shutil.copytree(out, partial)
+        text = (out / "branch.csv").read_text()
+        (partial / "branch.csv").write_text(text[:-4])
+        path = write_config(tmp_path / "c.json",
+                            dict(doc, resume=True, out_dir=str(partial)))
+        assert main(["continue", "--config", path]) == 1
+        assert read_error(capsys)["type"] == "InvalidArgumentError"
+
     def test_resume_without_schedule_exits_1(self, mg_branch, tmp_path,
                                              capsys):
         _, doc = mg_branch
@@ -348,6 +443,31 @@ class TestConvergence:
         for name in ("convergence.csv", "convergence.json"):
             assert (serial / name).read_bytes() == \
                 (parallel / name).read_bytes()
+
+    def test_shipped_seed_needs_its_own_problem(self, tmp_path, capsys):
+        path = write_config(tmp_path / "c.json", {
+            "problem": "mackey_glass", "params": [0.95], "mesh_list": [2],
+            "degree": [4], "guess": {"kind": "seed"},
+            "out_dir": str(tmp_path),
+        })
+        assert main(["convergence", "--config", path]) == 1
+        assert read_error(capsys)["type"] == "ConfigError"
+        assert not (tmp_path / "convergence.csv").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exits_1(self, mg_solution, tmp_path, capsys,
+                                    jobs):
+        # rejected while the config is read, before any column runs
+        path = write_config(tmp_path / "c.json", {
+            "problem": "mackey_glass", "params": [0.4718196289360753],
+            "mesh_list": [2], "degree": [4],
+            "guess": {"kind": "file",
+                      "path": str(mg_solution / "solution.json")},
+            "out_dir": str(tmp_path),
+        })
+        assert main(["convergence", "--config", path, "--jobs", jobs]) == 1
+        assert read_error(capsys)["type"] == "ConfigError"
+        assert not (tmp_path / "convergence.csv").exists()
 
     def test_seed_guess_kind_is_required(self, tmp_path, capsys):
         path = write_config(tmp_path / "c.json", {

@@ -225,6 +225,20 @@ class TestBranchCsv:
         with pytest.raises(InvalidArgumentError):
             read_branch_csv(io.StringIO("# format_version=1\np,T\n"))
 
+    @pytest.mark.parametrize("row", [
+        "0.5,1.6,0.01,4,1e-09\n",
+        "0.5,1.6,0.01,4,1e-09,1e-12,7\n",
+        "0.5,1.6,abc,4,1e-09,1e-12\n",
+        "0.5,1.6,0.01,4.0,1e-09,1e-12\n",
+        "0.5,1.6,0.01,4,1e-09,1e-1",
+    ], ids=["short", "long", "non_numeric", "fractional_iters",
+            "truncated_number"])
+    def test_malformed_row_rejected(self, row):
+        text = "# format_version=1\np,T,amplitude,newton_iters," \
+            "residual_err,phi_defect\n0.49,1.6,0.01,4,1e-09,1e-12\n" + row
+        with pytest.raises(InvalidArgumentError):
+            read_branch_csv(io.StringIO(text))
+
 
 class TestSdQuadraticSeed:
     def test_seed_layout(self):
