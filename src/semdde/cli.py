@@ -132,6 +132,47 @@ def _guess(doc) -> dict:
     return guess
 
 
+def _newton(doc) -> NewtonSettings:
+    """Newton settings with each given value checked: max_iter an int
+    >= 1, every other entry a positive finite number."""
+    if not isinstance(doc, dict) or set(doc) - _NEWTON_KEYS:
+        raise ConfigError(
+            f"newton settings accept keys {sorted(_NEWTON_KEYS)}")
+    values = {}
+    for key, value in doc.items():
+        name = f"newton.{key}"
+        if key == "max_iter":
+            values[key] = _int(value, name)
+            continue
+        values[key] = _real(value, name)
+        if values[key] <= 0.0:
+            raise ConfigError(f"{name} must be positive, got {value!r}")
+    return NewtonSettings(**values)
+
+
+def _schedule_targets(path: Path, p_to: float, steps: int) -> list:
+    """The targets of a stored schedule that matches the config."""
+    try:
+        with open(path) as handle:
+            sched = json.load(handle)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(sched, dict):
+        raise ConfigError(f"{path} must hold a JSON object")
+    check_format_version(sched.get("format_version"), "schedule.json")
+    if sched.get("p_to") != p_to or sched.get("steps") != steps:
+        raise ConfigError(
+            "schedule.json disagrees with the config: stored "
+            f"p_to={sched.get('p_to')} steps={sched.get('steps')}, "
+            f"config p_to={p_to} steps={steps}")
+    targets = sched.get("targets")
+    if not isinstance(targets, list) or len(targets) != steps:
+        raise ConfigError(
+            f"schedule.json targets must be a list of {steps} numbers, "
+            f"got {targets!r}")
+    return [_real(v, "schedule.json targets") for v in targets]
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Parsed JSON configuration shared by all subcommands.
@@ -184,11 +225,7 @@ class RunConfig:
         if "params" in doc:
             values["params"] = _items(_real, doc["params"], "params")
         if "newton" in doc:
-            sub = doc["newton"]
-            if not isinstance(sub, dict) or set(sub) - _NEWTON_KEYS:
-                raise ConfigError(
-                    f"newton settings accept keys {sorted(_NEWTON_KEYS)}")
-            values["newton"] = NewtonSettings(**sub)
+            values["newton"] = _newton(doc["newton"])
         if "out_dir" in doc:
             values["out_dir"] = str(doc["out_dir"])
         if "grid" in doc:
@@ -312,15 +349,7 @@ def cmd_continue(cfg: RunConfig, out_dir: Path) -> int:
         if not schedule_path.exists() or not csv_path.exists():
             raise ConfigError(
                 f"resume needs schedule.json and branch.csv in {out_dir}")
-        with open(schedule_path) as handle:
-            sched = json.load(handle)
-        check_format_version(sched.get("format_version"), "schedule.json")
-        if sched.get("p_to") != p_to or sched.get("steps") != steps:
-            raise ConfigError(
-                "schedule.json disagrees with the config: stored "
-                f"p_to={sched.get('p_to')} steps={sched.get('steps')}, "
-                f"config p_to={p_to} steps={steps}")
-        targets = [float(v) for v in sched["targets"]]
+        targets = _schedule_targets(schedule_path, p_to, steps)
         with open(csv_path) as handle:
             stored = [row["p"] for row in read_branch_csv(handle)]
         if not stored:

@@ -6,9 +6,17 @@ mu = (period, parameters).  The residual collects the rescaled equation
 at the collocation points of every mesh interval, followed by the affine
 constraint rows that square the system.
 
-Jacobians are forward finite differences on the full residual; the
-constraint rows are overwritten with their exact affine gradients, built
-from the same barycentric basis rows that evaluation uses.
+The Jacobian follows the chain rule through the rhs's evaluator queries
+(the structured collocation systems of Engelborghs et al., SIAM J. Sci.
+Comput. 22, 2001): an exact differentiation block, plus, for each query,
+the rhs's sensitivity to that query's output times the Lagrange row at
+the query time.  The sensitivities are forward differences on the
+query outputs, taken for all collocation points in one rhs call, so a
+Jacobian costs a few residual-sized evaluations for any mesh size; the
+(T, p) columns are forward differences on the full residual.  Every
+basis row comes from ``nodes.lagrange_rows``, and the constraint rows
+are exact affine gradients.
+
 The Newton iteration damps by halving on residual increase, down to a
 floor, and factors the dense Jacobian by LU with partial pivoting.
 """
@@ -28,7 +36,7 @@ from .errors import (
     NonFiniteResidualError,
     SingularJacobianError,
 )
-from .nodes import NodeKind, lagrange_rows, make_nodes
+from .nodes import NodeKind, interpolation_matrix, lagrange_rows, make_nodes
 from .piecewise import (
     FORMAT_VERSION,
     Mesh,
@@ -208,7 +216,11 @@ def default_constraints(prob: DdeProblem, params_target,
 
 @dataclass(frozen=True)
 class NewtonSettings:
-    """Damped Newton iteration controls; all entries must be positive."""
+    """Damped Newton iteration controls; all entries must be positive.
+
+    ``fd_step`` is the relative forward-difference step of
+    ``assemble_jacobian``, applied to query outputs and to mu.
+    """
 
     tol_residual: float = 1e-10
     tol_step: float = 1e-12
@@ -242,23 +254,36 @@ def assemble_residual(state: DiscreteState, prob: DdeProblem,
     return np.concatenate([rows, cons_vals])
 
 
+def _free_columns(intervals: np.ndarray, num_intervals: int,
+                  degree: int) -> np.ndarray:
+    """Free-value index of nodes 0..m of each given interval, shape
+    (k, m+1): node m of interval i is free node 0 of the next interval
+    (or, wrapping, of the first)."""
+    return ((intervals[:, None] * degree + np.arange(degree + 1))
+            % (num_intervals * degree))
+
+
+def _basis_at(poly: PeriodicPiecewisePoly, times: np.ndarray):
+    """Free-value indices and Lagrange rows at any real times, each of
+    shape (k, m+1); the profile at times[p] is the sum over j of
+    rows[p, j] times the free values at index free[p, j]."""
+    t = _wrap_time(times)
+    idx = poly.mesh.interval_index(t)
+    rows = lagrange_rows(t, poly.node_times[idx],
+                         poly.rep_family.bary_weights)
+    return _free_columns(idx, poly.mesh.num_intervals, poly.degree), rows
+
+
 def constraint_gradient(row: AffineRow, state: DiscreteState) -> np.ndarray:
     """Exact gradient of an affine row with respect to the flat vector."""
     poly = state.poly
-    L = poly.mesh.num_intervals
-    m = poly.degree
     dim = poly.dim
-    n_free = L * m * dim
+    n_free = poly.free_values.size
     grad = np.zeros(n_free + state.mu.size)
     for time, comp, coeff in row.point_terms:
-        t = _wrap_time(np.array([float(time)]))
-        i = poly.mesh.interval_index(t)
-        basis = lagrange_rows(t, poly.node_times[i],
-                              poly.rep_family.bary_weights)[0]
-        # node m of interval i is free node 0 of the next interval (or,
-        # wrapping, of the first); add.at sums both terms when L = 1
-        free = (i[0] * m + np.arange(m + 1)) % (L * m)
-        np.add.at(grad, free * dim + comp, coeff * basis)
+        free, basis = _basis_at(poly, np.array([float(time)]))
+        # add.at sums both terms when nodes 0 and m share a column (L = 1)
+        np.add.at(grad, free[0] * dim + comp, coeff * basis[0])
     grad[n_free:] = row.mu_coeffs
     return grad
 
@@ -267,23 +292,88 @@ def assemble_jacobian(state: DiscreteState, prob: DdeProblem,
                       cons: Sequence[AffineRow],
                       settings: NewtonSettings = NewtonSettings(),
                       kind: NodeKind = DEFAULT_COLLOCATION_KIND) -> np.ndarray:
-    """Forward finite-difference Jacobian with analytic constraint rows."""
+    """Jacobian of ``assemble_residual`` with respect to the flat vector.
+
+    Collocation row (t, s) is v'_s(t) - T G_s(q_0, ..., q_K-1, p), where
+    q_k = v(t + theta_k/T) answers the rhs's k-th evaluator query; the
+    chain rule through those answers gives every free-value column:
+
+    - v'(t) is exact: the reference Lagrange row of the collocation node
+      times ``diff_matrix``, over the interval length.
+    - dG/dq_k is one forward difference on q_k's output per component,
+      for all collocation points in one rhs call (G is pointwise in the
+      base time).  Later queries are re-evaluated, so a lag computed
+      from q_k contributes its y'(t - d) dd/dq_k term.  The result is
+      scattered through the Lagrange row at the query time.
+    - The mu = (T, p) columns are forward differences on the full
+      residual, and the constraint rows are exact.
+
+    ``settings.fd_step`` is the relative step for query outputs and mu.
+    Raises InvalidArgumentError when a perturbed rhs call makes a
+    different number of evaluator queries than the unperturbed one (the
+    rhs must be deterministic).
+    """
     poly = state.poly
     mesh = poly.mesh
-    x0 = state.flatten()
-    r0 = assemble_residual(state, prob, cons, kind)
-    n = x0.size
-    jac = np.empty((n, n))
-    for j in range(n):
-        h = settings.fd_step * max(1.0, abs(x0[j]))
-        xj = x0.copy()
-        xj[j] += h
-        state_j = DiscreteState.from_flat(xj, mesh, poly.degree, poly.dim,
-                                          state.mu.size - 1)
-        jac[:, j] = (assemble_residual(state_j, prob, cons, kind) - r0) / h
-    n_colloc = n - state.mu.size
+    L, m, dim = mesh.num_intervals, poly.degree, poly.dim
+    n_free = poly.free_values.size
+    n = n_free + state.mu.size
+    colloc = make_nodes(kind, m)
+    times = mesh.node_times(colloc.nodes).ravel()
+    rows = np.arange(times.size * dim).reshape(times.size, dim)
+    jac = np.zeros((n, n))
+
+    basis = interpolation_matrix(poly.rep_family, colloc.nodes)
+    deriv = np.sum(basis[:, None, :] * poly.rep_family.diff_matrix.T, axis=2)
+    block = deriv / mesh.lengths[:, None, None]
+    cols = _free_columns(np.arange(L), L, m)[:, None, :] * dim
+    for s in range(dim):
+        np.add.at(jac, (rows[:, s].reshape(L, colloc.m, 1), cols + s), block)
+
+    # the rhs only ever gets copies of the recorded answers, so nothing
+    # it does to its inputs can change them between calls
+    rhs = RescaledRhs(prob)
+    answers = []
+
+    def record(k, at):
+        answers.append((at, poly.eval(at)))
+        return answers[-1][1].copy()
+
+    base = rhs.evaluate(times, state.mu, record)
+    for k, (at, value) in enumerate(answers):
+        free, lagrange = _basis_at(poly, at)
+        for s in range(dim):
+            bumped = value.copy()
+            bumped[:, s] += settings.fd_step * np.maximum(1.0,
+                                                          np.abs(value[:, s]))
+            step = bumped[:, s] - value[:, s]  # as rounded into bumped
+            asked = []
+
+            def answer(j, at_j):
+                asked.append(j)
+                if j < k:
+                    return answers[j][1].copy()
+                return bumped if j == k else poly.eval(at_j)
+
+            out = rhs.evaluate(times, state.mu, answer)
+            if len(asked) != len(answers):
+                raise InvalidArgumentError(
+                    f"the rhs of {prob.name!r} made a different number of "
+                    f"evaluator queries when query {k} moved; it must be "
+                    f"deterministic")
+            slope = (out - base) / step[:, None]
+            np.add.at(jac, (rows[:, :, None], free[:, None, :] * dim + s),
+                      -slope[:, :, None] * lagrange[:, None, :])
+
+    r0 = (poly.eval_deriv(times) - base).ravel()
+    for j in range(state.mu.size):
+        mu = state.mu.copy()
+        h = settings.fd_step * max(1.0, abs(mu[j]))
+        mu[j] += h
+        r = assemble_residual(DiscreteState(poly, mu), prob, cons, kind)
+        jac[:r0.size, n_free + j] = (r[:r0.size] - r0) / h
     for k, row in enumerate(cons):
-        jac[n_colloc + k, :] = constraint_gradient(row, state)
+        jac[r0.size + k, :] = constraint_gradient(row, state)
     return jac
 
 

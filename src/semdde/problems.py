@@ -14,6 +14,7 @@ collocation points with the same source.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -155,13 +156,31 @@ class RescaledRhs:
     For a 1-periodic profile v, period T and parameters p packed as
     mu = (T, p), evaluates T * rhs(theta -> v(t + theta/T), p).  Periodic
     evaluation makes every lag representable, so the history closure is
-    total.
+    total.  ``evaluate`` exposes the same evaluator with each query
+    answered by the caller, which is how the collocation Jacobian
+    perturbs one query's output.
     """
 
     def __init__(self, problem: DdeProblem):
         self.problem = problem
 
     def __call__(self, poly: PeriodicPiecewisePoly, t, mu: np.ndarray):
+        t_arr = np.asarray(t, dtype=float)
+        out = self.evaluate(np.atleast_1d(t_arr).ravel(), mu,
+                            lambda k, times: poly.eval(times))
+        if t_arr.ndim == 0:
+            return out[0]
+        return out.reshape(t_arr.shape + (self.problem.dim,))
+
+    def evaluate(self, base: np.ndarray, mu: np.ndarray,
+                 answer: Callable[[int, np.ndarray], np.ndarray]
+                 ) -> np.ndarray:
+        """T * rhs at the base times, shape (N,) -> (N, dim).
+
+        The rhs's k-th evaluator query (k = 0, 1, ...) asks for the state
+        at the times base + theta/T, one per base time; ``answer(k,
+        times)`` returns it, shape (N, dim).
+        """
         mu = np.asarray(mu, dtype=float)
         if mu.size != 1 + self.problem.num_params:
             raise InvalidArgumentError(
@@ -170,9 +189,7 @@ class RescaledRhs:
         period = mu[0]
         if period <= 0.0:
             raise InvalidArgumentError(f"period must be positive, got {period}")
-        params = mu[1:]
-        t_arr = np.asarray(t, dtype=float)
-        base = np.atleast_1d(t_arr).astype(float).ravel()
+        queries = itertools.count()
 
         def evaluator(theta):
             th = np.asarray(theta, dtype=float)
@@ -184,10 +201,8 @@ class RescaledRhs:
                         f"{base.size} base times")
                 if th.size == 1:
                     th = th[0]
-            return poly.eval(base + th / period)
+            return answer(next(queries), base + th / period)
 
-        out = period * np.asarray(self.problem.rhs(evaluator, params),
+        out = period * np.asarray(self.problem.rhs(evaluator, mu[1:]),
                                   dtype=float)
-        if t_arr.ndim == 0:
-            return out[0]
-        return out.reshape(t_arr.shape + (self.problem.dim,))
+        return out.reshape(base.size, self.problem.dim)

@@ -113,9 +113,16 @@ class TestRunConfig:
         {"resume": "false"},
         {"steps": True},
         {"mesh": True},
+        {"newton": {"fd_step": True}},
+        {"newton": {"fd_step": 0.0}},
+        {"newton": {"tol_residual": "1e-8"}},
+        {"newton": {"max_iter": 2.5}},
+        {"newton": {"max_iter": True}},
     ], ids=["values_str", "values_bool", "values_empty", "period_str",
             "period_missing", "amplitude_str", "offset_null", "path_list",
-            "constant_extra_key", "resume_str", "steps_bool", "mesh_bool"])
+            "constant_extra_key", "resume_str", "steps_bool", "mesh_bool",
+            "fd_step_bool", "fd_step_zero", "tol_str", "max_iter_float",
+            "max_iter_bool"])
     def test_malformed_value_exits_1_before_solving(self, tmp_path, capsys,
                                                      change):
         path = write_config(tmp_path / "c.json", {
@@ -342,6 +349,31 @@ class TestContinue:
         assert read_error(capsys)["type"] == "ConfigError"
         assert (partial / "branch.csv").read_text().splitlines()[2:] == \
             lines[2:]
+
+    @pytest.mark.parametrize("tamper", [
+        "missing_targets", "not_an_object", "non_numeric_target",
+        "short_targets"])
+    def test_resume_with_malformed_schedule_exits_1(self, mg_branch,
+                                                    tmp_path, capsys,
+                                                    tamper):
+        out, doc = mg_branch
+        partial = tmp_path / "partial"
+        shutil.copytree(out, partial)
+        sched = json.loads((out / "schedule.json").read_text())
+        if tamper == "missing_targets":
+            del sched["targets"]
+        elif tamper == "not_an_object":
+            sched = [sched]
+        elif tamper == "non_numeric_target":
+            # the stored value itself, but as a string
+            sched["targets"][1] = repr(sched["targets"][1])
+        else:
+            sched["targets"] = sched["targets"][:-1]
+        (partial / "schedule.json").write_text(json.dumps(sched))
+        path = write_config(tmp_path / "c.json",
+                            dict(doc, resume=True, out_dir=str(partial)))
+        assert main(["continue", "--config", path]) == 1
+        assert read_error(capsys)["type"] == "ConfigError"
 
     def test_resume_with_truncated_last_row_exits_1(self, mg_branch,
                                                     tmp_path, capsys):

@@ -5,6 +5,9 @@ values: the linearization slope a + b h'(1) = -5 and the Hopf frequency
 sqrt(15) follow from hand differentiation of the rhs.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,17 +20,94 @@ from semdde.collocation import (
     constraint_gradient,
     default_constraints,
     newton_solve,
+    resample_state,
+    state_from_document,
 )
+from semdde.continuation import sd_quadratic_seed
 from semdde.errors import (
     InvalidArgumentError,
     MaxIterExceededError,
     SingularJacobianError,
 )
 from semdde.piecewise import Mesh, PeriodicPiecewisePoly, sample_periodic
-from semdde.problems import DdeProblem, mackey_glass
+from semdde.problems import (
+    DdeProblem,
+    mackey_glass,
+    sd_quadratic,
+    state_eval_example,
+)
 
 TAU_HOPF = np.arccos(-0.25) / np.sqrt(15.0)
 PERIOD_HOPF = 2.0 * np.pi / np.sqrt(15.0)
+
+
+MG_BRANCH_END = (Path(__file__).resolve().parents[1] / "perfbench" / "data"
+                 / "mg_branch_end.json")
+
+
+def _fd_jacobian(state, prob, cons, settings=NewtonSettings()):
+    """Reference Jacobian: one forward difference on the full residual
+    per column, with the exact constraint rows."""
+    poly = state.poly
+    x0 = state.flatten()
+    r0 = assemble_residual(state, prob, cons)
+    n = x0.size
+    jac = np.empty((n, n))
+    for j in range(n):
+        h = settings.fd_step * max(1.0, abs(x0[j]))
+        xj = x0.copy()
+        xj[j] += h
+        state_j = DiscreteState.from_flat(xj, poly.mesh, poly.degree,
+                                          poly.dim, state.mu.size - 1)
+        jac[:, j] = (assemble_residual(state_j, prob, cons) - r0) / h
+    n_colloc = n - state.mu.size
+    for k, row in enumerate(cons):
+        jac[n_colloc + k, :] = constraint_gradient(row, state)
+    return jac
+
+
+def _coupled_pair():
+    """Two components, each fed by delayed values of both, one lag
+    depending on the state: the cross-component blocks of the Jacobian."""
+
+    def rhs(e, p):
+        now = e(0.0)
+        lag = e(-p[0])
+        moving = e(-(0.5 * p[0] + 0.1 * now[:, 1] ** 2))
+        return np.stack([
+            -now[:, 0] + 2.0 * lag[:, 1] / (1.0 + lag[:, 0] ** 2),
+            -now[:, 1] + np.sin(lag[:, 0]) * moving[:, 0]
+            + 0.3 * moving[:, 1],
+        ], axis=1)
+
+    return DdeProblem(name="coupled_pair", dim=2, num_params=1, rhs=rhs,
+                      max_delay=lambda p: float(p[0]) + 0.1)
+
+
+def _mackey_glass_case(L, m):
+    doc = json.loads(MG_BRANCH_END.read_text())
+    state = resample_state(state_from_document(doc), Mesh.uniform(L), m)
+    return mackey_glass(), state
+
+
+def _sd_quadratic_case(L, m):
+    state = resample_state(sd_quadratic_seed(0.95), Mesh.uniform(L), m)
+    return sd_quadratic(), state
+
+
+def _state_eval_case():
+    # the profile is the lag, so it stays inside the window [-1, 0]
+    poly = sample_periodic(lambda t: -0.5 + 0.3 * np.sin(2 * np.pi * t),
+                           Mesh.uniform(6), 5)
+    return state_eval_example(), DiscreteState(poly, np.array([1.5]))
+
+
+def _coupled_case():
+    poly = sample_periodic(
+        lambda t: np.stack([np.cos(2 * np.pi * t),
+                            0.5 + np.sin(2 * np.pi * t)], axis=-1),
+        Mesh.uniform(5), 6)
+    return _coupled_pair(), DiscreteState(poly, np.array([2.0, 0.7]))
 
 
 def _equilibrium_state(tau=0.8, period=1.6, num_intervals=3, degree=4):
@@ -165,6 +245,43 @@ class TestJacobian:
         moved = jac @ direction
         np.testing.assert_allclose(moved[:n_colloc], 5.0 * period,
                                    rtol=0, atol=1e-4)
+
+    @pytest.mark.parametrize("case", [
+        lambda: _mackey_glass_case(11, 8),
+        lambda: _mackey_glass_case(20, 12),
+        lambda: _mackey_glass_case(11, 40),
+        lambda: _sd_quadratic_case(10, 8),
+        lambda: _sd_quadratic_case(20, 12),
+        _state_eval_case,
+        _coupled_case,
+    ], ids=["mackey_glass_11_8", "mackey_glass_20_12", "mackey_glass_11_40",
+            "sd_quadratic_10_8", "sd_quadratic_20_12", "state_eval_example",
+            "coupled_pair"])
+    def test_matches_the_finite_difference_oracle(self, case):
+        prob, state = case()
+        cons = default_constraints(prob, state.params,
+                                   anchor_value=state.poly.eval(0.0)[0])
+        oracle = _fd_jacobian(state, prob, cons)
+        jac = assemble_jacobian(state, prob, cons)
+        scale = np.max(np.abs(oracle))
+        assert np.max(np.abs(jac - oracle)) <= 1e-6 * scale
+
+    def test_query_count_that_follows_the_state_is_rejected(self):
+        # the extra query appears only once the first answer moves up
+        def rhs(e, p):
+            now = e(0.0)
+            if np.any(now > 0.5):
+                return -e(-p[0])
+            return -now
+
+        prob = DdeProblem(name="fickle", dim=1, num_params=1, rhs=rhs,
+                          max_delay=lambda p: float(p[0]))
+        poly = sample_periodic(lambda t: np.full_like(t, 0.5 - 1e-12),
+                               Mesh.uniform(2), 3)
+        state = DiscreteState(poly, np.array([1.0, 0.5]))
+        cons = default_constraints(prob, [0.5], anchor_value=0.5)
+        with pytest.raises(InvalidArgumentError, match="deterministic"):
+            assemble_jacobian(state, prob, cons)
 
     def test_doubling_fd_step_changes_entries_at_first_order(self):
         state_poly = sample_periodic(

@@ -190,6 +190,26 @@ class TestRescaledRhs:
             np.testing.assert_allclose(batch[k], rhs(v, float(t), mu),
                                        rtol=0, atol=1e-14)
 
+    def test_evaluate_hands_each_query_to_the_caller_in_order(self):
+        # sd_quadratic asks for y(t), then for y(t - d/T) with d from it
+        v = sample_periodic(lambda t: np.sin(2 * np.pi * t), Mesh.uniform(2), 14)
+        rhs = RescaledRhs(sd_quadratic())
+        mu = np.array([2.0, 0.5])
+        times = np.array([0.1, 0.4, 0.8])
+        asked = []
+
+        def answer(k, at):
+            asked.append((k, at))
+            return v.eval(at)
+
+        got = rhs.evaluate(times, mu, answer)
+        assert [k for k, _ in asked] == [0, 1]
+        assert np.array_equal(asked[0][1], times)
+        y = v.eval(times)[:, 0]
+        np.testing.assert_array_equal(asked[1][1],
+                                      times + -(0.5 + y + y**2) / 2.0)
+        assert np.array_equal(got, rhs(v, times, mu))
+
     def test_rejects_bad_mu(self):
         rhs = RescaledRhs(mackey_glass())
         v = self._constant_poly(1.0)
