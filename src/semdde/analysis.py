@@ -18,7 +18,6 @@ from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .collocation import (
-    DEFAULT_COLLOCATION_KIND,
     DiscreteState,
     NewtonSettings,
     default_constraints,
@@ -142,7 +141,6 @@ def convergence_study(prob: DdeProblem, params, L_list: Sequence[int],
                       m_list: Sequence[int],
                       settings: Optional[NewtonSettings] = None, *,
                       seed: DiscreteState,
-                      kind: NodeKind = DEFAULT_COLLOCATION_KIND,
                       grid_points: int = DEFAULT_ERR_GRID,
                       ) -> ConvergenceTable:
     """Converge the orbit on every (L, m) pair and tabulate diagnostics.
@@ -172,10 +170,9 @@ def convergence_study(prob: DdeProblem, params, L_list: Sequence[int],
                 init = DiscreteState(
                     resample_state(warm, mesh, m).poly,
                     np.concatenate([[warm.period], params]))
-                result = newton_solve(init, prob, cons, settings, kind)
+                result = newton_solve(init, prob, cons, settings)
                 err = residual_err(result.state, prob, grid_points)
-                defect = phi_m_defect(result.state, prob, cons,
-                                      kind=kind).max_defect
+                defect = phi_m_defect(result.state, prob, cons).max_defect
                 rows.append(ConvergenceCell(
                     num_intervals=L, degree=m, err=err, phi_defect=defect,
                     newton_iters=result.iterations,
@@ -190,7 +187,7 @@ def convergence_study(prob: DdeProblem, params, L_list: Sequence[int],
     metadata = {
         "problem": prob.name,
         "params": [float(v) for v in params],
-        "node_kind": kind.value,
+        "node_kind": NodeKind.GAUSS_LEGENDRE.value,
         "grid_points": grid_points,
     }
     return ConvergenceTable(tuple(rows), metadata)

@@ -133,21 +133,14 @@ def _guess(doc) -> dict:
 
 
 def _newton(doc) -> NewtonSettings:
-    """Newton settings with each given value checked: max_iter an int
-    >= 1, every other entry a positive finite number."""
+    """Newton settings; NewtonSettings checks each value."""
     if not isinstance(doc, dict) or set(doc) - _NEWTON_KEYS:
         raise ConfigError(
             f"newton settings accept keys {sorted(_NEWTON_KEYS)}")
-    values = {}
-    for key, value in doc.items():
-        name = f"newton.{key}"
-        if key == "max_iter":
-            values[key] = _int(value, name)
-            continue
-        values[key] = _real(value, name)
-        if values[key] <= 0.0:
-            raise ConfigError(f"{name} must be positive, got {value!r}")
-    return NewtonSettings(**values)
+    try:
+        return NewtonSettings(**doc)
+    except InvalidArgumentError as exc:
+        raise ConfigError(f"newton: {exc}") from None
 
 
 def _schedule_targets(path: Path, p_to: float, steps: int) -> list:
@@ -179,7 +172,9 @@ class RunConfig:
 
     Each command reads the fields it needs and rejects configs missing
     them.  Everything is value-based, so a config plus the package
-    version pins the outputs exactly.
+    version pins the outputs exactly.  ``node_kind`` selects the node
+    family of the ``nodes`` tables; collocation always uses
+    Gauss-Legendre nodes.
     """
 
     problem: Optional[str] = None
@@ -278,7 +273,12 @@ def _write_metadata(out_dir: Path, command: str, wall_time: float,
 
 def _load_state(path: str) -> DiscreteState:
     with open(path) as handle:
-        return state_from_document(json.load(handle))
+        try:
+            doc = json.load(handle)
+        except ValueError as exc:  # invalid JSON or text encoding
+            raise InvalidArgumentError(
+                f"{path} is not valid JSON: {exc}") from None
+    return state_from_document(doc)
 
 
 def _initial_state(cfg: RunConfig) -> DiscreteState:
@@ -311,10 +311,10 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
     start = perf_counter()
     init = _initial_state(cfg)
     cons = default_constraints(prob, init.params)
-    result = newton_solve(init, prob, cons, cfg.newton, cfg.node_kind)
+    result = newton_solve(init, prob, cons, cfg.newton)
     state = result.state
     err = residual_err(state, prob, cfg.grid)
-    defect = phi_m_defect(state, prob, cons, kind=cfg.node_kind).max_defect
+    defect = phi_m_defect(state, prob, cons).max_defect
     log.info("solved %s in %d iterations, err %.3e", prob.name,
              result.iterations, err)
     _write_json(out_dir / "solution.json", state_to_document(state))
@@ -367,8 +367,7 @@ def cmd_continue(cfg: RunConfig, out_dir: Path) -> int:
     else:
         init = _initial_state(cfg)
         cons = default_constraints(prob, init.params)
-        state = newton_solve(init, prob, cons, cfg.newton,
-                             cfg.node_kind).state
+        state = newton_solve(init, prob, cons, cfg.newton).state
         p_cur = float(state.params[0])
         targets = [float(v) for v in np.linspace(p_cur, p_to, steps + 1)[1:]]
         done = 0
@@ -388,7 +387,7 @@ def cmd_continue(cfg: RunConfig, out_dir: Path) -> int:
             try:
                 point = continue_branch(
                     state, prob, p_cur, target, 1, cfg.newton,
-                    kind=cfg.node_kind, grid_points=cfg.grid)[-1]
+                    grid_points=cfg.grid)[-1]
             except StepFailureError as exc:
                 failure = exc
                 break
@@ -415,8 +414,7 @@ def _convergence_column(cfg: RunConfig, seed_doc: dict,
     """Table of one mesh-size column; a worker, so its arguments pickle."""
     return convergence_study(
         get_problem(cfg.problem), cfg.params, [num_intervals], cfg.degree,
-        cfg.newton, seed=state_from_document(seed_doc), kind=cfg.node_kind,
-        grid_points=cfg.grid)
+        cfg.newton, seed=state_from_document(seed_doc), grid_points=cfg.grid)
 
 
 def cmd_convergence(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
@@ -569,6 +567,11 @@ def main(argv=None) -> int:
             cfg = replace(cfg, grid=args.grid)
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+        if (args.command in ("solve", "continue", "convergence")
+                and cfg.node_kind != NodeKind.GAUSS_LEGENDRE):
+            raise ConfigError(
+                f"{args.command} always collocates at gauss_legendre nodes; "
+                f"node_kind {cfg.node_kind.value!r} is for the nodes command")
         out_dir = Path(args.out or cfg.out_dir or ".")
         out_dir.mkdir(parents=True, exist_ok=True)
     except (SemDdeError, OSError, ValueError, TypeError) as exc:

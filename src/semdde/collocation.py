@@ -3,8 +3,8 @@
 The unknowns are the free values of the periodic piecewise polynomial
 (nodes 0..m-1 of each interval, exactly what the polynomial stores) plus
 mu = (period, parameters).  The residual collects the rescaled equation
-at the collocation points of every mesh interval, followed by the affine
-constraint rows that square the system.
+at the m Gauss-Legendre collocation points of every mesh interval,
+followed by the affine constraint rows that square the system.
 
 The Jacobian follows the chain rule through the rhs's evaluator queries
 (the structured collocation systems of Engelborghs et al., SIAM J. Sci.
@@ -23,6 +23,8 @@ floor, and factors the dense Jacobian by LU with partial pivoting.
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
@@ -49,8 +51,6 @@ from .piecewise import (
     sample_periodic,
 )
 from .problems import DdeProblem, RescaledRhs
-
-DEFAULT_COLLOCATION_KIND = NodeKind.GAUSS_LEGENDRE
 
 
 class DiscreteState:
@@ -216,8 +216,10 @@ def default_constraints(prob: DdeProblem, params_target,
 
 @dataclass(frozen=True)
 class NewtonSettings:
-    """Damped Newton iteration controls; all entries must be positive.
+    """Damped Newton iteration controls.
 
+    ``max_iter`` is an integer >= 1; every other entry is a positive
+    finite real.  Booleans are rejected, numpy scalars accepted.
     ``fd_step`` is the relative forward-difference step of
     ``assemble_jacobian``, applied to query outputs and to mu.
     """
@@ -229,16 +231,27 @@ class NewtonSettings:
     fd_step: float = float(np.sqrt(np.finfo(float).eps))
 
     def __post_init__(self):
+        if (isinstance(self.max_iter, bool)
+                or not isinstance(self.max_iter, numbers.Integral)
+                or self.max_iter < 1):
+            raise InvalidArgumentError(
+                f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         for name in ("tol_residual", "tol_step", "damping_min", "fd_step"):
-            if getattr(self, name) <= 0.0:
-                raise InvalidArgumentError(f"{name} must be positive")
-        if self.max_iter < 1:
-            raise InvalidArgumentError("max_iter must be at least 1")
+            value = getattr(self, name)
+            try:
+                usable = (not isinstance(value, bool)
+                          and isinstance(value, numbers.Real)
+                          and 0.0 < float(value) < math.inf)
+            except OverflowError:  # an integer beyond the double range
+                usable = False
+            if not usable:
+                raise InvalidArgumentError(
+                    f"{name} must be a positive finite number, got "
+                    f"{value!r}")
 
 
 def assemble_residual(state: DiscreteState, prob: DdeProblem,
-                      cons: Sequence[AffineRow],
-                      kind: NodeKind = DEFAULT_COLLOCATION_KIND) -> np.ndarray:
+                      cons: Sequence[AffineRow]) -> np.ndarray:
     """Collocation rows (profile derivative minus rescaled rhs) followed
     by the affine constraint values."""
     if len(cons) != state.mu.size:
@@ -246,7 +259,8 @@ def assemble_residual(state: DiscreteState, prob: DdeProblem,
             f"need {state.mu.size} constraint rows to square the system, "
             f"got {len(cons)}")
     poly = state.poly
-    times = poly.mesh.node_times(make_nodes(kind, poly.degree).nodes).ravel()
+    colloc = make_nodes(NodeKind.GAUSS_LEGENDRE, poly.degree)
+    times = poly.mesh.node_times(colloc.nodes).ravel()
     deriv = poly.eval_deriv(times)
     rhs_vals = RescaledRhs(prob)(poly, times, state.mu)
     rows = (deriv - rhs_vals).ravel()
@@ -270,7 +284,7 @@ def _basis_at(poly: PeriodicPiecewisePoly, times: np.ndarray):
     t = _wrap_time(times)
     idx = poly.mesh.interval_index(t)
     rows = lagrange_rows(t, poly.node_times[idx],
-                         poly.rep_family.bary_weights)
+                         poly.node_family.bary_weights)
     return _free_columns(idx, poly.mesh.num_intervals, poly.degree), rows
 
 
@@ -291,7 +305,7 @@ def constraint_gradient(row: AffineRow, state: DiscreteState) -> np.ndarray:
 def assemble_jacobian(state: DiscreteState, prob: DdeProblem,
                       cons: Sequence[AffineRow],
                       settings: NewtonSettings = NewtonSettings(),
-                      kind: NodeKind = DEFAULT_COLLOCATION_KIND) -> np.ndarray:
+                      ) -> np.ndarray:
     """Jacobian of ``assemble_residual`` with respect to the flat vector.
 
     Collocation row (t, s) is v'_s(t) - T G_s(q_0, ..., q_K-1, p), where
@@ -318,17 +332,17 @@ def assemble_jacobian(state: DiscreteState, prob: DdeProblem,
     L, m, dim = mesh.num_intervals, poly.degree, poly.dim
     n_free = poly.free_values.size
     n = n_free + state.mu.size
-    colloc = make_nodes(kind, m)
+    colloc = make_nodes(NodeKind.GAUSS_LEGENDRE, m)
     times = mesh.node_times(colloc.nodes).ravel()
     rows = np.arange(times.size * dim).reshape(times.size, dim)
     jac = np.zeros((n, n))
 
-    basis = interpolation_matrix(poly.rep_family, colloc.nodes)
-    deriv = np.sum(basis[:, None, :] * poly.rep_family.diff_matrix.T, axis=2)
+    basis = interpolation_matrix(poly.node_family, colloc.nodes)
+    deriv = np.sum(basis[:, None, :] * poly.node_family.diff_matrix.T, axis=2)
     block = deriv / mesh.lengths[:, None, None]
     cols = _free_columns(np.arange(L), L, m)[:, None, :] * dim
     for s in range(dim):
-        np.add.at(jac, (rows[:, s].reshape(L, colloc.m, 1), cols + s), block)
+        np.add.at(jac, (rows[:, s].reshape(L, m, 1), cols + s), block)
 
     # the rhs only ever gets copies of the recorded answers, so nothing
     # it does to its inputs can change them between calls
@@ -370,7 +384,7 @@ def assemble_jacobian(state: DiscreteState, prob: DdeProblem,
         mu = state.mu.copy()
         h = settings.fd_step * max(1.0, abs(mu[j]))
         mu[j] += h
-        r = assemble_residual(DiscreteState(poly, mu), prob, cons, kind)
+        r = assemble_residual(DiscreteState(poly, mu), prob, cons)
         jac[:r0.size, n_free + j] = (r[:r0.size] - r0) / h
     for k, row in enumerate(cons):
         jac[r0.size + k, :] = constraint_gradient(row, state)
@@ -387,7 +401,7 @@ class NewtonResult:
 def newton_solve(init: DiscreteState, prob: DdeProblem,
                  cons: Sequence[AffineRow],
                  settings: NewtonSettings = NewtonSettings(),
-                 kind: NodeKind = DEFAULT_COLLOCATION_KIND) -> NewtonResult:
+                 ) -> NewtonResult:
     """Damped Newton iteration on the discretized periodic BVP.
 
     Stops when the residual max-norm drops to ``tol_residual``.  Raises
@@ -404,7 +418,7 @@ def newton_solve(init: DiscreteState, prob: DdeProblem,
     if not np.all(np.isfinite(x)):
         raise InvalidArgumentError("initial state must be finite")
     state = init
-    residual = assemble_residual(state, prob, cons, kind)
+    residual = assemble_residual(state, prob, cons)
     if not np.all(np.isfinite(residual)):
         raise NonFiniteResidualError("residual not finite at the initial state")
     res_norm = float(np.max(np.abs(residual)))
@@ -413,7 +427,7 @@ def newton_solve(init: DiscreteState, prob: DdeProblem,
     for iteration in range(settings.max_iter):
         if res_norm <= settings.tol_residual:
             return NewtonResult(state, iteration, np.array(history))
-        jac = assemble_jacobian(state, prob, cons, settings, kind)
+        jac = assemble_jacobian(state, prob, cons, settings)
         scale = float(np.max(np.abs(jac)))
         with warnings.catch_warnings():
             # the explicit pivot check below turns singularity into a
@@ -435,8 +449,7 @@ def newton_solve(init: DiscreteState, prob: DdeProblem,
             if trial_ok:
                 trial_state = DiscreteState.from_flat(
                     x_trial, mesh, degree, dim, num_params)
-                trial_residual = assemble_residual(trial_state, prob, cons,
-                                                   kind)
+                trial_residual = assemble_residual(trial_state, prob, cons)
                 finite = bool(np.all(np.isfinite(trial_residual)))
             else:
                 finite = False

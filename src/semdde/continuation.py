@@ -25,7 +25,6 @@ from .analysis import (
     residual_err,
 )
 from .collocation import (
-    DEFAULT_COLLOCATION_KIND,
     DiscreteState,
     NewtonSettings,
     default_constraints,
@@ -40,7 +39,6 @@ from .errors import (
     NoHopfError,
     StepFailureError,
 )
-from .nodes import NodeKind
 from .oracle import phi_m_defect
 from .piecewise import FORMAT_VERSION, Mesh, check_format_version, \
     sample_periodic
@@ -189,7 +187,6 @@ class BranchPoint:
 def continue_branch(start: DiscreteState, prob: DdeProblem, p_from: float,
                     p_to: float, steps: int,
                     settings: Optional[NewtonSettings] = None, *,
-                    kind: NodeKind = DEFAULT_COLLOCATION_KIND,
                     param_index: int = 0,
                     max_bisections: int = MAX_STEP_BISECTIONS,
                     grid_points: int = DEFAULT_ERR_GRID,
@@ -212,7 +209,7 @@ def continue_branch(start: DiscreteState, prob: DdeProblem, p_from: float,
     def solve_at(p_value, guess):
         trial = with_parameter(guess, param_index, p_value)
         cons = default_constraints(prob, trial.params)
-        result = newton_solve(trial, prob, cons, settings, kind)
+        result = newton_solve(trial, prob, cons, settings)
         before = orbit_amplitude(guess, 2001)
         after = orbit_amplitude(result.state, 2001)
         if before > _COLLAPSE_FLOOR and after < _COLLAPSE_RATIO * before:
@@ -248,7 +245,7 @@ def continue_branch(start: DiscreteState, prob: DdeProblem, p_from: float,
             period=state.period,
             err=residual_err(state, prob, grid_points),
             newton_iters=result.iterations,
-            phi_defect=phi_m_defect(state, prob, cons, kind=kind).max_defect,
+            phi_defect=phi_m_defect(state, prob, cons).max_defect,
         ))
         current = state
         current_p = target

@@ -14,7 +14,7 @@ class NegativeDelayError(SemDdeError):
 
 
 class OutOfWindowError(SemDdeError):
-    """A history evaluator was queried outside its declared delay window."""
+    """A history evaluator was queried outside a window the problem sets."""
 
 
 class NoHopfError(SemDdeError):

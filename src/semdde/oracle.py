@@ -21,7 +21,7 @@ import numpy as np
 
 from .collocation import AffineRow, DiscreteState
 from .errors import InvalidArgumentError
-from .nodes import NodeKind, gauss_rule
+from .nodes import gauss_rule
 from .piecewise import PiecewiseProjection, project
 from .problems import DdeProblem, RescaledRhs
 
@@ -72,14 +72,13 @@ def _prefix_integrals(proj: PiecewiseProjection, times: np.ndarray,
 
 def phi_m_defect(state: DiscreteState, prob: DdeProblem,
                  cons: Sequence[AffineRow],
-                 kind: NodeKind = NodeKind.GAUSS_LEGENDRE,
                  grid_points: int = DEFAULT_DEFECT_GRID) -> FixedPointDefect:
     """Measure how far a state is from the integral fixed-point identity.
 
     The projection of the right-hand side reuses the state's mesh and the
-    collocation family; the reconstruction integral is evaluated exactly
-    per interval, so a state solving the collocation system has defects
-    at quadrature-roundoff level only.
+    Gauss-Legendre collocation nodes; the reconstruction integral is
+    evaluated exactly per interval, so a state solving the collocation
+    system has defects at quadrature-roundoff level only.
     """
     if grid_points < 2:
         raise InvalidArgumentError(
@@ -87,7 +86,7 @@ def phi_m_defect(state: DiscreteState, prob: DdeProblem,
     poly = state.poly
     mu = state.mu
     rhs = RescaledRhs(prob)
-    w = project(lambda t: rhs(poly, t, mu), poly.mesh, poly.degree, kind)
+    w = project(lambda t: rhs(poly, t, mu), poly.mesh, poly.degree)
 
     total = w.integrate(0.0, 1.0)
     defect_v0 = float(np.max(np.abs(total)))

@@ -6,8 +6,9 @@ only the m free ones of each interval (nodes 0..m-1): the right end of an
 interval is the next interval's first node and the last interval closes
 onto the first, so the function is continuous and 1-periodic by
 construction.  ``PiecewiseProjection`` stores the degree-(m-1)
-interpolation projection on m collocation nodes per interval, with no
-continuity across breaks.
+interpolation projection on m nodes per interval (Gauss-Legendre, the
+collocation nodes, when built by ``project``), with no continuity across
+breaks.
 
 Evaluation and integration gather each query's interval nodes and take
 the barycentric basis rows from ``nodes.lagrange_rows``; every reduction
@@ -235,29 +236,15 @@ class PeriodicPiecewisePoly(_PiecewiseBase):
         values.flags.writeable = False
         return values
 
-    @property
-    def rep_family(self) -> NodeFamily:
-        return self.node_family
-
-    @property
-    def rep_times(self) -> np.ndarray:
-        """Global representation node times, shape (L, m+1)."""
-        return self.node_times
-
 
 class PiecewiseProjection(_PiecewiseBase):
-    """Interpolation projection: degree m-1 per interval on m collocation
-    nodes, generally discontinuous at breaks.
+    """Interpolation projection: degree m-1 per interval on the m nodes
+    of ``family``, generally discontinuous at breaks.
     """
 
     def __init__(self, mesh: Mesh, family: NodeFamily, values):
         self.values = self._init_storage(mesh, family, values, family.m)
         self.degree = family.m - 1
-
-    @property
-    def collocation_times(self) -> np.ndarray:
-        """Global collocation node times, shape (L, m)."""
-        return self.node_times
 
 
 def _sample(f, mesh: Mesh, nodes) -> np.ndarray:
@@ -283,16 +270,16 @@ def sample_periodic(f, mesh: Mesh, degree: int) -> PeriodicPiecewisePoly:
                                  _sample(f, mesh, family.nodes[:-1]))
 
 
-def project(f, mesh: Mesh, m: int,
-            kind: NodeKind = NodeKind.GAUSS_LEGENDRE) -> PiecewiseProjection:
-    """Interpolate a 1-periodic function on m collocation nodes per interval.
+def project(f, mesh: Mesh, m: int) -> PiecewiseProjection:
+    """Interpolate a 1-periodic function on the m Gauss-Legendre
+    collocation nodes of each interval.
 
     ``f`` maps an array of times to an array of values, one row per time;
     the result matches f exactly at the collocation points.
     """
     if m < 1:
         raise InvalidArgumentError(f"node count must be >= 1, got {m}")
-    family = make_nodes(kind, m)
+    family = make_nodes(NodeKind.GAUSS_LEGENDRE, m)
     return PiecewiseProjection(mesh, family, _sample(f, mesh, family.nodes))
 
 
@@ -306,7 +293,7 @@ def poly_to_document(p: PeriodicPiecewisePoly) -> dict:
         "breaks": p.mesh.breaks.tolist(),
         "degree": p.degree,
         "dim": p.dim,
-        "rep_kind": p.rep_family.kind.value,
+        "rep_kind": p.node_family.kind.value,
         "values": p.values.tolist(),
     }
 

@@ -1,8 +1,8 @@
 """Delay differential equation right-hand sides and built-in test problems.
 
 A problem is written in functional form: the rhs receives a history
-evaluator e mapping a lag theta in [-max_delay, 0] to the state value at
-that lag, plus the free parameters.  State-dependent delays are computed
+evaluator e mapping a lag theta <= 0 to the state value at that lag,
+plus the free parameters.  State-dependent delays are computed
 inside the rhs from evaluator queries, so the interface stays equal to
 the mathematical form y'(t) = G(y_t, p).
 
@@ -28,16 +28,15 @@ from .piecewise import PeriodicPiecewisePoly
 class DdeProblem:
     """A delay differential equation y'(t) = rhs(y_t, p).
 
-    ``max_delay`` maps the parameter vector to the largest lag the rhs
-    may query (unscaled time units); ``rhs`` must be deterministic and
-    query the evaluator only on [-max_delay(p), 0].
+    ``rhs`` must be deterministic and query the evaluator only at lags
+    theta <= 0 (unscaled time units); the periodic evaluator answers any
+    such lag, so no window is declared.
     """
 
     name: str
     dim: int
     num_params: int
     rhs: Callable[[Callable, np.ndarray], np.ndarray]
-    max_delay: Callable[[np.ndarray], float]
     equilibrium: Optional[np.ndarray] = None
     params_default: Optional[np.ndarray] = None
 
@@ -68,20 +67,17 @@ def mackey_glass() -> DdeProblem:
         dim=1,
         num_params=1,
         rhs=rhs,
-        max_delay=lambda p: float(p[0]),
         equilibrium=np.array([1.0]),
         params_default=np.array([1.0]),
     )
 
 
-def sd_quadratic(amplitude_bound: float = 2.0) -> DdeProblem:
+def sd_quadratic() -> DdeProblem:
     """Scalar equation with a quadratic state-dependent delay.
 
     y'(t) = -y(t - d) with d = tau + y(t) + y(t)^2, parameter tau.  The
-    zero equilibrium turns this into y'(t) = -y(t - tau) linearized.  The
-    declared maximum delay uses ``amplitude_bound`` as the largest state
-    magnitude of interest; larger excursions still evaluate fine because
-    histories are periodic, the bound only documents intent.
+    zero equilibrium turns this into y'(t) = -y(t - tau) linearized.  A
+    negative d would be a time advance and is rejected.
     """
 
     def rhs(e, p):
@@ -94,13 +90,11 @@ def sd_quadratic(amplitude_bound: float = 2.0) -> DdeProblem:
                 f"{float(np.min(delay))}); time advances are rejected")
         return -e(-delay)
 
-    bound = float(amplitude_bound)
     return DdeProblem(
         name="sd_quadratic",
         dim=1,
         num_params=1,
         rhs=rhs,
-        max_delay=lambda p: float(p[0]) + bound + bound**2,
         equilibrium=np.array([0.0]),
         params_default=np.array([0.95]),
     )
@@ -127,7 +121,6 @@ def state_eval_example() -> DdeProblem:
         dim=1,
         num_params=0,
         rhs=rhs,
-        max_delay=lambda p: 1.0,
         equilibrium=np.array([0.0]),
         params_default=np.zeros(0),
     )

@@ -595,18 +595,21 @@ class TestCircleMap:
 
 
 class TestNodes:
-    def test_tables_match_the_library(self, tmp_path):
+    @pytest.mark.parametrize("kind", list(NodeKind), ids=lambda k: k.value)
+    def test_tables_match_the_library(self, tmp_path, kind):
         path = write_config(tmp_path / "c.json", {
-            "degree": [4, 8], "node_kind": "gauss_legendre",
+            "degree": [4, 8], "node_kind": kind.value,
             "samples": 2001, "out_dir": str(tmp_path),
         })
         assert main(["nodes", "--config", path]) == 0
         lines = (tmp_path / "nodes.csv").read_text().splitlines()
         assert lines[0] == "# format_version=1"
-        family = make_nodes(NodeKind.GAUSS_LEGENDRE, 4)
+        family = make_nodes(kind, 4)
         first = lines[2].split(",")
-        assert first[:3] == ["gauss_legendre", "4", "0"]
+        assert first[:3] == [kind.value, "4", "0"]
         assert float(first[3]) == family.nodes[0]
+        assert sum(line.split(",")[1] == "4" for line in lines[2:]) == \
+            family.m
         leb = (tmp_path / "lebesgue.csv").read_text().splitlines()
         value = float(leb[2].split(",")[3])
         assert value == lebesgue_constant(family, 2001)
@@ -617,6 +620,73 @@ class TestNodes:
         })
         assert main(["nodes", "--config", path]) == 1
         assert read_error(capsys)["type"] == "InvalidArgumentError"
+
+
+class TestNodeKind:
+    """node_kind selects the nodes tables; the commands that collocate
+    reject any family but Gauss-Legendre before they solve."""
+
+    CONFIGS = {
+        "solve": {"problem": "mackey_glass", "mesh": 11, "degree": 5,
+                  "guess": {"kind": "hopf", "amplitude": 0.01}},
+        "continue": {"problem": "mackey_glass", "mesh": 11, "degree": 5,
+                     "guess": {"kind": "hopf", "amplitude": 0.01},
+                     "p_to": 0.55, "steps": 2},
+        "convergence": {"problem": "sd_quadratic", "mesh_list": [2],
+                        "degree": [4], "params": [0.95],
+                        "guess": {"kind": "seed"}},
+    }
+
+    @pytest.mark.parametrize("kind", ["chebyshev_lobatto", "equidistant"])
+    @pytest.mark.parametrize("command", sorted(CONFIGS))
+    def test_collocating_command_rejects_other_families(self, tmp_path,
+                                                        capsys, command,
+                                                        kind):
+        out = tmp_path / "out"
+        path = write_config(tmp_path / "c.json", dict(
+            self.CONFIGS[command], node_kind=kind, out_dir=str(out)))
+        assert main([command, "--config", path]) == 1
+        error = read_error(capsys)
+        assert error["type"] == "ConfigError"
+        assert kind in error["message"]
+        assert not out.exists()
+
+
+class TestTruncatedStateFile:
+    @pytest.mark.parametrize("source", ["guess", "resume_point",
+                                        "circle_map_solution"])
+    def test_exits_1_with_the_error_json(self, mg_solution, mg_branch,
+                                         tmp_path, capsys, source):
+        def truncate(path):
+            text = path.read_text()
+            path.write_text(text[:len(text) // 2])
+            return str(path)
+
+        if source == "guess":
+            guess = tmp_path / "guess.json"
+            shutil.copy(mg_solution / "solution.json", guess)
+            command, doc = "solve", {
+                "problem": "mackey_glass",
+                "guess": {"kind": "file", "path": truncate(guess)},
+                "out_dir": str(tmp_path)}
+        elif source == "resume_point":
+            out, branch_doc = mg_branch
+            partial = tmp_path / "partial"
+            shutil.copytree(out, partial)
+            truncate(max(partial.glob("point_*.json")))
+            command, doc = "continue", dict(branch_doc, resume=True,
+                                            out_dir=str(partial))
+        else:
+            solution = tmp_path / "solution.json"
+            shutil.copy(mg_solution / "solution.json", solution)
+            command, doc = "circle-map", {
+                "problem": "mackey_glass", "solution": truncate(solution),
+                "out_dir": str(tmp_path)}
+        path = write_config(tmp_path / "c.json", doc)
+        assert main([command, "--config", path]) == 1
+        error = read_error(capsys)
+        assert error["type"] == "InvalidArgumentError"
+        assert "not valid JSON" in error["message"]
 
 
 class TestLogging:

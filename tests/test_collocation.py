@@ -80,8 +80,7 @@ def _coupled_pair():
             + 0.3 * moving[:, 1],
         ], axis=1)
 
-    return DdeProblem(name="coupled_pair", dim=2, num_params=1, rhs=rhs,
-                      max_delay=lambda p: float(p[0]) + 0.1)
+    return DdeProblem(name="coupled_pair", dim=2, num_params=1, rhs=rhs)
 
 
 def _mackey_glass_case(L, m):
@@ -274,8 +273,7 @@ class TestJacobian:
                 return -e(-p[0])
             return -now
 
-        prob = DdeProblem(name="fickle", dim=1, num_params=1, rhs=rhs,
-                          max_delay=lambda p: float(p[0]))
+        prob = DdeProblem(name="fickle", dim=1, num_params=1, rhs=rhs)
         poly = sample_periodic(lambda t: np.full_like(t, 0.5 - 1e-12),
                                Mesh.uniform(2), 3)
         state = DiscreteState(poly, np.array([1.0, 0.5]))
@@ -331,6 +329,21 @@ class TestNewton:
         with pytest.raises(InvalidArgumentError):
             NewtonSettings(fd_step=-1e-8)
 
+    @pytest.mark.parametrize("change", [
+        {"fd_step": True}, {"max_iter": 2.5}, {"max_iter": True},
+        {"tol_residual": "1e-8"}, {"damping_min": float("nan")},
+        {"tol_step": float("inf")}, {"fd_step": 10**400},
+    ], ids=["fd_step_bool", "max_iter_float", "max_iter_bool", "tol_str",
+            "damping_min_nan", "tol_step_inf", "fd_step_beyond_double"])
+    def test_settings_reject_wrong_types(self, change):
+        with pytest.raises(InvalidArgumentError):
+            NewtonSettings(**change)
+
+    def test_settings_accept_numpy_scalars(self):
+        settings = NewtonSettings(tol_residual=np.float64(1e-9),
+                                  max_iter=np.int64(7))
+        assert settings.max_iter == 7 and settings.tol_residual == 1e-9
+
     def test_converged_state_is_a_fixed_point(self, near_hopf_orbit):
         prob, cons, result = near_hopf_orbit
         again = newton_solve(result.state, prob, cons)
@@ -375,8 +388,7 @@ class TestNewton:
 class TestDefaultConstraints:
     def test_problem_without_equilibrium_needs_explicit_anchor(self):
         bare = DdeProblem(name="bare", dim=1, num_params=1,
-                          rhs=lambda e, p: -e(0.0),
-                          max_delay=lambda p: 1.0)
+                          rhs=lambda e, p: -e(0.0))
         with pytest.raises(InvalidArgumentError):
             default_constraints(bare, [0.5])
         rows = default_constraints(bare, [0.5], anchor_value=0.25)

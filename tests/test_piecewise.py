@@ -152,7 +152,7 @@ class TestEval:
         p = _random_continuous_poly(rng, 3, 5, 2)
         for i in range(3):
             for j in range(6):
-                got = p.eval(p.rep_times[i, j])
+                got = p.eval(p.node_times[i, j])
                 assert np.array_equal(got, p.values[i, j])
 
     @pytest.mark.parametrize("method", ["eval", "eval_deriv"])
@@ -193,7 +193,7 @@ class TestSamplePeriodic:
         assert times.size == mesh.num_intervals * degree
         assert np.all((times >= 0.0) & (times < 1.0))
         np.testing.assert_array_equal(np.sort(times),
-                                      np.sort(p.rep_times[:, :-1].ravel()))
+                                      np.sort(p.node_times[:, :-1].ravel()))
         assert np.array_equal(p.values[:-1, -1], p.values[1:, 0])
         assert np.array_equal(p.values[-1, -1], p.values[0, 0])
 
@@ -240,7 +240,7 @@ class TestProject:
     def test_matches_samples_at_collocation_points_bitwise(self):
         f = lambda t: np.cos(2 * np.pi * t) + 0.1 * np.sin(4 * np.pi * t)
         proj = project(f, Mesh.uniform(2), 6)
-        tc = proj.collocation_times.ravel()
+        tc = proj.node_times.ravel()
         np.testing.assert_array_equal(proj.eval(tc)[:, 0], f(tc))
 
     def test_degree_m_minus_1_polynomial_is_exact(self):
