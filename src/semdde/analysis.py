@@ -20,6 +20,7 @@ import numpy as np
 from .collocation import (
     DiscreteState,
     NewtonSettings,
+    _equation_rows,
     default_constraints,
     newton_solve,
     resample_state,
@@ -32,7 +33,7 @@ from .errors import (
 from .nodes import NodeKind
 from .oracle import phi_m_defect
 from .piecewise import FORMAT_VERSION, Mesh, _wrap_time
-from .problems import DdeProblem, RescaledRhs
+from .problems import DdeProblem
 
 DEFAULT_ERR_GRID = 10001
 
@@ -53,9 +54,8 @@ def residual_err(state: DiscreteState, prob: DdeProblem,
         raise InvalidArgumentError(
             f"grid_points must be at least 2, got {grid_points}")
     grid = np.linspace(0.0, 1.0, grid_points)
-    deriv = state.poly.eval_deriv(grid)
-    rhs = RescaledRhs(prob)(state.poly, grid, state.mu)
-    return float(np.max(np.abs(deriv - rhs)) / state.period)
+    return float(np.max(np.abs(_equation_rows(state, prob, grid)))
+                 / state.period)
 
 
 def orbit_amplitude(state: DiscreteState,

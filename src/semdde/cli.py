@@ -148,7 +148,7 @@ def _schedule_targets(path: Path, p_to: float, steps: int) -> list:
     try:
         with open(path) as handle:
             sched = json.load(handle)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON or text encoding
         raise ConfigError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(sched, dict):
         raise ConfigError(f"{path} must hold a JSON object")
@@ -311,10 +311,14 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
     start = perf_counter()
     init = _initial_state(cfg)
     cons = default_constraints(prob, init.params)
+    phases = [perf_counter()]
     result = newton_solve(init, prob, cons, cfg.newton)
     state = result.state
+    phases.append(perf_counter())
     err = residual_err(state, prob, cfg.grid)
+    phases.append(perf_counter())
     defect = phi_m_defect(state, prob, cons).max_defect
+    phases.append(perf_counter())
     log.info("solved %s in %d iterations, err %.3e", prob.name,
              result.iterations, err)
     _write_json(out_dir / "solution.json", state_to_document(state))
@@ -328,7 +332,8 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
         "phi_defect": defect,
         "iterations": result.iterations,
     })
-    _write_metadata(out_dir, "solve", perf_counter() - start)
+    _write_metadata(out_dir, "solve", perf_counter() - start, dict(zip(
+        ("newton_s", "residual_err_s", "phi_defect_s"), np.diff(phases))))
     print(f"wrote {out_dir / 'solution.json'}")
     return EXIT_OK
 

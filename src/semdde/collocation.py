@@ -261,11 +261,23 @@ def assemble_residual(state: DiscreteState, prob: DdeProblem,
     poly = state.poly
     colloc = make_nodes(NodeKind.GAUSS_LEGENDRE, poly.degree)
     times = poly.mesh.node_times(colloc.nodes).ravel()
-    deriv = poly.eval_deriv(times)
-    rhs_vals = RescaledRhs(prob)(poly, times, state.mu)
-    rows = (deriv - rhs_vals).ravel()
+    rows = _equation_rows(state, prob, times).ravel()
     cons_vals = [row.value(poly, state.mu) for row in cons]
     return np.concatenate([rows, cons_vals])
+
+
+def _equation_rows(state: DiscreteState, prob: DdeProblem,
+                   times: np.ndarray) -> np.ndarray:
+    """v'(t) - T G(v_t, p) at 1-d times, shape (times, dim); values and
+    derivatives share one pass of basis rows, and a query at exactly
+    ``times`` (lag 0) gets a copy of those values."""
+    poly = state.poly
+    values, deriv = poly.eval_with_deriv(times)
+
+    def answer(k, at):
+        return values.copy() if np.array_equal(at, times) else poly.eval(at)
+
+    return deriv - RescaledRhs(prob).evaluate(times, state.mu, answer)
 
 
 def _free_columns(intervals: np.ndarray, num_intervals: int,
@@ -278,14 +290,15 @@ def _free_columns(intervals: np.ndarray, num_intervals: int,
 
 
 def _basis_at(poly: PeriodicPiecewisePoly, times: np.ndarray):
-    """Free-value indices and Lagrange rows at any real times, each of
-    shape (k, m+1); the profile at times[p] is the sum over j of
-    rows[p, j] times the free values at index free[p, j]."""
+    """Interval indices (k,), free-value indices (k, m+1) and Lagrange rows
+    (k, m+1) at any real times, the rows as ``eval`` builds them; the
+    profile at times[p] is the sum over j of rows[p, j] times the free
+    values at index free[p, j]."""
     t = _wrap_time(times)
     idx = poly.mesh.interval_index(t)
-    rows = lagrange_rows(t, poly.node_times[idx],
-                         poly.node_family.bary_weights)
-    return _free_columns(idx, poly.mesh.num_intervals, poly.degree), rows
+    return (idx, _free_columns(idx, poly.mesh.num_intervals, poly.degree),
+            lagrange_rows(t, poly.node_times[idx],
+                          poly.node_family.bary_weights))
 
 
 def constraint_gradient(row: AffineRow, state: DiscreteState) -> np.ndarray:
@@ -295,7 +308,7 @@ def constraint_gradient(row: AffineRow, state: DiscreteState) -> np.ndarray:
     n_free = poly.free_values.size
     grad = np.zeros(n_free + state.mu.size)
     for time, comp, coeff in row.point_terms:
-        free, basis = _basis_at(poly, np.array([float(time)]))
+        _, free, basis = _basis_at(poly, np.array([float(time)]))
         # add.at sums both terms when nodes 0 and m share a column (L = 1)
         np.add.at(grad, free[0] * dim + comp, coeff * basis[0])
     grad[n_free:] = row.mu_coeffs
@@ -344,18 +357,19 @@ def assemble_jacobian(state: DiscreteState, prob: DdeProblem,
     for s in range(dim):
         np.add.at(jac, (rows[:, s].reshape(L, m, 1), cols + s), block)
 
-    # the rhs only ever gets copies of the recorded answers, so nothing
-    # it does to its inputs can change them between calls
+    # each answer is eval's value bitwise, from the rows eval would build;
+    # the rhs only ever gets copies, so nothing it does can change them
     rhs = RescaledRhs(prob)
     answers = []
 
     def record(k, at):
-        answers.append((at, poly.eval(at)))
-        return answers[-1][1].copy()
+        idx, free, lagrange = _basis_at(poly, at)
+        value = np.sum(lagrange[:, None, :] * poly._value_table[idx], axis=2)
+        answers.append((value, free, lagrange))
+        return value.copy()
 
     base = rhs.evaluate(times, state.mu, record)
-    for k, (at, value) in enumerate(answers):
-        free, lagrange = _basis_at(poly, at)
+    for k, (value, free, lagrange) in enumerate(answers):
         for s in range(dim):
             bumped = value.copy()
             bumped[:, s] += settings.fd_step * np.maximum(1.0,
@@ -366,7 +380,7 @@ def assemble_jacobian(state: DiscreteState, prob: DdeProblem,
             def answer(j, at_j):
                 asked.append(j)
                 if j < k:
-                    return answers[j][1].copy()
+                    return answers[j][0].copy()
                 return bumped if j == k else poly.eval(at_j)
 
             out = rhs.evaluate(times, state.mu, answer)

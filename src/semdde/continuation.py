@@ -301,7 +301,10 @@ def read_branch_csv(stream) -> List[dict]:
     end, so a last line without one is a cut-off write and is rejected
     like a short row or a non-numeric cell.
     """
-    lines = stream.readlines()
+    try:
+        lines = stream.readlines()
+    except UnicodeDecodeError as exc:
+        raise InvalidArgumentError(f"branch CSV is not text: {exc}") from None
     first = lines[0] if lines else ""
     prefix = "# format_version="
     version = first[len(prefix):].strip()

@@ -7,22 +7,25 @@ rescaled right-hand side along the profile, the profile must equal
     t  ->  v(0) + integral_0^t w(s) ds - t * integral_0^1 w(s) ds,
 
 the mean of w must vanish, and the affine constraints must hold.  This
-module measures all three defects through projection and exact piecewise
+module measures all three defects through projection and exact
 quadrature, a computation path disjoint from the solver's residual, so
-agreement cross-checks both.
+agreement cross-checks both.  A cached integration matrix gives the
+degree-m reconstruction exactly at the profile's own nodes, so the
+profile minus it is evaluated once on the defect grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .collocation import AffineRow, DiscreteState
 from .errors import InvalidArgumentError
-from .nodes import gauss_rule
-from .piecewise import PiecewiseProjection, project
+from .nodes import NodeKind, gauss_rule, interpolation_matrix, make_nodes
+from .piecewise import PeriodicPiecewisePoly, project
 from .problems import DdeProblem, RescaledRhs
 
 DEFAULT_DEFECT_GRID = 2001
@@ -51,23 +54,20 @@ class FixedPointDefect:
         return max(self.sup_defect_v, self.defect_v0, self.defect_mu)
 
 
-def _prefix_integrals(proj: PiecewiseProjection, times: np.ndarray,
-                      ) -> np.ndarray:
-    """integral_0^t of the projection at each time in [0, 1]: the whole
-    intervals before t plus [t_i, t], each by a Gauss rule that is exact
-    for the projection's degree."""
-    mesh = proj.mesh
-    quad_nodes, quad_w = gauss_rule(proj.node_family.m)
-
-    def from_break(idx, span):
-        pts = mesh.breaks[idx, None] + span[:, None] * quad_nodes
-        vals = proj.eval(pts.ravel()).reshape(idx.size, quad_nodes.size, -1)
-        return span[:, None] * np.einsum("q,kqs->ks", quad_w, vals)
-
-    whole = from_break(np.arange(mesh.num_intervals), mesh.lengths)
-    prefix = np.vstack([np.zeros((1, proj.dim)), np.cumsum(whole, axis=0)])
-    idx = mesh.interval_index(times)
-    return prefix[idx] + from_break(idx, times - mesh.breaks[idx])
+@lru_cache(maxsize=None)
+def _integration_matrix(m: int) -> np.ndarray:
+    """Q[j, k] = integral_0^{x_j} l_k, shape (m+1, m), with x_j the m+1
+    Chebyshev-Lobatto nodes and l_k the Lagrange basis of the m
+    Gauss-Legendre nodes on [0, 1]; read-only.  The m-point Gauss rule on
+    [0, x_j] integrates each l_k (degree m-1) exactly."""
+    quad_nodes, quad_w = gauss_rule(m)
+    ends = make_nodes(NodeKind.CHEBYSHEV_LOBATTO, m).nodes
+    basis = interpolation_matrix(make_nodes(NodeKind.GAUSS_LEGENDRE, m),
+                                 (ends[:, None] * quad_nodes).ravel())
+    q = ends[:, None] * np.einsum("q,jqk->jk", quad_w,
+                                  basis.reshape(m + 1, m, m))
+    q.flags.writeable = False
+    return q
 
 
 def phi_m_defect(state: DiscreteState, prob: DdeProblem,
@@ -76,25 +76,37 @@ def phi_m_defect(state: DiscreteState, prob: DdeProblem,
     """Measure how far a state is from the integral fixed-point identity.
 
     The projection of the right-hand side reuses the state's mesh and the
-    Gauss-Legendre collocation nodes; the reconstruction integral is
-    evaluated exactly per interval, so a state solving the collocation
-    system has defects at quadrature-roundoff level only.
+    Gauss-Legendre collocation nodes.  Its integral from each break to
+    the interval's Chebyshev-Lobatto nodes comes exactly from the
+    integration matrix, which fixes the degree-m reconstruction at the
+    profile's own nodes; ``sup_defect_v`` is the maximum of the profile
+    minus that reconstruction over ``grid_points`` uniform times.  A
+    state solving the collocation system has defects at roundoff level
+    only.
     """
     if grid_points < 2:
         raise InvalidArgumentError(
             f"grid_points must be at least 2, got {grid_points}")
     poly = state.poly
+    mesh, m = poly.mesh, poly.degree
     mu = state.mu
     rhs = RescaledRhs(prob)
-    w = project(lambda t: rhs(poly, t, mu), poly.mesh, poly.degree)
+    w = project(lambda t: rhs(poly, t, mu), mesh, m)
 
     total = w.integrate(0.0, 1.0)
     defect_v0 = float(np.max(np.abs(total)))
 
+    # integral of w from each interval's left break to its Lobatto nodes,
+    # shape (L, m+1, dim); node m spans the whole interval
+    partial = mesh.lengths[:, None, None] * np.einsum(
+        "jk,iks->ijs", _integration_matrix(m), w.values)
+    prefix = np.concatenate([np.zeros((1, poly.dim)),
+                             np.cumsum(partial[:-1, m], axis=0)])
+    reconstructed = (poly.values[0, 0] + prefix[:, None, :] + partial[:, :m]
+                     - poly.node_times[:, :m, None] * total)
+    defect = PeriodicPiecewisePoly(mesh, m, poly.free_values - reconstructed)
     grid = np.linspace(0.0, 1.0, grid_points)
-    running = _prefix_integrals(w, grid)
-    reconstructed = poly.values[0, 0][None, :] + running - grid[:, None] * total
-    sup_defect_v = float(np.max(np.abs(poly.eval(grid) - reconstructed)))
+    sup_defect_v = float(np.max(np.abs(defect.eval(grid))))
 
     defect_mu = max((abs(row.value(poly, mu)) for row in cons), default=0.0)
     return FixedPointDefect(sup_defect_v=sup_defect_v,

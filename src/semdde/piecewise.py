@@ -171,7 +171,7 @@ class _PiecewiseBase:
         out = self._interpolate(table, self.mesh.interval_index(flat), flat)
         if t_arr.ndim == 0:
             return out[0]
-        return out.reshape(t_arr.shape + (self.dim,))
+        return out.reshape(t_arr.shape + (table.shape[1],))
 
     def eval(self, t):
         """Value at time t (any real; wrapped to [0,1) by periodicity).
@@ -187,6 +187,12 @@ class _PiecewiseBase:
         consistent with the half-open interval convention.
         """
         return self._eval_table(self._deriv_table, t)
+
+    def eval_with_deriv(self, t):
+        """``(eval(t), eval_deriv(t))`` bitwise, from one pass of rows."""
+        both = self._eval_table(
+            np.concatenate([self._value_table, self._deriv_table], axis=1), t)
+        return both[..., :self.dim], both[..., self.dim:]
 
     def integrate(self, a: float, b: float):
         """Exact integral over [a, b] within [0, 1], split at breaks."""

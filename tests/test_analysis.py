@@ -6,7 +6,9 @@ and the convergence table against synthetic rows with known slopes.
 """
 
 import io
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,16 +28,53 @@ from semdde.analysis import (
     write_circle_map_csv,
     write_convergence_csv,
 )
-from semdde.collocation import DiscreteState, NewtonSettings
+from semdde.collocation import (
+    DiscreteState,
+    NewtonSettings,
+    resample_state,
+    state_from_document,
+)
+from semdde.continuation import sd_quadratic_seed
 from semdde.errors import AnalyticityViolationError, InvalidArgumentError
 from semdde.piecewise import Mesh, sample_periodic
-from semdde.problems import mackey_glass
+from semdde.problems import DdeProblem, RescaledRhs, mackey_glass, \
+    sd_quadratic
+
+MG_BRANCH_END = (Path(__file__).resolve().parents[1] / "perfbench" / "data"
+                 / "mg_branch_end.json")
 
 
 def _equilibrium_state(tau=0.8, period=1.6, num_intervals=3, degree=4):
     mesh = Mesh.uniform(num_intervals)
     poly = sample_periodic(lambda t: np.ones_like(t), mesh, degree)
     return DiscreteState(poly, np.array([period, tau]))
+
+
+def _lagged_pair():
+    """Two components and no query at lag 0, so no query shares the
+    grid's times."""
+
+    def rhs(e, p):
+        lag = e(-p[0])
+        moving = e(-(0.5 * p[0] + 0.1 * lag[:, 1] ** 2))
+        return np.stack([-lag[:, 0] + moving[:, 1],
+                         np.sin(moving[:, 0]) - 0.5 * lag[:, 1]], axis=1)
+
+    return DdeProblem(name="lagged_pair", dim=2, num_params=1, rhs=rhs)
+
+
+def _residual_case(case):
+    if case == "mackey_glass":
+        end = state_from_document(json.loads(MG_BRANCH_END.read_text()))
+        return mackey_glass(), resample_state(end, Mesh.uniform(11), 8)
+    if case == "sd_quadratic":
+        return sd_quadratic(), resample_state(sd_quadratic_seed(0.95),
+                                              Mesh.uniform(10), 8)
+    poly = sample_periodic(
+        lambda t: np.stack([np.cos(2 * np.pi * t),
+                            0.5 + np.sin(2 * np.pi * t)], axis=-1),
+        Mesh.uniform(5), 6)
+    return _lagged_pair(), DiscreteState(poly, np.array([2.0, 0.7]))
 
 
 class TestResidualErr:
@@ -53,6 +92,17 @@ class TestResidualErr:
                                mesh, 6)
         state = DiscreteState(poly, np.array([1.0, 0.8]))
         assert residual_err(state, mackey_glass()) > 0.1
+
+    @pytest.mark.parametrize("case", ["mackey_glass", "sd_quadratic",
+                                      "lagged_pair"])
+    @pytest.mark.parametrize("grid_points", [2, 10001])
+    def test_equals_the_two_pass_formula_bitwise(self, case, grid_points):
+        prob, state = _residual_case(case)
+        grid = np.linspace(0.0, 1.0, grid_points)  # holds t = 1
+        two_pass = np.max(np.abs(
+            state.poly.eval_deriv(grid)
+            - RescaledRhs(prob)(state.poly, grid, state.mu))) / state.period
+        assert residual_err(state, prob, grid_points) == two_pass
 
     def test_amplitude_of_sine_profile(self):
         mesh = Mesh.uniform(4)

@@ -148,6 +148,10 @@ class TestSolve:
         assert result["amplitude"] > 0.01
         meta = json.loads((mg_solution / "metadata.json").read_text())
         assert meta["command"] == "solve" and meta["wall_time"] > 0.0
+        phases = [meta[key] for key in
+                  ("newton_s", "residual_err_s", "phi_defect_s")]
+        assert all(t > 0.0 for t in phases)
+        assert sum(phases) <= meta["wall_time"]
 
     def test_data_files_are_byte_identical_across_runs(self, mg_solution,
                                                        tmp_path):
@@ -375,6 +379,24 @@ class TestContinue:
         assert main(["continue", "--config", path]) == 1
         assert read_error(capsys)["type"] == "ConfigError"
 
+    @pytest.mark.parametrize("name,error", [
+        ("schedule.json", "ConfigError"),
+        ("branch.csv", "InvalidArgumentError")])
+    def test_resume_with_non_utf8_file_exits_1(self, mg_branch, tmp_path,
+                                               capsys, name, error):
+        out, doc = mg_branch
+        partial = tmp_path / "partial"
+        shutil.copytree(out, partial)
+        if name == "schedule.json":
+            (partial / name).write_bytes(b"\xff\xfe{")
+        else:
+            (partial / name).write_bytes(
+                (out / name).read_bytes() + b"\xff\xfe\n")
+        path = write_config(tmp_path / "c.json",
+                            dict(doc, resume=True, out_dir=str(partial)))
+        assert main(["continue", "--config", path]) == 1
+        assert read_error(capsys)["type"] == error
+
     def test_resume_with_truncated_last_row_exits_1(self, mg_branch,
                                                     tmp_path, capsys):
         out, doc = mg_branch
@@ -475,6 +497,27 @@ class TestConvergence:
         for name in ("convergence.csv", "convergence.json"):
             assert (serial / name).read_bytes() == \
                 (parallel / name).read_bytes()
+
+    def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        path = write_config(tmp_path / "c.json", {
+            "problem": "sd_quadratic", "params": [0.95], "mesh_list": [4],
+            "degree": [4, 6], "guess": {"kind": "seed"},
+        })
+        # the child must import the same semdde as this process
+        package_root = os.path.dirname(os.path.dirname(semdde.__file__))
+        pythonpath = os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=pythonpath)
+            proc = subprocess.run(
+                [sys.executable, "-m", "semdde.cli", "convergence",
+                 "--config", path, "--out", str(tmp_path / threads)],
+                capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+        for name in ("convergence.csv", "convergence.json"):
+            assert (tmp_path / "1" / name).read_bytes() == \
+                (tmp_path / "2" / name).read_bytes()
 
     def test_shipped_seed_needs_its_own_problem(self, tmp_path, capsys):
         path = write_config(tmp_path / "c.json", {

@@ -6,6 +6,9 @@ converged state must score near machine zero while perturbations of any
 one value must be flagged at their own magnitude.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,15 +16,61 @@ from semdde.collocation import (
     DiscreteState,
     default_constraints,
     newton_solve,
+    resample_state,
+    state_from_document,
 )
+from semdde.continuation import sd_quadratic_seed
 from semdde.errors import InvalidArgumentError
-from semdde.oracle import FixedPointDefect, phi_m_defect
+from semdde.nodes import NodeKind, gauss_rule, make_nodes
+from semdde.oracle import FixedPointDefect, _integration_matrix, phi_m_defect
 from semdde.piecewise import Mesh, PeriodicPiecewisePoly, project, sample_periodic
-from semdde.problems import RescaledRhs, mackey_glass
+from semdde.problems import RescaledRhs, mackey_glass, sd_quadratic
 
 TAU_HOPF = np.arccos(-0.25) / np.sqrt(15.0)
 PERIOD_HOPF = 2.0 * np.pi / np.sqrt(15.0)
 NEWTON_TOL = 1e-10
+
+MG_BRANCH_END = (Path(__file__).resolve().parents[1] / "perfbench" / "data"
+                 / "mg_branch_end.json")
+
+
+def _prefix_integrals(proj, times):
+    """Reference for the oracle's integration matrix: integral_0^t of the
+    projection at each time, the whole intervals before t plus [t_i, t],
+    each by its own Gauss rule evaluated at that time."""
+    mesh = proj.mesh
+    quad_nodes, quad_w = gauss_rule(proj.node_family.m)
+
+    def from_break(idx, span):
+        pts = mesh.breaks[idx, None] + span[:, None] * quad_nodes
+        vals = proj.eval(pts.ravel()).reshape(idx.size, quad_nodes.size, -1)
+        return span[:, None] * np.einsum("q,kqs->ks", quad_w, vals)
+
+    whole = from_break(np.arange(mesh.num_intervals), mesh.lengths)
+    prefix = np.vstack([np.zeros((1, proj.dim)), np.cumsum(whole, axis=0)])
+    idx = mesh.interval_index(times)
+    return prefix[idx] + from_break(idx, times - mesh.breaks[idx])
+
+
+def _reference_defects(state, prob, grid_points=2001):
+    """(sup_defect_v, defect_v0) by quadrature at every grid point."""
+    poly, mu = state.poly, state.mu
+    rhs = RescaledRhs(prob)
+    w = project(lambda t: rhs(poly, t, mu), poly.mesh, poly.degree)
+    total = w.integrate(0.0, 1.0)
+    grid = np.linspace(0.0, 1.0, grid_points)
+    reconstructed = (poly.values[0, 0][None, :] + _prefix_integrals(w, grid)
+                     - grid[:, None] * total)
+    return (float(np.max(np.abs(poly.eval(grid) - reconstructed))),
+            float(np.max(np.abs(total))))
+
+
+def _mackey_glass_cell(L, m):
+    prob = mackey_glass()
+    end = state_from_document(json.loads(MG_BRANCH_END.read_text()))
+    cons = default_constraints(prob, end.params)
+    init = resample_state(end, Mesh.uniform(L), m)
+    return prob, cons, newton_solve(init, prob, cons).state
 
 
 def _equilibrium_state(tau=0.8, period=1.6, num_intervals=4, degree=5):
@@ -117,3 +166,61 @@ class TestPhiMDefect:
         prob, cons, state = near_hopf_orbit
         with pytest.raises(InvalidArgumentError):
             phi_m_defect(state, prob, cons, grid_points=1)
+
+
+class TestIntegrationMatrix:
+    @pytest.mark.parametrize("m", [1, 2, 4, 8, 40])
+    def test_ends_are_zero_and_the_gauss_weights(self, m):
+        q = _integration_matrix(m)
+        assert q.shape == (m + 1, m) and not q.flags.writeable
+        assert np.all(q[0] == 0.0)
+        assert np.max(np.abs(q[m] - gauss_rule(m)[1])) <= 1e-15
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 8, 40])
+    def test_integrates_monomials_exactly_at_the_lobatto_nodes(self, m):
+        q = _integration_matrix(m)
+        gauss = make_nodes(NodeKind.GAUSS_LEGENDRE, m).nodes
+        ends = make_nodes(NodeKind.CHEBYSHEV_LOBATTO, m).nodes
+        for d in range(m):
+            exact = ends ** (d + 1) / (d + 1)
+            assert np.max(np.abs(np.sum(q * gauss**d, axis=1) - exact)) \
+                <= 1e-15
+
+
+class TestAgainstQuadratureAtEveryGridPoint:
+    """The integration-matrix oracle against the slower path it replaced,
+    which ran a Gauss rule at each of the grid points."""
+
+    @pytest.mark.parametrize("L", [1, 11])
+    @pytest.mark.parametrize("m", [4, 8, 40])
+    def test_mackey_glass_cells(self, L, m):
+        prob, cons, state = _mackey_glass_cell(L, m)
+        defect = phi_m_defect(state, prob, cons)
+        sup_v, v0 = _reference_defects(state, prob)
+        assert abs(defect.sup_defect_v - sup_v) <= 1e-15
+        assert abs(defect.defect_v0 - v0) <= 1e-15
+
+    def test_sd_quadratic_state(self):
+        prob = sd_quadratic()
+        state = resample_state(sd_quadratic_seed(0.95), Mesh.uniform(20), 12)
+        cons = default_constraints(prob, state.params)
+        defect = phi_m_defect(state, prob, cons)
+        sup_v, v0 = _reference_defects(state, prob)
+        assert sup_v > 1e-3  # the seed is not converged on this mesh
+        assert abs(defect.sup_defect_v - sup_v) <= 1e-15
+        assert abs(defect.defect_v0 - v0) <= 1e-15
+
+    def test_converged_sd_quadratic_state_within_roundoff(self):
+        # both paths sit at roundoff here, each a few ulps of the profile
+        # (|v| reaches 2.6) away from the exact identity, so the bound is
+        # in ulps of the profile rather than 1e-15
+        prob = sd_quadratic()
+        seed = sd_quadratic_seed(0.95)
+        cons = default_constraints(prob, seed.params)
+        state = newton_solve(resample_state(seed, Mesh.uniform(20), 12),
+                             prob, cons).state
+        defect = phi_m_defect(state, prob, cons)
+        sup_v, v0 = _reference_defects(state, prob)
+        ulp = np.spacing(np.max(np.abs(state.poly.values)))
+        assert abs(defect.sup_defect_v - sup_v) <= 4 * ulp
+        assert abs(defect.defect_v0 - v0) <= 1e-15

@@ -166,6 +166,19 @@ class TestEval:
         one_at_a_time = np.array([fn(x) for x in t])
         np.testing.assert_array_equal(batch, one_at_a_time)
 
+    def test_eval_with_deriv_is_eval_and_eval_deriv_bitwise(self):
+        p = _random_continuous_poly(np.random.default_rng(3), 7, 9, 2)
+        # random times across chunks, every break, both ends and t = 1,
+        # where eval_deriv takes the first interval's one-sided derivative
+        t = np.concatenate([np.random.default_rng(4).uniform(-1, 2, 3000),
+                            p.mesh.breaks, p.node_times.ravel(), [1.0]])
+        values, deriv = p.eval_with_deriv(t)
+        np.testing.assert_array_equal(values, p.eval(t))
+        np.testing.assert_array_equal(deriv, p.eval_deriv(t))
+        values, deriv = p.eval_with_deriv(0.25)
+        np.testing.assert_array_equal(values, p.eval(0.25))
+        np.testing.assert_array_equal(deriv, p.eval_deriv(0.25))
+
     def test_array_argument_shapes(self):
         p = _random_continuous_poly(np.random.default_rng(1), 2, 3, 2)
         assert p.eval(0.3).shape == (2,)
