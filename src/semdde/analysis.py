@@ -61,6 +61,9 @@ def residual_err(state: DiscreteState, prob: DdeProblem,
 def orbit_amplitude(state: DiscreteState,
                     grid_points: int = DEFAULT_ERR_GRID) -> float:
     """Peak-to-peak range of the profile over a dense uniform grid."""
+    if grid_points < 2:
+        raise InvalidArgumentError(
+            f"grid_points must be at least 2, got {grid_points}")
     values = state.poly.eval(np.linspace(0.0, 1.0, grid_points))
     return float(np.max(values) - np.min(values))
 
@@ -353,18 +356,27 @@ def _lift_iterate(r: Callable, t, k: int):
     return x
 
 
-def _bisect_root(fn: Callable[[float], float], lo: float, hi: float,
-                 f_lo: float, tol: float = 1e-10) -> float:
-    while hi - lo > tol:
+def _bisect_roots(fn: Callable, lo: np.ndarray, hi: np.ndarray,
+                  f_lo: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """Bisect all brackets together; ``fn(t, which)`` gives the function
+    of brackets ``which`` at times t.  Per bracket: halve while hi - lo >
+    tol, return a midpoint where fn is 0, else the last midpoint."""
+    roots = np.empty_like(lo)
+    which = np.arange(lo.size)
+    while True:
+        wide = hi - lo > tol
+        roots[which[~wide]] = 0.5 * (lo + hi)[~wide]
+        which, lo, hi, f_lo = which[wide], lo[wide], hi[wide], f_lo[wide]
+        if not which.size:
+            return roots
         mid = 0.5 * (lo + hi)
-        f_mid = fn(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_lo < 0.0) != (f_mid < 0.0):
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+        f_mid = fn(mid, which)
+        left = (f_lo < 0.0) != (f_mid < 0.0)
+        hi = np.where(left, mid, hi)
+        lo, f_lo = np.where(left, lo, mid), np.where(left, f_lo, f_mid)
+        hit = f_mid == 0.0
+        roots[which[hit]] = mid[hit]
+        which, lo, hi, f_lo = which[~hit], lo[~hit], hi[~hit], f_lo[~hit]
 
 
 def _merge_close(points, tol: float = 1e-8):
@@ -387,8 +399,12 @@ def circle_map_analysis(r: Callable, k_max: int, grid: int,
 
     Fixed points of the k-th iterate are zeros of the lifted iterate
     displacement minus an integer, found by sign changes on the grid and
-    refined by bisection; stability is the lifted derivative by centered
-    differences, unstable when its magnitude exceeds 1.
+    refined by bisecting all of an iterate's brackets together;
+    stability is the lifted derivative by centered differences, unstable
+    when its magnitude exceeds 1.  ``r`` must map times to an array of
+    their shape and be elementwise (its value at t does not depend on
+    the rest of the batch); the points then equal, bitwise, those of a
+    bisection of one bracket at a time.
     """
     if k_max < 1:
         raise InvalidArgumentError(f"k_max must be >= 1, got {k_max}")
@@ -400,7 +416,11 @@ def circle_map_analysis(r: Callable, k_max: int, grid: int,
     lifts = []
     x = times
     for _ in range(k_max):
-        x = x - r(_wrap_time(x))
+        lag = r(_wrap_time(x))
+        if np.shape(lag) != times.shape:
+            raise InvalidArgumentError(f"r gave shape {np.shape(lag)} for "
+                                       f"times of shape {times.shape}")
+        x = x - lag
         lifts.append(x)
     iterates = np.array([_wrap_time(x) for x in lifts])
 
@@ -416,28 +436,22 @@ def circle_map_analysis(r: Callable, k_max: int, grid: int,
     step = 1e-6
     for k in range(1, k_max + 1):
         disp = np.append(lifts[k - 1] - times, lifts[k - 1][0] - times[0])
-        grid_ext = np.append(times, 1.0)
-        roots = []
-        for n in range(math.floor(disp.min()), math.ceil(disp.max()) + 1):
-            h = disp - n
-
-            def displaced(t, n=n, k=k):
-                return float(_lift_iterate(r, t, k)) - t - n
-
-            for i in range(grid):
-                if h[i] == 0.0:
-                    roots.append(grid_ext[i])
-                elif (h[i] < 0.0) != (h[i + 1] < 0.0) and h[i + 1] != 0.0:
-                    roots.append(_bisect_root(displaced, grid_ext[i],
-                                              grid_ext[i] + spacing, h[i]))
-        merged = _merge_close(roots)
-        derivs = np.array([
-            (_lift_iterate(r, p + step, k) - _lift_iterate(r, p - step, k))
-            / (2.0 * step)
-            for p in merged
-        ])
+        n = np.arange(math.floor(disp.min()), math.ceil(disp.max()) + 1)
+        h = disp - n[:, None]  # one row per integer shift n
+        roots = times[np.nonzero(h[:, :-1] == 0.0)[1]].tolist()
+        row, i = np.nonzero((h[:, :-1] != 0.0) & (h[:, 1:] != 0.0)
+                            & ((h[:, :-1] < 0.0) != (h[:, 1:] < 0.0)))
+        if i.size:
+            roots += _bisect_roots(
+                lambda t, which: _lift_iterate(r, t, k) - t - n[row[which]],
+                times[i], times[i] + spacing, h[row, i]).tolist()
+        points = np.array(_merge_close(roots))
+        derivs = np.zeros(0)
+        if points.size:
+            derivs = (_lift_iterate(r, points + step, k)
+                      - _lift_iterate(r, points - step, k)) / (2.0 * step)
         point_sets.append(PeriodicPointSet(
-            iterate=k, points=np.array(merged), derivatives=derivs,
+            iterate=k, points=points, derivatives=derivs,
             unstable=np.abs(derivs) > 1.0))
     return CircleMapResult(kind="generic", times=times, iterates=iterates,
                            periodic_points=tuple(point_sets))

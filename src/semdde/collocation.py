@@ -12,10 +12,11 @@ Comput. 22, 2001): an exact differentiation block, plus, for each query,
 the rhs's sensitivity to that query's output times the Lagrange row at
 the query time.  The sensitivities are forward differences on the
 query outputs, taken for all collocation points in one rhs call, so a
-Jacobian costs a few residual-sized evaluations for any mesh size; the
-(T, p) columns are forward differences on the full residual.  Every
-basis row comes from ``nodes.lagrange_rows``, and the constraint rows
-are exact affine gradients.
+Jacobian costs a few residual-sized evaluations for any mesh size.  Each
+(T, p) column is a forward difference of one rhs call, in which every
+query whose times did not move keeps its recorded answer.  Every basis
+row comes from ``nodes.lagrange_rows``, and the constraint rows are
+exact affine gradients.
 
 The Newton iteration damps by halving on residual increase, down to a
 floor, and factors the dense Jacobian by LU with partial pivoting.
@@ -254,16 +255,20 @@ def assemble_residual(state: DiscreteState, prob: DdeProblem,
                       cons: Sequence[AffineRow]) -> np.ndarray:
     """Collocation rows (profile derivative minus rescaled rhs) followed
     by the affine constraint values."""
-    if len(cons) != state.mu.size:
-        raise InvalidArgumentError(
-            f"need {state.mu.size} constraint rows to square the system, "
-            f"got {len(cons)}")
+    _require_square(state, cons)
     poly = state.poly
     colloc = make_nodes(NodeKind.GAUSS_LEGENDRE, poly.degree)
     times = poly.mesh.node_times(colloc.nodes).ravel()
     rows = _equation_rows(state, prob, times).ravel()
     cons_vals = [row.value(poly, state.mu) for row in cons]
     return np.concatenate([rows, cons_vals])
+
+
+def _require_square(state: DiscreteState, cons: Sequence[AffineRow]):
+    if len(cons) != state.mu.size:
+        raise InvalidArgumentError(
+            f"need {state.mu.size} constraint rows to square the system, "
+            f"got {len(cons)}")
 
 
 def _equation_rows(state: DiscreteState, prob: DdeProblem,
@@ -332,14 +337,17 @@ def assemble_jacobian(state: DiscreteState, prob: DdeProblem,
       base time).  Later queries are re-evaluated, so a lag computed
       from q_k contributes its y'(t - d) dd/dq_k term.  The result is
       scattered through the Lagrange row at the query time.
-    - The mu = (T, p) columns are forward differences on the full
-      residual, and the constraint rows are exact.
+    - Each mu = (T, p) column is a forward difference of one rhs call,
+      against the profile derivative computed once; a query at the times
+      it had in the unperturbed call gets the recorded answer, any other
+      is evaluated.  The constraint rows are exact.
 
     ``settings.fd_step`` is the relative step for query outputs and mu.
-    Raises InvalidArgumentError when a perturbed rhs call makes a
-    different number of evaluator queries than the unperturbed one (the
-    rhs must be deterministic).
+    Raises InvalidArgumentError when moving a query's output changes the
+    number of evaluator queries (the rhs must be deterministic); a step
+    in mu may change it.
     """
+    _require_square(state, cons)
     poly = state.poly
     mesh = poly.mesh
     L, m, dim = mesh.num_intervals, poly.degree, poly.dim
@@ -365,11 +373,11 @@ def assemble_jacobian(state: DiscreteState, prob: DdeProblem,
     def record(k, at):
         idx, free, lagrange = _basis_at(poly, at)
         value = np.sum(lagrange[:, None, :] * poly._value_table[idx], axis=2)
-        answers.append((value, free, lagrange))
+        answers.append((value, free, lagrange, at))
         return value.copy()
 
     base = rhs.evaluate(times, state.mu, record)
-    for k, (value, free, lagrange) in enumerate(answers):
+    for k, (value, free, lagrange, _) in enumerate(answers):
         for s in range(dim):
             bumped = value.copy()
             bumped[:, s] += settings.fd_step * np.maximum(1.0,
@@ -393,13 +401,21 @@ def assemble_jacobian(state: DiscreteState, prob: DdeProblem,
             np.add.at(jac, (rows[:, :, None], free[:, None, :] * dim + s),
                       -slope[:, :, None] * lagrange[:, None, :])
 
-    r0 = (poly.eval_deriv(times) - base).ravel()
+    # the (T, p) columns: a query at unchanged times (lag 0, or a lag the
+    # moved entry of mu does not reach) keeps its recorded value
+    def reuse_unmoved(k, at):
+        if k < len(answers) and np.array_equal(at, answers[k][3]):
+            return answers[k][0].copy()
+        return poly.eval(at)
+
+    deriv = poly.eval_deriv(times)
+    r0 = (deriv - base).ravel()
     for j in range(state.mu.size):
         mu = state.mu.copy()
         h = settings.fd_step * max(1.0, abs(mu[j]))
         mu[j] += h
-        r = assemble_residual(DiscreteState(poly, mu), prob, cons)
-        jac[:r0.size, n_free + j] = (r[:r0.size] - r0) / h
+        r = (deriv - rhs.evaluate(times, mu, reuse_unmoved)).ravel()
+        jac[:r0.size, n_free + j] = (r - r0) / h
     for k, row in enumerate(cons):
         jac[r0.size + k, :] = constraint_gradient(row, state)
     return jac

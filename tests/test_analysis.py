@@ -1,8 +1,9 @@
 """Tests for the diagnostics module.
 
 The ellipse bound is checked against brute-force interpolation errors,
-the circle-map finder against maps with hand-computable fixed points,
-and the convergence table against synthetic rows with known slopes.
+the circle-map finder against maps with hand-computable fixed points
+and against the scalar scan it replaced, and the convergence table
+against synthetic rows with known slopes.
 """
 
 import io
@@ -18,6 +19,8 @@ from semdde.analysis import (
     CircleMapResult,
     ConvergenceCell,
     ConvergenceTable,
+    _lift_iterate,
+    _merge_close,
     bernstein_bound_fit,
     circle_map_analysis,
     convergence_study,
@@ -31,12 +34,14 @@ from semdde.analysis import (
 from semdde.collocation import (
     DiscreteState,
     NewtonSettings,
+    default_constraints,
+    newton_solve,
     resample_state,
     state_from_document,
 )
 from semdde.continuation import sd_quadratic_seed
 from semdde.errors import AnalyticityViolationError, InvalidArgumentError
-from semdde.piecewise import Mesh, sample_periodic
+from semdde.piecewise import Mesh, _wrap_time, sample_periodic
 from semdde.problems import DdeProblem, RescaledRhs, mackey_glass, \
     sd_quadratic
 
@@ -110,6 +115,11 @@ class TestResidualErr:
                                mesh, 12)
         state = DiscreteState(poly, np.array([1.0, 0.8]))
         assert orbit_amplitude(state) == pytest.approx(0.6, abs=1e-8)
+
+    @pytest.mark.parametrize("grid_points", [0, 1])
+    def test_amplitude_rejects_tiny_grid(self, grid_points):
+        with pytest.raises(InvalidArgumentError):
+            orbit_amplitude(_equilibrium_state(), grid_points)
 
 
 class TestConvergenceTable:
@@ -309,3 +319,119 @@ class TestCircleMap:
         assert lines[0] == "# format_version=1"
         assert lines[1] == "t,g1,g2"
         assert len(lines) == 2 + 1000
+
+
+def _bisect_root(fn, lo, hi, f_lo, tol=1e-10):
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        f_mid = fn(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_lo < 0.0) != (f_mid < 0.0):
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+    return 0.5 * (lo + hi)
+
+
+def _scalar_circle_map(r, k_max, grid):
+    """Reference: the per-grid-point scan with one scalar bisection per
+    bracket, as circle_map_analysis once ran it; returns the iterates and
+    (points, derivatives, unstable) for every iterate."""
+    times = np.linspace(0.0, 1.0, grid, endpoint=False)
+    lifts = [_lift_iterate(r, times, k) for k in range(1, k_max + 1)]
+    spacing, step = 1.0 / grid, 1e-6
+    found = []
+    for k in range(1, k_max + 1):
+        disp = np.append(lifts[k - 1] - times, lifts[k - 1][0] - times[0])
+        grid_ext = np.append(times, 1.0)
+        roots = []
+        for n in range(math.floor(disp.min()), math.ceil(disp.max()) + 1):
+            h = disp - n
+
+            def displaced(t, n=n, k=k):
+                return float(_lift_iterate(r, t, k)) - t - n
+
+            for i in range(grid):
+                if h[i] == 0.0:
+                    roots.append(grid_ext[i])
+                elif (h[i] < 0.0) != (h[i + 1] < 0.0) and h[i + 1] != 0.0:
+                    roots.append(_bisect_root(displaced, grid_ext[i],
+                                              grid_ext[i] + spacing, h[i]))
+        merged = _merge_close(roots)
+        derivs = np.array([(_lift_iterate(r, p + step, k)
+                            - _lift_iterate(r, p - step, k)) / (2.0 * step)
+                           for p in merged])
+        found.append((np.array(merged), derivs, np.abs(derivs) > 1.0))
+    return np.array([_wrap_time(x) for x in lifts]), found
+
+
+@pytest.fixture(scope="module")
+def sd_quadratic_lag():
+    """r(t) of the converged sd_quadratic (20, 12) orbit at delay 0.95."""
+    prob = sd_quadratic()
+    seed = sd_quadratic_seed(0.95)
+    state = newton_solve(resample_state(seed, Mesh.uniform(20), 12), prob,
+                         default_constraints(prob, seed.params)).state
+    return orbit_lag_map(state, lambda y, p: p[0] + y[..., 0] + y[..., 0] ** 2)
+
+
+def _sine_lag(t):
+    return 0.2 * np.sin(2.0 * np.pi * np.asarray(t, dtype=float))
+
+
+#: midpoint of the 1024-point grid's bracket starting at 3/4
+_MIDPOINT_ROOT = 0.75 + 1.0 / 2048.0
+
+
+def _grid_zero_lag(t):
+    # exactly 0 at the grid times 0 and 1/4 of a 1024-point grid and at
+    # the first bisection midpoint of the bracket starting at 3/4
+    t = np.asarray(t, dtype=float)
+    return 0.8 * t * (t - 0.25) * (t - _MIDPOINT_ROOT) * (1.0 - t)
+
+
+class TestCircleMapAgainstTheScalarScan:
+    def _assert_equal_bitwise(self, r, k_max, grid):
+        result = circle_map_analysis(r, k_max, grid)
+        iterates, found = _scalar_circle_map(r, k_max, grid)
+        assert result.kind == "generic"
+        assert np.array_equal(result.iterates, iterates)
+        assert len(result.periodic_points) == k_max
+        for pts, (points, derivs, unstable) in zip(result.periodic_points,
+                                                   found):
+            assert pts.points.tobytes() == points.tobytes()
+            assert pts.derivatives.tobytes() == derivs.tobytes()
+            assert pts.unstable.tobytes() == unstable.tobytes()
+        return result
+
+    def test_state_dependent_orbit(self, sd_quadratic_lag):
+        result = self._assert_equal_bitwise(sd_quadratic_lag, 5, 4000)
+        assert int(np.sum(result.periodic_points[4].unstable)) == 5
+
+    def test_sine_lag(self):
+        self._assert_equal_bitwise(_sine_lag, 2, 2000)
+
+    def test_displacement_vanishing_at_grid_times_and_a_midpoint(self):
+        grid = 1024
+        assert np.count_nonzero(
+            _grid_zero_lag(np.linspace(0.0, 1.0, grid, endpoint=False))
+            == 0.0) == 2
+        result = self._assert_equal_bitwise(_grid_zero_lag, 3, grid)
+        assert {0.0, 0.25, _MIDPOINT_ROOT} <= set(
+            result.periodic_points[0].points)
+
+    def test_one_batched_call_per_bisection_step(self, sd_quadratic_lag):
+        calls = []
+
+        def counted(t):
+            calls.append(np.size(t))
+            return sd_quadratic_lag(t)
+
+        circle_map_analysis(counted, 5, 4000)
+        assert len(calls) <= 200  # one bracket at a time took 1205
+        assert min(calls) > 0
+
+    def test_lag_of_the_wrong_shape_is_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="shape"):
+            circle_map_analysis(lambda t: _sine_lag(t)[..., None], 5, 1000)

@@ -66,6 +66,21 @@ def _fd_jacobian(state, prob, cons, settings=NewtonSettings()):
     return jac
 
 
+def _full_residual_mu_columns(state, prob, cons, settings=NewtonSettings()):
+    """Reference (T, p) columns of the Jacobian: one forward difference
+    of the full residual per entry of mu, collocation rows only."""
+    r0 = assemble_residual(state, prob, cons)
+    n_colloc = r0.size - state.mu.size
+    cols = []
+    for j in range(state.mu.size):
+        mu = state.mu.copy()
+        h = settings.fd_step * max(1.0, abs(mu[j]))
+        mu[j] += h
+        r = assemble_residual(DiscreteState(state.poly, mu), prob, cons)
+        cols.append((r[:n_colloc] - r0[:n_colloc]) / h)
+    return np.stack(cols, axis=1)
+
+
 def _coupled_pair():
     """Two components, each fed by delayed values of both, one lag
     depending on the state: the cross-component blocks of the Jacobian."""
@@ -107,6 +122,21 @@ def _coupled_case():
                             0.5 + np.sin(2 * np.pi * t)], axis=-1),
         Mesh.uniform(5), 6)
     return _coupled_pair(), DiscreteState(poly, np.array([2.0, 0.7]))
+
+
+JACOBIAN_CASES = [
+    lambda: _mackey_glass_case(11, 8),
+    lambda: _mackey_glass_case(20, 12),
+    lambda: _mackey_glass_case(11, 40),
+    lambda: _sd_quadratic_case(10, 8),
+    lambda: _sd_quadratic_case(20, 12),
+    _state_eval_case,
+    _coupled_case,
+]
+JACOBIAN_CASE_IDS = ["mackey_glass_11_8", "mackey_glass_20_12",
+                     "mackey_glass_11_40", "sd_quadratic_10_8",
+                     "sd_quadratic_20_12", "state_eval_example",
+                     "coupled_pair"]
 
 
 def _equilibrium_state(tau=0.8, period=1.6, num_intervals=3, degree=4):
@@ -245,17 +275,7 @@ class TestJacobian:
         np.testing.assert_allclose(moved[:n_colloc], 5.0 * period,
                                    rtol=0, atol=1e-4)
 
-    @pytest.mark.parametrize("case", [
-        lambda: _mackey_glass_case(11, 8),
-        lambda: _mackey_glass_case(20, 12),
-        lambda: _mackey_glass_case(11, 40),
-        lambda: _sd_quadratic_case(10, 8),
-        lambda: _sd_quadratic_case(20, 12),
-        _state_eval_case,
-        _coupled_case,
-    ], ids=["mackey_glass_11_8", "mackey_glass_20_12", "mackey_glass_11_40",
-            "sd_quadratic_10_8", "sd_quadratic_20_12", "state_eval_example",
-            "coupled_pair"])
+    @pytest.mark.parametrize("case", JACOBIAN_CASES, ids=JACOBIAN_CASE_IDS)
     def test_matches_the_finite_difference_oracle(self, case):
         prob, state = case()
         cons = default_constraints(prob, state.params,
@@ -264,6 +284,43 @@ class TestJacobian:
         jac = assemble_jacobian(state, prob, cons)
         scale = np.max(np.abs(oracle))
         assert np.max(np.abs(jac - oracle)) <= 1e-6 * scale
+
+    @pytest.mark.parametrize("case", JACOBIAN_CASES, ids=JACOBIAN_CASE_IDS)
+    def test_mu_columns_equal_full_residual_differences_bitwise(self, case):
+        prob, state = case()
+        cons = default_constraints(prob, state.params,
+                                   anchor_value=state.poly.eval(0.0)[0])
+        jac = assemble_jacobian(state, prob, cons)
+        n_colloc = state.size - state.mu.size
+        expected = _full_residual_mu_columns(state, prob, cons)
+        assert np.array_equal(jac[:n_colloc, n_colloc:], expected)
+
+    def test_mu_columns_survive_a_query_that_only_the_p_step_adds(self):
+        # at p = 0.5 the rhs queries once; the p step crosses the
+        # threshold, so that column's rhs call asks a lagged query first
+        # and the lag-0 query second, beyond the recorded answers
+        def rhs(e, p):
+            extra = -0.1 * e(-p[0]) if p[0] > 0.5 else 0.0
+            return extra - e(0.0)
+
+        prob = DdeProblem(name="threshold", dim=1, num_params=1, rhs=rhs)
+        poly = sample_periodic(lambda t: np.sin(2 * np.pi * t),
+                               Mesh.uniform(3), 4)
+        state = DiscreteState(poly, np.array([1.0, 0.5]))
+        cons = default_constraints(prob, [0.5], anchor_value=0.0)
+        jac = assemble_jacobian(state, prob, cons)
+        n_colloc = state.size - 2
+        expected = _full_residual_mu_columns(state, prob, cons)
+        assert np.array_equal(jac[:n_colloc, n_colloc:], expected)
+        assert np.max(np.abs(expected[:, 1])) > 1e5  # the jump is seen
+
+    def test_constraint_count_must_match_mu(self):
+        state = _equilibrium_state()
+        prob = mackey_glass()
+        cons = default_constraints(prob, [0.8])
+        for wrong in (cons[:1], cons + cons[:1]):
+            with pytest.raises(InvalidArgumentError, match="square"):
+                assemble_jacobian(state, prob, wrong)
 
     def test_query_count_that_follows_the_state_is_rejected(self):
         # the extra query appears only once the first answer moves up
