@@ -37,6 +37,8 @@ from .problems import DdeProblem
 
 DEFAULT_ERR_GRID = 10001
 
+PLATEAU_FACTOR = 100.0  # see ConvergenceTable.slopes
+
 #: relative slack when comparing an interior ring maximum against the
 #: ellipse boundary maximum; an analytic function obeys the maximum
 #: principle exactly, so anything beyond roundoff signals a pole inside
@@ -112,10 +114,10 @@ class ConvergenceTable:
     def completed_rows(self) -> Tuple[ConvergenceCell, ...]:
         return tuple(row for row in self.rows if row.completed)
 
-    def slopes(self, plateau_factor: float = 100.0) -> Dict[int, float]:
+    def slopes(self) -> Dict[int, float]:
         """Least-squares slope of ln(err) vs degree for each mesh size.
 
-        Cells within plateau_factor of a column's floor sit on the
+        Cells within PLATEAU_FACTOR of a column's floor sit on the
         roundoff plateau and are excluded from the fit.  The floor is
         the column's smallest err, at least machine epsilon; it is set
         by the conditioning of the dense derivative evaluation, so it
@@ -131,7 +133,7 @@ class ConvergenceTable:
             floor = max(min(row.err for row in column),
                         np.finfo(float).eps)
             cells = [row for row in column
-                     if row.err > plateau_factor * floor]
+                     if row.err > PLATEAU_FACTOR * floor]
             if len(cells) < 2:
                 continue
             degrees = np.array([row.degree for row in cells], dtype=float)
@@ -420,6 +422,8 @@ def circle_map_analysis(r: Callable, k_max: int, grid: int,
         if np.shape(lag) != times.shape:
             raise InvalidArgumentError(f"r gave shape {np.shape(lag)} for "
                                        f"times of shape {times.shape}")
+        if not np.all(np.isfinite(lag)):
+            raise InvalidArgumentError("r gave a value that is not finite")
         x = x - lag
         lifts.append(x)
     iterates = np.array([_wrap_time(x) for x in lifts])

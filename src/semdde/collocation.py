@@ -13,10 +13,11 @@ the rhs's sensitivity to that query's output times the Lagrange row at
 the query time.  The sensitivities are forward differences on the
 query outputs, taken for all collocation points in one rhs call, so a
 Jacobian costs a few residual-sized evaluations for any mesh size.  Each
-(T, p) column is a forward difference of one rhs call, in which every
-query whose times did not move keeps its recorded answer.  Every basis
-row comes from ``nodes.lagrange_rows``, and the constraint rows are
-exact affine gradients.
+(T, p) column is a forward difference of one rhs call.  Query rows and
+free-value columns come from ``PeriodicPiecewisePoly.eval_with_basis``;
+the differentiation block keeps the reference matrices.  One rule
+answers every query: query k reuses the value held for query k when its
+times have not moved.  The constraint rows are exact affine gradients.
 
 The Newton iteration damps by halving on residual increase, down to a
 floor, and factors the dense Jacobian by LU with partial pivoting.
@@ -39,13 +40,12 @@ from .errors import (
     NonFiniteResidualError,
     SingularJacobianError,
 )
-from .nodes import NodeKind, interpolation_matrix, lagrange_rows, make_nodes
+from .nodes import NodeKind, interpolation_matrix, make_nodes
 from .piecewise import (
     FORMAT_VERSION,
     Mesh,
     PeriodicPiecewisePoly,
     _document_array,
-    _wrap_time,
     check_format_version,
     poly_from_document,
     poly_to_document,
@@ -172,10 +172,9 @@ class AffineRow:
         return total
 
 
-def phase_anchor_row(anchor_value: float, num_params: int,
-                     component: int = 0) -> AffineRow:
-    """The row y_component(0) - anchor_value = 0."""
-    return AffineRow(point_terms=((0.0, component, 1.0),),
+def phase_anchor_row(anchor_value: float, num_params: int) -> AffineRow:
+    """The row y_0(0) - anchor_value = 0."""
+    return AffineRow(point_terms=((0.0, 0, 1.0),),
                      mu_coeffs=np.zeros(1 + num_params),
                      offset=-float(anchor_value))
 
@@ -271,39 +270,28 @@ def _require_square(state: DiscreteState, cons: Sequence[AffineRow]):
             f"got {len(cons)}")
 
 
-def _equation_rows(state: DiscreteState, prob: DdeProblem,
-                   times: np.ndarray) -> np.ndarray:
-    """v'(t) - T G(v_t, p) at 1-d times, shape (times, dim); values and
-    derivatives share one pass of basis rows, and a query at exactly
-    ``times`` (lag 0) gets a copy of those values."""
-    poly = state.poly
-    values, deriv = poly.eval_with_deriv(times)
+def _held_answers(poly: PeriodicPiecewisePoly, held):
+    """The one evaluator-query rule: query k gets a copy of held[k][0] when
+    its times equal held[k][1] bitwise, else ``poly.eval`` (the same bits,
+    since evaluation is batch-independent).  Returns (callback, asked)."""
+    asked = []
 
     def answer(k, at):
-        return values.copy() if np.array_equal(at, times) else poly.eval(at)
+        asked.append(k)
+        if k < len(held) and np.array_equal(at, held[k][1]):
+            return held[k][0].copy()
+        return poly.eval(at)
 
+    return answer, asked
+
+
+def _equation_rows(state: DiscreteState, prob: DdeProblem,
+                   times: np.ndarray) -> np.ndarray:
+    """v'(t) - T G(v_t, p) at 1-d times, shape (times, dim); query 0 at
+    exactly ``times`` (lag 0) reuses the values of ``eval_with_deriv``."""
+    values, deriv = state.poly.eval_with_deriv(times)
+    answer, _ = _held_answers(state.poly, [(values, times)])
     return deriv - RescaledRhs(prob).evaluate(times, state.mu, answer)
-
-
-def _free_columns(intervals: np.ndarray, num_intervals: int,
-                  degree: int) -> np.ndarray:
-    """Free-value index of nodes 0..m of each given interval, shape
-    (k, m+1): node m of interval i is free node 0 of the next interval
-    (or, wrapping, of the first)."""
-    return ((intervals[:, None] * degree + np.arange(degree + 1))
-            % (num_intervals * degree))
-
-
-def _basis_at(poly: PeriodicPiecewisePoly, times: np.ndarray):
-    """Interval indices (k,), free-value indices (k, m+1) and Lagrange rows
-    (k, m+1) at any real times, the rows as ``eval`` builds them; the
-    profile at times[p] is the sum over j of rows[p, j] times the free
-    values at index free[p, j]."""
-    t = _wrap_time(times)
-    idx = poly.mesh.interval_index(t)
-    return (idx, _free_columns(idx, poly.mesh.num_intervals, poly.degree),
-            lagrange_rows(t, poly.node_times[idx],
-                          poly.node_family.bary_weights))
 
 
 def constraint_gradient(row: AffineRow, state: DiscreteState) -> np.ndarray:
@@ -313,7 +301,7 @@ def constraint_gradient(row: AffineRow, state: DiscreteState) -> np.ndarray:
     n_free = poly.free_values.size
     grad = np.zeros(n_free + state.mu.size)
     for time, comp, coeff in row.point_terms:
-        _, free, basis = _basis_at(poly, np.array([float(time)]))
+        _, free, basis = poly.eval_with_basis(np.array([float(time)]))
         # add.at sums both terms when nodes 0 and m share a column (L = 1)
         np.add.at(grad, free[0] * dim + comp, coeff * basis[0])
     grad[n_free:] = row.mu_coeffs
@@ -331,16 +319,18 @@ def assemble_jacobian(state: DiscreteState, prob: DdeProblem,
     chain rule through those answers gives every free-value column:
 
     - v'(t) is exact: the reference Lagrange row of the collocation node
-      times ``diff_matrix``, over the interval length.
+      times ``diff_matrix``, over the interval length (rows built at the
+      global times would move entries in the last bits).
     - dG/dq_k is one forward difference on q_k's output per component,
       for all collocation points in one rhs call (G is pointwise in the
-      base time).  Later queries are re-evaluated, so a lag computed
-      from q_k contributes its y'(t - d) dd/dq_k term.  The result is
-      scattered through the Lagrange row at the query time.
+      base time), scattered through the query's ``eval_with_basis`` rows.
+      A lag computed from q_k moves a later query, which is evaluated
+      afresh, so it contributes its y'(t - d) dd/dq_k term.
     - Each mu = (T, p) column is a forward difference of one rhs call,
-      against the profile derivative computed once; a query at the times
-      it had in the unperturbed call gets the recorded answer, any other
-      is evaluated.  The constraint rows are exact.
+      against the profile derivative computed once.
+
+    In every rhs call, a query other than the bumped one gets its recorded
+    answer while its times have not moved.  The constraint rows are exact.
 
     ``settings.fd_step`` is the relative step for query outputs and mu.
     Raises InvalidArgumentError when moving a query's output changes the
@@ -361,36 +351,29 @@ def assemble_jacobian(state: DiscreteState, prob: DdeProblem,
     basis = interpolation_matrix(poly.node_family, colloc.nodes)
     deriv = np.sum(basis[:, None, :] * poly.node_family.diff_matrix.T, axis=2)
     block = deriv / mesh.lengths[:, None, None]
-    cols = _free_columns(np.arange(L), L, m)[:, None, :] * dim
+    # a break belongs to the interval it starts: one row of columns each
+    cols = poly.eval_with_basis(mesh.breaks[:-1])[1][:, None, :] * dim
     for s in range(dim):
         np.add.at(jac, (rows[:, s].reshape(L, m, 1), cols + s), block)
 
-    # each answer is eval's value bitwise, from the rows eval would build;
-    # the rhs only ever gets copies, so nothing it does can change them
     rhs = RescaledRhs(prob)
     answers = []
 
     def record(k, at):
-        idx, free, lagrange = _basis_at(poly, at)
-        value = np.sum(lagrange[:, None, :] * poly._value_table[idx], axis=2)
-        answers.append((value, free, lagrange, at))
+        value, free, lagrange = poly.eval_with_basis(at)
+        answers.append((value, at, free, lagrange))
         return value.copy()
 
     base = rhs.evaluate(times, state.mu, record)
-    for k, (value, free, lagrange, _) in enumerate(answers):
+    for k, (value, at, free, lagrange) in enumerate(answers):
         for s in range(dim):
             bumped = value.copy()
             bumped[:, s] += settings.fd_step * np.maximum(1.0,
                                                           np.abs(value[:, s]))
             step = bumped[:, s] - value[:, s]  # as rounded into bumped
-            asked = []
-
-            def answer(j, at_j):
-                asked.append(j)
-                if j < k:
-                    return answers[j][0].copy()
-                return bumped if j == k else poly.eval(at_j)
-
+            # query k's times follow from earlier queries and mu alone
+            answer, asked = _held_answers(
+                poly, answers[:k] + [(bumped, at)] + answers[k + 1:])
             out = rhs.evaluate(times, state.mu, answer)
             if len(asked) != len(answers):
                 raise InvalidArgumentError(
@@ -401,20 +384,15 @@ def assemble_jacobian(state: DiscreteState, prob: DdeProblem,
             np.add.at(jac, (rows[:, :, None], free[:, None, :] * dim + s),
                       -slope[:, :, None] * lagrange[:, None, :])
 
-    # the (T, p) columns: a query at unchanged times (lag 0, or a lag the
-    # moved entry of mu does not reach) keeps its recorded value
-    def reuse_unmoved(k, at):
-        if k < len(answers) and np.array_equal(at, answers[k][3]):
-            return answers[k][0].copy()
-        return poly.eval(at)
-
+    # (T, p) columns: lag 0 and lags the moved entry of mu misses keep theirs
     deriv = poly.eval_deriv(times)
     r0 = (deriv - base).ravel()
     for j in range(state.mu.size):
         mu = state.mu.copy()
         h = settings.fd_step * max(1.0, abs(mu[j]))
         mu[j] += h
-        r = (deriv - rhs.evaluate(times, mu, reuse_unmoved)).ravel()
+        answer, _ = _held_answers(poly, answers)
+        r = (deriv - rhs.evaluate(times, mu, answer)).ravel()
         jac[:r0.size, n_free + j] = (r - r0) / h
     for k, row in enumerate(cons):
         jac[r0.size + k, :] = constraint_gradient(row, state)

@@ -187,11 +187,10 @@ class BranchPoint:
 def continue_branch(start: DiscreteState, prob: DdeProblem, p_from: float,
                     p_to: float, steps: int,
                     settings: Optional[NewtonSettings] = None, *,
-                    param_index: int = 0,
                     max_bisections: int = MAX_STEP_BISECTIONS,
                     grid_points: int = DEFAULT_ERR_GRID,
                     ) -> List[BranchPoint]:
-    """Natural-parameter continuation from p_from to p_to in equal steps.
+    """Continue p[0] from p_from to p_to in equal natural-parameter steps.
 
     Each scheduled parameter value is solved with the previous orbit as
     the guess; a failing step is split in half, up to ``max_bisections``
@@ -207,7 +206,7 @@ def continue_branch(start: DiscreteState, prob: DdeProblem, p_from: float,
     points: List[BranchPoint] = []
 
     def solve_at(p_value, guess):
-        trial = with_parameter(guess, param_index, p_value)
+        trial = with_parameter(guess, 0, p_value)
         cons = default_constraints(prob, trial.params)
         result = newton_solve(trial, prob, cons, settings)
         before = orbit_amplitude(guess, 2001)

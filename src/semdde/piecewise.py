@@ -155,14 +155,19 @@ class _PiecewiseBase:
         return np.ascontiguousarray(
             np.einsum("jk,iks->isj", self.node_family.diff_matrix, scaled))
 
+    def _contract(self, table, idx, t):
+        """Values and Lagrange rows at times t in intervals idx; unchunked."""
+        basis = lagrange_rows(t, self.node_times[idx],
+                              self.node_family.bary_weights)
+        return np.sum(basis[:, None, :] * table[idx], axis=2), basis
+
     def _interpolate(self, table, idx, t):
-        """Values at times ``t`` of the polynomials of intervals ``idx``."""
+        """``_contract``'s values, in chunks of ``_CHUNK`` queries."""
         out = np.empty((t.size, table.shape[1]))
         for lo in range(0, t.size, _CHUNK):
             rows = slice(lo, lo + _CHUNK)
-            basis = lagrange_rows(t[rows], self.node_times[idx[rows]],
-                                  self.node_family.bary_weights)
-            out[rows] = np.sum(basis[:, None, :] * table[idx[rows]], axis=2)
+            # `_` keeps the basis alive into the next chunk: fewer page faults
+            out[rows], _ = self._contract(table, idx[rows], t[rows])
         return out
 
     def _eval_table(self, table, t):
@@ -234,13 +239,30 @@ class PeriodicPiecewisePoly(_PiecewiseBase):
         self.degree = degree
 
     @cached_property
+    def _columns(self) -> np.ndarray:
+        """Free-value index of nodes 0..m of each interval, (L, m+1): node
+        m is node 0 of the next interval, the last closing onto the first.
+        The one place the free-value layout is written."""
+        L, m = self.free_values.shape[:2]
+        return (np.arange(L)[:, None] * m + np.arange(m + 1)) % (L * m)
+
+    @cached_property
     def values(self) -> np.ndarray:
         """Values at all m+1 nodes of each interval, shape (L, m+1, dim);
         read-only."""
-        right = np.roll(self.free_values[:, :1, :], -1, axis=0)
-        values = np.concatenate([self.free_values, right], axis=1)
+        free = self.free_values
+        values = free.reshape(-1, free.shape[2])[self._columns]
         values.flags.writeable = False
         return values
+
+    def eval_with_basis(self, times):
+        """``(eval(times), cols, rows)`` for 1-d times, the value bitwise;
+        value p is the sum over j of rows[p, j] times free value cols[p, j],
+        both (k, m+1).  Unchunked, so for collocation-sized batches only."""
+        t = _wrap_time(np.asarray(times, dtype=float))
+        idx = self.mesh.interval_index(t)
+        values, rows = self._contract(self._value_table, idx, t)
+        return values, self._columns[idx], rows
 
 
 class PiecewiseProjection(_PiecewiseBase):

@@ -38,7 +38,6 @@ class DdeProblem:
     num_params: int
     rhs: Callable[[Callable, np.ndarray], np.ndarray]
     equilibrium: Optional[np.ndarray] = None
-    params_default: Optional[np.ndarray] = None
 
 
 MACKEY_GLASS_A = -1.0
@@ -68,7 +67,6 @@ def mackey_glass() -> DdeProblem:
         num_params=1,
         rhs=rhs,
         equilibrium=np.array([1.0]),
-        params_default=np.array([1.0]),
     )
 
 
@@ -96,7 +94,6 @@ def sd_quadratic() -> DdeProblem:
         num_params=1,
         rhs=rhs,
         equilibrium=np.array([0.0]),
-        params_default=np.array([0.95]),
     )
 
 
@@ -122,7 +119,6 @@ def state_eval_example() -> DdeProblem:
         num_params=0,
         rhs=rhs,
         equilibrium=np.array([0.0]),
-        params_default=np.zeros(0),
     )
 
 

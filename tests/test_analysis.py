@@ -435,3 +435,14 @@ class TestCircleMapAgainstTheScalarScan:
     def test_lag_of_the_wrong_shape_is_rejected(self):
         with pytest.raises(InvalidArgumentError, match="shape"):
             circle_map_analysis(lambda t: _sine_lag(t)[..., None], 5, 1000)
+
+    def test_lag_with_a_nan_is_rejected(self):
+        def r(t):
+            return np.where(t > 0.5, np.nan, 0.1 * np.sin(2 * np.pi * t))
+
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            circle_map_analysis(r, 2, 1000)
+
+    def test_infinite_lag_is_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            circle_map_analysis(lambda t: np.full_like(t, np.inf), 2, 1000)

@@ -29,7 +29,12 @@ from semdde.errors import (
     MaxIterExceededError,
     SingularJacobianError,
 )
-from semdde.piecewise import Mesh, PeriodicPiecewisePoly, sample_periodic
+from semdde.piecewise import (
+    Mesh,
+    PeriodicPiecewisePoly,
+    _PiecewiseBase,
+    sample_periodic,
+)
 from semdde.problems import (
     DdeProblem,
     mackey_glass,
@@ -124,6 +129,18 @@ def _coupled_case():
     return _coupled_pair(), DiscreteState(poly, np.array([2.0, 0.7]))
 
 
+def _repeated_query_case():
+    # queries 0 and 1 ask the same times; moving one must leave the other
+    # at its recorded value
+    def rhs(e, p):
+        return -e(0.0) * (1.0 + 0.5 * e(0.0)) + 0.2 * e(-p[0])
+
+    poly = sample_periodic(lambda t: 0.5 + 0.3 * np.sin(2 * np.pi * t),
+                           Mesh.uniform(4), 6)
+    return (DdeProblem(name="repeated_query", dim=1, num_params=1, rhs=rhs),
+            DiscreteState(poly, np.array([1.3, 0.4])))
+
+
 JACOBIAN_CASES = [
     lambda: _mackey_glass_case(11, 8),
     lambda: _mackey_glass_case(20, 12),
@@ -132,11 +149,12 @@ JACOBIAN_CASES = [
     lambda: _sd_quadratic_case(20, 12),
     _state_eval_case,
     _coupled_case,
+    _repeated_query_case,
 ]
 JACOBIAN_CASE_IDS = ["mackey_glass_11_8", "mackey_glass_20_12",
                      "mackey_glass_11_40", "sd_quadratic_10_8",
                      "sd_quadratic_20_12", "state_eval_example",
-                     "coupled_pair"]
+                     "coupled_pair", "repeated_query"]
 
 
 def _equilibrium_state(tau=0.8, period=1.6, num_intervals=3, degree=4):
@@ -313,6 +331,25 @@ class TestJacobian:
         expected = _full_residual_mu_columns(state, prob, cons)
         assert np.array_equal(jac[:n_colloc, n_colloc:], expected)
         assert np.max(np.abs(expected[:, 1])) > 1e5  # the jump is seen
+
+    @pytest.mark.parametrize("case, calls", [
+        (lambda: _mackey_glass_case(11, 8), 2),  # only the lag moves with mu
+        (lambda: _sd_quadratic_case(20, 12), 3),  # the lag moves with y(t)
+    ], ids=["mackey_glass_11_8", "sd_quadratic_20_12"])
+    def test_queries_at_unmoved_times_reuse_their_answers(
+            self, case, calls, monkeypatch):
+        prob, state = case()
+        cons = default_constraints(prob, state.params)
+        evals = []
+        original = _PiecewiseBase.eval
+
+        def counted(self, t):
+            evals.append(np.size(t))
+            return original(self, t)
+
+        monkeypatch.setattr(_PiecewiseBase, "eval", counted)
+        assemble_jacobian(state, prob, cons)
+        assert len(evals) == calls
 
     def test_constraint_count_must_match_mu(self):
         state = _equilibrium_state()

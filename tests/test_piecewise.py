@@ -179,6 +179,23 @@ class TestEval:
         np.testing.assert_array_equal(values, p.eval(0.25))
         np.testing.assert_array_equal(deriv, p.eval_deriv(0.25))
 
+    @pytest.mark.parametrize("num_intervals", [1, 7])
+    def test_eval_with_basis_is_eval_bitwise_and_rebuilds_it(
+            self, num_intervals):
+        p = _random_continuous_poly(np.random.default_rng(5), num_intervals,
+                                    9, 2)
+        t = np.concatenate([np.random.default_rng(6).uniform(-1, 2, 3000),
+                            p.mesh.breaks, p.node_times.ravel(), [1.0]])
+        values, cols, rows = p.eval_with_basis(t)
+        np.testing.assert_array_equal(values, p.eval(t))
+        assert cols.shape == rows.shape == (t.size, 10)
+        if num_intervals == 1:  # node m's column wraps onto node 0's
+            assert np.all(cols[:, -1] == cols[:, 0])
+        rebuilt = np.sum(rows[:, :, None]
+                         * p.free_values.reshape(-1, 2)[cols], axis=1)
+        assert (np.max(np.abs(rebuilt - values))
+                <= 1e-14 * np.max(np.abs(values)))
+
     def test_array_argument_shapes(self):
         p = _random_continuous_poly(np.random.default_rng(1), 2, 3, 2)
         assert p.eval(0.3).shape == (2,)
