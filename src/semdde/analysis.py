@@ -45,6 +45,13 @@ PLATEAU_FACTOR = 100.0  # see ConvergenceTable.slopes
 _MAX_PRINCIPLE_SLACK = 1e-8
 
 
+def _dense_grid(grid_points: int) -> np.ndarray:
+    if grid_points < 2:
+        raise InvalidArgumentError(
+            f"grid_points must be at least 2, got {grid_points}")
+    return np.linspace(0.0, 1.0, grid_points)
+
+
 def residual_err(state: DiscreteState, prob: DdeProblem,
                  grid_points: int = DEFAULT_ERR_GRID) -> float:
     """Max-norm residual of the delay equation along the profile.
@@ -52,22 +59,25 @@ def residual_err(state: DiscreteState, prob: DdeProblem,
     Evaluates |y'(t)/T - G(y(t + (.)/T), p)| on a uniform grid over one
     period in rescaled time and returns the maximum.
     """
-    if grid_points < 2:
-        raise InvalidArgumentError(
-            f"grid_points must be at least 2, got {grid_points}")
-    grid = np.linspace(0.0, 1.0, grid_points)
-    return float(np.max(np.abs(_equation_rows(state, prob, grid)))
-                 / state.period)
+    rows, _ = _equation_rows(state, prob, _dense_grid(grid_points))
+    return float(np.max(np.abs(rows)) / state.period)
 
 
 def orbit_amplitude(state: DiscreteState,
                     grid_points: int = DEFAULT_ERR_GRID) -> float:
     """Peak-to-peak range of the profile over a dense uniform grid."""
-    if grid_points < 2:
-        raise InvalidArgumentError(
-            f"grid_points must be at least 2, got {grid_points}")
-    values = state.poly.eval(np.linspace(0.0, 1.0, grid_points))
+    values = state.poly.eval(_dense_grid(grid_points))
     return float(np.max(values) - np.min(values))
+
+
+def err_and_amplitude(state: DiscreteState, prob: DdeProblem,
+                      grid_points: int = DEFAULT_ERR_GRID,
+                      ) -> Tuple[float, float]:
+    """``(residual_err, orbit_amplitude)`` bitwise, from one pass of rows
+    on the grid: the equation rows come with the profile values."""
+    rows, values = _equation_rows(state, prob, _dense_grid(grid_points))
+    return (float(np.max(np.abs(rows)) / state.period),
+            float(np.max(values) - np.min(values)))
 
 
 @dataclass(frozen=True)

@@ -28,9 +28,8 @@ from .analysis import (
     circle_map_analysis,
     convergence_study,
     convergence_table_document,
-    orbit_amplitude,
+    err_and_amplitude,
     orbit_lag_map,
-    residual_err,
     write_circle_map_csv,
     write_convergence_csv,
 )
@@ -315,7 +314,7 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
     result = newton_solve(init, prob, cons, cfg.newton)
     state = result.state
     phases.append(perf_counter())
-    err = residual_err(state, prob, cfg.grid)
+    err, amplitude = err_and_amplitude(state, prob, cfg.grid)
     phases.append(perf_counter())
     defect = phi_m_defect(state, prob, cons).max_defect
     phases.append(perf_counter())
@@ -327,7 +326,7 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
         "problem": prob.name,
         "p": state.params.tolist(),
         "T": state.period,
-        "amplitude": orbit_amplitude(state, cfg.grid),
+        "amplitude": amplitude,
         "err": err,
         "phi_defect": defect,
         "iterations": result.iterations,
@@ -367,12 +366,15 @@ def cmd_continue(cfg: RunConfig, out_dir: Path) -> int:
                 f"the schedule's targets {targets}")
         done = len(stored)
         state = _load_state(str(_point_path(out_dir, done - 1)))
+        previous = (_load_state(str(_point_path(out_dir, done - 2)))
+                    if done > 1 else None)
         p_cur = targets[done - 1]
         log.info("resuming after %d stored points at p=%.6g", done, p_cur)
     else:
         init = _initial_state(cfg)
         cons = default_constraints(prob, init.params)
         state = newton_solve(init, prob, cons, cfg.newton).state
+        previous = None
         p_cur = float(state.params[0])
         targets = [float(v) for v in np.linspace(p_cur, p_to, steps + 1)[1:]]
         done = 0
@@ -385,6 +387,9 @@ def cmd_continue(cfg: RunConfig, out_dir: Path) -> int:
     # One scheduled target per call, and each row flushed right after its
     # point file, so an interrupted run leaves a branch.csv whose rows
     # are exactly the completed points; resume continues from there.
+    # Each call is passed the stored point before the one it starts from,
+    # the predecessor continue_branch's predictor uses over a schedule, so
+    # the points equal one continue_branch call's.
     first_new = done
     failure = None
     with open(csv_path, "a") as handle:
@@ -392,7 +397,7 @@ def cmd_continue(cfg: RunConfig, out_dir: Path) -> int:
             try:
                 point = continue_branch(
                     state, prob, p_cur, target, 1, cfg.newton,
-                    grid_points=cfg.grid)[-1]
+                    grid_points=cfg.grid, previous=previous)[-1]
             except StepFailureError as exc:
                 failure = exc
                 break
@@ -401,6 +406,7 @@ def cmd_continue(cfg: RunConfig, out_dir: Path) -> int:
             append_branch_row(point, handle)
             handle.flush()
             done += 1
+            previous = state if done > 1 else None
             state, p_cur = point.state, target
             log.info("branch point p=%.6g T=%.6g amplitude=%.3e",
                      point.parameter, point.period, point.amplitude)

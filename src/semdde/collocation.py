@@ -258,7 +258,8 @@ def assemble_residual(state: DiscreteState, prob: DdeProblem,
     poly = state.poly
     colloc = make_nodes(NodeKind.GAUSS_LEGENDRE, poly.degree)
     times = poly.mesh.node_times(colloc.nodes).ravel()
-    rows = _equation_rows(state, prob, times).ravel()
+    rows, _ = _equation_rows(state, prob, times)
+    rows = rows.ravel()
     cons_vals = [row.value(poly, state.mu) for row in cons]
     return np.concatenate([rows, cons_vals])
 
@@ -286,12 +287,14 @@ def _held_answers(poly: PeriodicPiecewisePoly, held):
 
 
 def _equation_rows(state: DiscreteState, prob: DdeProblem,
-                   times: np.ndarray) -> np.ndarray:
-    """v'(t) - T G(v_t, p) at 1-d times, shape (times, dim); query 0 at
-    exactly ``times`` (lag 0) reuses the values of ``eval_with_deriv``."""
+                   times: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """v'(t) - T G(v_t, p) at 1-d times, shape (times, dim), and v(t),
+    which equals ``poly.eval(times)`` bitwise; query 0 at exactly
+    ``times`` (lag 0) reuses those values of ``eval_with_deriv``."""
     values, deriv = state.poly.eval_with_deriv(times)
     answer, _ = _held_answers(state.poly, [(values, times)])
-    return deriv - RescaledRhs(prob).evaluate(times, state.mu, answer)
+    rows = deriv - RescaledRhs(prob).evaluate(times, state.mu, answer)
+    return rows, values
 
 
 def constraint_gradient(row: AffineRow, state: DiscreteState) -> np.ndarray:

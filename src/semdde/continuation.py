@@ -3,15 +3,19 @@
 A scalar delay equation y'(t) = alpha y(t) + beta y(t - tau) crosses
 into oscillation where the characteristic equation has a root i omega;
 the crossing delay and frequency seed a small sinusoidal orbit guess.
-Branches are then continued in the delay by natural-parameter stepping,
-re-solving each step from the previous orbit and bisecting the step on
-Newton failure.
+Branches are then continued in the delay by natural-parameter stepping.
+Each step's Newton solve starts from a secant prediction, the last two
+orbits extrapolated linearly in the delay, or from the previous orbit
+alone where no valid prediction exists; a step whose solve fails or
+collapses onto the equilibrium is bisected.  Failed steps and stepping
+stones are logged at debug level under ``semdde.continuation``.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import logging
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -21,8 +25,8 @@ import numpy as np
 
 from .analysis import (
     DEFAULT_ERR_GRID,
+    err_and_amplitude,
     orbit_amplitude,
-    residual_err,
 )
 from .collocation import (
     DiscreteState,
@@ -45,6 +49,8 @@ from .piecewise import FORMAT_VERSION, Mesh, check_format_version, \
 from .problems import MACKEY_GLASS_A, MACKEY_GLASS_B, MACKEY_GLASS_C, \
     DdeProblem
 
+log = logging.getLogger("semdde.continuation")
+
 DEFAULT_HOPF_OFFSET = 1e-3
 MAX_STEP_BISECTIONS = 6
 
@@ -53,6 +59,7 @@ MAX_STEP_BISECTIONS = 6
 #: also solves the system; treated like a Newton failure
 _COLLAPSE_RATIO = 0.1
 _COLLAPSE_FLOOR = 1e-8
+_COLLAPSE_GRID = 2001
 
 
 @dataclass(frozen=True)
@@ -184,43 +191,97 @@ class BranchPoint:
                 f"period must be positive, got {self.period}")
 
 
+def _secant_guess(state: DiscreteState, previous: Optional[DiscreteState],
+                  p_target: float) -> DiscreteState:
+    """Linear extrapolation in p[0] of the free values and the period
+    through ``previous`` and ``state``, at the p[0] stored in each mu.
+
+    Returns ``state`` itself when there is no predecessor, when the two
+    stored p[0] are equal, or when the prediction is not a valid state
+    (a non-finite entry or a period <= 0).  Other parameters are kept
+    from ``state``; the caller sets p[0] to the target.
+    """
+    if previous is None:
+        return state
+    p_prev = float(previous.params[0])
+    p_cur = float(state.params[0])
+    if p_prev == p_cur:
+        return state
+    ratio = (p_target - p_cur) / (p_cur - p_prev)
+    cur = state.flatten()
+    n_keep = state.poly.free_values.size + 1  # free values and the period
+    with np.errstate(over="ignore", invalid="ignore"):
+        cur[:n_keep] += ratio * (cur[:n_keep] - previous.flatten()[:n_keep])
+    if not np.all(np.isfinite(cur)) or cur[n_keep - 1] <= 0.0:
+        return state
+    poly = state.poly
+    return DiscreteState.from_flat(cur, poly.mesh, poly.degree, poly.dim,
+                                   state.params.size)
+
+
 def continue_branch(start: DiscreteState, prob: DdeProblem, p_from: float,
                     p_to: float, steps: int,
                     settings: Optional[NewtonSettings] = None, *,
                     max_bisections: int = MAX_STEP_BISECTIONS,
                     grid_points: int = DEFAULT_ERR_GRID,
+                    previous: Optional[DiscreteState] = None,
                     ) -> List[BranchPoint]:
     """Continue p[0] from p_from to p_to in equal natural-parameter steps.
 
-    Each scheduled parameter value is solved with the previous orbit as
-    the guess; a failing step is split in half, up to ``max_bisections``
-    nested halvings, with the midpoint orbits used as stepping stones
-    only.  Returns one BranchPoint per scheduled value, in order.
+    Each solve starts from a secant prediction: the free values and the
+    period of the orbit it steps from, extrapolated linearly in p[0]
+    through that orbit's predecessor, at the p[0] stored in each state.
+    A branch point's predecessor is the branch point before it (the
+    first has none), a stepping stone's is the orbit it was solved from,
+    and ``start``'s is ``previous``.  The solve starts from the orbit it
+    steps from instead when there is no predecessor, when the two p[0]
+    are equal, or when the prediction is not a valid state (non-finite,
+    or a period <= 0).  So one call over a schedule and one call per
+    target, each passed the point before the one it starts from, give
+    the same points bitwise.
+
+    A failing step (a Newton error, or an orbit whose amplitude falls
+    below a tenth of the orbit the step starts from) is split in half,
+    up to ``max_bisections`` nested halvings, with the midpoint orbits
+    used as stepping stones only.  Returns one BranchPoint per scheduled
+    value, in order.
     """
     if steps < 1:
         raise InvalidArgumentError(f"steps must be >= 1, got {steps}")
     if not (math.isfinite(p_from) and math.isfinite(p_to)):
         raise InvalidArgumentError("parameter range must be finite")
+    if previous is not None and (
+            previous.poly.free_values.shape != start.poly.free_values.shape
+            or previous.mu.shape != start.mu.shape):
+        raise InvalidArgumentError(
+            "previous must have the layout of start's free values and mu")
     if settings is None:
         settings = NewtonSettings()
     points: List[BranchPoint] = []
 
-    def solve_at(p_value, guess):
-        trial = with_parameter(guess, 0, p_value)
+    # an orbit travels with its collapse-check amplitude, so each is
+    # measured once: one solve's result is the next solve's start
+    def solve_at(p_value, orbit, predecessor):
+        state, before = orbit
+        trial = with_parameter(_secant_guess(state, predecessor, p_value),
+                               0, p_value)
         cons = default_constraints(prob, trial.params)
         result = newton_solve(trial, prob, cons, settings)
-        before = orbit_amplitude(guess, 2001)
-        after = orbit_amplitude(result.state, 2001)
+        after = orbit_amplitude(result.state, _COLLAPSE_GRID)
         if before > _COLLAPSE_FLOOR and after < _COLLAPSE_RATIO * before:
             raise _BranchCollapse(
                 f"orbit amplitude fell from {before:.3e} to {after:.3e} "
                 f"at p={p_value:.6g}; converged to the trivial solution")
-        return result, cons
+        return result, cons, after
 
-    def advance(p_cur, state_cur, p_target, depth):
+    def advance(p_cur, orbit, predecessor, p_target, depth):
         try:
-            return solve_at(p_target, state_cur)
+            return solve_at(p_target, orbit, predecessor)
         except (NewtonError, _BranchCollapse) as exc:
+            log.debug("step p=%.6g -> %.6g failed at depth %d: %s",
+                      p_cur, p_target, depth,
+                      "collapse" if isinstance(exc, _BranchCollapse)
+                      else type(exc).__name__)
             if depth >= max_bisections:
                 raise StepFailureError(
                     f"step from p={p_cur:.6g} to p={p_target:.6g} failed "
@@ -228,25 +289,32 @@ def continue_branch(start: DiscreteState, prob: DdeProblem, p_from: float,
                     last_good=points[-1] if points else None,
                     points=list(points)) from exc
             p_mid = 0.5 * (p_cur + p_target)
-            mid_result, _ = advance(p_cur, state_cur, p_mid, depth + 1)
-            return advance(p_mid, mid_result.state, p_target, depth + 1)
+            mid, _, mid_amplitude = advance(p_cur, orbit, predecessor,
+                                            p_mid, depth + 1)
+            log.debug("stepping stone at p=%.6g (depth %d) in %d iterations",
+                      p_mid, depth + 1, mid.iterations)
+            return advance(p_mid, (mid.state, mid_amplitude), orbit[0],
+                           p_target, depth + 1)
 
-    current = start
+    orbit = (start, orbit_amplitude(start, _COLLAPSE_GRID))
     current_p = p_from
     for target in np.linspace(p_from, p_to, steps + 1)[1:]:
         target = float(target)
-        result, cons = advance(current_p, current, target, 0)
+        result, cons, checked = advance(current_p, orbit, previous, target,
+                                        0)
         state = result.state
+        err, amplitude = err_and_amplitude(state, prob, grid_points)
         points.append(BranchPoint(
             parameter=target,
             state=state,
-            amplitude=orbit_amplitude(state, grid_points),
+            amplitude=amplitude,
             period=state.period,
-            err=residual_err(state, prob, grid_points),
+            err=err,
             newton_iters=result.iterations,
             phi_defect=phi_m_defect(state, prob, cons).max_defect,
         ))
-        current = state
+        previous = points[-2].state if len(points) > 1 else None
+        orbit = (state, checked)
         current_p = target
     return points
 

@@ -25,6 +25,7 @@ from semdde.analysis import (
     circle_map_analysis,
     convergence_study,
     convergence_table_document,
+    err_and_amplitude,
     orbit_amplitude,
     orbit_lag_map,
     residual_err,
@@ -120,6 +121,18 @@ class TestResidualErr:
     def test_amplitude_rejects_tiny_grid(self, grid_points):
         with pytest.raises(InvalidArgumentError):
             orbit_amplitude(_equilibrium_state(), grid_points)
+        with pytest.raises(InvalidArgumentError):
+            err_and_amplitude(_equilibrium_state(), mackey_glass(),
+                              grid_points)
+
+    @pytest.mark.parametrize("case", ["mackey_glass", "sd_quadratic"])
+    @pytest.mark.parametrize("grid_points", [2, 2001, 10001])
+    def test_shared_pass_equals_the_two_diagnostics_bitwise(
+            self, case, grid_points):
+        prob, state = _residual_case(case)
+        assert err_and_amplitude(state, prob, grid_points) == (
+            residual_err(state, prob, grid_points),
+            orbit_amplitude(state, grid_points))
 
 
 class TestConvergenceTable:

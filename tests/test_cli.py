@@ -5,6 +5,7 @@ directories; exit codes and the JSON error channel on stderr are part
 of the contract, as is byte-identical output for repeated runs.
 """
 
+import io
 import json
 import os
 import shutil
@@ -15,11 +16,16 @@ import numpy as np
 import pytest
 
 import semdde
+from semdde.analysis import orbit_amplitude, residual_err
 from semdde.cli import RunConfig, main
-from semdde.collocation import state_from_document, state_to_document
-from semdde.continuation import continue_branch, sd_quadratic_seed
+from semdde.collocation import default_constraints, newton_solve, \
+    state_from_document, state_to_document
+from semdde.continuation import continue_branch, hopf_initial_guess, \
+    mackey_glass_hopf, sd_quadratic_seed, write_branch_csv
 from semdde.errors import ConfigError
 from semdde.nodes import NodeKind, lebesgue_constant, make_nodes
+from semdde.piecewise import Mesh
+from semdde.problems import mackey_glass
 
 
 def write_config(path, doc):
@@ -146,6 +152,9 @@ class TestSolve:
         assert result["err"] < 1e-6
         assert result["phi_defect"] < 1e-8
         assert result["amplitude"] > 0.01
+        # one dense pass gives both, bitwise equal to the two diagnostics
+        assert result["err"] == residual_err(state, mackey_glass(), 10001)
+        assert result["amplitude"] == orbit_amplitude(state, 10001)
         meta = json.loads((mg_solution / "metadata.json").read_text())
         assert meta["command"] == "solve" and meta["wall_time"] > 0.0
         phases = [meta[key] for key in
@@ -280,16 +289,40 @@ class TestContinue:
         assert len(sched["targets"]) == 4
         assert sched["targets"][-1] == 0.55
 
+    def test_points_equal_one_continue_branch_call_bitwise(self, mg_branch):
+        """One call per target, each passed the stored point before the
+        one it starts from, gives the library's branch."""
+        out, doc = mg_branch
+        prob = mackey_glass()
+        guess = hopf_initial_guess(mackey_glass_hopf(), 0.01,
+                                   Mesh.uniform(11), 4)
+        start = newton_solve(guess, prob,
+                             default_constraints(prob, guess.params)).state
+        points = continue_branch(start, prob, float(start.params[0]),
+                                 doc["p_to"], doc["steps"])
+        for i, point in enumerate(points):
+            stored = state_from_document(json.loads(
+                (out / f"point_{i:04d}.json").read_text()))
+            assert stored.flatten().tobytes() == \
+                point.state.flatten().tobytes()
+        csv_text = io.StringIO()
+        write_branch_csv(points, csv_text)
+        assert (out / "branch.csv").read_text() == csv_text.getvalue()
+
+    @pytest.mark.parametrize("cut", [1, 2, 3])
     def test_resume_reproduces_the_full_run_bitwise(self, mg_branch,
-                                                    tmp_path):
+                                                    tmp_path, cut):
+        """Cut 1 resumes without a predecessor, cuts 2 and 3 with the
+        secant prediction through the last two stored points."""
         out, doc = mg_branch
         partial = tmp_path / "partial"
         partial.mkdir()
         shutil.copy(out / "schedule.json", partial)
-        for i in range(2):
+        for i in range(cut):
             shutil.copy(out / f"point_{i:04d}.json", partial)
         lines = (out / "branch.csv").read_text().splitlines()
-        (partial / "branch.csv").write_text("\n".join(lines[:4]) + "\n")
+        (partial / "branch.csv").write_text(
+            "\n".join(lines[:2 + cut]) + "\n")
         path = write_config(tmp_path / "c.json",
                             dict(doc, resume=True, out_dir=str(partial)))
         assert main(["continue", "--config", path]) == 0
@@ -697,6 +730,7 @@ class TestNodeKind:
 
 class TestTruncatedStateFile:
     @pytest.mark.parametrize("source", ["guess", "resume_point",
+                                        "resume_predecessor",
                                         "circle_map_solution"])
     def test_exits_1_with_the_error_json(self, mg_solution, mg_branch,
                                          tmp_path, capsys, source):
@@ -712,11 +746,13 @@ class TestTruncatedStateFile:
                 "problem": "mackey_glass",
                 "guess": {"kind": "file", "path": truncate(guess)},
                 "out_dir": str(tmp_path)}
-        elif source == "resume_point":
+        elif source.startswith("resume"):
             out, branch_doc = mg_branch
             partial = tmp_path / "partial"
             shutil.copytree(out, partial)
-            truncate(max(partial.glob("point_*.json")))
+            # resume loads the last stored point and its predecessor
+            last = -1 if source == "resume_point" else -2
+            truncate(sorted(partial.glob("point_*.json"))[last])
             command, doc = "continue", dict(branch_doc, resume=True,
                                             out_dir=str(partial))
         else:

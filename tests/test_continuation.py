@@ -7,13 +7,15 @@ run a short, cheap stretch of the real branch and check its shape.
 """
 
 import io
+import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from semdde.collocation import default_constraints, newton_solve, \
-    NewtonSettings
+from semdde.collocation import DiscreteState, default_constraints, \
+    newton_solve, NewtonSettings
 from semdde.continuation import (
     BranchPoint,
     HopfData,
@@ -31,7 +33,7 @@ from semdde.errors import (
     NoHopfError,
     StepFailureError,
 )
-from semdde.piecewise import Mesh
+from semdde.piecewise import Mesh, PeriodicPiecewisePoly
 from semdde.problems import mackey_glass, sd_quadratic
 
 TAU_HOPF = math.acos(-0.25) / math.sqrt(15.0)
@@ -162,13 +164,106 @@ class TestContinueBranch:
         assert all(p.phi_defect <= 1e-8 for p in points)
 
     def test_reconverge_in_place(self, short_branch):
+        """A zero step: the third solve has a predecessor at the same p,
+        so it keeps the previous orbit instead of dividing by zero."""
         prob, _, _, points = short_branch
         last = points[-1]
-        again = continue_branch(last.state, prob, last.parameter,
-                                last.parameter, 1)
-        assert len(again) == 1
-        assert again[0].newton_iters <= 1
-        assert again[0].amplitude == pytest.approx(last.amplitude, abs=1e-8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            again = continue_branch(last.state, prob, last.parameter,
+                                    last.parameter, 3)
+        assert len(again) == 3
+        for point in again:
+            assert point.parameter == last.parameter
+            assert point.newton_iters <= 1
+            assert point.amplitude == pytest.approx(last.amplitude,
+                                                    abs=1e-8)
+
+    def test_predicted_points_match_the_previous_orbit_solves(
+            self, short_branch, monkeypatch):
+        """The secant guess against the guess it replaced, the orbit the
+        step starts from: the same orbits within the solver tolerance, in
+        no more Newton iterations."""
+        prob, start, p0, _ = short_branch
+        iterations = []
+
+        def counted(*args, **kwargs):
+            result = newton_solve(*args, **kwargs)
+            iterations.append(result.iterations)
+            return result
+
+        monkeypatch.setattr("semdde.continuation.newton_solve", counted)
+        predicted = continue_branch(start, prob, p0, 0.6, 5)
+        predicted_iters = sum(iterations)
+        iterations.clear()
+        monkeypatch.setattr("semdde.continuation._secant_guess",
+                            lambda state, previous, p_target: state)
+        reference = continue_branch(start, prob, p0, 0.6, 5)
+        for point, ref in zip(predicted, reference):
+            assert np.max(np.abs(point.state.poly.free_values
+                                 - ref.state.poly.free_values)) <= 1e-8
+            assert abs(point.period - ref.period) <= 1e-8
+        assert predicted_iters <= sum(iterations)
+
+    @pytest.mark.parametrize("bad", ["period_below_zero", "non_finite"])
+    def test_invalid_prediction_keeps_the_previous_orbit(self, short_branch,
+                                                         bad):
+        """Every solve from ``start`` (the failing first step and its
+        bisections) would be predicted with T <= 0 or a NaN; each falls
+        back to ``start`` itself, so the branch is the one without a
+        predecessor, bitwise."""
+        prob, start, p0, points = short_branch
+        mu = start.mu.copy()
+        poly = start.poly
+        if bad == "period_below_zero":
+            mu[0] += 100.0
+            mu[1] = p0 - 1e-3
+        else:
+            # the extrapolated profile overflows
+            mu[1] = p0 - 1e-12
+            poly = PeriodicPiecewisePoly(poly.mesh, poly.degree,
+                                         1e300 * poly.free_values)
+        previous = DiscreteState(poly, mu)
+        got = continue_branch(start, prob, p0, 0.6, 5, previous=previous)
+        assert [(p.state.flatten().tobytes(), p.err, p.amplitude,
+                 p.newton_iters) for p in got] == \
+            [(p.state.flatten().tobytes(), p.err, p.amplitude,
+              p.newton_iters) for p in points]
+
+    def test_previous_of_another_layout_is_rejected(self, short_branch):
+        prob, start, p0, points = short_branch
+        other = hopf_initial_guess(mackey_glass_hopf(), 0.01,
+                                   Mesh.uniform(5), 4)
+        with pytest.raises(InvalidArgumentError):
+            continue_branch(start, prob, p0, 0.6, 5, previous=other)
+
+    def test_failed_steps_and_stepping_stones_are_logged(self, short_branch,
+                                                         caplog):
+        """Just past the onset the first step collapses onto the
+        equilibrium four times before a stepping stone holds."""
+        prob, start, p0, _ = short_branch
+        first = p0 + (0.6 - p0) / 5
+        with caplog.at_level(logging.DEBUG, logger="semdde.continuation"):
+            continue_branch(start, prob, p0, first, 1)
+        messages = [r.getMessage() for r in caplog.records
+                    if r.name == "semdde.continuation"]
+        failed = [m for m in messages if "failed" in m]
+        stones = [m for m in messages if "stepping stone" in m]
+        assert len(failed) == 4 and len(stones) == 4
+        assert len(messages) == 8
+        for depth, message in enumerate(failed):
+            assert f"step p={p0:.6g} -> " in message
+            assert message.endswith(f"failed at depth {depth}: collapse")
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="semdde.continuation"):
+            with pytest.raises(StepFailureError):
+                continue_branch(start, prob, p0, first, 1,
+                                NewtonSettings(max_iter=1),
+                                max_bisections=1)
+        messages = [r.getMessage() for r in caplog.records
+                    if r.name == "semdde.continuation"]
+        assert messages and all("MaxIterExceededError" in m
+                                for m in messages)
 
     def test_first_step_failure_has_no_last_good(self, short_branch):
         prob, start, p0, _ = short_branch
