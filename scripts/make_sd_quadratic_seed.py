@@ -22,12 +22,7 @@ from semdde.collocation import (
     resample_state,
     state_to_document,
 )
-from semdde.continuation import (
-    HopfData,
-    continue_branch,
-    hopf_initial_guess,
-    scalar_hopf_point,
-)
+from semdde.continuation import continue_branch, hopf_initial_guess
 from semdde.piecewise import FORMAT_VERSION, Mesh
 from semdde.problems import sd_quadratic
 
@@ -38,12 +33,10 @@ TARGETS = (1.1, 0.95)
 
 def main() -> int:
     prob = sd_quadratic()
-    # linearization at the zero equilibrium is y' = -y(t - tau)
-    tau_hopf, omega = scalar_hopf_point(0.0, -1.0)
-    onset = HopfData(tau_hopf=tau_hopf, omega=omega,
-                     equilibrium=np.array([0.0]))
+    onset = prob.onset
+    tau_hopf = onset.tau_hopf
     print(f"onset: tau={tau_hopf:.12f} (pi/2={np.pi / 2:.12f}), "
-          f"omega={omega}")
+          f"omega={onset.omega}")
 
     # the branch is subcritical: orbits exist below the onset delay and
     # small-amplitude guesses fall back to the equilibrium, so start a

@@ -32,11 +32,9 @@ from .collocation import (
 )
 from .continuation import (
     BranchPoint,
-    HopfData,
     continue_branch,
     hopf_initial_guess,
     mackey_glass_hopf,
-    scalar_hopf_point,
     sd_quadratic_seed,
 )
 from .errors import (
@@ -65,7 +63,14 @@ from .piecewise import (
     project,
     sample_periodic,
 )
-from .problems import DdeProblem, get_problem, mackey_glass, sd_quadratic
+from .problems import (
+    DdeProblem,
+    HopfData,
+    get_problem,
+    mackey_glass,
+    scalar_hopf_point,
+    sd_quadratic,
+)
 
 __version__ = "0.1.0"
 

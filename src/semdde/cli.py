@@ -46,7 +46,6 @@ from .continuation import (
     append_branch_row,
     continue_branch,
     hopf_initial_guess,
-    mackey_glass_hopf,
     read_branch_csv,
     sd_quadratic_seed,
     write_branch_csv,
@@ -284,12 +283,13 @@ def _initial_state(cfg: RunConfig) -> DiscreteState:
     guess = _require(cfg.guess, "guess")
     kind = guess["kind"]
     if kind == "hopf":
-        if cfg.problem != "mackey_glass":
+        onset = get_problem(_require(cfg.problem, "problem")).onset
+        if onset is None:
             raise ConfigError(
-                "the hopf guess is wired for mackey_glass; supply a file "
-                "or constant guess instead")
+                f"problem {cfg.problem!r} declares no onset for the hopf "
+                f"guess; supply a file or constant guess instead")
         return hopf_initial_guess(
-            mackey_glass_hopf(), guess["amplitude"],
+            onset, guess["amplitude"],
             _require(cfg.mesh, "mesh"), _single_degree(cfg),
             offset=guess["offset"])
     if kind == "file":

@@ -81,12 +81,6 @@ class DiscreteState:
     def params(self) -> np.ndarray:
         return self.mu[1:]
 
-    @property
-    def size(self) -> int:
-        mesh = self.poly.mesh
-        return (mesh.num_intervals * self.poly.degree * self.poly.dim
-                + self.mu.size)
-
     def flatten(self) -> np.ndarray:
         return np.concatenate([self.poly.free_values.ravel(), self.mu])
 

@@ -1,14 +1,19 @@
-"""Hopf-point location, sinusoidal initial guesses, and branch tracing.
+"""Initial guesses at the oscillation onset, and branch tracing.
 
-A scalar delay equation y'(t) = alpha y(t) + beta y(t - tau) crosses
-into oscillation where the characteristic equation has a root i omega;
-the crossing delay and frequency seed a small sinusoidal orbit guess.
-Branches are then continued in the delay by natural-parameter stepping.
-Each step's Newton solve starts from a secant prediction, the last two
-orbits extrapolated linearly in the delay, or from the previous orbit
-alone where no valid prediction exists; a step whose solve fails or
-collapses onto the equilibrium is bisected.  Failed steps and stepping
-stones are logged at debug level under ``semdde.continuation``.
+A problem may declare its onset: the delay and frequency at which its
+equilibrium starts to oscillate (``problems.HopfData``, located for a
+scalar linearization by ``scalar_hopf_point``; both are re-exported
+here).  The onset seeds a small sinusoidal orbit guess.  Branches are
+then continued in the delay by natural-parameter stepping.  Each step's
+Newton solve starts from a secant prediction, the last two orbits
+extrapolated linearly in the delay.  Where no valid secant exists, as
+on the first step from a Hopf guess, it starts from the Hopf normal
+form of the declared onset: the orbit's deviation from the equilibrium
+grows like the square root of the distance to the onset delay, and the
+period moves linearly in it.  Without an onset it starts from the
+previous orbit.  A step whose solve fails or collapses onto the
+equilibrium is bisected.  Failed steps and stepping stones are logged
+at debug level under ``semdde.continuation``.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import logging
 import math
 from dataclasses import dataclass
 from importlib import resources
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -40,14 +45,13 @@ from .errors import (
     FormatVersionError,
     InvalidArgumentError,
     NewtonError,
-    NoHopfError,
     StepFailureError,
 )
 from .oracle import phi_m_defect
-from .piecewise import FORMAT_VERSION, Mesh, check_format_version, \
-    sample_periodic
-from .problems import MACKEY_GLASS_A, MACKEY_GLASS_B, MACKEY_GLASS_C, \
-    DdeProblem
+from .piecewise import FORMAT_VERSION, Mesh, PeriodicPiecewisePoly, \
+    check_format_version, sample_periodic
+from .problems import DdeProblem, HopfData, mackey_glass
+from .problems import scalar_hopf_point  # noqa: F401  (re-exported)
 
 log = logging.getLogger("semdde.continuation")
 
@@ -62,76 +66,10 @@ _COLLAPSE_FLOOR = 1e-8
 _COLLAPSE_GRID = 2001
 
 
-@dataclass(frozen=True)
-class HopfData:
-    """Delay, angular frequency, and equilibrium at an oscillation onset."""
-
-    tau_hopf: float
-    omega: float
-    equilibrium: np.ndarray
-
-    def __post_init__(self):
-        if not (math.isfinite(self.tau_hopf) and self.tau_hopf > 0.0):
-            raise InvalidArgumentError(
-                f"tau_hopf must be positive, got {self.tau_hopf}")
-        if not (math.isfinite(self.omega) and self.omega > 0.0):
-            raise InvalidArgumentError(
-                f"omega must be positive, got {self.omega}")
-        eq = np.asarray(self.equilibrium, dtype=float).copy()
-        if eq.ndim != 1 or not np.all(np.isfinite(eq)):
-            raise InvalidArgumentError("equilibrium must be a finite vector")
-        eq.flags.writeable = False
-        object.__setattr__(self, "equilibrium", eq)
-
-    @property
-    def period(self) -> float:
-        return 2.0 * math.pi / self.omega
-
-
-def scalar_hopf_point(alpha: float, beta: float) -> Tuple[float, float]:
-    """Smallest delay where alpha y + beta y(t - tau) starts oscillating.
-
-    Returns (tau, omega) with omega = sqrt(beta^2 - alpha^2); tau solves
-    cos(omega tau) = -alpha/beta on the quarter-plane branch fixed by
-    the sign of beta, located by bisection to well below 1e-10.
-    """
-    if not (math.isfinite(alpha) and math.isfinite(beta)):
-        raise InvalidArgumentError("alpha and beta must be finite")
-    if abs(beta) <= abs(alpha):
-        raise NoHopfError(
-            f"characteristic roots never reach the imaginary axis for "
-            f"|beta| = {abs(beta)} <= |alpha| = {abs(alpha)}")
-    omega = math.sqrt(beta * beta - alpha * alpha)
-    target = -alpha / beta
-    # the imaginary part fixes the sign of sin(omega tau) to -sign(beta)
-    lo, hi = (0.0, math.pi) if beta < 0.0 else (math.pi, 2.0 * math.pi)
-    f_lo = math.cos(lo) - target
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        f_mid = math.cos(mid) - target
-        if f_mid == 0.0:
-            lo = hi = mid
-            break
-        if (f_lo < 0.0) != (f_mid < 0.0):
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi) / omega, omega
-
-
 def mackey_glass_hopf() -> HopfData:
-    """Oscillation onset of the Mackey-Glass equation at its equilibrium.
-
-    At the equilibrium value 1 the feedback slope is
-    b (1 + (1 - c)) / 4, so the linearization is the scalar delay
-    equation with alpha = a and beta = b (2 - c) / 4.
-    """
-    equilibrium = 1.0
-    feedback_slope = (1.0 + (1.0 - MACKEY_GLASS_C)) / 4.0
-    tau, omega = scalar_hopf_point(MACKEY_GLASS_A,
-                                   MACKEY_GLASS_B * feedback_slope)
-    return HopfData(tau_hopf=tau, omega=omega,
-                    equilibrium=np.array([equilibrium]))
+    """Oscillation onset of the Mackey-Glass equation at its equilibrium,
+    the onset ``mackey_glass()`` declares."""
+    return mackey_glass().onset
 
 
 def hopf_initial_guess(data: HopfData, amplitude: float, mesh: Mesh,
@@ -192,31 +130,67 @@ class BranchPoint:
 
 
 def _secant_guess(state: DiscreteState, previous: Optional[DiscreteState],
-                  p_target: float) -> DiscreteState:
+                  p_target: float) -> Optional[DiscreteState]:
     """Linear extrapolation in p[0] of the free values and the period
     through ``previous`` and ``state``, at the p[0] stored in each mu.
 
-    Returns ``state`` itself when there is no predecessor, when the two
-    stored p[0] are equal, or when the prediction is not a valid state
-    (a non-finite entry or a period <= 0).  Other parameters are kept
-    from ``state``; the caller sets p[0] to the target.
+    Returns None when there is no predecessor, when the two stored p[0]
+    are equal, or when the prediction is not a valid state (a non-finite
+    entry or a period <= 0).  Other parameters are kept from ``state``;
+    the caller sets p[0] to the target.
     """
     if previous is None:
-        return state
+        return None
     p_prev = float(previous.params[0])
     p_cur = float(state.params[0])
     if p_prev == p_cur:
-        return state
+        return None
     ratio = (p_target - p_cur) / (p_cur - p_prev)
     cur = state.flatten()
     n_keep = state.poly.free_values.size + 1  # free values and the period
     with np.errstate(over="ignore", invalid="ignore"):
         cur[:n_keep] += ratio * (cur[:n_keep] - previous.flatten()[:n_keep])
     if not np.all(np.isfinite(cur)) or cur[n_keep - 1] <= 0.0:
-        return state
+        return None
     poly = state.poly
     return DiscreteState.from_flat(cur, poly.mesh, poly.degree, poly.dim,
                                    state.params.size)
+
+
+def _onset_guess(state: DiscreteState, onset: Optional[HopfData],
+                 p_target: float) -> DiscreteState:
+    """Hopf normal-form prediction from ``state`` alone.
+
+    Near the onset p_h the orbit's deviation from the equilibrium grows
+    like sqrt(|p - p_h|) and its period moves linearly in p.  With
+    r = (p_target - p_h) / (p - p_h), at the p[0] stored in ``state``,
+    the free values become y_h + sqrt(r) (y - y_h) and the period
+    T_h + r (T - T_h).  Returns ``state`` itself when there is no onset,
+    when r is not finite and positive (the target lies on the other side
+    of the onset, or ``state`` sits on it), or when the prediction is not
+    a valid state.  The caller sets p[0] to the target.
+    """
+    if onset is None:
+        return state
+    p_hopf = onset.tau_hopf
+    p_cur = float(state.params[0])
+    if p_cur == p_hopf:
+        return state
+    ratio = (p_target - p_hopf) / (p_cur - p_hopf)
+    if not (math.isfinite(ratio) and ratio > 0.0):
+        return state
+    poly = state.poly
+    eq = onset.equilibrium
+    with np.errstate(over="ignore", invalid="ignore"):
+        free = eq + math.sqrt(ratio) * (poly.free_values - eq)
+    period = onset.period + ratio * (state.period - onset.period)
+    if not (np.all(np.isfinite(free)) and math.isfinite(period)
+            and period > 0.0):
+        return state
+    mu = state.mu.copy()
+    mu[0] = period
+    return DiscreteState(PeriodicPiecewisePoly(poly.mesh, poly.degree, free),
+                         mu)
 
 
 def continue_branch(start: DiscreteState, prob: DdeProblem, p_from: float,
@@ -233,12 +207,18 @@ def continue_branch(start: DiscreteState, prob: DdeProblem, p_from: float,
     through that orbit's predecessor, at the p[0] stored in each state.
     A branch point's predecessor is the branch point before it (the
     first has none), a stepping stone's is the orbit it was solved from,
-    and ``start``'s is ``previous``.  The solve starts from the orbit it
-    steps from instead when there is no predecessor, when the two p[0]
-    are equal, or when the prediction is not a valid state (non-finite,
-    or a period <= 0).  So one call over a schedule and one call per
-    target, each passed the point before the one it starts from, give
-    the same points bitwise.
+    and ``start``'s is ``previous``.  Where there is no usable
+    predecessor (none, one at the same p[0], or a prediction that is
+    non-finite or has a period <= 0), the solve starts from the onset
+    prediction of the problem's declared ``onset``: the orbit's
+    deviation from the equilibrium scaled by sqrt(r) and its period's
+    distance from the onset period by r, for
+    r = (p_target - p_h) / (p - p_h).  It starts from the orbit it steps
+    from unchanged when the problem declares no onset, when r is not
+    finite and positive, or when that prediction is not a valid state
+    either.  So one call over a schedule and one call per target, each
+    passed the point before the one it starts from, give the same points
+    bitwise.
 
     A failing step (a Newton error, or an orbit whose amplitude falls
     below a tenth of the orbit the step starts from) is split in half,
@@ -263,8 +243,10 @@ def continue_branch(start: DiscreteState, prob: DdeProblem, p_from: float,
     # measured once: one solve's result is the next solve's start
     def solve_at(p_value, orbit, predecessor):
         state, before = orbit
-        trial = with_parameter(_secant_guess(state, predecessor, p_value),
-                               0, p_value)
+        guess = _secant_guess(state, predecessor, p_value)
+        if guess is None:
+            guess = _onset_guess(state, prob.onset, p_value)
+        trial = with_parameter(guess, 0, p_value)
         cons = default_constraints(prob, trial.params)
         result = newton_solve(trial, prob, cons, settings)
         after = orbit_amplitude(result.state, _COLLAPSE_GRID)

@@ -20,7 +20,6 @@ time belongs to the interval starting there, and t = 1 wraps to 0.
 
 from __future__ import annotations
 
-import json
 from functools import cached_property
 
 import numpy as np
@@ -380,10 +379,3 @@ def poly_from_document(doc: dict) -> PeriodicPiecewisePoly:
             "periodic closure requires the last value to equal the first")
     return PeriodicPiecewisePoly(mesh, degree, values[:, :-1, :])
 
-
-def poly_to_json(p: PeriodicPiecewisePoly) -> str:
-    return json.dumps(poly_to_document(p), indent=2)
-
-
-def poly_from_json(text: str) -> PeriodicPiecewisePoly:
-    return poly_from_document(json.loads(text))

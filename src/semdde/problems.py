@@ -15,13 +15,71 @@ collocation points with the same source.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NegativeDelayError, OutOfWindowError
+from .errors import InvalidArgumentError, NegativeDelayError, NoHopfError
 from .piecewise import PeriodicPiecewisePoly
+
+
+@dataclass(frozen=True)
+class HopfData:
+    """Delay, angular frequency, and equilibrium at an oscillation onset."""
+
+    tau_hopf: float
+    omega: float
+    equilibrium: np.ndarray
+
+    def __post_init__(self):
+        if not (math.isfinite(self.tau_hopf) and self.tau_hopf > 0.0):
+            raise InvalidArgumentError(
+                f"tau_hopf must be positive, got {self.tau_hopf}")
+        if not (math.isfinite(self.omega) and self.omega > 0.0):
+            raise InvalidArgumentError(
+                f"omega must be positive, got {self.omega}")
+        eq = np.asarray(self.equilibrium, dtype=float).copy()
+        if eq.ndim != 1 or not np.all(np.isfinite(eq)):
+            raise InvalidArgumentError("equilibrium must be a finite vector")
+        eq.flags.writeable = False
+        object.__setattr__(self, "equilibrium", eq)
+
+    @property
+    def period(self) -> float:
+        return 2.0 * math.pi / self.omega
+
+
+def scalar_hopf_point(alpha: float, beta: float) -> Tuple[float, float]:
+    """Smallest delay where alpha y + beta y(t - tau) starts oscillating.
+
+    Returns (tau, omega) with omega = sqrt(beta^2 - alpha^2); tau solves
+    cos(omega tau) = -alpha/beta on the quarter-plane branch fixed by
+    the sign of beta, located by bisection to well below 1e-10.
+    """
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise InvalidArgumentError("alpha and beta must be finite")
+    if abs(beta) <= abs(alpha):
+        raise NoHopfError(
+            f"characteristic roots never reach the imaginary axis for "
+            f"|beta| = {abs(beta)} <= |alpha| = {abs(alpha)}")
+    omega = math.sqrt(beta * beta - alpha * alpha)
+    target = -alpha / beta
+    # the imaginary part fixes the sign of sin(omega tau) to -sign(beta)
+    lo, hi = (0.0, math.pi) if beta < 0.0 else (math.pi, 2.0 * math.pi)
+    f_lo = math.cos(lo) - target
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        f_mid = math.cos(mid) - target
+        if f_mid == 0.0:
+            lo = hi = mid
+            break
+        if (f_lo < 0.0) != (f_mid < 0.0):
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+    return 0.5 * (lo + hi) / omega, omega
 
 
 @dataclass(frozen=True)
@@ -30,7 +88,11 @@ class DdeProblem:
 
     ``rhs`` must be deterministic and query the evaluator only at lags
     theta <= 0 (unscaled time units); the periodic evaluator answers any
-    such lag, so no window is declared.
+    such lag, so no window is declared.  ``onset``, where declared, is
+    the Hopf point at which the equilibrium starts oscillating as p[0]
+    passes ``onset.tau_hopf``; the ``hopf`` guess starts there, and a
+    continuation step without a usable predecessor predicts its orbit
+    from it.
     """
 
     name: str
@@ -38,6 +100,15 @@ class DdeProblem:
     num_params: int
     rhs: Callable[[Callable, np.ndarray], np.ndarray]
     equilibrium: Optional[np.ndarray] = None
+    onset: Optional[HopfData] = None
+
+    def __post_init__(self):
+        if self.onset is not None and (
+                self.num_params < 1
+                or self.onset.equilibrium.shape != (self.dim,)):
+            raise InvalidArgumentError(
+                f"an onset needs a parameter p[0] and an equilibrium of "
+                f"{self.dim} components")
 
 
 MACKEY_GLASS_A = -1.0
@@ -49,7 +120,10 @@ def mackey_glass() -> DdeProblem:
     """The scalar Mackey-Glass equation with a = -1, b = 2, c = 10.
 
     y'(t) = a y(t) + b y(t - tau) / (1 + y(t - tau)^c), parameter tau.
-    The positive equilibrium is y = 1 for these coefficients.
+    The positive equilibrium is y = 1 for these coefficients.  There the
+    feedback slope is b (1 + (1 - c)) / 4, so the linearization is the
+    scalar delay equation with alpha = a and beta = b (2 - c) / 4, whose
+    Hopf point is the declared onset.
     """
 
     def rhs(e, p):
@@ -67,6 +141,10 @@ def mackey_glass() -> DdeProblem:
         num_params=1,
         rhs=rhs,
         equilibrium=np.array([1.0]),
+        onset=HopfData(*scalar_hopf_point(
+            MACKEY_GLASS_A,
+            MACKEY_GLASS_B * ((1.0 + (1.0 - MACKEY_GLASS_C)) / 4.0)),
+            equilibrium=np.array([1.0])),
     )
 
 
@@ -74,8 +152,9 @@ def sd_quadratic() -> DdeProblem:
     """Scalar equation with a quadratic state-dependent delay.
 
     y'(t) = -y(t - d) with d = tau + y(t) + y(t)^2, parameter tau.  The
-    zero equilibrium turns this into y'(t) = -y(t - tau) linearized.  A
-    negative d would be a time advance and is rejected.
+    zero equilibrium turns this into y'(t) = -y(t - tau) linearized,
+    whose Hopf point tau = pi/2 is the declared onset.  A negative d
+    would be a time advance and is rejected.
     """
 
     def rhs(e, p):
@@ -94,31 +173,8 @@ def sd_quadratic() -> DdeProblem:
         num_params=1,
         rhs=rhs,
         equilibrium=np.array([0.0]),
-    )
-
-
-def state_eval_example() -> DdeProblem:
-    """The self-referencing rhs y'(t) = y(y(t)); exercises evaluator
-    plumbing with state-dependent query points in tests.
-
-    The current state value is used directly as the lag, so it must lie
-    in the history window [-1, 0].
-    """
-
-    def rhs(e, p):
-        now = e(0.0)
-        if np.any(now < -1.0) or np.any(now > 0.0):
-            raise OutOfWindowError(
-                "state used as a lag must lie in [-1, 0], got values in "
-                f"[{float(np.min(now))}, {float(np.max(now))}]")
-        return e(now)
-
-    return DdeProblem(
-        name="state_eval_example",
-        dim=1,
-        num_params=0,
-        rhs=rhs,
-        equilibrium=np.array([0.0]),
+        onset=HopfData(*scalar_hopf_point(0.0, -1.0),
+                       equilibrium=np.array([0.0])),
     )
 
 

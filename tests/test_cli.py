@@ -5,6 +5,7 @@ directories; exit codes and the JSON error channel on stderr are part
 of the contract, as is byte-identical output for repeated runs.
 """
 
+import dataclasses
 import io
 import json
 import os
@@ -17,7 +18,7 @@ import pytest
 
 import semdde
 from semdde.analysis import orbit_amplitude, residual_err
-from semdde.cli import RunConfig, main
+from semdde.cli import RunConfig, _initial_state, main
 from semdde.collocation import default_constraints, newton_solve, \
     state_from_document, state_to_document
 from semdde.continuation import continue_branch, hopf_initial_guess, \
@@ -25,7 +26,7 @@ from semdde.continuation import continue_branch, hopf_initial_guess, \
 from semdde.errors import ConfigError
 from semdde.nodes import NodeKind, lebesgue_constant, make_nodes
 from semdde.piecewise import Mesh
-from semdde.problems import mackey_glass
+from semdde.problems import get_problem, mackey_glass, sd_quadratic
 
 
 def write_config(path, doc):
@@ -265,13 +266,30 @@ class TestSolve:
         assert main(["solve", "--config", path]) == 1
         assert read_error(capsys)["type"] == "InvalidArgumentError"
 
-    def test_hopf_guess_requires_mackey_glass(self, tmp_path, capsys):
+    def test_hopf_guess_requires_an_onset(self, tmp_path, capsys,
+                                          monkeypatch):
+        monkeypatch.setattr(
+            "semdde.cli.get_problem",
+            lambda name: dataclasses.replace(get_problem(name), onset=None))
         path = write_config(tmp_path / "c.json", {
-            "problem": "sd_quadratic", "mesh": 4, "degree": 4,
+            "problem": "mackey_glass", "mesh": 4, "degree": 4,
             "guess": {"kind": "hopf"}, "out_dir": str(tmp_path),
         })
         assert main(["solve", "--config", path]) == 1
         assert read_error(capsys)["type"] == "ConfigError"
+        assert not (tmp_path / "solution.json").exists()
+
+    def test_hopf_guess_starts_at_the_declared_onset(self):
+        cfg = RunConfig.from_document({
+            "problem": "sd_quadratic", "mesh": 4, "degree": 3,
+            "guess": {"kind": "hopf", "amplitude": 0.2, "offset": -0.02},
+        })
+        guess = _initial_state(cfg)
+        onset = sd_quadratic().onset
+        assert guess.params.tolist() == [onset.tau_hopf - 0.02]
+        assert guess.period == onset.period == 2.0 * np.pi
+        dense = guess.poly.eval(np.linspace(0.0, 1.0, 2001))
+        assert 0.199 <= np.max(np.abs(dense)) <= 0.201
 
 
 class TestContinue:
@@ -359,6 +377,49 @@ class TestContinue:
         for i in range(4):
             name = f"point_{i:04d}.json"
             assert (run / name).read_bytes() == (out / name).read_bytes()
+
+    def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        """A continuation from the Hopf guess under one and two BLAS
+        threads, and the one-thread run cut back to its first point and
+        resumed under two, write the same data byte for byte."""
+        doc = {
+            "problem": "mackey_glass", "mesh": 11, "degree": 4,
+            "guess": {"kind": "hopf", "amplitude": 0.01},
+            "p_to": 0.55, "steps": 3,
+        }
+        # the child must import the same semdde as this process
+        package_root = os.path.dirname(os.path.dirname(semdde.__file__))
+        pythonpath = os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+
+        def run(threads, out, config):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=pythonpath)
+            proc = subprocess.run(
+                [sys.executable, "-m", "semdde.cli", "continue",
+                 "--config", write_config(tmp_path / "c.json", config),
+                 "--out", str(out)],
+                capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+
+        def data(out):
+            names = ["branch.csv", "schedule.json"] + sorted(
+                p.name for p in out.glob("point_*.json"))
+            return {name: (out / name).read_bytes() for name in names}
+
+        run("1", tmp_path / "1", doc)
+        run("2", tmp_path / "2", doc)
+        full = data(tmp_path / "1")
+        assert len(full) == 2 + 3
+        assert data(tmp_path / "2") == full
+
+        cut = tmp_path / "1"
+        lines = (cut / "branch.csv").read_text().splitlines()
+        (cut / "branch.csv").write_text("\n".join(lines[:3]) + "\n")
+        for i in (1, 2):
+            (cut / f"point_{i:04d}.json").unlink()
+        run("2", cut, dict(doc, resume=True))
+        assert data(cut) == full
 
     @pytest.mark.parametrize("tamper", ["p_off_by_one_ulp", "other_schedule"])
     def test_resume_with_rows_off_the_schedule_exits_1(

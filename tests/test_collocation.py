@@ -35,12 +35,9 @@ from semdde.piecewise import (
     _PiecewiseBase,
     sample_periodic,
 )
-from semdde.problems import (
-    DdeProblem,
-    mackey_glass,
-    sd_quadratic,
-    state_eval_example,
-)
+from semdde.problems import DdeProblem, mackey_glass, sd_quadratic
+
+from example_problems import state_eval_example
 
 TAU_HOPF = np.arccos(-0.25) / np.sqrt(15.0)
 PERIOD_HOPF = 2.0 * np.pi / np.sqrt(15.0)
@@ -185,7 +182,7 @@ class TestDiscreteState:
         state = DiscreteState(PeriodicPiecewisePoly(mesh, 4, free),
                               np.array([1.7, 0.4]))
         flat = state.flatten()
-        assert flat.size == 3 * 4 * 2 + 2 == state.size
+        assert flat.size == 3 * 4 * 2 + 2
         back = DiscreteState.from_flat(flat, mesh, 4, 2, 1)
         assert np.array_equal(back.poly.values, state.poly.values)
         assert np.array_equal(back.mu, state.mu)
@@ -214,7 +211,7 @@ class TestResidual:
             poly = sample_periodic(lambda t: np.ones_like(t), mesh, m)
             state = DiscreteState(poly, np.array([1.5, 0.7]))
             r = assemble_residual(state, prob, default_constraints(prob, [0.7]))
-            assert r.size == state.size == L * m + 2
+            assert r.size == state.flatten().size == L * m + 2
 
     def test_constraint_count_must_match_mu(self):
         state = _equilibrium_state()
@@ -286,8 +283,8 @@ class TestJacobian:
         prob = mackey_glass()
         cons = default_constraints(prob, [tau])
         jac = assemble_jacobian(state, prob, cons)
-        n_colloc = state.size - 2
-        direction = np.zeros(state.size)
+        n_colloc = state.flatten().size - 2
+        direction = np.zeros(state.flatten().size)
         direction[:n_colloc] = 1.0
         moved = jac @ direction
         np.testing.assert_allclose(moved[:n_colloc], 5.0 * period,
@@ -309,7 +306,7 @@ class TestJacobian:
         cons = default_constraints(prob, state.params,
                                    anchor_value=state.poly.eval(0.0)[0])
         jac = assemble_jacobian(state, prob, cons)
-        n_colloc = state.size - state.mu.size
+        n_colloc = state.flatten().size - state.mu.size
         expected = _full_residual_mu_columns(state, prob, cons)
         assert np.array_equal(jac[:n_colloc, n_colloc:], expected)
 
@@ -327,7 +324,7 @@ class TestJacobian:
         state = DiscreteState(poly, np.array([1.0, 0.5]))
         cons = default_constraints(prob, [0.5], anchor_value=0.0)
         jac = assemble_jacobian(state, prob, cons)
-        n_colloc = state.size - 2
+        n_colloc = state.flatten().size - 2
         expected = _full_residual_mu_columns(state, prob, cons)
         assert np.array_equal(jac[:n_colloc, n_colloc:], expected)
         assert np.max(np.abs(expected[:, 1])) > 1e5  # the jump is seen
@@ -386,8 +383,8 @@ class TestJacobian:
         j2 = assemble_jacobian(state, prob, cons,
                                NewtonSettings(fd_step=2.0 * h))
         rng = np.random.default_rng(17)
-        rows = rng.integers(0, state.size - 2, 10)
-        cols = rng.integers(0, state.size, 10)
+        rows = rng.integers(0, state.flatten().size - 2, 10)
+        cols = rng.integers(0, state.flatten().size, 10)
         diffs = np.abs(j1[rows, cols] - j2[rows, cols])
         assert np.all(diffs <= 1e-4)
 

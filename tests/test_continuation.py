@@ -6,6 +6,7 @@ delay is arccos(1/4 / -1 ... ) = arccos(-0.25)/sqrt(15).  Branch tests
 run a short, cheap stretch of the real branch and check its shape.
 """
 
+import dataclasses
 import io
 import logging
 import math
@@ -19,6 +20,7 @@ from semdde.collocation import DiscreteState, default_constraints, \
 from semdde.continuation import (
     BranchPoint,
     HopfData,
+    _onset_guess,
     continue_branch,
     hopf_initial_guess,
     mackey_glass_hopf,
@@ -33,7 +35,7 @@ from semdde.errors import (
     NoHopfError,
     StepFailureError,
 )
-from semdde.piecewise import Mesh, PeriodicPiecewisePoly
+from semdde.piecewise import Mesh, PeriodicPiecewisePoly, sample_periodic
 from semdde.problems import mackey_glass, sd_quadratic
 
 TAU_HOPF = math.acos(-0.25) / math.sqrt(15.0)
@@ -208,10 +210,11 @@ class TestContinueBranch:
     @pytest.mark.parametrize("bad", ["period_below_zero", "non_finite"])
     def test_invalid_prediction_keeps_the_previous_orbit(self, short_branch,
                                                          bad):
-        """Every solve from ``start`` (the failing first step and its
-        bisections) would be predicted with T <= 0 or a NaN; each falls
-        back to ``start`` itself, so the branch is the one without a
-        predecessor, bitwise."""
+        """The first step's secant through ``previous`` and ``start``
+        would have T <= 0 or a NaN; it falls back to the guess a step
+        without a predecessor takes, the onset prediction from
+        ``start``, so the branch is the one without a predecessor,
+        bitwise."""
         prob, start, p0, points = short_branch
         mu = start.mu.copy()
         poly = start.poly
@@ -239,9 +242,11 @@ class TestContinueBranch:
 
     def test_failed_steps_and_stepping_stones_are_logged(self, short_branch,
                                                          caplog):
-        """Just past the onset the first step collapses onto the
-        equilibrium four times before a stepping stone holds."""
+        """Without the onset prediction, a full first step from the
+        plain orbit just past the onset collapses onto the equilibrium
+        four times before a stepping stone holds."""
         prob, start, p0, _ = short_branch
+        prob = dataclasses.replace(prob, onset=None)
         first = p0 + (0.6 - p0) / 5
         with caplog.at_level(logging.DEBUG, logger="semdde.continuation"):
             continue_branch(start, prob, p0, first, 1)
@@ -265,6 +270,27 @@ class TestContinueBranch:
         assert messages and all("MaxIterExceededError" in m
                                 for m in messages)
 
+    def test_first_step_from_the_onset_prediction_holds(
+            self, short_branch, caplog, monkeypatch):
+        """With the declared onset, the full first step from the Hopf
+        start takes one Newton solve and logs no failed step."""
+        prob, start, p0, points = short_branch
+        first = p0 + (0.6 - p0) / 5
+        solves = []
+
+        def counted(*args, **kwargs):
+            solves.append(args[0].params[0])
+            return newton_solve(*args, **kwargs)
+
+        monkeypatch.setattr("semdde.continuation.newton_solve", counted)
+        with caplog.at_level(logging.DEBUG, logger="semdde.continuation"):
+            (point,) = continue_branch(start, prob, p0, first, 1)
+        assert not [r for r in caplog.records
+                    if r.name == "semdde.continuation"]
+        assert solves == [first]
+        assert point.state.flatten().tobytes() == \
+            points[0].state.flatten().tobytes()
+
     def test_first_step_failure_has_no_last_good(self, short_branch):
         prob, start, p0, _ = short_branch
         with pytest.raises(StepFailureError) as excinfo:
@@ -285,6 +311,69 @@ class TestContinueBranch:
         assert len(got) >= 1
         assert excinfo.value.last_good is got[-1]
         assert got[0].parameter == pytest.approx(0.5, abs=1e-12)
+
+
+class TestOnsetGuess:
+    """The Hopf normal-form guess of a step with no usable predecessor:
+    deviation from the equilibrium times sqrt(r), period's distance from
+    the onset period times r, r = (p_target - p_h) / (p - p_h)."""
+
+    ONSET = HopfData(tau_hopf=0.5, omega=2.0,
+                     equilibrium=np.array([1.0, -2.0]))
+
+    @staticmethod
+    def _state(p, period=3.5, scale=1.0):
+        poly = sample_periodic(
+            lambda t: np.stack([1.0 + scale * np.sin(2 * np.pi * t),
+                                -2.0 + scale * np.cos(2 * np.pi * t)], 1),
+            Mesh.uniform(3), 4)
+        return DiscreteState(poly, np.array([period, p, 7.0]))
+
+    @pytest.fixture(autouse=True)
+    def _no_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    @pytest.mark.parametrize("p_cur,p_target,ratio", [
+        (0.75, 1.5, 4.0),     # growing away from the onset
+        (1.5, 0.75, 0.25),    # shrinking towards it
+        (0.25, 0.375, 0.5),   # on the onset's other side (subcritical)
+    ])
+    def test_sqrt_amplitude_and_linear_period(self, p_cur, p_target,
+                                              ratio):
+        state = self._state(p_cur)
+        guess = _onset_guess(state, self.ONSET, p_target)
+        eq = self.ONSET.equilibrium
+        np.testing.assert_allclose(
+            guess.poly.free_values,
+            eq + math.sqrt(ratio) * (state.poly.free_values - eq),
+            rtol=0.0, atol=1e-15)
+        assert guess.period == pytest.approx(
+            math.pi + ratio * (3.5 - math.pi), rel=1e-15)
+        assert guess.params.tolist() == [p_cur, 7.0]
+
+    @pytest.mark.parametrize("p_cur,p_target", [
+        (0.75, 0.25),  # the target lies on the other side of the onset
+        (0.25, 0.75),
+        (0.75, 0.5),   # the target is the onset itself
+        (0.5, 0.75),   # the step starts on the onset
+    ])
+    def test_no_prediction_across_or_from_the_onset(self, p_cur, p_target):
+        state = self._state(p_cur)
+        assert _onset_guess(state, self.ONSET, p_target) is state
+
+    def test_no_prediction_without_an_onset(self):
+        state = self._state(0.75)
+        assert _onset_guess(state, None, 1.5) is state
+
+    def test_invalid_prediction_keeps_the_orbit(self):
+        # the period extrapolates below zero
+        state = self._state(0.75, period=1.0)
+        assert _onset_guess(state, self.ONSET, 10.0) is state
+        # the profile overflows: r is about 9e15, finite
+        state = self._state(float(np.nextafter(0.5, 1.0)), scale=1e302)
+        assert _onset_guess(state, self.ONSET, 1.5) is state
 
 
 class TestBranchCsv:

@@ -5,6 +5,9 @@ histories, sine histories with known shifts); the rescaled wrapper is
 checked against the same composition written out with np.sin directly.
 """
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -19,8 +22,9 @@ from semdde.problems import (
     get_problem,
     mackey_glass,
     sd_quadratic,
-    state_eval_example,
 )
+
+from example_problems import state_eval_example
 
 
 def _const_history(c):
@@ -129,6 +133,28 @@ class TestStateEvalExample:
     def test_rejects_state_outside_window(self, c):
         with pytest.raises(OutOfWindowError):
             self.prob.rhs(_const_history(c), np.zeros(0))
+
+
+class TestOnset:
+    def test_declared_onsets(self):
+        mg = mackey_glass().onset
+        # alpha = -1, beta = -4: cos(omega tau) = -1/4, omega = sqrt(15)
+        assert mg.omega == pytest.approx(math.sqrt(15.0), abs=1e-12)
+        assert mg.tau_hopf == pytest.approx(
+            math.acos(-0.25) / math.sqrt(15.0), abs=1e-10)
+        assert mg.equilibrium.tolist() == [1.0]
+        sdq = sd_quadratic().onset
+        assert sdq.tau_hopf == pytest.approx(math.pi / 2.0, abs=1e-10)
+        assert sdq.omega == 1.0
+        assert sdq.equilibrium.tolist() == [0.0]
+
+    def test_onset_must_fit_the_problem(self):
+        prob = mackey_glass()
+        with pytest.raises(InvalidArgumentError):
+            dataclasses.replace(prob, dim=2)
+        with pytest.raises(InvalidArgumentError):
+            dataclasses.replace(prob, num_params=0)
+        assert dataclasses.replace(prob, dim=2, onset=None).onset is None
 
 
 class TestRegistry:
