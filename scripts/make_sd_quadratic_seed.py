@@ -64,8 +64,7 @@ def main() -> int:
         refined[target] = fine
         coarse[target] = resample_state(fine, mesh, COARSE_M)
 
-    lag = orbit_lag_map(refined[0.95],
-                        lambda y, p: p[0] + y[..., 0] + y[..., 0] ** 2)
+    lag = orbit_lag_map(refined[0.95], prob.lag)
     result = circle_map_analysis(lag, 5, 4000)
     fifth = result.periodic_points[4]
     unstable = int(np.sum(fifth.unstable))

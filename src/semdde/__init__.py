@@ -39,6 +39,7 @@ from .continuation import (
 )
 from .errors import (
     AnalyticityViolationError,
+    CollapseError,
     ConfigError,
     FormatVersionError,
     InvalidArgumentError,
@@ -79,6 +80,7 @@ __all__ = [
     "BernsteinBound",
     "BranchPoint",
     "CircleMapResult",
+    "CollapseError",
     "ConfigError",
     "ConvergenceCell",
     "ConvergenceTable",

@@ -24,6 +24,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .analysis import (
+    DEFAULT_ERR_GRID,
     ConvergenceTable,
     circle_map_analysis,
     convergence_study,
@@ -44,6 +45,7 @@ from .collocation import (
 from .continuation import (
     DEFAULT_HOPF_OFFSET,
     append_branch_row,
+    checked_amplitude,
     continue_branch,
     hopf_initial_guess,
     read_branch_csv,
@@ -61,7 +63,7 @@ from .nodes import NodeKind, lebesgue_constant, make_nodes
 from .oracle import phi_m_defect
 from .piecewise import FORMAT_VERSION, Mesh, check_format_version, \
     sample_periodic
-from .problems import get_problem
+from .problems import DdeProblem, get_problem
 
 log = logging.getLogger("semdde.cli")
 
@@ -74,14 +76,6 @@ _NEWTON_KEYS = {"tol_residual", "tol_step", "max_iter", "damping_min",
 #: keys each guess kind accepts besides "kind"
 _GUESS_KEYS = {"hopf": {"amplitude", "offset"}, "file": {"path"},
                "constant": {"values", "period"}, "seed": set()}
-
-#: delay of each shipped problem as a function of the profile value;
-#: feeds the circle-map diagnostic
-_DELAY_LAGS = {
-    "mackey_glass": lambda y, p: np.broadcast_to(
-        p[0], np.shape(y[..., 0])).astype(float),
-    "sd_quadratic": lambda y, p: p[0] + y[..., 0] + y[..., 0] ** 2,
-}
 
 
 def _real(value, name: str) -> float:
@@ -183,7 +177,7 @@ class RunConfig:
     params: Tuple[float, ...] = ()
     newton: NewtonSettings = field(default_factory=NewtonSettings)
     out_dir: Optional[str] = None
-    grid: int = 10001
+    grid: int = DEFAULT_ERR_GRID
     guess: Optional[dict] = None
     p_to: Optional[float] = None
     steps: Optional[int] = None
@@ -305,15 +299,23 @@ def _initial_state(cfg: RunConfig) -> DiscreteState:
     return DiscreteState(poly, np.array((guess["period"],) + params))
 
 
+def _first_orbit(cfg: RunConfig, prob: DdeProblem):
+    """The configured guess solved, with its constraints; like a
+    continuation step, a solve that collapses onto the equilibrium
+    from a guess that is not flat raises CollapseError."""
+    init = _initial_state(cfg)
+    cons = default_constraints(prob, init.params)
+    result = newton_solve(init, prob, cons, cfg.newton)
+    checked_amplitude(result.state, checked_amplitude(init))
+    return result, cons
+
+
 def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
     prob = get_problem(_require(cfg.problem, "problem"))
     start = perf_counter()
-    init = _initial_state(cfg)
-    cons = default_constraints(prob, init.params)
-    phases = [perf_counter()]
-    result = newton_solve(init, prob, cons, cfg.newton)
+    result, cons = _first_orbit(cfg, prob)
     state = result.state
-    phases.append(perf_counter())
+    phases = [start, perf_counter()]
     err, amplitude = err_and_amplitude(state, prob, cfg.grid)
     phases.append(perf_counter())
     defect = phi_m_defect(state, prob, cons).max_defect
@@ -371,9 +373,7 @@ def cmd_continue(cfg: RunConfig, out_dir: Path) -> int:
         p_cur = targets[done - 1]
         log.info("resuming after %d stored points at p=%.6g", done, p_cur)
     else:
-        init = _initial_state(cfg)
-        cons = default_constraints(prob, init.params)
-        state = newton_solve(init, prob, cons, cfg.newton).state
+        state = _first_orbit(cfg, prob)[0].state
         previous = None
         p_cur = float(state.params[0])
         targets = [float(v) for v in np.linspace(p_cur, p_to, steps + 1)[1:]]
@@ -467,14 +467,12 @@ def cmd_convergence(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
 
 
 def cmd_circle_map(cfg: RunConfig, out_dir: Path) -> int:
-    prob_name = _require(cfg.problem, "problem")
-    if prob_name not in _DELAY_LAGS:
-        raise ConfigError(
-            f"no delay map registered for {prob_name!r}; available: "
-            f"{sorted(_DELAY_LAGS)}")
+    prob = get_problem(_require(cfg.problem, "problem"))
+    if prob.lag is None:
+        raise ConfigError(f"problem {prob.name!r} declares no delay map")
     state = _load_state(_require(cfg.solution, "solution"))
     start = perf_counter()
-    lag = orbit_lag_map(state, _DELAY_LAGS[prob_name])
+    lag = orbit_lag_map(state, prob.lag)
     result = circle_map_analysis(lag, cfg.k_max, cfg.grid)
     with open(out_dir / "circle_map.csv", "w") as handle:
         write_circle_map_csv(result, handle)

@@ -2,17 +2,17 @@
 
 A problem may declare its onset: the delay and frequency at which its
 equilibrium starts to oscillate (``problems.HopfData``, located for a
-scalar linearization by ``scalar_hopf_point``; both are re-exported
-here).  The onset seeds a small sinusoidal orbit guess.  Branches are
-then continued in the delay by natural-parameter stepping.  Each step's
-Newton solve starts from a secant prediction, the last two orbits
-extrapolated linearly in the delay.  Where no valid secant exists, as
-on the first step from a Hopf guess, it starts from the Hopf normal
-form of the declared onset: the orbit's deviation from the equilibrium
-grows like the square root of the distance to the onset delay, and the
-period moves linearly in it.  Without an onset it starts from the
-previous orbit.  A step whose solve fails or collapses onto the
-equilibrium is bisected.  Failed steps and stepping stones are logged
+scalar linearization by ``problems.scalar_hopf_point``).  The onset
+seeds a small sinusoidal orbit guess.  Branches are then continued in
+the delay by natural-parameter stepping.  Each step's Newton solve
+starts from a secant prediction, the last two orbits extrapolated
+linearly in the delay.  Where no valid secant exists, as on the first
+step from a Hopf guess, it starts from the Hopf normal form of the
+declared onset: the orbit's deviation from the equilibrium grows like
+the square root of the distance to the onset delay, and the period
+moves linearly in it.  Without an onset it starts from the previous
+orbit.  A step whose solve fails or collapses onto the equilibrium
+(``checked_amplitude``) is bisected.  Failed steps and stepping stones are logged
 at debug level under ``semdde.continuation``.
 """
 
@@ -42,6 +42,7 @@ from .collocation import (
     with_parameter,
 )
 from .errors import (
+    CollapseError,
     FormatVersionError,
     InvalidArgumentError,
     NewtonError,
@@ -51,19 +52,36 @@ from .oracle import phi_m_defect
 from .piecewise import FORMAT_VERSION, Mesh, PeriodicPiecewisePoly, \
     check_format_version, sample_periodic
 from .problems import DdeProblem, HopfData, mackey_glass
-from .problems import scalar_hopf_point  # noqa: F401  (re-exported)
 
 log = logging.getLogger("semdde.continuation")
 
 DEFAULT_HOPF_OFFSET = 1e-3
 MAX_STEP_BISECTIONS = 6
 
-#: a step whose orbit amplitude drops below this fraction of the
-#: previous one has fallen off the branch onto the equilibrium, which
-#: also solves the system; treated like a Newton failure
+#: a solve whose orbit amplitude drops below this fraction of the
+#: orbit it started from has fallen onto the equilibrium, which also
+#: solves the system; treated like a Newton failure
 _COLLAPSE_RATIO = 0.1
 _COLLAPSE_FLOOR = 1e-8
 _COLLAPSE_GRID = 2001
+
+
+def checked_amplitude(state: DiscreteState,
+                      before: Optional[float] = None) -> float:
+    """Amplitude of ``state`` on the collapse-check grid.
+
+    ``before`` is the same measure of the orbit the solve of ``state``
+    started from.  Raises CollapseError when the solve has fallen onto
+    the equilibrium: ``before`` is above the floor of a flat profile
+    and the amplitude is below a tenth of it.
+    """
+    after = orbit_amplitude(state, _COLLAPSE_GRID)
+    if (before is not None and before > _COLLAPSE_FLOOR
+            and after < _COLLAPSE_RATIO * before):
+        raise CollapseError(
+            f"orbit amplitude fell from {before:.3e} to {after:.3e}; "
+            f"converged to the trivial solution")
+    return after
 
 
 def mackey_glass_hopf() -> HopfData:
@@ -94,10 +112,6 @@ def hopf_initial_guess(data: HopfData, amplitude: float, mesh: Mesh,
     poly = sample_periodic(profile, mesh, degree)
     return DiscreteState(poly, np.array([data.period,
                                          data.tau_hopf + offset]))
-
-
-class _BranchCollapse(Exception):
-    """Converged, but onto a different (lower-amplitude) solution."""
 
 
 @dataclass(frozen=True)
@@ -249,20 +263,15 @@ def continue_branch(start: DiscreteState, prob: DdeProblem, p_from: float,
         trial = with_parameter(guess, 0, p_value)
         cons = default_constraints(prob, trial.params)
         result = newton_solve(trial, prob, cons, settings)
-        after = orbit_amplitude(result.state, _COLLAPSE_GRID)
-        if before > _COLLAPSE_FLOOR and after < _COLLAPSE_RATIO * before:
-            raise _BranchCollapse(
-                f"orbit amplitude fell from {before:.3e} to {after:.3e} "
-                f"at p={p_value:.6g}; converged to the trivial solution")
-        return result, cons, after
+        return result, cons, checked_amplitude(result.state, before)
 
     def advance(p_cur, orbit, predecessor, p_target, depth):
         try:
             return solve_at(p_target, orbit, predecessor)
-        except (NewtonError, _BranchCollapse) as exc:
+        except NewtonError as exc:
             log.debug("step p=%.6g -> %.6g failed at depth %d: %s",
                       p_cur, p_target, depth,
-                      "collapse" if isinstance(exc, _BranchCollapse)
+                      "collapse" if isinstance(exc, CollapseError)
                       else type(exc).__name__)
             if depth >= max_bisections:
                 raise StepFailureError(
@@ -278,7 +287,7 @@ def continue_branch(start: DiscreteState, prob: DdeProblem, p_from: float,
             return advance(p_mid, (mid.state, mid_amplitude), orbit[0],
                            p_target, depth + 1)
 
-    orbit = (start, orbit_amplitude(start, _COLLAPSE_GRID))
+    orbit = (start, checked_amplitude(start))
     current_p = p_from
     for target in np.linspace(p_from, p_to, steps + 1)[1:]:
         target = float(target)

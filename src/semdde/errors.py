@@ -41,6 +41,11 @@ class NonFiniteResidualError(NewtonError):
     """The residual contained NaN or infinity."""
 
 
+class CollapseError(NewtonError):
+    """Newton converged onto the equilibrium, not the orbit it started
+    from (which also solves the system)."""
+
+
 class StepFailureError(SemDdeError):
     """Branch continuation could not complete a parameter step.
 

@@ -92,7 +92,11 @@ class DdeProblem:
     the Hopf point at which the equilibrium starts oscillating as p[0]
     passes ``onset.tau_hopf``; the ``hopf`` guess starts there, and a
     continuation step without a usable predecessor predicts its orbit
-    from it.
+    from it.  ``lag``, where declared, is the delay law of a single
+    delayed query: ``lag(y, p)`` maps state values of shape (..., dim)
+    and the parameters to the unscaled delay, shape (...), element by
+    element.  The rhs asks for the state at -lag(y(t), p), so the law
+    is written once; the circle-map diagnostic is built from it.
     """
 
     name: str
@@ -101,6 +105,7 @@ class DdeProblem:
     rhs: Callable[[Callable, np.ndarray], np.ndarray]
     equilibrium: Optional[np.ndarray] = None
     onset: Optional[HopfData] = None
+    lag: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.onset is not None and (
@@ -135,11 +140,15 @@ def mackey_glass() -> DdeProblem:
         return (MACKEY_GLASS_A * now
                 + MACKEY_GLASS_B * lagged / (1.0 + lagged**MACKEY_GLASS_C))
 
+    def lag(y, p):
+        return np.broadcast_to(p[0], np.shape(y[..., 0])).astype(float)
+
     return DdeProblem(
         name="mackey_glass",
         dim=1,
         num_params=1,
         rhs=rhs,
+        lag=lag,
         equilibrium=np.array([1.0]),
         onset=HopfData(*scalar_hopf_point(
             MACKEY_GLASS_A,
@@ -157,10 +166,11 @@ def sd_quadratic() -> DdeProblem:
     would be a time advance and is rejected.
     """
 
+    def lag(y, p):
+        return p[0] + y[..., 0] + y[..., 0]**2
+
     def rhs(e, p):
-        tau = float(p[0])
-        now = e(0.0)
-        delay = tau + now + now**2
+        delay = lag(e(0.0), p)
         if np.any(delay < 0.0):
             raise NegativeDelayError(
                 f"state-dependent delay went negative (min "
@@ -172,6 +182,7 @@ def sd_quadratic() -> DdeProblem:
         dim=1,
         num_params=1,
         rhs=rhs,
+        lag=lag,
         equilibrium=np.array([0.0]),
         onset=HopfData(*scalar_hopf_point(0.0, -1.0),
                        equilibrium=np.array([0.0])),

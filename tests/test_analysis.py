@@ -386,7 +386,7 @@ def sd_quadratic_lag():
     seed = sd_quadratic_seed(0.95)
     state = newton_solve(resample_state(seed, Mesh.uniform(20), 12), prob,
                          default_constraints(prob, seed.params)).state
-    return orbit_lag_map(state, lambda y, p: p[0] + y[..., 0] + y[..., 0] ** 2)
+    return orbit_lag_map(state, prob.lag)
 
 
 def _sine_lag(t):

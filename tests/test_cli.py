@@ -21,8 +21,9 @@ from semdde.analysis import orbit_amplitude, residual_err
 from semdde.cli import RunConfig, _initial_state, main
 from semdde.collocation import default_constraints, newton_solve, \
     state_from_document, state_to_document
-from semdde.continuation import continue_branch, hopf_initial_guess, \
-    mackey_glass_hopf, sd_quadratic_seed, write_branch_csv
+from semdde.continuation import checked_amplitude, continue_branch, \
+    hopf_initial_guess, mackey_glass_hopf, sd_quadratic_seed, \
+    write_branch_csv
 from semdde.errors import ConfigError
 from semdde.nodes import NodeKind, lebesgue_constant, make_nodes
 from semdde.piecewise import Mesh
@@ -278,6 +279,42 @@ class TestSolve:
         assert main(["solve", "--config", path]) == 1
         assert read_error(capsys)["type"] == "ConfigError"
         assert not (tmp_path / "solution.json").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "continue"])
+    def test_collapse_onto_the_equilibrium_exits_2(self, tmp_path, capsys,
+                                                   command):
+        # sd_quadratic has no orbit just above its onset, so Newton falls
+        # from the 0.01 hopf guess onto the equilibrium
+        path = write_config(tmp_path / "c.json", {
+            "problem": "sd_quadratic", "mesh": 12, "degree": 5,
+            "guess": {"kind": "hopf", "amplitude": 0.01},
+            "p_to": 1.4, "steps": 2, "out_dir": str(tmp_path),
+        })
+        assert main([command, "--config", path]) == 2
+        error = read_error(capsys)
+        assert error["type"] == "CollapseError"
+        assert "2.000e-02" in error["message"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+    def test_orbit_that_grows_from_its_guess_is_kept(self, mg_solution):
+        # the Mackey-Glass hopf guess (peak to peak 0.02) converges to an
+        # orbit above the onset, which the collapse rule lets through
+        cfg = RunConfig.from_document(
+            json.loads((mg_solution / "config.json").read_text()))
+        guess = _initial_state(cfg)
+        assert checked_amplitude(guess) == pytest.approx(0.02, rel=1e-6)
+        result = json.loads((mg_solution / "result.json").read_text())
+        assert result["amplitude"] == pytest.approx(0.029, abs=1e-3)
+
+    def test_flat_hopf_guess_converges_to_the_equilibrium(self, tmp_path):
+        path = write_config(tmp_path / "c.json", {
+            "problem": "sd_quadratic", "mesh": 12, "degree": 5,
+            "guess": {"kind": "hopf", "amplitude": 0.0},
+            "out_dir": str(tmp_path),
+        })
+        assert main(["solve", "--config", path]) == 0
+        result = json.loads((tmp_path / "result.json").read_text())
+        assert result["amplitude"] < 1e-8
 
     def test_hopf_guess_starts_at_the_declared_onset(self):
         cfg = RunConfig.from_document({
@@ -714,14 +751,28 @@ class TestCircleMap:
         assert main(["circle-map", "--config", path]) == 1
         assert read_error(capsys)["type"] == "FormatVersionError"
 
-    def test_unregistered_problem_exits_1(self, seed_file, tmp_path,
-                                          capsys):
+    def test_unknown_problem_exits_1(self, seed_file, tmp_path, capsys):
         path = write_config(tmp_path / "c.json", {
-            "problem": "state_eval_example", "solution": seed_file,
+            "problem": "lorenz", "solution": seed_file,
             "out_dir": str(tmp_path),
         })
         assert main(["circle-map", "--config", path]) == 1
-        assert "delay map" in read_error(capsys)["message"]
+        assert read_error(capsys)["type"] == "InvalidArgumentError"
+
+    def test_problem_without_a_delay_map_exits_1(self, seed_file, tmp_path,
+                                                 capsys, monkeypatch):
+        monkeypatch.setattr(
+            "semdde.cli.get_problem",
+            lambda name: dataclasses.replace(get_problem(name), lag=None))
+        path = write_config(tmp_path / "c.json", {
+            "problem": "sd_quadratic", "solution": seed_file,
+            "out_dir": str(tmp_path),
+        })
+        assert main(["circle-map", "--config", path]) == 1
+        error = read_error(capsys)
+        assert error["type"] == "ConfigError"
+        assert "delay map" in error["message"]
+        assert not (tmp_path / "circle_map.csv").exists()
 
     def test_grid_flag_must_be_sane(self, seed_file, tmp_path, capsys):
         path = write_config(tmp_path / "c.json", {

@@ -25,7 +25,6 @@ from semdde.continuation import (
     hopf_initial_guess,
     mackey_glass_hopf,
     read_branch_csv,
-    scalar_hopf_point,
     sd_quadratic_seed,
     write_branch_csv,
 )
@@ -36,7 +35,7 @@ from semdde.errors import (
     StepFailureError,
 )
 from semdde.piecewise import Mesh, PeriodicPiecewisePoly, sample_periodic
-from semdde.problems import mackey_glass, sd_quadratic
+from semdde.problems import mackey_glass, scalar_hopf_point, sd_quadratic
 
 TAU_HOPF = math.acos(-0.25) / math.sqrt(15.0)
 PERIOD_HOPF = 2.0 * math.pi / math.sqrt(15.0)

@@ -18,6 +18,7 @@ from semdde.errors import (
 )
 from semdde.piecewise import Mesh, sample_periodic
 from semdde.problems import (
+    _BY_NAME,
     RescaledRhs,
     get_problem,
     mackey_glass,
@@ -165,6 +166,28 @@ class TestRegistry:
     def test_unknown_name(self):
         with pytest.raises(InvalidArgumentError):
             get_problem("lorenz")
+
+    @pytest.mark.parametrize("name", [
+        name for name in sorted(_BY_NAME) if get_problem(name).lag])
+    def test_declared_lag_is_the_delay_the_rhs_queries(self, name):
+        # the last evaluator query of a declared-lag rhs asks for the
+        # state at t - lag(v(t), p)/T, bit for bit
+        prob = get_problem(name)
+        v = sample_periodic(
+            lambda t: np.outer(np.sin(2 * np.pi * t), np.ones(prob.dim)),
+            Mesh.uniform(3), 10)
+        mu = np.concatenate([[1.7], np.full(prob.num_params, 0.6)])
+        times = np.linspace(0.0, 1.0, 41)
+        asked = []
+
+        def answer(k, at):
+            asked.append(at)
+            return v.eval(at)
+
+        RescaledRhs(prob).evaluate(times, mu, answer)
+        delay = prob.lag(v.eval(times), mu[1:])
+        assert delay.shape == times.shape
+        assert np.array_equal(asked[-1], times - delay / mu[0])
 
 
 class TestRescaledRhs:
