@@ -59,14 +59,15 @@ def residual_err(state: DiscreteState, prob: DdeProblem,
     Evaluates |y'(t)/T - G(y(t + (.)/T), p)| on a uniform grid over one
     period in rescaled time and returns the maximum.
     """
-    rows, _ = _equation_rows(state, prob, _dense_grid(grid_points))
+    rows, _ = _equation_rows(state, prob, _dense_grid(grid_points),
+                             grid_points)
     return float(np.max(np.abs(rows)) / state.period)
 
 
 def orbit_amplitude(state: DiscreteState,
                     grid_points: int = DEFAULT_ERR_GRID) -> float:
     """Peak-to-peak range of the profile over a dense uniform grid."""
-    values = state.poly.eval(_dense_grid(grid_points))
+    values = state.poly._evaluate(_dense_grid(grid_points), grid_points)
     return float(np.max(values) - np.min(values))
 
 
@@ -75,7 +76,8 @@ def err_and_amplitude(state: DiscreteState, prob: DdeProblem,
                       ) -> Tuple[float, float]:
     """``(residual_err, orbit_amplitude)`` bitwise, from one pass of rows
     on the grid: the equation rows come with the profile values."""
-    rows, values = _equation_rows(state, prob, _dense_grid(grid_points))
+    rows, values = _equation_rows(state, prob, _dense_grid(grid_points),
+                                  grid_points)
     return (float(np.max(np.abs(rows)) / state.period),
             float(np.max(values) - np.min(values)))
 

@@ -39,6 +39,7 @@ from .collocation import (
     NewtonSettings,
     default_constraints,
     newton_solve,
+    resample_state,
     state_from_document,
     state_to_document,
 )
@@ -302,8 +303,15 @@ def _initial_state(cfg: RunConfig) -> DiscreteState:
 def _first_orbit(cfg: RunConfig, prob: DdeProblem):
     """The configured guess solved, with its constraints; like a
     continuation step, a solve that collapses onto the equilibrium
-    from a guess that is not flat raises CollapseError."""
+    from a guess that is not flat raises CollapseError.  A ``seed`` or
+    ``file`` guess is resampled onto the configured mesh and degree,
+    either one defaulting to the guess's own."""
     init = _initial_state(cfg)
+    if cfg.guess["kind"] in ("seed", "file") and (
+            cfg.mesh is not None or cfg.degree):
+        init = resample_state(
+            init, init.poly.mesh if cfg.mesh is None else cfg.mesh,
+            _single_degree(cfg) if cfg.degree else init.poly.degree)
     cons = default_constraints(prob, init.params)
     result = newton_solve(init, prob, cons, cfg.newton)
     checked_amplitude(result.state, checked_amplitude(init))

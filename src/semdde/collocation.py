@@ -15,9 +15,12 @@ query outputs, taken for all collocation points in one rhs call, so a
 Jacobian costs a few residual-sized evaluations for any mesh size.  Each
 (T, p) column is a forward difference of one rhs call.  Query rows and
 free-value columns come from ``PeriodicPiecewisePoly.eval_with_basis``;
-the differentiation block keeps the reference matrices.  One rule
-answers every query: query k reuses the value held for query k when its
-times have not moved.  The constraint rows are exact affine gradients.
+the differentiation block keeps the reference matrices, and is built
+once per discretization (kept in the store of ``piecewise``, like the
+rows at the collocation points): each Jacobian starts from a copy.  One
+rule answers every query: query k reuses the value held for query k
+when its times have not moved.  The constraint rows are exact affine
+gradients.
 
 The Newton iteration damps by halving on residual increase, down to a
 floor, and factors the dense Jacobian by LU with partial pivoting.
@@ -40,6 +43,7 @@ from .errors import (
     NonFiniteResidualError,
     SingularJacobianError,
 )
+from . import piecewise
 from .nodes import NodeKind, interpolation_matrix, make_nodes
 from .piecewise import (
     FORMAT_VERSION,
@@ -244,6 +248,9 @@ class NewtonSettings:
                     f"{value!r}")
 
 
+_COLLOCATION = "collocation points"  # the fixed time set's name
+
+
 def assemble_residual(state: DiscreteState, prob: DdeProblem,
                       cons: Sequence[AffineRow]) -> np.ndarray:
     """Collocation rows (profile derivative minus rescaled rhs) followed
@@ -252,7 +259,7 @@ def assemble_residual(state: DiscreteState, prob: DdeProblem,
     poly = state.poly
     colloc = make_nodes(NodeKind.GAUSS_LEGENDRE, poly.degree)
     times = poly.mesh.node_times(colloc.nodes).ravel()
-    rows, _ = _equation_rows(state, prob, times)
+    rows, _ = _equation_rows(state, prob, times, _COLLOCATION)
     rows = rows.ravel()
     cons_vals = [row.value(poly, state.mu) for row in cons]
     return np.concatenate([rows, cons_vals])
@@ -281,11 +288,12 @@ def _held_answers(poly: PeriodicPiecewisePoly, held):
 
 
 def _equation_rows(state: DiscreteState, prob: DdeProblem,
-                   times: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """v'(t) - T G(v_t, p) at 1-d times, shape (times, dim), and v(t),
-    which equals ``poly.eval(times)`` bitwise; query 0 at exactly
-    ``times`` (lag 0) reuses those values of ``eval_with_deriv``."""
-    values, deriv = state.poly.eval_with_deriv(times)
+                   times: np.ndarray, name) -> Tuple[np.ndarray, np.ndarray]:
+    """v'(t) - T G(v_t, p) at the 1-d times of the fixed time set
+    ``name``, shape (times, dim), and v(t), which equals
+    ``poly.eval(times)`` bitwise; query 0 at exactly ``times`` (lag 0)
+    reuses those values of ``eval_with_deriv``."""
+    values, deriv = state.poly._evaluate(times, name, deriv=True)
     answer, _ = _held_answers(state.poly, [(values, times)])
     rows = deriv - RescaledRhs(prob).evaluate(times, state.mu, answer)
     return rows, values
@@ -343,21 +351,30 @@ def assemble_jacobian(state: DiscreteState, prob: DdeProblem,
     colloc = make_nodes(NodeKind.GAUSS_LEGENDRE, m)
     times = mesh.node_times(colloc.nodes).ravel()
     rows = np.arange(times.size * dim).reshape(times.size, dim)
-    jac = np.zeros((n, n))
 
-    basis = interpolation_matrix(poly.node_family, colloc.nodes)
-    deriv = np.sum(basis[:, None, :] * poly.node_family.diff_matrix.T, axis=2)
-    block = deriv / mesh.lengths[:, None, None]
-    # a break belongs to the interval it starts: one row of columns each
-    cols = poly.eval_with_basis(mesh.breaks[:-1])[1][:, None, :] * dim
-    for s in range(dim):
-        np.add.at(jac, (rows[:, s].reshape(L, m, 1), cols + s), block)
+    def differentiation_block():
+        jac = np.zeros((n, n))
+        basis = interpolation_matrix(poly.node_family, colloc.nodes)
+        deriv = np.sum(basis[:, None, :] * poly.node_family.diff_matrix.T,
+                       axis=2)
+        block = deriv / mesh.lengths[:, None, None]
+        # a break belongs to the interval it starts: one row of columns each
+        cols = poly.eval_with_basis(mesh.breaks[:-1])[1][:, None, :] * dim
+        for s in range(dim):
+            np.add.at(jac, (rows[:, s].reshape(L, m, 1), cols + s), block)
+        return jac
+
+    # the block depends on the discretization alone: kept, then copied
+    start = piecewise._STORE.get(poly, ("jacobian start", dim, n),
+                                 differentiation_block)
+    jac = differentiation_block() if start is None else start.copy()
 
     rhs = RescaledRhs(prob)
     answers = []
 
     def record(k, at):
-        value, free, lagrange = poly.eval_with_basis(at)
+        fixed = _COLLOCATION if np.array_equal(at, times) else None
+        value, free, lagrange = poly._with_basis(at, fixed)
         answers.append((value, at, free, lagrange))
         return value.copy()
 
@@ -382,7 +399,7 @@ def assemble_jacobian(state: DiscreteState, prob: DdeProblem,
                       -slope[:, :, None] * lagrange[:, None, :])
 
     # (T, p) columns: lag 0 and lags the moved entry of mu misses keep theirs
-    deriv = poly.eval_deriv(times)
+    deriv = poly._evaluate(times, _COLLOCATION, deriv=True)[1]
     r0 = (deriv - base).ravel()
     for j in range(state.mu.size):
         mu = state.mu.copy()
@@ -425,7 +442,9 @@ def newton_solve(init: DiscreteState, prob: DdeProblem,
     state = init
     residual = assemble_residual(state, prob, cons)
     if not np.all(np.isfinite(residual)):
-        raise NonFiniteResidualError("residual not finite at the initial state")
+        raise NonFiniteResidualError(
+            "residual not finite at the initial state",
+            residual_history=np.array([]))
     res_norm = float(np.max(np.abs(residual)))
     history = [res_norm]
 
@@ -442,7 +461,7 @@ def newton_solve(init: DiscreteState, prob: DdeProblem,
         if float(np.min(np.abs(np.diag(lu)))) < 1e-14 * scale:
             raise SingularJacobianError(
                 f"LU pivot below 1e-14 of the matrix scale {scale:.3e} at "
-                f"iteration {iteration}")
+                f"iteration {iteration}", residual_history=np.array(history))
         step = lu_solve((lu, piv), -residual)
 
         damping = 1.0
@@ -465,7 +484,8 @@ def newton_solve(init: DiscreteState, prob: DdeProblem,
             elif damping <= settings.damping_min:
                 raise NonFiniteResidualError(
                     "residual left the finite region even at the damping "
-                    f"floor (iteration {iteration})")
+                    f"floor (iteration {iteration})",
+                    residual_history=np.array(history))
             damping *= 0.5
 
         step_norm = float(np.max(np.abs(damping * step)))

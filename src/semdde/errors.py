@@ -22,15 +22,16 @@ class NoHopfError(SemDdeError):
 
 
 class NewtonError(SemDdeError):
-    """Base class for Newton iteration failures."""
-
-
-class MaxIterExceededError(NewtonError):
-    """Newton did not reach the residual tolerance within max_iter steps."""
+    """Base class for Newton iteration failures; ``residual_history``
+    holds the residual max-norms recorded before one, where set."""
 
     def __init__(self, message, residual_history=None):
         super().__init__(message)
         self.residual_history = residual_history
+
+
+class MaxIterExceededError(NewtonError):
+    """Newton did not reach the residual tolerance within max_iter steps."""
 
 
 class SingularJacobianError(NewtonError):

@@ -106,7 +106,7 @@ def phi_m_defect(state: DiscreteState, prob: DdeProblem,
                      - poly.node_times[:, :m, None] * total)
     defect = PeriodicPiecewisePoly(mesh, m, poly.free_values - reconstructed)
     grid = np.linspace(0.0, 1.0, grid_points)
-    sup_defect_v = float(np.max(np.abs(defect.eval(grid))))
+    sup_defect_v = float(np.max(np.abs(defect._evaluate(grid, grid_points))))
 
     defect_mu = max((abs(row.value(poly, mu)) for row in cons), default=0.0)
     return FixedPointDefect(sup_defect_v=sup_defect_v,

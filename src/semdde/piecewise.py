@@ -16,6 +16,15 @@ runs along one query's row, so a query's result does not depend on the
 rest of the batch, and querying a stored node time returns the stored
 value bitwise.  Interval lookup follows the half-open convention: a break
 time belongs to the interval starting there, and t = 1 wraps to 0.
+
+A private store keeps what depends on the discretization (breaks and
+node family) alone, for the latest one: the rows of its fixed time sets
+(collocation points, uniform grids named by their point count) and the
+Jacobian's differentiation block.  A name asked for once is only
+recorded; from its second request on, the object is built once and
+kept.  A request on another discretization empties the store.  Stored
+rows are built chunk by chunk like the chunked path's, so they give the
+same bits, and a node time still returns its stored value bitwise.
 """
 
 from __future__ import annotations
@@ -105,6 +114,31 @@ def _wrap_time(t: np.ndarray) -> np.ndarray:
     return t - np.floor(t)
 
 
+class _Store:
+    """Objects of the latest discretization by name, None for a name
+    asked for once (see the module docstring); the key and its objects
+    change in one assignment, so no thread gets another's objects."""
+
+    def __init__(self):
+        self.current = (None, {})
+
+    def get(self, poly: "_PiecewiseBase", name, build):
+        family = poly.node_family
+        key = (family.kind, family.m, poly.mesh.breaks.tobytes())
+        current = self.current
+        if current[0] != key:
+            current = self.current = (key, {})
+        kept = current[1]
+        if name not in kept:
+            kept[name] = None
+        elif kept[name] is None:
+            kept[name] = build()
+        return kept[name]
+
+
+_STORE = _Store()
+
+
 class _PiecewiseBase:
     """Shared evaluation and integration over per-interval nodal values."""
 
@@ -154,35 +188,65 @@ class _PiecewiseBase:
         return np.ascontiguousarray(
             np.einsum("jk,iks->isj", self.node_family.diff_matrix, scaled))
 
-    def _contract(self, table, idx, t):
-        """Values and Lagrange rows at times t in intervals idx; unchunked."""
-        basis = lagrange_rows(t, self.node_times[idx],
-                              self.node_family.bary_weights)
-        return np.sum(basis[:, None, :] * table[idx], axis=2), basis
+    def _rows(self, idx, t):
+        """Lagrange rows at times t in intervals idx; unchunked."""
+        return lagrange_rows(t, self.node_times[idx],
+                             self.node_family.bary_weights)
 
-    def _interpolate(self, table, idx, t):
-        """``_contract``'s values, in chunks of ``_CHUNK`` queries."""
+    @staticmethod
+    def _contract(table, idx, rows):
+        return np.sum(rows[:, None, :] * table[idx], axis=2)
+
+    def _interpolate(self, table, idx, t, rows=None):
+        """``table`` at times t in intervals idx, in chunks of ``_CHUNK``
+        queries; the rows are built per chunk unless given."""
         out = np.empty((t.size, table.shape[1]))
         for lo in range(0, t.size, _CHUNK):
-            rows = slice(lo, lo + _CHUNK)
-            # `_` keeps the basis alive into the next chunk: fewer page faults
-            out[rows], _ = self._contract(table, idx[rows], t[rows])
+            part = slice(lo, lo + _CHUNK)
+            # `basis` stays alive into the next chunk: fewer page faults
+            basis = self._rows(idx[part], t[part]) if rows is None \
+                else rows[part]
+            out[part] = self._contract(table, idx[part], basis)
         return out
 
-    def _eval_table(self, table, t):
+    def _locate(self, t, name=None):
+        """Intervals of wrapped 1-d times t, and their rows where t is the
+        fixed time set ``name`` and the store keeps it (else None)."""
+        def build():
+            idx = self.mesh.interval_index(t)
+            rows = np.empty((t.size, self.node_times.shape[1]))
+            for lo in range(0, t.size, _CHUNK):
+                part = slice(lo, lo + _CHUNK)
+                rows[part] = self._rows(idx[part], t[part])
+            return idx, rows
+
+        kept = None if name is None else _STORE.get(self, name, build)
+        return kept or (self.mesh.interval_index(t), None)
+
+    def _eval_table(self, table, t, name=None):
         t_arr = np.asarray(t, dtype=float)
         flat = _wrap_time(np.atleast_1d(t_arr).ravel())
-        out = self._interpolate(table, self.mesh.interval_index(flat), flat)
+        idx, rows = self._locate(flat, name)
+        out = self._interpolate(table, idx, flat, rows)
         if t_arr.ndim == 0:
             return out[0]
         return out.reshape(t_arr.shape + (table.shape[1],))
+
+    def _evaluate(self, t, name=None, deriv=False):
+        """``eval(t)``, or ``eval_with_deriv(t)`` with ``deriv``, bitwise;
+        ``name`` marks t as a fixed time set (one name, one set of times)."""
+        if not deriv:
+            return self._eval_table(self._value_table, t, name)
+        both = self._eval_table(np.concatenate(
+            [self._value_table, self._deriv_table], axis=1), t, name)
+        return both[..., :self.dim], both[..., self.dim:]
 
     def eval(self, t):
         """Value at time t (any real; wrapped to [0,1) by periodicity).
 
         Scalar t gives shape (dim,), an array gives t.shape + (dim,).
         """
-        return self._eval_table(self._value_table, t)
+        return self._evaluate(t)
 
     def eval_deriv(self, t):
         """Derivative of the local polynomial at time t.
@@ -194,9 +258,7 @@ class _PiecewiseBase:
 
     def eval_with_deriv(self, t):
         """``(eval(t), eval_deriv(t))`` bitwise, from one pass of rows."""
-        both = self._eval_table(
-            np.concatenate([self._value_table, self._deriv_table], axis=1), t)
-        return both[..., :self.dim], both[..., self.dim:]
+        return self._evaluate(t, deriv=True)
 
     def integrate(self, a: float, b: float):
         """Exact integral over [a, b] within [0, 1], split at breaks."""
@@ -258,10 +320,16 @@ class PeriodicPiecewisePoly(_PiecewiseBase):
         """``(eval(times), cols, rows)`` for 1-d times, the value bitwise;
         value p is the sum over j of rows[p, j] times free value cols[p, j],
         both (k, m+1).  Unchunked, so for collocation-sized batches only."""
+        return self._with_basis(times)
+
+    def _with_basis(self, times, name=None):
+        """``eval_with_basis(times)``; ``name`` as in ``_evaluate``."""
         t = _wrap_time(np.asarray(times, dtype=float))
-        idx = self.mesh.interval_index(t)
-        values, rows = self._contract(self._value_table, idx, t)
-        return values, self._columns[idx], rows
+        idx, rows = self._locate(t, name)
+        if rows is None:
+            rows = self._rows(idx, t)
+        return self._contract(self._value_table, idx, rows), \
+            self._columns[idx], rows
 
 
 class PiecewiseProjection(_PiecewiseBase):

@@ -17,15 +17,17 @@ import numpy as np
 import pytest
 
 import semdde
-from semdde.analysis import orbit_amplitude, residual_err
+from semdde.analysis import err_and_amplitude, orbit_amplitude, \
+    residual_err
 from semdde.cli import RunConfig, _initial_state, main
 from semdde.collocation import default_constraints, newton_solve, \
-    state_from_document, state_to_document
+    resample_state, state_from_document, state_to_document
 from semdde.continuation import checked_amplitude, continue_branch, \
     hopf_initial_guess, mackey_glass_hopf, sd_quadratic_seed, \
     write_branch_csv
 from semdde.errors import ConfigError
 from semdde.nodes import NodeKind, lebesgue_constant, make_nodes
+from semdde.oracle import phi_m_defect
 from semdde.piecewise import Mesh
 from semdde.problems import get_problem, mackey_glass, sd_quadratic
 
@@ -315,6 +317,52 @@ class TestSolve:
         assert main(["solve", "--config", path]) == 0
         result = json.loads((tmp_path / "result.json").read_text())
         assert result["amplitude"] < 1e-8
+
+    def test_seed_guess_is_solved_on_the_configured_mesh(self, tmp_path):
+        path = write_config(tmp_path / "c.json", {
+            "problem": "sd_quadratic", "params": [0.95], "mesh": 20,
+            "degree": 8, "guess": {"kind": "seed"}, "out_dir": str(tmp_path),
+        })
+        assert main(["solve", "--config", path]) == 0
+        doc = json.loads((tmp_path / "solution.json").read_text())
+        assert doc["profile"]["degree"] == 8
+        assert len(doc["profile"]["breaks"]) == 21
+        # the library solve from the resampled seed, bit for bit
+        prob = sd_quadratic()
+        init = resample_state(sd_quadratic_seed(0.95), Mesh.uniform(20), 8)
+        cons = default_constraints(prob, init.params)
+        solved = newton_solve(init, prob, cons)
+        state = solved.state
+        err, amplitude = err_and_amplitude(state, prob)
+        assert state_from_document(doc).flatten().tobytes() == \
+            state.flatten().tobytes()
+        assert json.loads((tmp_path / "result.json").read_text()) == {
+            "format_version": 1, "problem": "sd_quadratic",
+            "p": state.params.tolist(), "T": state.period,
+            "amplitude": amplitude, "err": err,
+            "phi_defect": phi_m_defect(state, prob, cons).max_defect,
+            "iterations": solved.iterations,
+        }
+
+    @pytest.mark.parametrize("command", ["solve", "continue"])
+    @pytest.mark.parametrize("given,breaks,degree", [
+        ({"mesh": 20}, 21, 5), ({"degree": 8}, 13, 8), ({}, 13, 5),
+    ], ids=["mesh_only", "degree_only", "neither"])
+    def test_file_guess_takes_what_the_config_leaves_out(
+            self, tmp_path, command, given, breaks, degree):
+        # the seed file holds the shipped 12-interval degree-5 orbit
+        guess = tmp_path / "guess.json"
+        guess.write_text(json.dumps(state_to_document(
+            sd_quadratic_seed(0.95))))
+        path = write_config(tmp_path / "c.json", dict(
+            given, problem="sd_quadratic", p_to=0.96, steps=1,
+            guess={"kind": "file", "path": str(guess)},
+            out_dir=str(tmp_path / "out")))
+        assert main([command, "--config", path]) == 0
+        name = "solution.json" if command == "solve" else "point_0000.json"
+        doc = json.loads((tmp_path / "out" / name).read_text())
+        assert (len(doc["profile"]["breaks"]), doc["profile"]["degree"]) \
+            == (breaks, degree)
 
     def test_hopf_guess_starts_at_the_declared_onset(self):
         cfg = RunConfig.from_document({

@@ -27,6 +27,7 @@ from semdde.continuation import sd_quadratic_seed
 from semdde.errors import (
     InvalidArgumentError,
     MaxIterExceededError,
+    NonFiniteResidualError,
     SingularJacobianError,
 )
 from semdde.piecewise import (
@@ -152,6 +153,20 @@ JACOBIAN_CASE_IDS = ["mackey_glass_11_8", "mackey_glass_20_12",
                      "mackey_glass_11_40", "sd_quadratic_10_8",
                      "sd_quadratic_20_12", "state_eval_example",
                      "coupled_pair", "repeated_query"]
+
+
+def _blowup_problem():
+    """y' = p - y while |y| < 10, infinite beyond; the phase anchor asks
+    for v(0) = 1e4 and the period is pinned to 1."""
+    def rhs(e, p):
+        now = e(0.0)
+        return np.where(np.abs(now) < 10.0, p[0] - now, np.inf)
+
+    prob = DdeProblem(name="blowup", dim=1, num_params=1, rhs=rhs)
+    pin_period = AffineRow(point_terms=(), mu_coeffs=np.array([1.0, 0.0]),
+                           offset=-1.0)
+    return prob, (default_constraints(prob, [0.0], anchor_value=1e4)[0],
+                  pin_period)
 
 
 def _equilibrium_state(tau=0.8, period=1.6, num_intervals=3, degree=4):
@@ -459,9 +474,35 @@ class TestNewton:
         state = _equilibrium_state(tau=0.8)
         prob = mackey_glass()
         pin = default_constraints(prob, [0.8])[1]
-        with pytest.raises(SingularJacobianError):
+        with pytest.raises(SingularJacobianError) as exc:
             newton_solve(state, prob, (pin, pin),
                          NewtonSettings(tol_residual=1e-16))
+        # the initial residual is the one norm recorded before the LU
+        assert exc.value.residual_history.shape == (1,)
+        residual = assemble_residual(state, prob, (pin, pin))
+        assert exc.value.residual_history[0] == np.max(np.abs(residual))
+
+    def test_non_finite_initial_residual_has_an_empty_history(self):
+        prob, cons = _blowup_problem()
+        init = DiscreteState(
+            sample_periodic(lambda t: np.full_like(t, 20.0), Mesh.uniform(3),
+                            4), np.array([1.0, 0.0]))
+        with pytest.raises(NonFiniteResidualError) as exc:
+            newton_solve(init, prob, cons)
+        assert exc.value.residual_history.shape == (0,)
+
+    def test_non_finite_trial_at_the_damping_floor_keeps_the_history(self):
+        # the anchor pulls v(0) from 0.5 to 1e4: even 1/64 of that step
+        # takes y beyond 10, where the rhs is infinite
+        prob, cons = _blowup_problem()
+        init = DiscreteState(
+            sample_periodic(lambda t: np.full_like(t, 0.5), Mesh.uniform(3),
+                            4), np.array([1.0, 0.0]))
+        with pytest.raises(NonFiniteResidualError, match="damping floor") \
+                as exc:
+            newton_solve(init, prob, cons)
+        initial = np.max(np.abs(assemble_residual(init, prob, cons)))
+        assert exc.value.residual_history.tolist() == [initial]
 
     def test_exhausted_iteration_budget_raises_with_history(self):
         prob = mackey_glass()
