@@ -10,6 +10,7 @@ non-analyticity for state-dependent delays.
 from __future__ import annotations
 
 import csv
+import logging
 import math
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -34,6 +35,8 @@ from .nodes import NodeKind
 from .oracle import phi_m_defect
 from .piecewise import FORMAT_VERSION, Mesh, _wrap_time
 from .problems import DdeProblem
+
+log = logging.getLogger("semdde.analysis")
 
 DEFAULT_ERR_GRID = 10001
 
@@ -164,7 +167,8 @@ def convergence_study(prob: DdeProblem, params, L_list: Sequence[int],
 
     Each mesh size starts from ``seed`` re-sampled; within a mesh size
     the cells warm-start from the nearest previously completed cell.
-    Newton failures are recorded in the table rather than raised.
+    Newton failures are recorded in the table rather than raised.  Each
+    cell is logged at debug level under ``semdde.analysis``.
     """
     L_list = [int(L) for L in L_list]
     m_list = [int(m) for m in m_list]
@@ -195,12 +199,16 @@ def convergence_study(prob: DdeProblem, params, L_list: Sequence[int],
                     newton_iters=result.iterations,
                     wall_time=perf_counter() - start))
                 warm = result.state
+                log.debug("cell L=%d m=%d: %d iterations, err %.3e", L, m,
+                          result.iterations, err)
             except NewtonError as exc:
                 rows.append(ConvergenceCell(
                     num_intervals=L, degree=m, err=float("nan"),
                     phi_defect=float("nan"), newton_iters=-1,
                     wall_time=perf_counter() - start,
                     failure=f"{type(exc).__name__}: {exc}"))
+                log.debug("cell L=%d m=%d failed: %s", L, m,
+                          rows[-1].failure)
     metadata = {
         "problem": prob.name,
         "params": [float(v) for v in params],

@@ -23,11 +23,13 @@ when its times have not moved.  The constraint rows are exact affine
 gradients.
 
 The Newton iteration damps by halving on residual increase, down to a
-floor, and factors the dense Jacobian by LU with partial pivoting.
+floor, and factors the dense Jacobian by LU with partial pivoting; it
+logs each accepted iteration at debug level under ``semdde.collocation``.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import numbers
 import warnings
@@ -56,6 +58,8 @@ from .piecewise import (
     sample_periodic,
 )
 from .problems import DdeProblem, RescaledRhs
+
+log = logging.getLogger("semdde.collocation")
 
 
 class DiscreteState:
@@ -465,6 +469,7 @@ def newton_solve(init: DiscreteState, prob: DdeProblem,
         step = lu_solve((lu, piv), -residual)
 
         damping = 1.0
+        halvings = 0
         period_idx = x.size - state.mu.size
         while True:
             x_trial = x + damping * step
@@ -487,11 +492,15 @@ def newton_solve(init: DiscreteState, prob: DdeProblem,
                     f"floor (iteration {iteration})",
                     residual_history=np.array(history))
             damping *= 0.5
+            halvings += 1
 
         step_norm = float(np.max(np.abs(damping * step)))
         x, state, residual = x_trial, trial_state, trial_residual
         res_norm = trial_norm
         history.append(res_norm)
+        log.debug("newton iteration %d: residual %.3e, step %.3e, damping "
+                  "%.3g after %d halvings", iteration + 1, res_norm,
+                  step_norm, damping, halvings)
         if res_norm <= settings.tol_residual:
             return NewtonResult(state, iteration + 1, np.array(history))
         if step_norm <= settings.tol_step * max(1.0, float(np.max(np.abs(x)))):

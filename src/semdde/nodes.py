@@ -190,7 +190,7 @@ def gauss_rule(m: int):
 
 
 def lagrange_rows(points: np.ndarray, node_times: np.ndarray,
-                  weights: np.ndarray) -> np.ndarray:
+                  weights: np.ndarray, out=None) -> np.ndarray:
     """Lagrange basis values at each point for its own set of nodes.
 
     ``points`` has shape (k,); ``node_times`` holds the nodes of each point,
@@ -200,14 +200,23 @@ def lagrange_rows(points: np.ndarray, node_times: np.ndarray,
     ``points[i]`` by the second barycentric formula, or a unit row where
     ``points[i]`` equals one of its nodes bitwise.  Every reduction runs
     along a row, so a row does not depend on the other rows of the batch.
+
+    The rows are written into ``out`` (a C-contiguous (k, n) array, which
+    may be ``node_times`` itself) or into one fresh array, and no other
+    input is changed.  ``out`` is for package-internal use; each step
+    works in place and gives the bits of the out-of-place formula.
     """
-    diff = points[:, None] - node_times
-    hit = diff == 0.0
-    diff[hit] = 1.0
-    ratio = weights / diff
-    on_node = np.any(hit, axis=1)
-    ratio[on_node] = hit[on_node]
-    return ratio / np.sum(ratio, axis=1, keepdims=True)
+    ratio = np.subtract(points[:, None], node_times, out=out)
+    hit = ratio == 0.0
+    any_hit = hit.any()
+    if any_hit:
+        ratio[hit] = 1.0
+    np.divide(weights, ratio, out=ratio)
+    if any_hit:
+        on_node = np.any(hit, axis=1)
+        ratio[on_node] = hit[on_node]
+    ratio /= np.sum(ratio, axis=1, keepdims=True)
+    return ratio
 
 
 def interpolation_matrix(family: NodeFamily, points: np.ndarray) -> np.ndarray:

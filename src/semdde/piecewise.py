@@ -17,6 +17,14 @@ rest of the batch, and querying a stored node time returns the stored
 value bitwise.  Interval lookup follows the half-open convention: a break
 time belongs to the interval starting there, and t = 1 wraps to 0.
 
+Queries run in chunks of ``_CHUNK`` through two workspaces allocated once
+per call and reused by every chunk: a row buffer, into which the chunk's
+node times are gathered and turned into rows in place, and a product
+buffer, into which the value table is gathered and scaled by the rows in
+place.  So a dense grid makes no per-chunk temporaries, which the
+allocator would map and unmap, page-faulting, on every chunk.  Rows held
+by the store and rows handed to a caller never serve as a workspace.
+
 A private store keeps what depends on the discretization (breaks and
 node family) alone, for the latest one: the rows of its fixed time sets
 (collocation points, uniform grids named by their point count) and the
@@ -41,8 +49,8 @@ from .nodes import (NodeFamily, NodeKind, gauss_rule, lagrange_rows,
 #: reject anything newer
 FORMAT_VERSION = 1
 
-#: query rows per gather in evaluation; bounds the temporaries at a few
-#: (rows, nodes) arrays whatever the batch size
+#: query rows per chunk in evaluation; the row and product workspaces of
+#: one call hold this many rows whatever the batch size
 _CHUNK = 1024
 
 
@@ -188,25 +196,34 @@ class _PiecewiseBase:
         return np.ascontiguousarray(
             np.einsum("jk,iks->isj", self.node_family.diff_matrix, scaled))
 
-    def _rows(self, idx, t):
-        """Lagrange rows at times t in intervals idx; unchunked."""
-        return lagrange_rows(t, self.node_times[idx],
-                             self.node_family.bary_weights)
-
-    @staticmethod
-    def _contract(table, idx, rows):
-        return np.sum(rows[:, None, :] * table[idx], axis=2)
+    def _rows(self, idx, t, out=None):
+        """Lagrange rows at times t in intervals idx, written into ``out``
+        (a C-contiguous (k, nodes) array) or one fresh array."""
+        # the indices are in range; mode "clip" writes straight into out,
+        # where "raise" would fill a buffer and copy it
+        times = np.take(self.node_times, idx, axis=0, out=out, mode="clip")
+        return lagrange_rows(t, times, self.node_family.bary_weights,
+                             out=times)
 
     def _interpolate(self, table, idx, t, rows=None):
         """``table`` at times t in intervals idx, in chunks of ``_CHUNK``
-        queries; the rows are built per chunk unless given."""
+        queries; the rows are built per chunk unless given.  One row
+        buffer and one product buffer serve every chunk."""
         out = np.empty((t.size, table.shape[1]))
+        size = min(t.size, _CHUNK)
+        work = np.empty((size,) + table.shape[1:])
+        if rows is None:
+            buf = np.empty((size, table.shape[2]))
         for lo in range(0, t.size, _CHUNK):
             part = slice(lo, lo + _CHUNK)
-            # `basis` stays alive into the next chunk: fewer page faults
-            basis = self._rows(idx[part], t[part]) if rows is None \
-                else rows[part]
-            out[part] = self._contract(table, idx[part], basis)
+            k = idx[part].size
+            basis = self._rows(idx[part], t[part], buf[:k]) \
+                if rows is None else rows[part]
+            # gathered table times rows, in place: IEEE multiplication
+            # commutes, so these are the bits of rows * table
+            np.take(table, idx[part], axis=0, out=work[:k], mode="clip")
+            work[:k] *= basis[:, None, :]
+            np.sum(work[:k], axis=2, out=out[part])
         return out
 
     def _locate(self, t, name=None):
@@ -217,7 +234,7 @@ class _PiecewiseBase:
             rows = np.empty((t.size, self.node_times.shape[1]))
             for lo in range(0, t.size, _CHUNK):
                 part = slice(lo, lo + _CHUNK)
-                rows[part] = self._rows(idx[part], t[part])
+                self._rows(idx[part], t[part], rows[part])
             return idx, rows
 
         kept = None if name is None else _STORE.get(self, name, build)
@@ -319,7 +336,8 @@ class PeriodicPiecewisePoly(_PiecewiseBase):
     def eval_with_basis(self, times):
         """``(eval(times), cols, rows)`` for 1-d times, the value bitwise;
         value p is the sum over j of rows[p, j] times free value cols[p, j],
-        both (k, m+1).  Unchunked, so for collocation-sized batches only."""
+        both (k, m+1).  The rows are returned whole, so for
+        collocation-sized batches only; the caller owns them."""
         return self._with_basis(times)
 
     def _with_basis(self, times, name=None):
@@ -328,7 +346,7 @@ class PeriodicPiecewisePoly(_PiecewiseBase):
         idx, rows = self._locate(t, name)
         if rows is None:
             rows = self._rows(idx, t)
-        return self._contract(self._value_table, idx, rows), \
+        return self._interpolate(self._value_table, idx, t, rows), \
             self._columns[idx], rows
 
 

@@ -8,6 +8,7 @@ against synthetic rows with known slopes.
 
 import io
 import json
+import logging
 import math
 from pathlib import Path
 
@@ -177,18 +178,34 @@ class TestConvergenceStudy:
         assert row.err <= 1e-12
         assert table.metadata["problem"] == "mackey_glass"
 
-    def test_newton_failure_is_recorded_not_raised(self):
+    @staticmethod
+    def _failing_table():
         prob = mackey_glass()
         mesh = Mesh.uniform(2)
         poly = sample_periodic(lambda t: 1.0 + 0.8 * np.sin(2 * np.pi * t),
                                mesh, 4)
         seed = DiscreteState(poly, np.array([1.6, 1.0]))
-        table = convergence_study(prob, 1.0, [2], [4], seed=seed,
-                                  settings=NewtonSettings(max_iter=1))
+        return convergence_study(prob, 1.0, [2], [4], seed=seed,
+                                 settings=NewtonSettings(max_iter=1))
+
+    def test_newton_failure_is_recorded_not_raised(self):
+        table = self._failing_table()
         row = table.rows[0]
         assert not row.completed
         assert "Error" in row.failure
         assert math.isnan(row.err)
+
+    def test_each_cell_is_logged_at_debug_level(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="semdde.analysis"):
+            table = convergence_study(mackey_glass(), 0.8, [1], [4, 5],
+                                      seed=_equilibrium_state(tau=0.8))
+            failed = self._failing_table()
+        messages = [r.getMessage() for r in caplog.records
+                    if r.name == "semdde.analysis"]
+        assert messages == [
+            f"cell L=1 m={row.degree}: {row.newton_iters} iterations, "
+            f"err {row.err:.3e}" for row in table.rows
+        ] + [f"cell L=2 m=4 failed: {failed.rows[0].failure}"]
 
     def test_rejects_empty_or_too_small_lists(self):
         prob = mackey_glass()

@@ -6,6 +6,7 @@ sqrt(15) follow from hand differentiation of the rhs.
 """
 
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -175,18 +176,23 @@ def _equilibrium_state(tau=0.8, period=1.6, num_intervals=3, degree=4):
     return DiscreteState(poly, np.array([period, tau]))
 
 
-@pytest.fixture(scope="module")
-def near_hopf_orbit():
-    """Small-amplitude orbit just past the Hopf point, L=11, m=4."""
+def _near_hopf_guess():
+    """Mackey-Glass guess just past the Hopf point, L=11, m=4, with its
+    problem and constraints."""
     prob = mackey_glass()
     tau = TAU_HOPF + 1e-3
     mesh = Mesh.uniform(11)
     guess = sample_periodic(lambda t: 1.0 + 0.01 * np.sin(2 * np.pi * t),
                             mesh, 4)
     init = DiscreteState(guess, np.array([PERIOD_HOPF, tau]))
-    cons = default_constraints(prob, [tau])
-    result = newton_solve(init, prob, cons)
-    return prob, cons, result
+    return prob, init, default_constraints(prob, [tau])
+
+
+@pytest.fixture(scope="module")
+def near_hopf_orbit():
+    """Small-amplitude orbit just past the Hopf point, L=11, m=4."""
+    prob, init, cons = _near_hopf_guess()
+    return prob, cons, newton_solve(init, prob, cons)
 
 
 class TestDiscreteState:
@@ -449,6 +455,19 @@ class TestNewton:
         settings = NewtonSettings(tol_residual=np.float64(1e-9),
                                   max_iter=np.int64(7))
         assert settings.max_iter == 7 and settings.tol_residual == 1e-9
+
+    def test_each_iteration_is_logged_at_debug_level(self, caplog):
+        prob, init, cons = _near_hopf_guess()
+        with caplog.at_level(logging.DEBUG, logger="semdde.collocation"):
+            result = newton_solve(init, prob, cons)
+        messages = [r.getMessage() for r in caplog.records
+                    if r.name == "semdde.collocation"]
+        assert len(messages) == result.iterations >= 1
+        for k, (message, norm) in enumerate(
+                zip(messages, result.residual_history[1:]), start=1):
+            assert message.startswith(
+                f"newton iteration {k}: residual {norm:.3e}, step ")
+            assert message.endswith(" halvings")
 
     def test_converged_state_is_a_fixed_point(self, near_hopf_orbit):
         prob, cons, result = near_hopf_orbit

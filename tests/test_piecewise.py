@@ -6,14 +6,17 @@ under test.
 """
 
 import json
+import tracemalloc
 from importlib import resources
 
 import numpy as np
 import pytest
 
+from semdde import piecewise
 from semdde.errors import InvalidArgumentError
-from semdde.nodes import NodeKind, make_nodes
+from semdde.nodes import NodeKind, lagrange_rows, make_nodes
 from semdde.piecewise import (
+    _CHUNK,
     Mesh,
     PeriodicPiecewisePoly,
     PiecewiseProjection,
@@ -363,3 +366,170 @@ class TestSerialization:
         for bad in (extra, missing, wrong_kind, wrong_dim):
             with pytest.raises(InvalidArgumentError):
                 poly_from_document(bad)
+
+
+# The evaluation kernel before it reused chunk workspaces, kept verbatim
+# as the reference that the in-place kernel must match bit for bit.
+def _reference_rows(points, node_times, weights):
+    diff = points[:, None] - node_times
+    hit = diff == 0.0
+    diff[hit] = 1.0
+    ratio = weights / diff
+    on_node = np.any(hit, axis=1)
+    ratio[on_node] = hit[on_node]
+    return ratio / np.sum(ratio, axis=1, keepdims=True)
+
+
+def _reference_contract(table, idx, rows):
+    return np.sum(rows[:, None, :] * table[idx], axis=2)
+
+
+def _reference_interpolate(self, table, idx, t, rows=None):
+    out = np.empty((t.size, table.shape[1]))
+    for lo in range(0, t.size, _CHUNK):
+        part = slice(lo, lo + _CHUNK)
+        basis = _reference_rows(
+            t[part], self.node_times[idx[part]],
+            self.node_family.bary_weights) if rows is None else rows[part]
+        out[part] = _reference_contract(table, idx[part], basis)
+    return out
+
+
+def _kernel_polys():
+    mesh = Mesh.uniform(7)
+    return {
+        "lobatto": _random_continuous_poly(np.random.default_rng(21), 7, 9,
+                                           2),
+        "gauss": project(lambda t: np.stack([np.sin(2 * np.pi * t),
+                                             np.cos(4 * np.pi * t)], axis=1),
+                         mesh, 9),
+    }
+
+
+def _kernel_times(p, size):
+    """``size`` times across [-1, 2]; the first chunk holds node times,
+    exact node hits, and the later chunks hold none."""
+    t = np.random.default_rng(size).uniform(-1.0, 2.0, size)
+    nodes = p.node_times.ravel()
+    hits = np.arange(0, min(size, _CHUNK), 3)
+    t[hits] = np.resize(nodes, hits.size)
+    assert not np.isin(t[_CHUNK:] - np.floor(t[_CHUNK:]), nodes).any()
+    return t
+
+
+SIZES = [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3]
+
+
+@pytest.fixture
+def reference(monkeypatch):
+    """``reference(fn)`` is ``fn()`` on the reference kernel."""
+    def run(fn):
+        with monkeypatch.context() as patch:
+            patch.setattr(piecewise._PiecewiseBase, "_interpolate",
+                          _reference_interpolate)
+            return fn()
+    return run
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["lobatto", "gauss"])
+@pytest.mark.parametrize("size", SIZES)
+class TestKernelIsTheReferenceBitwise:
+    def test_eval_and_eval_with_deriv(self, reference, kind, size):
+        p = _kernel_polys()[kind]
+        t = _kernel_times(p, size)
+        assert _same_bits(p.eval(t), reference(lambda: p.eval(t)))
+        got = p.eval_with_deriv(t)
+        want = reference(lambda: p.eval_with_deriv(t))
+        assert all(_same_bits(g, w) for g, w in zip(got, want))
+        assert _same_bits(p.eval_deriv(t), want[1])
+
+    def test_stored_rows(self, monkeypatch, reference, kind, size):
+        monkeypatch.setattr(piecewise, "_STORE", piecewise._Store())
+        p = _kernel_polys()[kind]
+        t = _kernel_times(p, size)
+        want = reference(lambda: p.eval_with_deriv(t))
+        # recorded, then built into the store, then read from it
+        for _ in range(3):
+            got = p._evaluate(t, "kernel times", deriv=True)
+            assert all(_same_bits(g, w) for g, w in zip(got, want))
+        _, kept = piecewise._STORE.current[1]["kernel times"]
+        p.eval(_kernel_times(p, 2 * _CHUNK + 3)[::-1])
+        flat = t - np.floor(t)
+        assert _same_bits(kept, _reference_rows(
+            flat, p.node_times[p.mesh.interval_index(flat)],
+            p.node_family.bary_weights))
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_eval_with_basis_is_the_reference_bitwise(monkeypatch, size):
+    monkeypatch.setattr(piecewise, "_STORE", piecewise._Store())
+    p = _kernel_polys()["lobatto"]
+    t = _kernel_times(p, size)
+    flat = t - np.floor(t)
+    idx = p.mesh.interval_index(flat)
+    rows = _reference_rows(flat, p.node_times[idx],
+                           p.node_family.bary_weights)
+    values = _reference_contract(p._value_table, idx, rows)
+    held = [p.eval_with_basis(t)]
+    held += [p._with_basis(t, "kernel times") for _ in range(3)]
+    # later evaluations must not reuse returned rows as a workspace
+    p.eval_with_deriv(_kernel_times(p, 2 * _CHUNK + 3)[::-1])
+    for got_values, got_cols, got_rows in held:
+        assert _same_bits(got_values, values)
+        assert _same_bits(got_rows, rows)
+        assert _same_bits(got_cols, p._columns[idx])
+
+
+@pytest.mark.parametrize("bounds", [(0.0, 1.0), (0.1, 0.97), (0.25, 0.5)])
+def test_integrate_is_the_reference_bitwise(reference, bounds):
+    # 60 intervals of 21 Gauss points: more than one chunk of queries
+    p = _random_continuous_poly(np.random.default_rng(8), 60, 20, 2)
+    assert 60 * 21 > _CHUNK
+    assert _same_bits(p.integrate(*bounds),
+                      reference(lambda: p.integrate(*bounds)))
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["per_point",
+                                                       "shared_nodes"])
+def test_lagrange_rows_leaves_its_inputs_alone(shared):
+    family = make_nodes(NodeKind.CHEBYSHEV_LOBATTO, 12)
+    rng = np.random.default_rng(9)
+    points = np.concatenate([rng.uniform(0.0, 1.0, 40), family.nodes[:5]])
+    node_times = family.nodes if shared else np.tile(family.nodes,
+                                                     (points.size, 1))
+    weights = family.bary_weights.copy()
+    before = [arr.copy() for arr in (points, node_times, weights)]
+    rows = lagrange_rows(points, node_times, weights)
+    for arr, copy in zip((points, node_times, weights), before):
+        assert _same_bits(arr, copy)
+    assert _same_bits(rows, _reference_rows(points, node_times, weights))
+    assert not np.shares_memory(rows, node_times)
+
+
+def test_dense_grid_eval_working_set_stays_below_its_bound():
+    """One 10001-point eval on (L=11, m=40), the dense grid of a
+    Mackey-Glass table cell, peaks below 1.5 MiB: its output, wrapped
+    times and indices plus one reused row buffer and one reused product
+    buffer, with room for one more 1024-row temporary but not for
+    per-chunk temporaries."""
+    p = sample_periodic(lambda t: np.sin(2 * np.pi * t)[:, None],
+                        Mesh.uniform(11), 40)
+    t = np.linspace(0.0, 1.0, 10001)
+    p.eval(t)  # builds the cached value table outside the measurement
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        p.eval(t)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 1.5 * 2**20, f"peak {peak / 1024:.0f} KiB"
