@@ -1,5 +1,5 @@
-"""Print one sha256 per acceptance input, to show that a change keeps
-every output bitwise.
+"""Print one sha256 per acceptance input and per command-line run, to
+show that a change keeps every output bitwise.
 
 The inputs are those of tests/test_acceptance.py, built from the library
 alone: the Mackey-Glass branch (Hopf guess on L=11, m=8, then 20 steps
@@ -7,23 +7,39 @@ out to delay 1), the (L, m) table seeded from the branch end, both
 sd_quadratic tables, the fine (20, 12) re-solve at delay 0.95 and the
 circle map of that orbit (k=5, 4000 points).  Each digest covers the
 states, periods, err, phi_defect, Newton iterations and failure messages
-of its input, or the circle map's iterates and periodic points.  A seed
-other than 0 shifts the continuous inputs (Hopf amplitude, delays) by a
-bounded amount and keeps every (L, m) plan, with the shifts the
-benchmark in perfbench/ uses for the same seed.  Run from the repository
-root, once on each checkout to compare:
+of its input, or the circle map's iterates and periodic points.
+
+The command-line runs go through ``python -m semdde.cli`` into a
+temporary directory: ``solve`` of Mackey-Glass from its Hopf guess on
+(11, 8), a 3-step ``continue`` from the same guess, ``convergence
+--jobs 2`` of sd_quadratic on L in {10, 20} seeded from the shipped
+orbit at delay 0.95, ``solve`` of that orbit on (20, 12), and
+``circle-map`` of both solved orbits.  Each digest covers the names and
+bytes of the data files a run writes; ``metadata.json``, which holds
+wall-clock times, is left out.
+
+A seed other than 0 shifts the continuous inputs (Hopf amplitude,
+delays) by a bounded amount and keeps every (L, m) plan, with the shifts
+the benchmark in perfbench/ uses for the same seed.  Run from the
+repository root, once on each checkout to compare:
 
     PYTHONPATH=src python3 scripts/output_digest.py --seed 0
 """
 
 import argparse
 import hashlib
+import json
 import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
 
+import semdde  # noqa: E402
 from semdde import analysis, collocation, continuation, piecewise, \
     problems  # noqa: E402
 
@@ -118,11 +134,75 @@ def digests(seed: int) -> dict:
     return out
 
 
+def _run_cli(work: Path, name: str, command: str, config: dict,
+             *options: str) -> Path:
+    """Run one subcommand with ``config`` into ``work / name``."""
+    out_dir = work / name
+    config_path = work / f"{name}.json"
+    config_path.write_text(json.dumps(config))
+    env = dict(os.environ)
+    # the CLI process imports the package this script imported
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(semdde.__file__).resolve().parents[1]),
+        env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-m", "semdde.cli", command, "--config",
+                    str(config_path), "--out", str(out_dir), *options],
+                   check=True, env=env, stdout=subprocess.DEVNULL)
+    return out_dir
+
+
+def _files_digest(out_dir: Path) -> str:
+    digest = _Digest()
+    for path in sorted(out_dir.iterdir()):
+        if path.name != "metadata.json":
+            digest.add(path.name, path.read_text())
+    return digest.hexdigest()
+
+
+def cli_digests(seed: int) -> dict:
+    """Command-line run name -> sha256 of the data files it writes."""
+    shift = _shifts(seed, 2)
+    hopf = {"problem": "mackey_glass", "mesh": 11, "degree": 8,
+            "guess": {"kind": "hopf",
+                      "amplitude": 0.01 * (1.0 + 0.1 * shift[0])}}
+    tau = 0.95 + 0.004 * shift[0]
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        seed_path = work / "sdq_seed.json"
+        seed_path.write_text(json.dumps(collocation.state_to_document(
+            collocation.with_parameter(continuation.sd_quadratic_seed(0.95),
+                                       0, tau))))
+        sdq = {"problem": "sd_quadratic", "params": [tau],
+               "guess": {"kind": "file", "path": str(seed_path)}}
+        runs = {
+            "cli_solve": ("solve", hopf),
+            "cli_continue": ("continue", dict(
+                hopf, p_to=0.6 + 0.01 * shift[1], steps=3)),
+            "cli_convergence": ("convergence", dict(
+                sdq, mesh_list=[10, 20], degree=[4, 6, 8, 10, 12]),
+                "--jobs", "2"),
+            "cli_solve_sdq": ("solve", dict(sdq, mesh=20, degree=12)),
+        }
+        for name, (command, config, *options) in runs.items():
+            out[name] = _files_digest(
+                _run_cli(work, name, command, config, *options))
+        for solved, problem in (("cli_solve", "mackey_glass"),
+                                ("cli_solve_sdq", "sd_quadratic")):
+            name = f"cli_circle_map_{problem}"
+            out[name] = _files_digest(_run_cli(
+                work, name, "circle-map",
+                {"problem": problem, "k_max": 5, "grid": 4000,
+                 "solution": str(work / solved / "solution.json")}))
+    return out
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
-    for name, value in digests(args.seed).items():
+    for name, value in {**digests(args.seed),
+                        **cli_digests(args.seed)}.items():
         print(f"{name} {value}")
 
 

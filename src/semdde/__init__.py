@@ -48,7 +48,6 @@ from .errors import (
     NewtonError,
     NoHopfError,
     NonFiniteResidualError,
-    OutOfWindowError,
     SemDdeError,
     SingularJacobianError,
     StepFailureError,
@@ -101,7 +100,6 @@ __all__ = [
     "NodeFamily",
     "NodeKind",
     "NonFiniteResidualError",
-    "OutOfWindowError",
     "PeriodicPiecewisePoly",
     "PiecewiseProjection",
     "SemDdeError",

@@ -48,13 +48,6 @@ PLATEAU_FACTOR = 100.0  # see ConvergenceTable.slopes
 _MAX_PRINCIPLE_SLACK = 1e-8
 
 
-def _dense_grid(grid_points: int) -> np.ndarray:
-    if grid_points < 2:
-        raise InvalidArgumentError(
-            f"grid_points must be at least 2, got {grid_points}")
-    return np.linspace(0.0, 1.0, grid_points)
-
-
 def residual_err(state: DiscreteState, prob: DdeProblem,
                  grid_points: int = DEFAULT_ERR_GRID) -> float:
     """Max-norm residual of the delay equation along the profile.
@@ -62,15 +55,14 @@ def residual_err(state: DiscreteState, prob: DdeProblem,
     Evaluates |y'(t)/T - G(y(t + (.)/T), p)| on a uniform grid over one
     period in rescaled time and returns the maximum.
     """
-    rows, _ = _equation_rows(state, prob, _dense_grid(grid_points),
-                             grid_points)
+    rows, _ = _equation_rows(state, prob, grid_points)
     return float(np.max(np.abs(rows)) / state.period)
 
 
 def orbit_amplitude(state: DiscreteState,
                     grid_points: int = DEFAULT_ERR_GRID) -> float:
     """Peak-to-peak range of the profile over a dense uniform grid."""
-    values = state.poly._evaluate(_dense_grid(grid_points), grid_points)
+    values = state.poly._on(grid_points)[1]
     return float(np.max(values) - np.min(values))
 
 
@@ -79,8 +71,7 @@ def err_and_amplitude(state: DiscreteState, prob: DdeProblem,
                       ) -> Tuple[float, float]:
     """``(residual_err, orbit_amplitude)`` bitwise, from one pass of rows
     on the grid: the equation rows come with the profile values."""
-    rows, values = _equation_rows(state, prob, _dense_grid(grid_points),
-                                  grid_points)
+    rows, values = _equation_rows(state, prob, grid_points)
     return (float(np.max(np.abs(rows)) / state.period),
             float(np.max(values) - np.min(values)))
 

@@ -15,9 +15,11 @@ query outputs, taken for all collocation points in one rhs call, so a
 Jacobian costs a few residual-sized evaluations for any mesh size.  Each
 (T, p) column is a forward difference of one rhs call.  Query rows and
 free-value columns come from ``PeriodicPiecewisePoly.eval_with_basis``;
-the differentiation block keeps the reference matrices, and is built
-once per discretization (kept in the store of ``piecewise``, like the
-rows at the collocation points): each Jacobian starts from a copy.  One
+the collocation points are the fixed time set ``piecewise.COLLOCATION``,
+whose times and rows ``piecewise`` makes and keeps per discretization.
+The differentiation block keeps the reference matrices, and is built
+once per discretization (kept in the same store): each Jacobian starts
+from a copy.  One
 rule answers every query: query k reuses the value held for query k
 when its times have not moved.  The constraint rows are exact affine
 gradients.
@@ -48,6 +50,7 @@ from .errors import (
 from . import piecewise
 from .nodes import NodeKind, interpolation_matrix, make_nodes
 from .piecewise import (
+    COLLOCATION,
     FORMAT_VERSION,
     Mesh,
     PeriodicPiecewisePoly,
@@ -252,19 +255,13 @@ class NewtonSettings:
                     f"{value!r}")
 
 
-_COLLOCATION = "collocation points"  # the fixed time set's name
-
-
 def assemble_residual(state: DiscreteState, prob: DdeProblem,
                       cons: Sequence[AffineRow]) -> np.ndarray:
     """Collocation rows (profile derivative minus rescaled rhs) followed
     by the affine constraint values."""
     _require_square(state, cons)
     poly = state.poly
-    colloc = make_nodes(NodeKind.GAUSS_LEGENDRE, poly.degree)
-    times = poly.mesh.node_times(colloc.nodes).ravel()
-    rows, _ = _equation_rows(state, prob, times, _COLLOCATION)
-    rows = rows.ravel()
+    rows = _equation_rows(state, prob, COLLOCATION)[0].ravel()
     cons_vals = [row.value(poly, state.mu) for row in cons]
     return np.concatenate([rows, cons_vals])
 
@@ -292,12 +289,12 @@ def _held_answers(poly: PeriodicPiecewisePoly, held):
 
 
 def _equation_rows(state: DiscreteState, prob: DdeProblem,
-                   times: np.ndarray, name) -> Tuple[np.ndarray, np.ndarray]:
-    """v'(t) - T G(v_t, p) at the 1-d times of the fixed time set
-    ``name``, shape (times, dim), and v(t), which equals
-    ``poly.eval(times)`` bitwise; query 0 at exactly ``times`` (lag 0)
-    reuses those values of ``eval_with_deriv``."""
-    values, deriv = state.poly._evaluate(times, name, deriv=True)
+                   name) -> Tuple[np.ndarray, np.ndarray]:
+    """v'(t) - T G(v_t, p) at the times t of the fixed time set ``name``,
+    shape (times, dim), and v(t), which equals ``poly.eval(times)``
+    bitwise; query 0 at exactly those times (lag 0) reuses the values
+    of ``eval_with_deriv``."""
+    times, values, deriv = state.poly._on(name, deriv=True)
     answer, _ = _held_answers(state.poly, [(values, times)])
     rows = deriv - RescaledRhs(prob).evaluate(times, state.mu, answer)
     return rows, values
@@ -352,13 +349,13 @@ def assemble_jacobian(state: DiscreteState, prob: DdeProblem,
     L, m, dim = mesh.num_intervals, poly.degree, poly.dim
     n_free = poly.free_values.size
     n = n_free + state.mu.size
-    colloc = make_nodes(NodeKind.GAUSS_LEGENDRE, m)
-    times = mesh.node_times(colloc.nodes).ravel()
+    times, fixed_idx, fixed_rows = poly._fixed(COLLOCATION)
     rows = np.arange(times.size * dim).reshape(times.size, dim)
 
     def differentiation_block():
         jac = np.zeros((n, n))
-        basis = interpolation_matrix(poly.node_family, colloc.nodes)
+        basis = interpolation_matrix(
+            poly.node_family, make_nodes(NodeKind.GAUSS_LEGENDRE, m).nodes)
         deriv = np.sum(basis[:, None, :] * poly.node_family.diff_matrix.T,
                        axis=2)
         block = deriv / mesh.lengths[:, None, None]
@@ -377,8 +374,11 @@ def assemble_jacobian(state: DiscreteState, prob: DdeProblem,
     answers = []
 
     def record(k, at):
-        fixed = _COLLOCATION if np.array_equal(at, times) else None
-        value, free, lagrange = poly._with_basis(at, fixed)
+        # lag 0: the collocation points' rows, built on their first
+        # request; those times lie in [0, 1), so wrap to themselves
+        value, free, lagrange = poly._with_basis(
+            fixed_idx, times, fixed_rows) if np.array_equal(at, times) \
+            else poly.eval_with_basis(at)
         answers.append((value, at, free, lagrange))
         return value.copy()
 
@@ -403,7 +403,7 @@ def assemble_jacobian(state: DiscreteState, prob: DdeProblem,
                       -slope[:, :, None] * lagrange[:, None, :])
 
     # (T, p) columns: lag 0 and lags the moved entry of mu misses keep theirs
-    deriv = poly._evaluate(times, _COLLOCATION, deriv=True)[1]
+    deriv = poly._on(COLLOCATION, deriv=True)[2]
     r0 = (deriv - base).ravel()
     for j in range(state.mu.size):
         mu = state.mu.copy()

@@ -48,7 +48,7 @@ from .errors import (
     NewtonError,
     StepFailureError,
 )
-from .oracle import phi_m_defect
+from .oracle import DEFAULT_DEFECT_GRID, phi_m_defect
 from .piecewise import FORMAT_VERSION, Mesh, PeriodicPiecewisePoly, \
     check_format_version, sample_periodic
 from .problems import DdeProblem, HopfData, mackey_glass
@@ -63,7 +63,7 @@ MAX_STEP_BISECTIONS = 6
 #: solves the system; treated like a Newton failure
 _COLLAPSE_RATIO = 0.1
 _COLLAPSE_FLOOR = 1e-8
-_COLLAPSE_GRID = 2001
+_COLLAPSE_GRID = DEFAULT_DEFECT_GRID  # the defect's rows serve it too
 
 
 def checked_amplitude(state: DiscreteState,

@@ -13,10 +13,6 @@ class NegativeDelayError(SemDdeError):
     """A state-dependent delay evaluated to a negative value (an advance)."""
 
 
-class OutOfWindowError(SemDdeError):
-    """A history evaluator was queried outside a window the problem sets."""
-
-
 class NoHopfError(SemDdeError):
     """The linearization admits no imaginary-axis eigenvalue crossing."""
 

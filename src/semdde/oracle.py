@@ -23,7 +23,6 @@ from typing import Sequence
 import numpy as np
 
 from .collocation import AffineRow, DiscreteState
-from .errors import InvalidArgumentError
 from .nodes import NodeKind, gauss_rule, interpolation_matrix, make_nodes
 from .piecewise import PeriodicPiecewisePoly, project
 from .problems import DdeProblem, RescaledRhs
@@ -71,8 +70,7 @@ def _integration_matrix(m: int) -> np.ndarray:
 
 
 def phi_m_defect(state: DiscreteState, prob: DdeProblem,
-                 cons: Sequence[AffineRow],
-                 grid_points: int = DEFAULT_DEFECT_GRID) -> FixedPointDefect:
+                 cons: Sequence[AffineRow]) -> FixedPointDefect:
     """Measure how far a state is from the integral fixed-point identity.
 
     The projection of the right-hand side reuses the state's mesh and the
@@ -80,13 +78,10 @@ def phi_m_defect(state: DiscreteState, prob: DdeProblem,
     the interval's Chebyshev-Lobatto nodes comes exactly from the
     integration matrix, which fixes the degree-m reconstruction at the
     profile's own nodes; ``sup_defect_v`` is the maximum of the profile
-    minus that reconstruction over ``grid_points`` uniform times.  A
-    state solving the collocation system has defects at roundoff level
-    only.
+    minus that reconstruction over the uniform grid of
+    ``DEFAULT_DEFECT_GRID`` times.  A state solving the collocation
+    system has defects at roundoff level only.
     """
-    if grid_points < 2:
-        raise InvalidArgumentError(
-            f"grid_points must be at least 2, got {grid_points}")
     poly = state.poly
     mesh, m = poly.mesh, poly.degree
     mu = state.mu
@@ -105,8 +100,7 @@ def phi_m_defect(state: DiscreteState, prob: DdeProblem,
     reconstructed = (poly.values[0, 0] + prefix[:, None, :] + partial[:, :m]
                      - poly.node_times[:, :m, None] * total)
     defect = PeriodicPiecewisePoly(mesh, m, poly.free_values - reconstructed)
-    grid = np.linspace(0.0, 1.0, grid_points)
-    sup_defect_v = float(np.max(np.abs(defect._evaluate(grid, grid_points))))
+    sup_defect_v = float(np.max(np.abs(defect._on(DEFAULT_DEFECT_GRID)[1])))
 
     defect_mu = max((abs(row.value(poly, mu)) for row in cons), default=0.0)
     return FixedPointDefect(sup_defect_v=sup_defect_v,

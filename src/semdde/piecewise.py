@@ -26,13 +26,15 @@ allocator would map and unmap, page-faulting, on every chunk.  Rows held
 by the store and rows handed to a caller never serve as a workspace.
 
 A private store keeps what depends on the discretization (breaks and
-node family) alone, for the latest one: the rows of its fixed time sets
-(collocation points, uniform grids named by their point count) and the
-Jacobian's differentiation block.  A name asked for once is only
+node family) alone, for the latest one: its fixed time sets, each kept
+as times, intervals and rows, and the Jacobian's differentiation block.
+Callers only name a fixed set, and ``PeriodicPiecewisePoly`` makes its
+times: ``COLLOCATION`` the collocation points, an integer n >= 2 the
+n-point uniform grid of [0, 1].  A name asked for once is only
 recorded; from its second request on, the object is built once and
-kept.  A request on another discretization empties the store.  Stored
-rows are built chunk by chunk like the chunked path's, so they give the
-same bits, and a node time still returns its stored value bitwise.
+kept.  A request on another discretization empties the store.  Rows do
+not depend on the rest of their batch, so stored rows give the chunked
+path's bits, and a node time still returns its stored value bitwise.
 """
 
 from __future__ import annotations
@@ -52,6 +54,9 @@ FORMAT_VERSION = 1
 #: query rows per chunk in evaluation; the row and product workspaces of
 #: one call hold this many rows whatever the batch size
 _CHUNK = 1024
+
+#: the name of the fixed time set of the collocation points
+COLLOCATION = "collocation points"
 
 
 def check_format_version(version, what: str) -> None:
@@ -196,6 +201,11 @@ class _PiecewiseBase:
         return np.ascontiguousarray(
             np.einsum("jk,iks->isj", self.node_family.diff_matrix, scaled))
 
+    @cached_property
+    def _both_table(self) -> np.ndarray:
+        # values then derivatives: one pass of rows gives both
+        return np.concatenate([self._value_table, self._deriv_table], axis=1)
+
     def _rows(self, idx, t, out=None):
         """Lagrange rows at times t in intervals idx, written into ``out``
         (a C-contiguous (k, nodes) array) or one fresh array."""
@@ -226,44 +236,20 @@ class _PiecewiseBase:
             np.sum(work[:k], axis=2, out=out[part])
         return out
 
-    def _locate(self, t, name=None):
-        """Intervals of wrapped 1-d times t, and their rows where t is the
-        fixed time set ``name`` and the store keeps it (else None)."""
-        def build():
-            idx = self.mesh.interval_index(t)
-            rows = np.empty((t.size, self.node_times.shape[1]))
-            for lo in range(0, t.size, _CHUNK):
-                part = slice(lo, lo + _CHUNK)
-                self._rows(idx[part], t[part], rows[part])
-            return idx, rows
-
-        kept = None if name is None else _STORE.get(self, name, build)
-        return kept or (self.mesh.interval_index(t), None)
-
-    def _eval_table(self, table, t, name=None):
+    def _eval_table(self, table, t):
         t_arr = np.asarray(t, dtype=float)
         flat = _wrap_time(np.atleast_1d(t_arr).ravel())
-        idx, rows = self._locate(flat, name)
-        out = self._interpolate(table, idx, flat, rows)
+        out = self._interpolate(table, self.mesh.interval_index(flat), flat)
         if t_arr.ndim == 0:
             return out[0]
         return out.reshape(t_arr.shape + (table.shape[1],))
-
-    def _evaluate(self, t, name=None, deriv=False):
-        """``eval(t)``, or ``eval_with_deriv(t)`` with ``deriv``, bitwise;
-        ``name`` marks t as a fixed time set (one name, one set of times)."""
-        if not deriv:
-            return self._eval_table(self._value_table, t, name)
-        both = self._eval_table(np.concatenate(
-            [self._value_table, self._deriv_table], axis=1), t, name)
-        return both[..., :self.dim], both[..., self.dim:]
 
     def eval(self, t):
         """Value at time t (any real; wrapped to [0,1) by periodicity).
 
         Scalar t gives shape (dim,), an array gives t.shape + (dim,).
         """
-        return self._evaluate(t)
+        return self._eval_table(self._value_table, t)
 
     def eval_deriv(self, t):
         """Derivative of the local polynomial at time t.
@@ -275,7 +261,8 @@ class _PiecewiseBase:
 
     def eval_with_deriv(self, t):
         """``(eval(t), eval_deriv(t))`` bitwise, from one pass of rows."""
-        return self._evaluate(t, deriv=True)
+        both = self._eval_table(self._both_table, t)
+        return both[..., :self.dim], both[..., self.dim:]
 
     def integrate(self, a: float, b: float):
         """Exact integral over [a, b] within [0, 1], split at breaks."""
@@ -338,16 +325,41 @@ class PeriodicPiecewisePoly(_PiecewiseBase):
         value p is the sum over j of rows[p, j] times free value cols[p, j],
         both (k, m+1).  The rows are returned whole, so for
         collocation-sized batches only; the caller owns them."""
-        return self._with_basis(times)
-
-    def _with_basis(self, times, name=None):
-        """``eval_with_basis(times)``; ``name`` as in ``_evaluate``."""
         t = _wrap_time(np.asarray(times, dtype=float))
-        idx, rows = self._locate(t, name)
-        if rows is None:
-            rows = self._rows(idx, t)
+        return self._with_basis(self.mesh.interval_index(t), t)
+
+    def _with_basis(self, idx, t, rows=None):
+        """``eval_with_basis`` at wrapped times t in intervals idx."""
+        rows = self._rows(idx, t) if rows is None else rows
         return self._interpolate(self._value_table, idx, t, rows), \
             self._columns[idx], rows
+
+    def _fixed(self, name):
+        """``(times, idx, rows)`` of the fixed time set ``name``: times as
+        the rhs gets them (a grid ends at 1), intervals of the wrapped
+        times, and rows, None on the first request (only recorded)."""
+        if name != COLLOCATION and name < 2:
+            raise InvalidArgumentError(
+                f"grid_points must be at least 2, got {name}")
+
+        def located(rows=False):
+            times = self.mesh.node_times(gauss_rule(self.degree)[0]).ravel() \
+                if name == COLLOCATION else np.linspace(0.0, 1.0, name)
+            t = _wrap_time(times)
+            idx = self.mesh.interval_index(t)
+            return times, idx, self._rows(idx, t) if rows else None
+
+        return _STORE.get(self, name, lambda: located(True)) or located()
+
+    def _on(self, name, deriv=False):
+        """``(times, eval(times))`` at the fixed time set ``name``, or
+        with ``deriv`` ``(times, eval(times), eval_deriv(times))``, each
+        bitwise."""
+        times, idx, rows = self._fixed(name)
+        table = self._both_table if deriv else self._value_table
+        out = self._interpolate(table, idx, _wrap_time(times), rows)
+        return (times, out[:, :self.dim], out[:, self.dim:]) if deriv \
+            else (times, out)
 
 
 class PiecewiseProjection(_PiecewiseBase):

@@ -92,11 +92,12 @@ class DdeProblem:
     the Hopf point at which the equilibrium starts oscillating as p[0]
     passes ``onset.tau_hopf``; the ``hopf`` guess starts there, and a
     continuation step without a usable predecessor predicts its orbit
-    from it.  ``lag``, where declared, is the delay law of a single
-    delayed query: ``lag(y, p)`` maps state values of shape (..., dim)
-    and the parameters to the unscaled delay, shape (...), element by
-    element.  The rhs asks for the state at -lag(y(t), p), so the law
-    is written once; the circle-map diagnostic is built from it.
+    from it; its equilibrium is bitwise a declared ``equilibrium``.
+    ``lag``, where declared, is the delay law of a single delayed query:
+    ``lag(y, p)`` maps state values of shape (..., dim) and the
+    parameters to the unscaled delay, shape (...), element by element.
+    The rhs asks for the state at -lag(y(t), p), so the law is written
+    once; the circle-map diagnostic is built from it.
     """
 
     name: str
@@ -108,12 +109,18 @@ class DdeProblem:
     lag: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        if self.onset is not None and (
-                self.num_params < 1
-                or self.onset.equilibrium.shape != (self.dim,)):
+        onset, declared = self.onset, self.equilibrium
+        # the phase anchor reads the declared equilibrium, the onset
+        # guesses start from the onset's: one equilibrium, bitwise
+        if onset is not None and (
+                self.num_params < 1 or onset.equilibrium.shape != (self.dim,)
+                or declared is not None and (
+                    np.shape(declared) != (self.dim,)
+                    or np.asarray(declared, dtype=float).tobytes()
+                    != onset.equilibrium.tobytes())):
             raise InvalidArgumentError(
                 f"an onset needs a parameter p[0] and an equilibrium of "
-                f"{self.dim} components")
+                f"{self.dim} components, bitwise any declared equilibrium")
 
 
 MACKEY_GLASS_A = -1.0

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from semdde.errors import OutOfWindowError
+from semdde.errors import InvalidArgumentError
 from semdde.problems import DdeProblem
 
 
@@ -17,7 +17,7 @@ def state_eval_example() -> DdeProblem:
     def rhs(e, p):
         now = e(0.0)
         if np.any(now < -1.0) or np.any(now > 0.0):
-            raise OutOfWindowError(
+            raise InvalidArgumentError(
                 "state used as a lag must lie in [-1, 0], got values in "
                 f"[{float(np.min(now))}, {float(np.max(now))}]")
         return e(now)

@@ -125,6 +125,11 @@ class TestResidualErr:
         with pytest.raises(InvalidArgumentError):
             err_and_amplitude(_equilibrium_state(), mackey_glass(),
                               grid_points)
+        # a table's cells measure err on the grid too
+        with pytest.raises(InvalidArgumentError):
+            convergence_study(mackey_glass(), [0.8], [3], [4],
+                              seed=_equilibrium_state(),
+                              grid_points=grid_points)
 
     @pytest.mark.parametrize("case", ["mackey_glass", "sd_quadratic"])
     @pytest.mark.parametrize("grid_points", [2, 2001, 10001])

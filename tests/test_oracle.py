@@ -20,7 +20,6 @@ from semdde.collocation import (
     state_from_document,
 )
 from semdde.continuation import sd_quadratic_seed
-from semdde.errors import InvalidArgumentError
 from semdde.nodes import NodeKind, gauss_rule, make_nodes
 from semdde.oracle import FixedPointDefect, _integration_matrix, phi_m_defect
 from semdde.piecewise import Mesh, PeriodicPiecewisePoly, project, sample_periodic
@@ -161,11 +160,6 @@ class TestPhiMDefect:
         assert np.max(np.abs(per_interval - whole)) <= 1e-13
         defect = phi_m_defect(state, prob, cons)
         assert abs(defect.defect_v0 - np.max(np.abs(whole))) <= 1e-13
-
-    def test_rejects_tiny_grid(self, near_hopf_orbit):
-        prob, cons, state = near_hopf_orbit
-        with pytest.raises(InvalidArgumentError):
-            phi_m_defect(state, prob, cons, grid_points=1)
 
 
 class TestIntegrationMatrix:

@@ -17,6 +17,7 @@ from semdde.errors import InvalidArgumentError
 from semdde.nodes import NodeKind, lagrange_rows, make_nodes
 from semdde.piecewise import (
     _CHUNK,
+    COLLOCATION,
     Mesh,
     PeriodicPiecewisePoly,
     PiecewiseProjection,
@@ -420,6 +421,21 @@ def _kernel_times(p, size):
 SIZES = [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3]
 
 
+def _fixed_case(kind, size):
+    """``(poly, name, times)``: a fixed time set near ``size`` times and
+    its times made here.  For "lobatto" the uniform grid of max(size, 2)
+    times, whose ends hit the Lobatto nodes at the breaks; for "gauss"
+    the Gauss-Legendre collocation points of the fewest degree-9
+    intervals that hold ``size`` of them."""
+    if kind == "lobatto":
+        n = max(size, 2)
+        return _kernel_polys()["lobatto"], n, np.linspace(0.0, 1.0, n)
+    p = _random_continuous_poly(np.random.default_rng(size),
+                                max(1, -(-size // 9)), 9, 2)
+    return p, COLLOCATION, p.mesh.node_times(
+        make_nodes(NodeKind.GAUSS_LEGENDRE, 9).nodes).ravel()
+
+
 @pytest.fixture
 def reference(monkeypatch):
     """``reference(fn)`` is ``fn()`` on the reference kernel."""
@@ -450,24 +466,22 @@ class TestKernelIsTheReferenceBitwise:
 
     def test_stored_rows(self, monkeypatch, reference, kind, size):
         monkeypatch.setattr(piecewise, "_STORE", piecewise._Store())
-        p = _kernel_polys()[kind]
-        t = _kernel_times(p, size)
-        want = reference(lambda: p.eval_with_deriv(t))
+        p, name, times = _fixed_case(kind, size)
+        want = (times,) + reference(lambda: p.eval_with_deriv(times))
         # recorded, then built into the store, then read from it
         for _ in range(3):
-            got = p._evaluate(t, "kernel times", deriv=True)
+            got = p._on(name, deriv=True)
             assert all(_same_bits(g, w) for g, w in zip(got, want))
-        _, kept = piecewise._STORE.current[1]["kernel times"]
+        _, _, kept = piecewise._STORE.current[1][name]
         p.eval(_kernel_times(p, 2 * _CHUNK + 3)[::-1])
-        flat = t - np.floor(t)
+        flat = times - np.floor(times)
         assert _same_bits(kept, _reference_rows(
             flat, p.node_times[p.mesh.interval_index(flat)],
             p.node_family.bary_weights))
 
 
 @pytest.mark.parametrize("size", SIZES)
-def test_eval_with_basis_is_the_reference_bitwise(monkeypatch, size):
-    monkeypatch.setattr(piecewise, "_STORE", piecewise._Store())
+def test_eval_with_basis_is_the_reference_bitwise(size):
     p = _kernel_polys()["lobatto"]
     t = _kernel_times(p, size)
     flat = t - np.floor(t)
@@ -475,8 +489,9 @@ def test_eval_with_basis_is_the_reference_bitwise(monkeypatch, size):
     rows = _reference_rows(flat, p.node_times[idx],
                            p.node_family.bary_weights)
     values = _reference_contract(p._value_table, idx, rows)
-    held = [p.eval_with_basis(t)]
-    held += [p._with_basis(t, "kernel times") for _ in range(3)]
+    # rows built here, and rows handed in as the store hands them
+    held = [p.eval_with_basis(t), p._with_basis(idx, flat),
+            p._with_basis(idx, flat, rows.copy())]
     # later evaluations must not reuse returned rows as a workspace
     p.eval_with_deriv(_kernel_times(p, 2 * _CHUNK + 3)[::-1])
     for got_values, got_cols, got_rows in held:

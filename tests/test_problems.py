@@ -14,7 +14,6 @@ import pytest
 from semdde.errors import (
     InvalidArgumentError,
     NegativeDelayError,
-    OutOfWindowError,
 )
 from semdde.piecewise import Mesh, sample_periodic
 from semdde.problems import (
@@ -132,7 +131,7 @@ class TestStateEvalExample:
 
     @pytest.mark.parametrize("c", [0.2, -1.5])
     def test_rejects_state_outside_window(self, c):
-        with pytest.raises(OutOfWindowError):
+        with pytest.raises(InvalidArgumentError):
             self.prob.rhs(_const_history(c), np.zeros(0))
 
 
@@ -156,6 +155,21 @@ class TestOnset:
         with pytest.raises(InvalidArgumentError):
             dataclasses.replace(prob, num_params=0)
         assert dataclasses.replace(prob, dim=2, onset=None).onset is None
+
+    @pytest.mark.parametrize("make, equilibrium", [
+        (mackey_glass, [1.0 + 2.0**-52]),
+        (mackey_glass, [[1.0]]),
+        (sd_quadratic, [-0.0]),  # equal as a number, not bitwise
+    ], ids=["one_ulp_off", "other_shape", "negative_zero"])
+    def test_onset_equilibrium_must_be_the_declared_one(self, make,
+                                                        equilibrium):
+        prob = make()
+        with pytest.raises(InvalidArgumentError):
+            dataclasses.replace(prob, equilibrium=np.array(equilibrium))
+        # an integer equilibrium is the same doubles; none declared is fine
+        assert dataclasses.replace(
+            prob, equilibrium=prob.onset.equilibrium.astype(int)).onset
+        assert dataclasses.replace(prob, equilibrium=None).onset
 
 
 class TestRegistry:

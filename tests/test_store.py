@@ -1,10 +1,11 @@
 """The basis-row store of ``piecewise``: outputs never depend on it.
 
-The store keeps, for the latest discretization, the Lagrange rows of
-its fixed time sets (collocation points, uniform grids) and the
-Jacobian's differentiation block.  Every output here is compared bit
-for bit with a run in which the store keeps nothing, so each request
-takes the chunked path of the parent evaluation.
+The store keeps, for the latest discretization, the times, intervals
+and Lagrange rows of its fixed time sets (collocation points, uniform
+grids), which callers name and ``piecewise`` makes, and the Jacobian's
+differentiation block.  Every output here is compared bit for bit with
+a run in which the store keeps nothing, so each request takes the
+chunked path of the parent evaluation.
 """
 
 import numpy as np
@@ -26,9 +27,10 @@ from semdde.collocation import (
     resample_state,
 )
 from semdde.continuation import continue_branch
+from semdde.errors import InvalidArgumentError
 from semdde.nodes import NodeKind, make_nodes
 from semdde.oracle import phi_m_defect
-from semdde.piecewise import Mesh, PiecewiseProjection, sample_periodic
+from semdde.piecewise import COLLOCATION, Mesh, sample_periodic
 from semdde.problems import mackey_glass
 
 from test_collocation import (
@@ -104,20 +106,14 @@ def test_outputs_do_not_depend_on_what_the_store_holds(monkeypatch, case):
 def test_stored_rows_give_the_values_of_eval_at_node_times():
     _, state = _mackey_glass_case(11, 8)
     poly = state.poly
-    times = np.concatenate([poly.node_times.ravel(), [1.0]])
+    # the 12-point grid is the breaks: node 0 of every interval, then 1
     for _ in range(3):
-        values = poly._evaluate(times, "node times")
+        times, values = poly._on(12)
         assert values.tobytes() == poly.eval(times).tobytes()
-    assert piecewise._STORE.current[1]["node times"] is not None
-    # a node time returns the stored value bitwise
-    assert np.array_equal(values[:-1, 0],
-                          poly.values[:, :, 0].ravel())
-
-
-def _projection_on_the_same_mesh(poly, m):
-    family = make_nodes(NodeKind.GAUSS_LEGENDRE, m)
-    return PiecewiseProjection(
-        poly.mesh, family, poly.eval(poly.mesh.node_times(family.nodes)))
+    assert piecewise._STORE.current[1][12] is not None
+    # a node time returns the stored value bitwise; t = 1 wraps to 0
+    assert np.array_equal(values[:, 0], np.append(poly.values[:, 0, 0],
+                                                  poly.values[0, 0, 0]))
 
 
 @pytest.mark.parametrize("other", [
@@ -125,20 +121,60 @@ def _projection_on_the_same_mesh(poly, m):
         poly.eval, Mesh([0.0, 0.05, 0.3, 0.35, 0.6, 0.65, 0.7, 0.75, 0.8,
                          0.85, 0.9, 1.0]), poly.degree),
     lambda poly: sample_periodic(poly.eval, poly.mesh, poly.degree + 1),
-    # as many nodes as the Lobatto family, at other places
-    lambda poly: _projection_on_the_same_mesh(poly, poly.degree + 1),
-], ids=["same_L_other_breaks", "other_degree", "other_family"])
+], ids=["same_L_other_breaks", "other_degree"])
 def test_stored_rows_belong_to_their_discretization(other):
     _, state = _mackey_glass_case(11, 8)
-    grid = np.linspace(0.0, 1.0, 2001)
     second = other(state.poly)
     assert second.mesh.num_intervals == 11
     for poly in (state.poly, second):
         for _ in range(2):
-            got = poly._evaluate(grid, 2001, deriv=True)
-            want = poly.eval_with_deriv(grid)
+            times, *got = poly._on(2001, deriv=True)
+            want = poly.eval_with_deriv(times)
             assert got[0].tobytes() == want[0].tobytes()
             assert got[1].tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("name", [COLLOCATION, 2, 2001, DEFAULT_ERR_GRID])
+def test_a_fixed_set_has_the_times_its_name_says(name):
+    _, state = _mackey_glass_case(11, 8)
+    poly = state.poly
+    if name == COLLOCATION:
+        want = poly.mesh.node_times(
+            make_nodes(NodeKind.GAUSS_LEGENDRE, 8).nodes).ravel()
+    else:
+        want = np.linspace(0.0, 1.0, name)  # unwrapped: it ends at 1
+    # recorded, then built into the store, then read from it
+    for _ in range(3):
+        times, idx, _ = poly._fixed(name)
+        assert times.tobytes() == want.tobytes()
+        assert np.array_equal(idx,
+                              poly.mesh.interval_index(want % 1.0))
+
+
+@pytest.mark.parametrize("name", [-1, 0, 1])
+def test_a_grid_needs_two_points(name):
+    _, state = _mackey_glass_case(11, 8)
+    with pytest.raises(InvalidArgumentError):
+        state.poly._fixed(name)
+    assert piecewise._STORE.current[1] == {}
+
+
+def test_a_fixed_set_gives_its_rows_from_the_first_request():
+    prob, state, cons = _with_constraints(lambda: _mackey_glass_case(11, 8))
+    poly = state.poly
+    first = poly._fixed(COLLOCATION)  # only recorded
+    second = poly._fixed(COLLOCATION)  # built into the store
+    assert first[2] is None and second[2] is not None
+    want = poly.eval_with_basis(first[0])
+    for times, idx, rows in (first, second):
+        got = poly._with_basis(idx, times, rows)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+    # a Jacobian that asks for the set first builds lag 0's rows itself,
+    # the next one reads the stored rows
+    piecewise._STORE = piecewise._Store()
+    jac = assemble_jacobian(state, prob, cons)
+    assert piecewise._STORE.current[1][COLLOCATION] is not None
+    assert assemble_jacobian(state, prob, cons).tobytes() == jac.tobytes()
 
 
 def test_branch_points_do_not_depend_on_what_the_store_holds():
@@ -192,8 +228,8 @@ def test_the_store_keeps_one_discretization():
     err_and_amplitude(state, prob)
     assert piecewise._STORE.current[1] == {DEFAULT_ERR_GRID: None}
     err_and_amplitude(state, prob)
-    idx, rows = piecewise._STORE.current[1][DEFAULT_ERR_GRID]
-    assert idx.shape == (DEFAULT_ERR_GRID,)
+    times, idx, rows = piecewise._STORE.current[1][DEFAULT_ERR_GRID]
+    assert times.shape == idx.shape == (DEFAULT_ERR_GRID,)
     assert rows.shape == (DEFAULT_ERR_GRID, 9)
     _, other = _mackey_glass_case(5, 8)
     err_and_amplitude(other, prob)
