@@ -25,8 +25,11 @@ when its times have not moved.  The constraint rows are exact affine
 gradients.
 
 The Newton iteration damps by halving on residual increase, down to a
-floor, and factors the dense Jacobian by LU with partial pivoting; it
-logs each accepted iteration at debug level under ``semdde.collocation``.
+floor, and solves for each step with numpy's dense LU with partial
+pivoting; it logs each accepted iteration at debug level under
+``semdde.collocation``.  scipy's LU, which exposes the pivots, is
+imported only to confirm a step that looks singular, so importing the
+package does not load scipy.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .errors import (
     InvalidArgumentError,
@@ -314,6 +316,18 @@ def constraint_gradient(row: AffineRow, state: DiscreteState) -> np.ndarray:
     return grad
 
 
+def _collocation_basis(poly: PeriodicPiecewisePoly):
+    """``(times, idx, rows, eval_deriv(times))`` at the collocation points
+    from one read of the store: its rows, or rows built here on the set's
+    first request, which the store only records.  The derivative is
+    bitwise ``poly._on(COLLOCATION, deriv=True)[2]``."""
+    times, idx, rows = poly._fixed(COLLOCATION)
+    if rows is None:
+        rows = poly._rows(idx, times)  # the times lie in [0, 1)
+    return times, idx, rows, poly._interpolate(poly._deriv_table, idx,
+                                               times, rows)
+
+
 def assemble_jacobian(state: DiscreteState, prob: DdeProblem,
                       cons: Sequence[AffineRow],
                       settings: NewtonSettings = NewtonSettings(),
@@ -349,7 +363,7 @@ def assemble_jacobian(state: DiscreteState, prob: DdeProblem,
     L, m, dim = mesh.num_intervals, poly.degree, poly.dim
     n_free = poly.free_values.size
     n = n_free + state.mu.size
-    times, fixed_idx, fixed_rows = poly._fixed(COLLOCATION)
+    times, fixed_idx, fixed_rows, deriv = _collocation_basis(poly)
     rows = np.arange(times.size * dim).reshape(times.size, dim)
 
     def differentiation_block():
@@ -374,8 +388,8 @@ def assemble_jacobian(state: DiscreteState, prob: DdeProblem,
     answers = []
 
     def record(k, at):
-        # lag 0: the collocation points' rows, built on their first
-        # request; those times lie in [0, 1), so wrap to themselves
+        # lag 0: the collocation points' rows; those times lie in [0, 1),
+        # so wrap to themselves
         value, free, lagrange = poly._with_basis(
             fixed_idx, times, fixed_rows) if np.array_equal(at, times) \
             else poly.eval_with_basis(at)
@@ -403,7 +417,6 @@ def assemble_jacobian(state: DiscreteState, prob: DdeProblem,
                       -slope[:, :, None] * lagrange[:, None, :])
 
     # (T, p) columns: lag 0 and lags the moved entry of mu misses keep theirs
-    deriv = poly._on(COLLOCATION, deriv=True)[2]
     r0 = (deriv - base).ravel()
     for j in range(state.mu.size):
         mu = state.mu.copy()
@@ -415,6 +428,47 @@ def assemble_jacobian(state: DiscreteState, prob: DdeProblem,
     for k, row in enumerate(cons):
         jac[r0.size + k, :] = constraint_gradient(row, state)
     return jac
+
+
+#: a Newton step is confirmed by scipy's LU pivots when max|step| times
+#: the Jacobian's scale exceeds this multiple of max|residual|; healthy
+#: steps of the shipped problems stay below 1e5
+_SUSPICIOUS_AMPLIFICATION = 1e8
+
+
+# The step's linear algebra sits behind the module names lu_solve and
+# lu_factor: perfbench/spans.py times both as the collocation.lu span.
+def lu_solve(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``jac``'s solution at ``rhs`` by numpy's LAPACK ``gesv`` (LU with
+    partial pivoting); raises ``numpy.linalg.LinAlgError`` on an exactly
+    zero pivot."""
+    return np.linalg.solve(jac, rhs)
+
+
+def lu_factor(jac: np.ndarray):
+    """scipy's LU factors ``(lu, piv)`` of ``jac``, whose diagonal holds
+    the pivots.  scipy is imported here, on the first step that needs its
+    pivots checked.  Its advisory LinAlgWarning is silenced: the pivot
+    check turns singularity into a typed error."""
+    from scipy.linalg import LinAlgWarning, lu_factor as factor
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LinAlgWarning)
+        return factor(jac)
+
+
+def _confirmed_step(jac: np.ndarray, residual: np.ndarray, scale: float,
+                    iteration: int, history) -> np.ndarray:
+    """The Newton step by scipy's LU, after the pivot rule: raises
+    SingularJacobianError when a pivot falls below 1e-14 of ``scale``."""
+    from scipy.linalg import lu_solve as solve_factored
+
+    lu, piv = lu_factor(jac)
+    if float(np.min(np.abs(np.diag(lu)))) < 1e-14 * scale:
+        raise SingularJacobianError(
+            f"LU pivot below 1e-14 of the matrix scale {scale:.3e} at "
+            f"iteration {iteration}", residual_history=np.array(history))
+    return solve_factored((lu, piv), -residual)
 
 
 @dataclass(frozen=True)
@@ -432,9 +486,19 @@ def newton_solve(init: DiscreteState, prob: DdeProblem,
 
     Stops when the residual max-norm drops to ``tol_residual``.  Raises
     when the iteration budget runs out, the step stagnates below
-    ``tol_step`` without meeting the tolerance, the LU factorization
-    meets a pivot below 1e-14 of the matrix scale, or the residual
-    leaves the finite (or positive-period) region at the damping floor.
+    ``tol_step`` without meeting the tolerance, the Jacobian fails the
+    pivot rule, or the residual leaves the finite (or positive-period)
+    region at the damping floor.
+
+    Each step is solved by numpy (``lu_solve``).  It is suspicious when
+    that solve meets an exactly zero pivot, returns a non-finite step, or
+    returns one with max|step| times the Jacobian's scale (its largest
+    entry) above ``_SUSPICIOUS_AMPLIFICATION`` times max|residual|.  A
+    suspicious step is redone by scipy's LU (``lu_factor``), and the
+    pivot rule raises SingularJacobianError when a pivot of that LU lies
+    below 1e-14 of the scale.  A near-singular Jacobian whose residual
+    lies almost in its range amplifies too little to be checked, and its
+    step is taken.
     """
     mesh = init.poly.mesh
     degree = init.poly.degree
@@ -457,16 +521,15 @@ def newton_solve(init: DiscreteState, prob: DdeProblem,
             return NewtonResult(state, iteration, np.array(history))
         jac = assemble_jacobian(state, prob, cons, settings)
         scale = float(np.max(np.abs(jac)))
-        with warnings.catch_warnings():
-            # the explicit pivot check below turns singularity into a
-            # typed error; scipy's advisory warning would be redundant
-            warnings.simplefilter("ignore", LinAlgWarning)
-            lu, piv = lu_factor(jac)
-        if float(np.min(np.abs(np.diag(lu)))) < 1e-14 * scale:
-            raise SingularJacobianError(
-                f"LU pivot below 1e-14 of the matrix scale {scale:.3e} at "
-                f"iteration {iteration}", residual_history=np.array(history))
-        step = lu_solve((lu, piv), -residual)
+        try:
+            step = lu_solve(jac, -residual)
+        except np.linalg.LinAlgError:  # an exactly zero pivot
+            amplification = math.inf
+        else:
+            amplification = float(np.max(np.abs(step))) * scale / res_norm
+        # a non-finite step gives inf or nan, which fail the test too
+        if not amplification <= _SUSPICIOUS_AMPLIFICATION:
+            step = _confirmed_step(jac, residual, scale, iteration, history)
 
         damping = 1.0
         halvings = 0

@@ -7,11 +7,16 @@ sqrt(15) follow from hand differentiation of the rhs.
 
 import json
 import logging
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import semdde
 from semdde.collocation import (
     AffineRow,
     DiscreteState,
@@ -186,6 +191,20 @@ def _near_hopf_guess():
                             mesh, 4)
     init = DiscreteState(guess, np.array([PERIOD_HOPF, tau]))
     return prob, init, default_constraints(prob, [tau])
+
+
+def _nearly_singular_case():
+    """Mackey-Glass with the parameter pin and a near copy of it: the copy
+    adds 1e-15 v(0) and asks for another target.  The smallest LU pivot
+    of the Jacobian is about 5e-18 of its scale, while numpy's solve
+    still returns a finite step of about 9e12."""
+    prob = mackey_glass()
+    poly = sample_periodic(lambda t: 1.0 + 0.1 * np.sin(2 * np.pi * t),
+                           Mesh.uniform(3), 4)
+    pin = default_constraints(prob, [0.8])[1]
+    near = AffineRow(point_terms=((0.0, 0, 1e-15),),
+                     mu_coeffs=pin.mu_coeffs, offset=pin.offset - 1e-3)
+    return prob, DiscreteState(poly, np.array([1.6, 0.8])), (pin, near)
 
 
 @pytest.fixture(scope="module")
@@ -500,6 +519,45 @@ class TestNewton:
         assert exc.value.residual_history.shape == (1,)
         residual = assemble_residual(state, prob, (pin, pin))
         assert exc.value.residual_history[0] == np.max(np.abs(residual))
+
+    def test_nearly_dependent_constraints_trip_the_pivot_check(self):
+        prob, state, cons = _nearly_singular_case()
+        with pytest.raises(SingularJacobianError,
+                           match="at iteration 0$") as exc:
+            newton_solve(state, prob, cons)
+        residual = assemble_residual(state, prob, cons)
+        assert exc.value.residual_history.tolist() == [
+            np.max(np.abs(residual))]
+
+    def test_only_a_suspicious_step_imports_scipy(self):
+        # a fresh interpreter: the package, then a healthy solve, load no
+        # scipy; the pivot check of the nearly singular case loads it
+        child = textwrap.dedent("""
+            import json, sys
+            import semdde.cli
+            from semdde.errors import SingularJacobianError
+            from test_collocation import (_near_hopf_guess,
+                                          _nearly_singular_case, newton_solve)
+            seen = ['scipy' in sys.modules]
+            prob, init, cons = _near_hopf_guess()
+            newton_solve(init, prob, cons)
+            seen.append('scipy' in sys.modules)
+            prob, state, cons = _nearly_singular_case()
+            try:
+                newton_solve(state, prob, cons)
+            except SingularJacobianError:
+                seen.append('scipy' in sys.modules)
+            print(json.dumps(seen))
+        """)
+        # the child imports the same semdde as this process, and this file
+        package_root = os.path.dirname(os.path.dirname(semdde.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            package_root, str(Path(__file__).resolve().parent),
+            os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", child],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [False, False, True]
 
     def test_non_finite_initial_residual_has_an_empty_history(self):
         prob, cons = _blowup_problem()

@@ -20,6 +20,7 @@ from semdde.analysis import (
 )
 from semdde.collocation import (
     DiscreteState,
+    _collocation_basis,
     assemble_jacobian,
     assemble_residual,
     default_constraints,
@@ -169,12 +170,31 @@ def test_a_fixed_set_gives_its_rows_from_the_first_request():
     for times, idx, rows in (first, second):
         got = poly._with_basis(idx, times, rows)
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
-    # a Jacobian that asks for the set first builds lag 0's rows itself,
-    # the next one reads the stored rows
+    # a Jacobian reads the set once: the first one builds its rows itself
+    # and leaves the set recorded, the second stores them, the third
+    # reads them
     piecewise._STORE = piecewise._Store()
     jac = assemble_jacobian(state, prob, cons)
+    assert piecewise._STORE.current[1][COLLOCATION] is None
+    assert assemble_jacobian(state, prob, cons).tobytes() == jac.tobytes()
     assert piecewise._STORE.current[1][COLLOCATION] is not None
     assert assemble_jacobian(state, prob, cons).tobytes() == jac.tobytes()
+
+
+@pytest.mark.parametrize("case", list(CASES), ids=list(CASES))
+def test_the_jacobian_takes_the_derivative_of_on_from_one_read(
+        monkeypatch, case):
+    _, state = CASES[case]()
+    poly = state.poly
+    with monkeypatch.context() as patch:
+        patch.setattr(piecewise, "_STORE", _KeepsNothing())
+        want = poly._on(COLLOCATION, deriv=True)
+    # rows built on the first read, then stored, then read from the store
+    for _ in range(3):
+        times, _, rows, deriv = _collocation_basis(poly)
+        assert times.tobytes() == want[0].tobytes()
+        assert deriv.tobytes() == want[2].tobytes()
+    assert rows is piecewise._STORE.current[1][COLLOCATION][2]
 
 
 def test_branch_points_do_not_depend_on_what_the_store_holds():
