@@ -24,6 +24,11 @@ the benchmark in perfbench/ uses for the same seed.  Run from the
 repository root, once on each checkout to compare:
 
     PYTHONPATH=src python3 scripts/output_digest.py --seed 0
+
+With ``--dump DIR`` the script also writes ``DIR/<name>.json`` for each
+digest: a JSON list of the items it hashes in order, each a string or a
+(nested) list of floats, which round-trip exactly.  So two checkouts
+whose digests differ can be compared number by number.
 """
 
 import argparse
@@ -55,13 +60,17 @@ def _shifts(seed: int, count: int) -> np.ndarray:
 class _Digest:
     def __init__(self):
         self._hash = hashlib.sha256()
+        self.items = []  # what was hashed, JSON-ready
 
     def add(self, *items) -> "_Digest":
         for item in items:
             if isinstance(item, str):
                 data = item.encode()
+                self.items.append(item)
             else:
-                data = np.ascontiguousarray(item, dtype=float).tobytes()
+                array = np.ascontiguousarray(item, dtype=float)
+                data = array.tobytes()
+                self.items.append(array.tolist())
             self._hash.update(len(data).to_bytes(8, "little") + data)
         return self
 
@@ -72,12 +81,12 @@ class _Digest:
         return self._hash.hexdigest()
 
 
-def _table_digest(table) -> str:
+def _table_digest(table) -> _Digest:
     digest = _Digest()
     for row in table.rows:
         digest.add(row.num_intervals, row.degree, row.err, row.phi_defect,
                    row.newton_iters, row.failure or "")
-    return digest.hexdigest()
+    return digest
 
 
 def _lag(y, p):
@@ -85,7 +94,7 @@ def _lag(y, p):
 
 
 def digests(seed: int) -> dict:
-    """Input name -> sha256 of its outputs."""
+    """Input name -> digest of its outputs."""
     out = {}
     shift = _shifts(seed, 2)
 
@@ -103,7 +112,7 @@ def digests(seed: int) -> dict:
         digest.state(point.state).add(point.parameter, point.amplitude,
                                       point.period, point.err,
                                       point.newton_iters, point.phi_defect)
-    out["mg_branch"] = digest.hexdigest()
+    out["mg_branch"] = digest
 
     end = points[-1].state
     delay = float(end.params[0]) + 0.002 * _shifts(seed, 1)[0]
@@ -121,8 +130,7 @@ def digests(seed: int) -> dict:
     fine = collocation.newton_solve(collocation.with_parameter(
         collocation.resample_state(seeds[0.95], piecewise.Mesh.uniform(20),
                                    12), 0, taus[0.95]), sdq, fine_cons)
-    out["sdq_fine"] = _Digest().state(fine.state).add(
-        fine.iterations).hexdigest()
+    out["sdq_fine"] = _Digest().state(fine.state).add(fine.iterations)
 
     circle = analysis.circle_map_analysis(
         analysis.orbit_lag_map(fine.state, _lag), 5, 4000)
@@ -130,7 +138,7 @@ def digests(seed: int) -> dict:
     for pts in circle.periodic_points:
         digest.add(pts.iterate, pts.points, pts.derivatives,
                    pts.unstable.astype(float))
-    out["circle_map"] = digest.hexdigest()
+    out["circle_map"] = digest
     return out
 
 
@@ -151,16 +159,16 @@ def _run_cli(work: Path, name: str, command: str, config: dict,
     return out_dir
 
 
-def _files_digest(out_dir: Path) -> str:
+def _files_digest(out_dir: Path) -> _Digest:
     digest = _Digest()
     for path in sorted(out_dir.iterdir()):
         if path.name != "metadata.json":
             digest.add(path.name, path.read_text())
-    return digest.hexdigest()
+    return digest
 
 
 def cli_digests(seed: int) -> dict:
-    """Command-line run name -> sha256 of the data files it writes."""
+    """Command-line run name -> digest of the data files it writes."""
     shift = _shifts(seed, 2)
     hopf = {"problem": "mackey_glass", "mesh": 11, "degree": 8,
             "guess": {"kind": "hopf",
@@ -200,10 +208,17 @@ def cli_digests(seed: int) -> dict:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--dump", type=Path, metavar="DIR",
+                        help="also write each digest's hashed items as "
+                             "DIR/<name>.json")
     args = parser.parse_args()
-    for name, value in {**digests(args.seed),
-                        **cli_digests(args.seed)}.items():
-        print(f"{name} {value}")
+    if args.dump:
+        args.dump.mkdir(parents=True, exist_ok=True)
+    for name, digest in {**digests(args.seed),
+                         **cli_digests(args.seed)}.items():
+        print(f"{name} {digest.hexdigest()}")
+        if args.dump:
+            (args.dump / f"{name}.json").write_text(json.dumps(digest.items))
 
 
 if __name__ == "__main__":

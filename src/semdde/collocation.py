@@ -16,7 +16,8 @@ Jacobian costs a few residual-sized evaluations for any mesh size.  Each
 (T, p) column is a forward difference of one rhs call.  Query rows and
 free-value columns come from ``PeriodicPiecewisePoly.eval_with_basis``;
 the collocation points are the fixed time set ``piecewise.COLLOCATION``,
-whose times and rows ``piecewise`` makes and keeps per discretization.
+whose times and barycentric terms ``piecewise`` makes and keeps per
+discretization.
 The differentiation block keeps the reference matrices, and is built
 once per discretization (kept in the same store): each Jacobian starts
 from a copy.  One
@@ -317,15 +318,15 @@ def constraint_gradient(row: AffineRow, state: DiscreteState) -> np.ndarray:
 
 
 def _collocation_basis(poly: PeriodicPiecewisePoly):
-    """``(times, idx, rows, eval_deriv(times))`` at the collocation points
-    from one read of the store: its rows, or rows built here on the set's
-    first request, which the store only records.  The derivative is
-    bitwise ``poly._on(COLLOCATION, deriv=True)[2]``."""
-    times, idx, rows = poly._fixed(COLLOCATION)
-    if rows is None:
-        rows = poly._rows(idx, times)  # the times lie in [0, 1)
-    return times, idx, rows, poly._interpolate(poly._deriv_table, idx,
-                                               times, rows)
+    """``(times, idx, terms, eval_deriv(times))`` at the collocation
+    points from one read of the store: its barycentric terms, or terms
+    built here on the set's first request, which the store only records.
+    The derivative is bitwise ``poly._on(COLLOCATION, deriv=True)[2]``."""
+    times, idx, terms = poly._fixed(COLLOCATION)
+    if terms is None:
+        terms = poly._terms(idx, times)  # the times lie in [0, 1)
+    return times, idx, terms, poly._interpolate(poly._deriv_table, idx,
+                                                times, terms)
 
 
 def assemble_jacobian(state: DiscreteState, prob: DdeProblem,
@@ -363,7 +364,7 @@ def assemble_jacobian(state: DiscreteState, prob: DdeProblem,
     L, m, dim = mesh.num_intervals, poly.degree, poly.dim
     n_free = poly.free_values.size
     n = n_free + state.mu.size
-    times, fixed_idx, fixed_rows, deriv = _collocation_basis(poly)
+    times, fixed_idx, fixed_terms, deriv = _collocation_basis(poly)
     rows = np.arange(times.size * dim).reshape(times.size, dim)
 
     def differentiation_block():
@@ -388,10 +389,10 @@ def assemble_jacobian(state: DiscreteState, prob: DdeProblem,
     answers = []
 
     def record(k, at):
-        # lag 0: the collocation points' rows; those times lie in [0, 1),
+        # lag 0: the collocation points' terms; those times lie in [0, 1),
         # so wrap to themselves
         value, free, lagrange = poly._with_basis(
-            fixed_idx, times, fixed_rows) if np.array_equal(at, times) \
+            fixed_idx, times, fixed_terms) if np.array_equal(at, times) \
             else poly.eval_with_basis(at)
         answers.append((value, at, free, lagrange))
         return value.copy()

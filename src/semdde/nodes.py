@@ -3,9 +3,14 @@
 Each family bundles the nodes with their barycentric weights and the
 spectral differentiation matrix, which is everything barycentric Lagrange
 interpolation needs (Berrut & Trefethen, SIAM Review 46(3), 2004).
-``lagrange_rows`` is the one barycentric kernel of the package: reference
-interpolation matrices, piecewise evaluation and integration, and
-constraint gradients all take their basis rows from it.
+``barycentric_terms`` is the one barycentric kernel of the package: the
+terms q_j = w_j / (t - x_j) of the second ("true") barycentric formula
+sum_j q_j f_j / sum_j q_j, which is forward stable on Chebyshev-type
+nodes (Higham, IMA J. Numer. Anal. 24, 2004).  Piecewise evaluation and
+integration contract the terms with the values and divide once by their
+sum.  ``lagrange_rows`` normalizes the terms into basis rows, for what
+needs the basis itself: reference interpolation matrices, the Jacobian
+and constraint gradients.
 """
 
 from __future__ import annotations
@@ -189,22 +194,23 @@ def gauss_rule(m: int):
     return family.nodes, weights
 
 
-def lagrange_rows(points: np.ndarray, node_times: np.ndarray,
-                  weights: np.ndarray, out=None) -> np.ndarray:
-    """Lagrange basis values at each point for its own set of nodes.
+def barycentric_terms(points: np.ndarray, node_times: np.ndarray,
+                      weights: np.ndarray, out=None) -> np.ndarray:
+    """Barycentric terms at each point for its own set of nodes.
 
     ``points`` has shape (k,); ``node_times`` holds the nodes of each point,
     shape (k, n), or one set shared by all points, shape (n,); ``weights``
     are the family's barycentric weights, which an affine map of the nodes
-    changes only by a common factor.  Row i holds the n basis values at
-    ``points[i]`` by the second barycentric formula, or a unit row where
-    ``points[i]`` equals one of its nodes bitwise.  Every reduction runs
-    along a row, so a row does not depend on the other rows of the batch.
+    changes only by a common factor.  Row i holds q_j = w_j / (t_i - x_j),
+    or a unit row where ``points[i]`` equals one of its nodes bitwise, so
+    the interpolant at ``points[i]`` is sum_j q_j f_j / sum_j q_j and a
+    node hit gives its value exactly.  Each row depends on its own point
+    and nodes alone.
 
-    The rows are written into ``out`` (a C-contiguous (k, n) array, which
-    may be ``node_times`` itself) or into one fresh array, and no other
-    input is changed.  ``out`` is for package-internal use; each step
-    works in place and gives the bits of the out-of-place formula.
+    The terms are written into ``out`` (a C-contiguous (k, n) array,
+    which may be ``node_times`` itself) or into one fresh array, and no
+    other input is changed.  ``out`` is for package-internal use; each
+    step works in place and gives the bits of the out-of-place formula.
     """
     ratio = np.subtract(points[:, None], node_times, out=out)
     hit = ratio == 0.0
@@ -215,8 +221,20 @@ def lagrange_rows(points: np.ndarray, node_times: np.ndarray,
     if any_hit:
         on_node = np.any(hit, axis=1)
         ratio[on_node] = hit[on_node]
-    ratio /= np.sum(ratio, axis=1, keepdims=True)
     return ratio
+
+
+def lagrange_rows(points: np.ndarray, node_times: np.ndarray,
+                  weights: np.ndarray) -> np.ndarray:
+    """Lagrange basis values at each point for its own set of nodes, in
+    one fresh array: the ``barycentric_terms`` of each row over their
+    sum, a unit row at a node hit.  The arguments are those of
+    ``barycentric_terms``; every reduction runs along a row, so a row
+    does not depend on the other rows of the batch.
+    """
+    terms = barycentric_terms(points, node_times, weights)
+    terms /= np.sum(terms, axis=1, keepdims=True)
+    return terms
 
 
 def interpolation_matrix(family: NodeFamily, points: np.ndarray) -> np.ndarray:

@@ -10,31 +10,37 @@ interpolation projection on m nodes per interval (Gauss-Legendre, the
 collocation nodes, when built by ``project``), with no continuity across
 breaks.
 
-Evaluation and integration gather each query's interval nodes and take
-the barycentric basis rows from ``nodes.lagrange_rows``; every reduction
-runs along one query's row, so a query's result does not depend on the
-rest of the batch, and querying a stored node time returns the stored
-value bitwise.  Interval lookup follows the half-open convention: a break
-time belongs to the interval starting there, and t = 1 wraps to 0.
+Evaluation and integration use the second ("true") barycentric
+formula: each query gathers its interval's nodes, takes the terms
+q_j = w_j / (t - x_j) from ``nodes.barycentric_terms``, contracts them
+with the gathered values and divides once by their sum.  The basis rows
+q / sum(q) are formed only where the basis itself is wanted: the rows
+``eval_with_basis`` returns to the Jacobian and the constraint
+gradients.  Every reduction runs along one query's terms, so a query's
+result does not depend on the rest of the batch, and querying a stored
+node time (a unit row of terms, summing to 1) returns the stored value
+bitwise.  Interval lookup follows the half-open convention: a break time
+belongs to the interval starting there, and t = 1 wraps to 0.
 
-Queries run in chunks of ``_CHUNK`` through two workspaces allocated once
-per call and reused by every chunk: a row buffer, into which the chunk's
-node times are gathered and turned into rows in place, and a product
-buffer, into which the value table is gathered and scaled by the rows in
-place.  So a dense grid makes no per-chunk temporaries, which the
-allocator would map and unmap, page-faulting, on every chunk.  Rows held
-by the store and rows handed to a caller never serve as a workspace.
+Queries run in chunks of ``_CHUNK`` through workspaces allocated once
+per call and reused by every chunk: a term buffer, into which the
+chunk's node times are gathered and turned into terms in place, a
+gather buffer for the chunk's values, and the terms' sums.  So a dense
+grid makes no per-chunk temporaries, which the allocator would map and
+unmap, page-faulting, on every chunk.  Terms held by the store and rows
+handed to a caller never serve as a workspace.
 
 A private store keeps what depends on the discretization (breaks and
 node family) alone, for the latest one: its fixed time sets, each kept
-as times, intervals and rows, and the Jacobian's differentiation block.
+as times, intervals and terms, and the Jacobian's differentiation block.
 Callers only name a fixed set, and ``PeriodicPiecewisePoly`` makes its
 times: ``COLLOCATION`` the collocation points, an integer n >= 2 the
 n-point uniform grid of [0, 1].  A name asked for once is only
 recorded; from its second request on, the object is built once and
-kept.  A request on another discretization empties the store.  Rows do
-not depend on the rest of their batch, so stored rows give the chunked
-path's bits, and a node time still returns its stored value bitwise.
+kept.  A request on another discretization empties the store.  Terms
+do not depend on the rest of their batch, so stored terms give the
+chunked path's bits, and a node time still returns its stored value
+bitwise.
 """
 
 from __future__ import annotations
@@ -44,15 +50,15 @@ from functools import cached_property
 import numpy as np
 
 from .errors import FormatVersionError, InvalidArgumentError
-from .nodes import (NodeFamily, NodeKind, gauss_rule, lagrange_rows,
+from .nodes import (NodeFamily, NodeKind, barycentric_terms, gauss_rule,
                     make_nodes)
 
 #: version stamp carried by every file this package writes; readers
 #: reject anything newer
 FORMAT_VERSION = 1
 
-#: query rows per chunk in evaluation; the row and product workspaces of
-#: one call hold this many rows whatever the batch size
+#: queries per chunk in evaluation; the workspaces of one call hold this
+#: many queries whatever the batch size
 _CHUNK = 1024
 
 #: the name of the fixed time set of the collocation points
@@ -112,7 +118,8 @@ class Mesh:
     def interval_index(self, t):
         """Index of the half-open interval [t_i, t_{i+1}) containing t."""
         idx = np.searchsorted(self.breaks, t, side="right") - 1
-        return np.clip(idx, 0, self.num_intervals - 1)
+        # the integers of np.clip, without its Python wrapper
+        return np.minimum(np.maximum(idx, 0), self.num_intervals - 1)
 
     def __eq__(self, other):
         return isinstance(other, Mesh) and np.array_equal(self.breaks,
@@ -189,8 +196,8 @@ class _PiecewiseBase:
 
     @cached_property
     def _value_table(self) -> np.ndarray:
-        # (L, dim, nodes): the node axis last and contiguous, so the sum
-        # over a query's nodes runs along one row of memory
+        # (L, dim, nodes): the node axis last and contiguous, so the
+        # contraction over a query's nodes runs along one row of memory
         return np.ascontiguousarray(self.values.transpose(0, 2, 1))
 
     @cached_property
@@ -203,37 +210,40 @@ class _PiecewiseBase:
 
     @cached_property
     def _both_table(self) -> np.ndarray:
-        # values then derivatives: one pass of rows gives both
+        # values then derivatives: one pass of terms gives both
         return np.concatenate([self._value_table, self._deriv_table], axis=1)
 
-    def _rows(self, idx, t, out=None):
-        """Lagrange rows at times t in intervals idx, written into ``out``
-        (a C-contiguous (k, nodes) array) or one fresh array."""
+    def _terms(self, idx, t, out=None):
+        """Barycentric terms at times t in intervals idx, written into
+        ``out`` (a C-contiguous (k, nodes) array) or one fresh array."""
         # the indices are in range; mode "clip" writes straight into out,
         # where "raise" would fill a buffer and copy it
         times = np.take(self.node_times, idx, axis=0, out=out, mode="clip")
-        return lagrange_rows(t, times, self.node_family.bary_weights,
-                             out=times)
+        return barycentric_terms(t, times, self.node_family.bary_weights,
+                                 out=times)
 
-    def _interpolate(self, table, idx, t, rows=None):
+    def _interpolate(self, table, idx, t, terms=None):
         """``table`` at times t in intervals idx, in chunks of ``_CHUNK``
-        queries; the rows are built per chunk unless given.  One row
-        buffer and one product buffer serve every chunk."""
+        queries; the terms are built per chunk unless given.  One set of
+        workspaces serves every chunk."""
         out = np.empty((t.size, table.shape[1]))
         size = min(t.size, _CHUNK)
         work = np.empty((size,) + table.shape[1:])
-        if rows is None:
+        den = np.empty(size)
+        if terms is None:
             buf = np.empty((size, table.shape[2]))
         for lo in range(0, t.size, _CHUNK):
             part = slice(lo, lo + _CHUNK)
             k = idx[part].size
-            basis = self._rows(idx[part], t[part], buf[:k]) \
-                if rows is None else rows[part]
-            # gathered table times rows, in place: IEEE multiplication
-            # commutes, so these are the bits of rows * table
+            q = self._terms(idx[part], t[part], buf[:k]) \
+                if terms is None else terms[part]
             np.take(table, idx[part], axis=0, out=work[:k], mode="clip")
-            work[:k] *= basis[:, None, :]
-            np.sum(work[:k], axis=2, out=out[part])
+            # per query, one sum and one dot product per channel along
+            # its terms; with optimize off, einsum runs its own loops, not
+            # BLAS, and on short rows they are faster than np.sum's
+            np.einsum("kn->k", q, out=den[:k])
+            np.einsum("kdn,kn->kd", work[:k], q, out=out[part])
+            out[part] /= den[:k, None]
         return out
 
     def _eval_table(self, table, t):
@@ -260,7 +270,7 @@ class _PiecewiseBase:
         return self._eval_table(self._deriv_table, t)
 
     def eval_with_deriv(self, t):
-        """``(eval(t), eval_deriv(t))`` bitwise, from one pass of rows."""
+        """``(eval(t), eval_deriv(t))`` bitwise, from one pass of terms."""
         both = self._eval_table(self._both_table, t)
         return both[..., :self.dim], both[..., self.dim:]
 
@@ -321,33 +331,37 @@ class PeriodicPiecewisePoly(_PiecewiseBase):
         return values
 
     def eval_with_basis(self, times):
-        """``(eval(times), cols, rows)`` for 1-d times, the value bitwise;
-        value p is the sum over j of rows[p, j] times free value cols[p, j],
-        both (k, m+1).  The rows are returned whole, so for
-        collocation-sized batches only; the caller owns them."""
+        """``(eval(times), cols, rows)`` for 1-d times, the value bitwise
+        ``eval``; the Lagrange rows and free-value columns are both
+        (k, m+1), and the sum over j of rows[p, j] times free value
+        cols[p, j] is value p to roundoff.  The rows are returned whole,
+        so for collocation-sized batches only; the caller owns them."""
         t = _wrap_time(np.asarray(times, dtype=float))
         return self._with_basis(self.mesh.interval_index(t), t)
 
-    def _with_basis(self, idx, t, rows=None):
-        """``eval_with_basis`` at wrapped times t in intervals idx."""
-        rows = self._rows(idx, t) if rows is None else rows
-        return self._interpolate(self._value_table, idx, t, rows), \
-            self._columns[idx], rows
+    def _with_basis(self, idx, t, terms=None):
+        """``eval_with_basis`` at wrapped times t in intervals idx, from
+        their barycentric terms if given; the rows are the terms over
+        their sums, bitwise ``nodes.lagrange_rows``."""
+        terms = self._terms(idx, t) if terms is None else terms
+        return self._interpolate(self._value_table, idx, t, terms), \
+            self._columns[idx], terms / np.sum(terms, axis=1, keepdims=True)
 
     def _fixed(self, name):
-        """``(times, idx, rows)`` of the fixed time set ``name``: times as
+        """``(times, idx, terms)`` of the fixed time set ``name``: times as
         the rhs gets them (a grid ends at 1), intervals of the wrapped
-        times, and rows, None on the first request (only recorded)."""
+        times, and barycentric terms, None on the first request (only
+        recorded)."""
         if name != COLLOCATION and name < 2:
             raise InvalidArgumentError(
                 f"grid_points must be at least 2, got {name}")
 
-        def located(rows=False):
+        def located(terms=False):
             times = self.mesh.node_times(gauss_rule(self.degree)[0]).ravel() \
                 if name == COLLOCATION else np.linspace(0.0, 1.0, name)
             t = _wrap_time(times)
             idx = self.mesh.interval_index(t)
-            return times, idx, self._rows(idx, t) if rows else None
+            return times, idx, self._terms(idx, t) if terms else None
 
         return _STORE.get(self, name, lambda: located(True)) or located()
 
@@ -355,9 +369,9 @@ class PeriodicPiecewisePoly(_PiecewiseBase):
         """``(times, eval(times))`` at the fixed time set ``name``, or
         with ``deriv`` ``(times, eval(times), eval_deriv(times))``, each
         bitwise."""
-        times, idx, rows = self._fixed(name)
+        times, idx, terms = self._fixed(name)
         table = self._both_table if deriv else self._value_table
-        out = self._interpolate(table, idx, _wrap_time(times), rows)
+        out = self._interpolate(table, idx, _wrap_time(times), terms)
         return (times, out[:, :self.dim], out[:, self.dim:]) if deriv \
             else (times, out)
 

@@ -14,7 +14,8 @@ import pytest
 
 from semdde import piecewise
 from semdde.errors import InvalidArgumentError
-from semdde.nodes import NodeKind, lagrange_rows, make_nodes
+from semdde.nodes import (NodeKind, interpolation_matrix, lagrange_rows,
+                          make_nodes)
 from semdde.piecewise import (
     _CHUNK,
     COLLOCATION,
@@ -369,31 +370,47 @@ class TestSerialization:
                 poly_from_document(bad)
 
 
-# The evaluation kernel before it reused chunk workspaces, kept verbatim
-# as the reference that the in-place kernel must match bit for bit.
-def _reference_rows(points, node_times, weights):
+# The evaluation kernel written out of place, as the reference that the
+# in-place chunked kernel must match bit for bit: the second barycentric
+# formula sum_j q_j f_j / sum_j q_j with q_j = w_j / (t - x_j), a unit
+# row of terms at a node hit.
+def _reference_terms(points, node_times, weights):
     diff = points[:, None] - node_times
     hit = diff == 0.0
     diff[hit] = 1.0
-    ratio = weights / diff
+    terms = weights / diff
     on_node = np.any(hit, axis=1)
-    ratio[on_node] = hit[on_node]
-    return ratio / np.sum(ratio, axis=1, keepdims=True)
+    terms[on_node] = hit[on_node]
+    return terms
 
 
-def _reference_contract(table, idx, rows):
-    return np.sum(rows[:, None, :] * table[idx], axis=2)
+def _reference_contract(table, idx, terms):
+    return (np.einsum("kdn,kn->kd", table[idx], terms)
+            / np.einsum("kn->k", terms)[:, None])
 
 
-def _reference_interpolate(self, table, idx, t, rows=None):
+def _reference_interpolate(self, table, idx, t, terms=None):
     out = np.empty((t.size, table.shape[1]))
     for lo in range(0, t.size, _CHUNK):
         part = slice(lo, lo + _CHUNK)
-        basis = _reference_rows(
+        q = _reference_terms(
             t[part], self.node_times[idx[part]],
-            self.node_family.bary_weights) if rows is None else rows[part]
-        out[part] = _reference_contract(table, idx[part], basis)
+            self.node_family.bary_weights) if terms is None else terms[part]
+        out[part] = _reference_contract(table, idx[part], q)
     return out
+
+
+# The normalized formula the kernel used before: Lagrange rows (the terms
+# over their sum), then the sum of rows times values.  ``lagrange_rows``
+# and ``interpolation_matrix`` still give these rows bitwise, and the
+# contraction is the accuracy baseline of the kernel.
+def _reference_rows(points, node_times, weights):
+    terms = _reference_terms(points, node_times, weights)
+    return terms / np.sum(terms, axis=1, keepdims=True)
+
+
+def _normalized_contract(table, idx, rows):
+    return np.sum(rows[:, None, :] * table[idx], axis=2)
 
 
 def _kernel_polys():
@@ -475,7 +492,7 @@ class TestKernelIsTheReferenceBitwise:
         _, _, kept = piecewise._STORE.current[1][name]
         p.eval(_kernel_times(p, 2 * _CHUNK + 3)[::-1])
         flat = times - np.floor(times)
-        assert _same_bits(kept, _reference_rows(
+        assert _same_bits(kept, _reference_terms(
             flat, p.node_times[p.mesh.interval_index(flat)],
             p.node_family.bary_weights))
 
@@ -486,12 +503,14 @@ def test_eval_with_basis_is_the_reference_bitwise(size):
     t = _kernel_times(p, size)
     flat = t - np.floor(t)
     idx = p.mesh.interval_index(flat)
+    terms = _reference_terms(flat, p.node_times[idx],
+                             p.node_family.bary_weights)
     rows = _reference_rows(flat, p.node_times[idx],
                            p.node_family.bary_weights)
-    values = _reference_contract(p._value_table, idx, rows)
-    # rows built here, and rows handed in as the store hands them
+    values = _reference_contract(p._value_table, idx, terms)
+    # terms built here, and terms handed in as the store hands them
     held = [p.eval_with_basis(t), p._with_basis(idx, flat),
-            p._with_basis(idx, flat, rows.copy())]
+            p._with_basis(idx, flat, terms.copy())]
     # later evaluations must not reuse returned rows as a workspace
     p.eval_with_deriv(_kernel_times(p, 2 * _CHUNK + 3)[::-1])
     for got_values, got_cols, got_rows in held:
@@ -526,6 +545,20 @@ def test_lagrange_rows_leaves_its_inputs_alone(shared):
     assert not np.shares_memory(rows, node_times)
 
 
+@pytest.mark.parametrize("kind", list(NodeKind))
+def test_interpolation_matrix_is_the_normalized_formula_bitwise(kind):
+    """Interpolation matrices keep the bits of the normalized formula, node
+    hits included, across more than two chunks of points (the test above
+    checks ``lagrange_rows`` with nodes per point)."""
+    family = make_nodes(kind, 12)
+    points = np.concatenate([
+        np.random.default_rng(13).uniform(0.0, 1.0, 2 * _CHUNK + 3),
+        family.nodes])
+    assert _same_bits(
+        interpolation_matrix(family, points),
+        _reference_rows(points, family.nodes, family.bary_weights))
+
+
 def test_dense_grid_eval_working_set_stays_below_its_bound():
     """One 10001-point eval on (L=11, m=40), the dense grid of a
     Mackey-Glass table cell, peaks below 1.5 MiB: its output, wrapped
@@ -548,3 +581,62 @@ def test_dense_grid_eval_working_set_stays_below_its_bound():
         if not tracing:
             tracemalloc.stop()
     assert peak < 1.5 * 2**20, f"peak {peak / 1024:.0f} KiB"
+
+
+@pytest.mark.parametrize("degree", [8, 9], ids=["odd_n", "even_n"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_a_query_gives_its_bits_alone_and_anywhere_in_a_batch(degree, dim):
+    """Each of 2 * _CHUNK + 3 queries, node hits included, gives the same
+    bits evaluated alone and shifted by an odd number of queries, which
+    moves it to another row, chunk and memory alignment."""
+    p = _random_continuous_poly(np.random.default_rng(degree + 10 * dim), 7,
+                                degree, dim)
+    t = _kernel_times(p, 2 * _CHUNK + 3)
+    shifted = np.concatenate([np.full(5, 0.3), t])
+
+    def both(x):
+        return np.concatenate(p.eval_with_deriv(x), axis=-1)
+
+    for fn in (p.eval, both):
+        batch = fn(t)
+        assert _same_bits(fn(shifted)[5:], batch)
+        assert _same_bits(np.array([fn(x) for x in t]), batch)
+
+
+def _longdouble_interpolate(p, table, t):
+    """``table`` of ``p`` at times t in [0, 1) by the barycentric formula
+    in np.longdouble, from the same nodes, weights and values."""
+    idx = p.mesh.interval_index(t)
+    diff = t.astype(np.longdouble)[:, None] - p.node_times[idx]
+    hit = diff == 0.0
+    diff[hit] = 1.0
+    terms = p.node_family.bary_weights.astype(np.longdouble) / diff
+    on_node = np.any(hit, axis=1)
+    terms[on_node] = hit[on_node]
+    return (np.einsum("kdn,kn->kd", table[idx].astype(np.longdouble), terms)
+            / np.sum(terms, axis=1)[:, None])
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps / 8,
+                    reason="np.longdouble is no wider than double here")
+@pytest.mark.parametrize("num_intervals, degree", [(1, 40), (5, 34),
+                                                   (11, 40)])
+def test_kernel_is_as_accurate_as_the_normalized_formula(num_intervals,
+                                                         degree):
+    """On the 10001-point grid of a table cell's err, the kernel's largest
+    value and derivative errors against an extended-precision evaluation
+    of the same interpolant stay within twice the normalized formula's."""
+    p = sample_periodic(
+        lambda t: np.stack([np.sin(2 * np.pi * t) + 0.3 * np.cos(6 * np.pi * t),
+                            np.exp(np.sin(2 * np.pi * t))], axis=1),
+        Mesh.uniform(num_intervals), degree)
+    t = np.linspace(0.0, 1.0, 10001)[:-1]
+    idx = p.mesh.interval_index(t)
+    rows = _reference_rows(t, p.node_times[idx], p.node_family.bary_weights)
+    for fn, table in ((p.eval, p._value_table),
+                      (p.eval_deriv, p._deriv_table)):
+        exact = _longdouble_interpolate(p, table, t)
+        kernel = np.max(np.abs(fn(t) - exact))
+        normalized = np.max(np.abs(_normalized_contract(table, idx, rows)
+                                   - exact))
+        assert 0.0 < kernel <= 2.0 * normalized, (kernel, normalized)
