@@ -28,9 +28,9 @@ gradients.
 The Newton iteration damps by halving on residual increase, down to a
 floor, and solves for each step with numpy's dense LU with partial
 pivoting; it logs each accepted iteration at debug level under
-``semdde.collocation``.  scipy's LU, which exposes the pivots, is
-imported only to confirm a step that looks singular, so importing the
-package does not load scipy.
+``semdde.collocation``.  numpy exposes no LU pivots, so a step that
+looks singular has them checked by a short elimination in numpy
+(``lu_factor``); numpy is the package's only linear algebra.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from __future__ import annotations
 import logging
 import math
 import numbers
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
@@ -431,8 +430,8 @@ def assemble_jacobian(state: DiscreteState, prob: DdeProblem,
     return jac
 
 
-#: a Newton step is confirmed by scipy's LU pivots when max|step| times
-#: the Jacobian's scale exceeds this multiple of max|residual|; healthy
+#: a Newton step has its LU pivots checked when max|step| times the
+#: Jacobian's scale exceeds this multiple of max|residual|; healthy
 #: steps of the shipped problems stay below 1e5
 _SUSPICIOUS_AMPLIFICATION = 1e8
 
@@ -446,30 +445,19 @@ def lu_solve(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(jac, rhs)
 
 
-def lu_factor(jac: np.ndarray):
-    """scipy's LU factors ``(lu, piv)`` of ``jac``, whose diagonal holds
-    the pivots.  scipy is imported here, on the first step that needs its
-    pivots checked.  Its advisory LinAlgWarning is silenced: the pivot
-    check turns singularity into a typed error."""
-    from scipy.linalg import LinAlgWarning, lu_factor as factor
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LinAlgWarning)
-        return factor(jac)
-
-
-def _confirmed_step(jac: np.ndarray, residual: np.ndarray, scale: float,
-                    iteration: int, history) -> np.ndarray:
-    """The Newton step by scipy's LU, after the pivot rule: raises
-    SingularJacobianError when a pivot falls below 1e-14 of ``scale``."""
-    from scipy.linalg import lu_solve as solve_factored
-
-    lu, piv = lu_factor(jac)
-    if float(np.min(np.abs(np.diag(lu)))) < 1e-14 * scale:
-        raise SingularJacobianError(
-            f"LU pivot below 1e-14 of the matrix scale {scale:.3e} at "
-            f"iteration {iteration}", residual_history=np.array(history))
-    return solve_factored((lu, piv), -residual)
+def lu_factor(jac: np.ndarray) -> np.ndarray:
+    """The pivots, U's diagonal, of ``jac``'s LU with partial pivoting
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 9)
+    by rank-1 updates.  Each column pivots on its first largest entry, as
+    LAPACK's ``idamax`` picks it; a zero column is left uneliminated."""
+    a = np.array(jac, dtype=float)
+    for k in range(a.shape[0] - 1):
+        p = k + int(np.argmax(np.abs(a[k:, k])))
+        a[[k, p], k:] = a[[p, k], k:]
+        if a[k, k] != 0.0:
+            a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k] / a[k, k],
+                                          a[k, k + 1:])
+    return a.diagonal().copy()
 
 
 @dataclass(frozen=True)
@@ -491,15 +479,16 @@ def newton_solve(init: DiscreteState, prob: DdeProblem,
     pivot rule, or the residual leaves the finite (or positive-period)
     region at the damping floor.
 
-    Each step is solved by numpy (``lu_solve``).  It is suspicious when
-    that solve meets an exactly zero pivot, returns a non-finite step, or
-    returns one with max|step| times the Jacobian's scale (its largest
-    entry) above ``_SUSPICIOUS_AMPLIFICATION`` times max|residual|.  A
-    suspicious step is redone by scipy's LU (``lu_factor``), and the
-    pivot rule raises SingularJacobianError when a pivot of that LU lies
-    below 1e-14 of the scale.  A near-singular Jacobian whose residual
-    lies almost in its range amplifies too little to be checked, and its
-    step is taken.
+    Each step is solved once, by numpy (``lu_solve``).  A Jacobian that
+    is not finite raises NonFiniteResidualError before the solve.  The
+    pivot rule raises SingularJacobianError when that solve meets an
+    exactly zero pivot, or when the step is suspicious and a pivot of
+    ``lu_factor`` lies below 1e-14 of the Jacobian's scale (its largest
+    entry).  A step is suspicious when it is not finite, or when
+    max|step| times the scale exceeds ``_SUSPICIOUS_AMPLIFICATION``
+    times max|residual|; a suspicious step that passes the rule is kept.
+    A near-singular Jacobian whose residual lies almost in its range
+    amplifies too little to be checked, and its step is taken.
     """
     mesh = init.poly.mesh
     degree = init.poly.degree
@@ -522,15 +511,24 @@ def newton_solve(init: DiscreteState, prob: DdeProblem,
             return NewtonResult(state, iteration, np.array(history))
         jac = assemble_jacobian(state, prob, cons, settings)
         scale = float(np.max(np.abs(jac)))
+        if not math.isfinite(scale):
+            raise NonFiniteResidualError(
+                f"Jacobian not finite at iteration {iteration}",
+                residual_history=np.array(history))
+        pivot = math.inf  # the smallest LU pivot, found only when needed
         try:
             step = lu_solve(jac, -residual)
-        except np.linalg.LinAlgError:  # an exactly zero pivot
-            amplification = math.inf
+        except np.linalg.LinAlgError:  # an exactly zero pivot: no step
+            pivot = 0.0
         else:
             amplification = float(np.max(np.abs(step))) * scale / res_norm
-        # a non-finite step gives inf or nan, which fail the test too
-        if not amplification <= _SUSPICIOUS_AMPLIFICATION:
-            step = _confirmed_step(jac, residual, scale, iteration, history)
+            # a non-finite step gives inf or nan, which fail the test too
+            if not amplification <= _SUSPICIOUS_AMPLIFICATION:
+                pivot = float(np.min(np.abs(lu_factor(jac))))
+        if pivot < 1e-14 * scale:
+            raise SingularJacobianError(
+                f"LU pivot below 1e-14 of the matrix scale {scale:.3e} at "
+                f"iteration {iteration}", residual_history=np.array(history))
 
         damping = 1.0
         halvings = 0

@@ -5,18 +5,22 @@ values: the linearization slope a + b h'(1) = -5 and the Hopf frequency
 sqrt(15) follow from hand differentiation of the rhs.
 """
 
+import dataclasses
 import json
 import logging
 import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import semdde
+from semdde import collocation
+from semdde.analysis import convergence_study
 from semdde.collocation import (
     AffineRow,
     DiscreteState,
@@ -25,11 +29,17 @@ from semdde.collocation import (
     assemble_residual,
     constraint_gradient,
     default_constraints,
+    lu_factor,
     newton_solve,
     resample_state,
     state_from_document,
 )
-from semdde.continuation import sd_quadratic_seed
+from semdde.continuation import (
+    continue_branch,
+    hopf_initial_guess,
+    mackey_glass_hopf,
+    sd_quadratic_seed,
+)
 from semdde.errors import (
     InvalidArgumentError,
     MaxIterExceededError,
@@ -175,10 +185,27 @@ def _blowup_problem():
                   pin_period)
 
 
+def _near_blowup_state():
+    """A constant profile just below 10, where ``_blowup_problem``'s rhs
+    turns infinite, with period 1 and p = 0."""
+    return DiscreteState(
+        sample_periodic(lambda t: np.full_like(t, 10.0 - 1e-9),
+                        Mesh.uniform(3), 4), np.array([1.0, 0.0]))
+
+
 def _equilibrium_state(tau=0.8, period=1.6, num_intervals=3, degree=4):
     mesh = Mesh.uniform(num_intervals)
     poly = sample_periodic(lambda t: np.ones_like(t), mesh, degree)
     return DiscreteState(poly, np.array([period, tau]))
+
+
+def _duplicate_constraints_case():
+    """Mackey-Glass with its parameter pin twice: the analytic constraint
+    rows of the Jacobian are exactly dependent, so LU meets a zero
+    pivot."""
+    prob = mackey_glass()
+    pin = default_constraints(prob, [0.8])[1]
+    return prob, _equilibrium_state(tau=0.8), (pin, pin)
 
 
 def _near_hopf_guess():
@@ -205,6 +232,16 @@ def _nearly_singular_case():
     near = AffineRow(point_terms=((0.0, 0, 1e-15),),
                      mu_coeffs=pin.mu_coeffs, offset=pin.offset - 1e-3)
     return prob, DiscreteState(poly, np.array([1.6, 0.8])), (pin, near)
+
+
+@pytest.fixture
+def lu_factor_calls(monkeypatch):
+    """The shapes ``newton_solve`` passes to ``lu_factor``, which still
+    factors them."""
+    calls = []
+    monkeypatch.setattr(collocation, "lu_factor", lambda jac: (
+        calls.append(jac.shape) or lu_factor(jac)))
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -507,17 +544,14 @@ class TestNewton:
         assert history[-1] / history[-2] < 0.01 * history[1] / history[0]
 
     def test_duplicate_constraints_trip_the_pivot_check(self):
-        # two identical pin rows make the analytic constraint rows of the
-        # Jacobian exactly dependent, so LU produces a zero pivot
-        state = _equilibrium_state(tau=0.8)
-        prob = mackey_glass()
-        pin = default_constraints(prob, [0.8])[1]
-        with pytest.raises(SingularJacobianError) as exc:
-            newton_solve(state, prob, (pin, pin),
+        prob, state, cons = _duplicate_constraints_case()
+        with pytest.raises(SingularJacobianError,
+                           match="at iteration 0$") as exc:
+            newton_solve(state, prob, cons,
                          NewtonSettings(tol_residual=1e-16))
         # the initial residual is the one norm recorded before the LU
         assert exc.value.residual_history.shape == (1,)
-        residual = assemble_residual(state, prob, (pin, pin))
+        residual = assemble_residual(state, prob, cons)
         assert exc.value.residual_history[0] == np.max(np.abs(residual))
 
     def test_nearly_dependent_constraints_trip_the_pivot_check(self):
@@ -529,24 +563,28 @@ class TestNewton:
         assert exc.value.residual_history.tolist() == [
             np.max(np.abs(residual))]
 
-    def test_only_a_suspicious_step_imports_scipy(self):
-        # a fresh interpreter: the package, then a healthy solve, load no
-        # scipy; the pivot check of the nearly singular case loads it
+    def test_solver_and_pivot_rule_run_with_scipy_unimportable(self):
+        # a fresh interpreter in which any import of scipy fails: the CLI
+        # imports, a healthy solve converges, and the pivot rule still
+        # types both singular cases
         child = textwrap.dedent("""
             import json, sys
+            sys.modules["scipy"] = None
             import semdde.cli
             from semdde.errors import SingularJacobianError
-            from test_collocation import (_near_hopf_guess,
-                                          _nearly_singular_case, newton_solve)
-            seen = ['scipy' in sys.modules]
+            from test_collocation import (
+                NewtonSettings, _duplicate_constraints_case,
+                _near_hopf_guess, _nearly_singular_case, newton_solve)
             prob, init, cons = _near_hopf_guess()
-            newton_solve(init, prob, cons)
-            seen.append('scipy' in sys.modules)
-            prob, state, cons = _nearly_singular_case()
-            try:
-                newton_solve(state, prob, cons)
-            except SingularJacobianError:
-                seen.append('scipy' in sys.modules)
+            seen = [float(newton_solve(init, prob, cons)
+                          .residual_history[-1])]
+            for case in (_nearly_singular_case, _duplicate_constraints_case):
+                prob, state, cons = case()
+                try:
+                    newton_solve(state, prob, cons,
+                                 NewtonSettings(tol_residual=1e-16))
+                except SingularJacobianError as exc:
+                    seen.append([str(exc), len(exc.residual_history)])
             print(json.dumps(seen))
         """)
         # the child imports the same semdde as this process, and this file
@@ -557,7 +595,38 @@ class TestNewton:
         proc = subprocess.run([sys.executable, "-c", child],
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == [False, False, True]
+        final, *singular = json.loads(proc.stdout)
+        assert final <= NewtonSettings().tol_residual
+        assert len(singular) == 2
+        for message, history_length in singular:
+            assert message.endswith("at iteration 0")
+            assert history_length == 1
+
+    def test_every_step_checked_leaves_a_healthy_solve_bitwise(
+            self, near_hopf_orbit, lu_factor_calls, monkeypatch):
+        # a trigger of 0 runs the pivot rule on every step; a step that
+        # passes it is numpy's, so nothing moves
+        prob, cons, result = near_hopf_orbit
+        monkeypatch.setattr(collocation, "_SUSPICIOUS_AMPLIFICATION", 0.0)
+        _, init, _ = _near_hopf_guess()
+        checked = newton_solve(init, prob, cons)
+        assert len(lu_factor_calls) == result.iterations >= 1
+        assert np.array_equal(checked.state.flatten(),
+                              result.state.flatten())
+        assert np.array_equal(checked.residual_history,
+                              result.residual_history)
+
+    def test_non_finite_jacobian_raises_before_the_solve(self):
+        # the residual is finite, but the Jacobian's forward difference
+        # bumps v past 10, where the rhs is infinite
+        prob, cons = _blowup_problem()
+        init = _near_blowup_state()
+        with pytest.raises(NonFiniteResidualError,
+                           match="^Jacobian not finite at iteration 0$") \
+                as exc:
+            newton_solve(init, prob, cons)
+        initial = np.max(np.abs(assemble_residual(init, prob, cons)))
+        assert exc.value.residual_history.tolist() == [initial]
 
     def test_non_finite_initial_residual_has_an_empty_history(self):
         prob, cons = _blowup_problem()
@@ -592,6 +661,62 @@ class TestNewton:
                          NewtonSettings(max_iter=2))
         assert exc.value.residual_history is not None
         assert len(exc.value.residual_history) == 3
+
+    def test_convergence_study_records_a_non_finite_jacobian(self):
+        prob, _ = _blowup_problem()
+        prob = dataclasses.replace(prob, equilibrium=np.array([0.0]))
+        table = convergence_study(prob, [0.0], [3], [4],
+                                  seed=_near_blowup_state())
+        assert [cell.failure for cell in table.rows] == [
+            "NonFiniteResidualError: Jacobian not finite at iteration 0"]
+
+
+def _pinned(prob, state):
+    return prob, state, default_constraints(prob, state.params)
+
+
+PIVOT_CASES = [
+    _nearly_singular_case,
+    _duplicate_constraints_case,
+    lambda: _pinned(*_mackey_glass_case(11, 8)),
+    lambda: _pinned(*_mackey_glass_case(5, 20)),
+    lambda: _pinned(*_mackey_glass_case(11, 40)),
+]
+PIVOT_CASE_IDS = ["nearly_singular", "duplicate_constraints",
+                  "mackey_glass_11_8", "mackey_glass_5_20",
+                  "mackey_glass_11_40"]
+
+
+class TestPivots:
+    @pytest.mark.parametrize("case", PIVOT_CASES, ids=PIVOT_CASE_IDS)
+    def test_pivots_match_scipys_lu(self, case):
+        # scipy's LAPACK getrf is the reference; the package needs no scipy
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        prob, state, cons = case()
+        jac = assemble_jacobian(state, prob, cons)
+        with warnings.catch_warnings():  # the exact zero pivot
+            warnings.simplefilter("ignore", scipy_linalg.LinAlgWarning)
+            reference = np.diag(scipy_linalg.lu_factor(jac)[0])
+        pivots = lu_factor(jac)
+        assert pivots.shape == (jac.shape[0],)
+        assert np.all(np.abs(pivots - reference) <= 1e-13 * np.abs(reference))
+
+    def test_healthy_solves_never_factor(self, lu_factor_calls):
+        # the Hopf solve, its 20-step branch and an sd_quadratic table
+        # column take every step unchecked: the elimination stays off
+        # healthy solves
+        prob = mackey_glass()
+        guess = hopf_initial_guess(mackey_glass_hopf(), 0.01,
+                                   Mesh.uniform(11), 8)
+        start = newton_solve(guess, prob,
+                             default_constraints(prob, guess.params)).state
+        points = continue_branch(start, prob, float(start.params[0]), 1.0, 20)
+        table = convergence_study(sd_quadratic(), [0.95], [20],
+                                  [4, 6, 8, 10, 12],
+                                  seed=sd_quadratic_seed(0.95))
+        assert len(points) == 20
+        assert all(cell.failure is None for cell in table.rows)
+        assert lu_factor_calls == []
 
 
 class TestDefaultConstraints:
