@@ -222,10 +222,10 @@ def write_convergence_csv(table: ConvergenceTable, stream) -> None:
     stream.write(f"# format_version={FORMAT_VERSION}\n")
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(CONVERGENCE_CSV_COLUMNS)
+    # the csv module writes a float as its repr and None as an empty cell
     for row in table.rows:
-        writer.writerow([row.num_intervals, row.degree, repr(row.err),
-                         repr(row.phi_defect), row.newton_iters,
-                         row.failure or ""])
+        writer.writerow([getattr(row, name)
+                         for name in CONVERGENCE_CSV_COLUMNS])
 
 
 def convergence_table_document(table: ConvergenceTable) -> dict:
@@ -233,17 +233,9 @@ def convergence_table_document(table: ConvergenceTable) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "metadata": dict(table.metadata),
-        "rows": [
-            {
-                "num_intervals": row.num_intervals,
-                "degree": row.degree,
-                "err": row.err,
-                "phi_defect": row.phi_defect,
-                "newton_iters": row.newton_iters,
-                "failure": row.failure,
-            }
-            for row in table.rows
-        ],
+        "rows": [{name: getattr(row, name)
+                  for name in CONVERGENCE_CSV_COLUMNS}
+                 for row in table.rows],
     }
 
 

@@ -12,10 +12,11 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
 from time import perf_counter
@@ -72,18 +73,17 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_FAILURE = 2
 
-_NEWTON_KEYS = {"tol_residual", "tol_step", "max_iter", "damping_min",
-                "fd_step"}
-#: keys each guess kind accepts besides "kind"
-_GUESS_KEYS = {"hopf": {"amplitude", "offset"}, "file": {"path"},
-               "constant": {"values", "period"}, "seed": set()}
-
 
 def _real(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or \
-            not np.isfinite(value):
+    number = math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the double range
+            pass
+    if not math.isfinite(number):
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
+    return number
 
 
 def _int(value, name: str, minimum: int = 1) -> int:
@@ -101,39 +101,63 @@ def _items(parse, value, name: str) -> tuple:
     return tuple(parse(v, name) for v in values)
 
 
-def _guess(doc) -> dict:
+def _text(value, name: str) -> str:
+    return str(value)
+
+
+def _flag(value, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def _path(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a file name, got {value!r}")
+    return value
+
+
+def _mesh(value, name: str) -> Mesh:
+    return Mesh(value) if isinstance(value, list) \
+        else Mesh.uniform(_int(value, name))
+
+
+#: the keys of each guess kind besides "kind", each with its default and
+#: parser; a key whose default is None is required (no parser takes None)
+_GUESSES = {
+    "hopf": {"amplitude": (0.01, _real),
+             "offset": (DEFAULT_HOPF_OFFSET, _real)},
+    "file": {"path": (None, _path)},
+    "constant": {"values": (None, partial(_items, _real)),
+                 "period": (None, _real)},
+    "seed": {},
+}
+
+
+def _guess(doc, name: str) -> dict:
     """Checked guess with every value converted and defaults filled in."""
     kind = doc.get("kind") if isinstance(doc, dict) else None
-    if kind not in _GUESS_KEYS:
+    if kind not in _GUESSES:
         raise ConfigError(
-            f"guess must be an object with kind in {sorted(_GUESS_KEYS)}")
-    extras = set(doc) - _GUESS_KEYS[kind] - {"kind"}
+            f"{name} must be an object with kind in {sorted(_GUESSES)}")
+    keys = _GUESSES[kind]
+    extras = set(doc) - set(keys) - {"kind"}
     if extras:
-        raise ConfigError(f"unknown {kind} guess keys {sorted(extras)}")
-    guess = dict(doc)
-    if kind == "hopf":
-        guess["amplitude"] = _real(doc.get("amplitude", 0.01),
-                                   "guess.amplitude")
-        guess["offset"] = _real(doc.get("offset", DEFAULT_HOPF_OFFSET),
-                                "guess.offset")
-    elif kind == "constant":
-        guess["values"] = _items(_real, doc.get("values"), "guess.values")
-        guess["period"] = _real(doc.get("period"), "guess.period")
-    elif kind == "file" and not isinstance(doc.get("path"), str):
-        raise ConfigError(
-            f"guess.path must be a file name, got {doc.get('path')!r}")
-    return guess
+        raise ConfigError(f"unknown {kind} {name} keys {sorted(extras)}")
+    return dict(kind=kind, **{
+        key: parse(doc.get(key, default), f"{name}.{key}")
+        for key, (default, parse) in keys.items()})
 
 
-def _newton(doc) -> NewtonSettings:
+def _newton(doc, name: str) -> NewtonSettings:
     """Newton settings; NewtonSettings checks each value."""
-    if not isinstance(doc, dict) or set(doc) - _NEWTON_KEYS:
-        raise ConfigError(
-            f"newton settings accept keys {sorted(_NEWTON_KEYS)}")
+    keys = sorted(f.name for f in fields(NewtonSettings))
+    if not isinstance(doc, dict) or set(doc) - set(keys):
+        raise ConfigError(f"{name} settings accept keys {keys}")
     try:
         return NewtonSettings(**doc)
     except InvalidArgumentError as exc:
-        raise ConfigError(f"newton: {exc}") from None
+        raise ConfigError(f"{name}: {exc}") from None
 
 
 def _schedule_targets(path: Path, p_to: float, steps: int) -> list:
@@ -159,6 +183,12 @@ def _schedule_targets(path: Path, p_to: float, steps: int) -> list:
     return [_real(v, "schedule.json targets") for v in targets]
 
 
+def _key(default, parse):
+    """A config key with its default and the parser of its JSON value,
+    called as parse(value, key name)."""
+    return field(default=default, metadata={"parse": parse})
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Parsed JSON configuration shared by all subcommands.
@@ -170,72 +200,40 @@ class RunConfig:
     Gauss-Legendre nodes.
     """
 
-    problem: Optional[str] = None
-    node_kind: NodeKind = NodeKind.GAUSS_LEGENDRE
-    mesh: Optional[Mesh] = None
-    mesh_list: Optional[Tuple[int, ...]] = None
-    degree: Tuple[int, ...] = ()
-    params: Tuple[float, ...] = ()
-    newton: NewtonSettings = field(default_factory=NewtonSettings)
-    out_dir: Optional[str] = None
-    grid: int = DEFAULT_ERR_GRID
-    guess: Optional[dict] = None
-    p_to: Optional[float] = None
-    steps: Optional[int] = None
-    resume: bool = False
-    k_max: int = 5
-    solution: Optional[str] = None
-    samples: int = 10001
+    problem: Optional[str] = _key(None, _text)
+    node_kind: NodeKind = _key(NodeKind.GAUSS_LEGENDRE,
+                               lambda value, name: NodeKind.from_name(value))
+    mesh: Optional[Mesh] = _key(None, _mesh)
+    mesh_list: Optional[Tuple[int, ...]] = _key(None, partial(_items, _int))
+    degree: Tuple[int, ...] = _key((), partial(_items, _int))
+    params: Tuple[float, ...] = _key((), partial(_items, _real))
+    newton: NewtonSettings = _key(NewtonSettings(), _newton)
+    out_dir: Optional[str] = _key(None, _text)
+    grid: int = _key(DEFAULT_ERR_GRID, partial(_int, minimum=2))
+    guess: Optional[dict] = _key(None, _guess)
+    p_to: Optional[float] = _key(None, _real)
+    steps: Optional[int] = _key(None, _int)
+    resume: bool = _key(False, _flag)
+    k_max: int = _key(5, _int)
+    solution: Optional[str] = _key(None, _text)
+    samples: int = _key(10001, _int)
 
     @classmethod
-    def from_document(cls, doc) -> "RunConfig":
+    def from_document(cls, doc, **overrides) -> "RunConfig":
+        """The config of a JSON document, with each override that is not
+        None in place of its key's value, so both pass the same parser."""
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")
-        known = set(cls.__dataclass_fields__)
-        unknown = set(doc) - known
+        doc = dict(doc, **{key: value for key, value in overrides.items()
+                           if value is not None})
+        keys = [f.name for f in fields(cls)]
+        unknown = set(doc) - set(keys)
         if unknown:
             raise ConfigError(
                 f"unknown config keys {sorted(unknown)}; known keys are "
-                f"{sorted(known)}")
-        values = {}
-        if "problem" in doc:
-            values["problem"] = str(doc["problem"])
-        if "node_kind" in doc:
-            values["node_kind"] = NodeKind.from_name(doc["node_kind"])
-        if "mesh" in doc:
-            mesh = doc["mesh"]
-            values["mesh"] = Mesh(mesh) if isinstance(mesh, list) \
-                else Mesh.uniform(_int(mesh, "mesh"))
-        if "mesh_list" in doc:
-            values["mesh_list"] = _items(_int, doc["mesh_list"], "mesh_list")
-        if "degree" in doc:
-            values["degree"] = _items(_int, doc["degree"], "degree")
-        if "params" in doc:
-            values["params"] = _items(_real, doc["params"], "params")
-        if "newton" in doc:
-            values["newton"] = _newton(doc["newton"])
-        if "out_dir" in doc:
-            values["out_dir"] = str(doc["out_dir"])
-        if "grid" in doc:
-            values["grid"] = _int(doc["grid"], "grid", 2)
-        if "guess" in doc:
-            values["guess"] = _guess(doc["guess"])
-        if "p_to" in doc:
-            values["p_to"] = _real(doc["p_to"], "p_to")
-        if "steps" in doc:
-            values["steps"] = _int(doc["steps"], "steps")
-        if "resume" in doc:
-            if not isinstance(doc["resume"], bool):
-                raise ConfigError(
-                    f"resume must be true or false, got {doc['resume']!r}")
-            values["resume"] = doc["resume"]
-        if "k_max" in doc:
-            values["k_max"] = _int(doc["k_max"], "k_max")
-        if "solution" in doc:
-            values["solution"] = str(doc["solution"])
-        if "samples" in doc:
-            values["samples"] = _int(doc["samples"], "samples")
-        return cls(**values)
+                f"{sorted(keys)}")
+        return cls(**{f.name: f.metadata["parse"](doc[f.name], f.name)
+                      for f in fields(cls) if f.name in doc})
 
 
 def _require(value, name: str):
@@ -479,6 +477,11 @@ def cmd_circle_map(cfg: RunConfig, out_dir: Path) -> int:
     if prob.lag is None:
         raise ConfigError(f"problem {prob.name!r} declares no delay map")
     state = _load_state(_require(cfg.solution, "solution"))
+    if (state.poly.dim, state.params.size) != (prob.dim, prob.num_params):
+        raise InvalidArgumentError(
+            f"{cfg.solution} holds an orbit of dimension {state.poly.dim} "
+            f"with {state.params.size} params; {prob.name} needs "
+            f"{prob.dim} with {prob.num_params}")
     start = perf_counter()
     lag = orbit_lag_map(state, prob.lag)
     result = circle_map_analysis(lag, cfg.k_max, cfg.grid)
@@ -577,11 +580,8 @@ def main(argv=None) -> int:
     try:
         _configure_logging()
         with open(args.config) as handle:
-            cfg = RunConfig.from_document(json.load(handle))
-        if args.grid is not None:
-            if args.grid < 2:
-                raise ConfigError(f"--grid must be >= 2, got {args.grid}")
-            cfg = replace(cfg, grid=args.grid)
+            cfg = RunConfig.from_document(json.load(handle),
+                                          out_dir=args.out, grid=args.grid)
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         if (args.command in ("solve", "continue", "convergence")
@@ -589,24 +589,15 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"{args.command} always collocates at gauss_legendre nodes; "
                 f"node_kind {cfg.node_kind.value!r} is for the nodes command")
-        out_dir = Path(args.out or cfg.out_dir or ".")
+        out_dir = Path(cfg.out_dir or ".")
         out_dir.mkdir(parents=True, exist_ok=True)
-    except (SemDdeError, OSError, ValueError, TypeError) as exc:
-        _emit_error(exc)
-        return EXIT_CONFIG
-
-    try:
-        if args.command == "solve":
-            return cmd_solve(cfg, out_dir)
-        if args.command == "continue":
-            return cmd_continue(cfg, out_dir)
-        if args.command == "convergence":
-            return cmd_convergence(cfg, out_dir, args.jobs)
-        if args.command == "circle-map":
-            return cmd_circle_map(cfg, out_dir)
-        return cmd_nodes(cfg, out_dir)
-    except (ConfigError, FormatVersionError, InvalidArgumentError,
-            OSError) as exc:
+        command = {"solve": cmd_solve, "continue": cmd_continue,
+                   "convergence": partial(cmd_convergence, jobs=args.jobs),
+                   "circle-map": cmd_circle_map, "nodes": cmd_nodes}
+        return command[args.command](cfg, out_dir)
+    # InvalidArgumentError is a ValueError: bad input, wherever it is found
+    except (ConfigError, FormatVersionError, OSError, ValueError,
+            TypeError) as exc:
         _emit_error(exc)
         return EXIT_CONFIG
     except SemDdeError as exc:

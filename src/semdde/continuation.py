@@ -210,7 +210,6 @@ def _onset_guess(state: DiscreteState, onset: Optional[HopfData],
 def continue_branch(start: DiscreteState, prob: DdeProblem, p_from: float,
                     p_to: float, steps: int,
                     settings: Optional[NewtonSettings] = None, *,
-                    max_bisections: int = MAX_STEP_BISECTIONS,
                     grid_points: int = DEFAULT_ERR_GRID,
                     previous: Optional[DiscreteState] = None,
                     ) -> List[BranchPoint]:
@@ -236,9 +235,9 @@ def continue_branch(start: DiscreteState, prob: DdeProblem, p_from: float,
 
     A failing step (a Newton error, or an orbit whose amplitude falls
     below a tenth of the orbit the step starts from) is split in half,
-    up to ``max_bisections`` nested halvings, with the midpoint orbits
-    used as stepping stones only.  Returns one BranchPoint per scheduled
-    value, in order.
+    up to ``MAX_STEP_BISECTIONS`` nested halvings, with the midpoint
+    orbits used as stepping stones only.  Returns one BranchPoint per
+    scheduled value, in order.
     """
     if steps < 1:
         raise InvalidArgumentError(f"steps must be >= 1, got {steps}")
@@ -273,10 +272,10 @@ def continue_branch(start: DiscreteState, prob: DdeProblem, p_from: float,
                       p_cur, p_target, depth,
                       "collapse" if isinstance(exc, CollapseError)
                       else type(exc).__name__)
-            if depth >= max_bisections:
+            if depth >= MAX_STEP_BISECTIONS:
                 raise StepFailureError(
                     f"step from p={p_cur:.6g} to p={p_target:.6g} failed "
-                    f"after {max_bisections} bisections: {exc}",
+                    f"after {MAX_STEP_BISECTIONS} bisections: {exc}",
                     last_good=points[-1] if points else None,
                     points=list(points)) from exc
             p_mid = 0.5 * (p_cur + p_target)

@@ -54,9 +54,10 @@ class HopfData:
 def scalar_hopf_point(alpha: float, beta: float) -> Tuple[float, float]:
     """Smallest delay where alpha y + beta y(t - tau) starts oscillating.
 
-    Returns (tau, omega) with omega = sqrt(beta^2 - alpha^2); tau solves
-    cos(omega tau) = -alpha/beta on the quarter-plane branch fixed by
-    the sign of beta, located by bisection to well below 1e-10.
+    Returns (tau, omega) with omega = sqrt(beta^2 - alpha^2) and the
+    smallest tau > 0 with cos(omega tau) = -alpha/beta on the branch
+    where sin(omega tau) has the sign of -beta: omega tau in (0, pi) for
+    beta < 0 and in (pi, 2 pi) for beta > 0.
     """
     if not (math.isfinite(alpha) and math.isfinite(beta)):
         raise InvalidArgumentError("alpha and beta must be finite")
@@ -65,21 +66,10 @@ def scalar_hopf_point(alpha: float, beta: float) -> Tuple[float, float]:
             f"characteristic roots never reach the imaginary axis for "
             f"|beta| = {abs(beta)} <= |alpha| = {abs(alpha)}")
     omega = math.sqrt(beta * beta - alpha * alpha)
-    target = -alpha / beta
-    # the imaginary part fixes the sign of sin(omega tau) to -sign(beta)
-    lo, hi = (0.0, math.pi) if beta < 0.0 else (math.pi, 2.0 * math.pi)
-    f_lo = math.cos(lo) - target
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        f_mid = math.cos(mid) - target
-        if f_mid == 0.0:
-            lo = hi = mid
-            break
-        if (f_lo < 0.0) != (f_mid < 0.0):
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi) / omega, omega
+    angle = math.acos(-alpha / beta)
+    if beta > 0.0:
+        angle = 2.0 * math.pi - angle
+    return angle / omega, omega
 
 
 @dataclass(frozen=True)
@@ -268,4 +258,10 @@ class RescaledRhs:
 
         out = period * np.asarray(self.problem.rhs(evaluator, mu[1:]),
                                   dtype=float)
-        return out.reshape(base.size, self.problem.dim)
+        shape = (base.size, self.problem.dim)
+        if out.size != base.size * self.problem.dim:
+            # a state of another dimension than the problem's
+            raise InvalidArgumentError(
+                f"rhs of {self.problem.name} returned shape {out.shape}, "
+                f"expected {shape}")
+        return out.reshape(shape)

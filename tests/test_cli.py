@@ -19,16 +19,17 @@ import pytest
 import semdde
 from semdde.analysis import err_and_amplitude, orbit_amplitude, \
     residual_err
+from semdde.analysis import convergence_study
 from semdde.cli import RunConfig, _initial_state, main
-from semdde.collocation import default_constraints, newton_solve, \
-    resample_state, state_from_document, state_to_document
+from semdde.collocation import DiscreteState, default_constraints, \
+    newton_solve, resample_state, state_from_document, state_to_document
 from semdde.continuation import checked_amplitude, continue_branch, \
     hopf_initial_guess, mackey_glass_hopf, sd_quadratic_seed, \
     write_branch_csv
-from semdde.errors import ConfigError
+from semdde.errors import ConfigError, InvalidArgumentError
 from semdde.nodes import NodeKind, lebesgue_constant, make_nodes
 from semdde.oracle import phi_m_defect
-from semdde.piecewise import Mesh
+from semdde.piecewise import Mesh, PeriodicPiecewisePoly
 from semdde.problems import get_problem, mackey_glass, sd_quadratic
 
 
@@ -75,6 +76,16 @@ class TestRunConfig:
     def test_unknown_key_is_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
             RunConfig.from_document({"problem": "x", "speling": 1})
+
+    def test_unknown_key_error_lists_every_field(self):
+        names = sorted(f.name for f in dataclasses.fields(RunConfig))
+        assert len(names) == 16
+        with pytest.raises(ConfigError) as excinfo:
+            RunConfig.from_document({"speling": 1})
+        assert str(excinfo.value).endswith(f"known keys are {names}")
+
+    def test_empty_document_gives_the_defaults(self):
+        assert RunConfig.from_document({}) == RunConfig()
 
     def test_non_object_is_rejected(self):
         with pytest.raises(ConfigError, match="JSON object"):
@@ -128,11 +139,12 @@ class TestRunConfig:
         {"newton": {"tol_residual": "1e-8"}},
         {"newton": {"max_iter": 2.5}},
         {"newton": {"max_iter": True}},
+        {"params": [10**400]},
     ], ids=["values_str", "values_bool", "values_empty", "period_str",
             "period_missing", "amplitude_str", "offset_null", "path_list",
             "constant_extra_key", "resume_str", "steps_bool", "mesh_bool",
             "fd_step_bool", "fd_step_zero", "tol_str", "max_iter_float",
-            "max_iter_bool"])
+            "max_iter_bool", "params_huge_int"])
     def test_malformed_value_exits_1_before_solving(self, tmp_path, capsys,
                                                      change):
         path = write_config(tmp_path / "c.json", {
@@ -185,6 +197,17 @@ class TestSolve:
         out = tmp_path / "elsewhere"
         assert main(["solve", "--config", path, "--out", str(out)]) == 0
         assert (out / "solution.json").exists()
+
+    def test_value_error_inside_a_command_exits_1(self, tmp_path, capsys,
+                                                  monkeypatch):
+        def broken(cfg, out_dir):
+            raise ValueError("bad value deep inside")
+
+        monkeypatch.setattr("semdde.cli.cmd_solve", broken)
+        path = write_config(tmp_path / "c.json", {"out_dir": str(tmp_path)})
+        assert main(["solve", "--config", path]) == 1
+        assert read_error(capsys) == {"type": "ValueError",
+                                      "message": "bad value deep inside"}
 
     def test_constant_guess_converges_to_equilibrium(self, tmp_path):
         # below the onset delay the equilibrium is the only nearby
@@ -829,6 +852,19 @@ class TestCircleMap:
         })
         assert main(["circle-map", "--config", path, "--grid", "1"]) == 1
 
+    def test_grid_flag_overrides_the_config(self, seed_file, tmp_path,
+                                            capsys):
+        path = write_config(tmp_path / "c.json", {
+            "problem": "sd_quadratic", "solution": seed_file,
+            "grid": 4000, "out_dir": str(tmp_path),
+        })
+        assert main(["circle-map", "--config", path, "--grid", "2000"]) == 0
+        lines = (tmp_path / "circle_map.csv").read_text().splitlines()
+        assert len(lines) == 2 + 2000  # format line and header first
+        assert main(["circle-map", "--config", path, "--grid", "1"]) == 1
+        assert read_error(capsys) == {
+            "type": "ConfigError", "message": "grid must be an int >= 2, got 1"}
+
 
 class TestNodes:
     @pytest.mark.parametrize("kind", list(NodeKind), ids=lambda k: k.value)
@@ -926,6 +962,53 @@ class TestTruncatedStateFile:
         error = read_error(capsys)
         assert error["type"] == "InvalidArgumentError"
         assert "not valid JSON" in error["message"]
+
+
+def _two_components(state):
+    """The orbit with its one component stored twice."""
+    values = state.poly.free_values
+    return DiscreteState(
+        PeriodicPiecewisePoly(state.poly.mesh, state.poly.degree,
+                              np.concatenate([values, values], axis=-1)),
+        state.mu)
+
+
+class TestWrongDimension:
+    """A state whose dimension differs from the problem's is bad input:
+    the library raises InvalidArgumentError, the CLI exits 1."""
+
+    @pytest.mark.parametrize("call", [
+        lambda prob, s: newton_solve(s, prob,
+                                     default_constraints(prob, s.params)),
+        lambda prob, s: convergence_study(prob, s.params, [3], [4], seed=s),
+        lambda prob, s: continue_branch(s, prob, s.params[0], 0.6, 1),
+    ], ids=["newton_solve", "convergence_study", "continue_branch"])
+    def test_library_raises_invalid_argument(self, mg_solution, call):
+        state = state_from_document(
+            json.loads((mg_solution / "solution.json").read_text()))
+        with pytest.raises(InvalidArgumentError, match="expected"):
+            call(mackey_glass(), _two_components(state))
+
+    @pytest.mark.parametrize("command,change", [
+        ("solve", "dim"), ("circle-map", "dim"), ("circle-map", "params")])
+    def test_cli_exits_1(self, mg_solution, tmp_path, capsys, command,
+                         change):
+        state = state_from_document(
+            json.loads((mg_solution / "solution.json").read_text()))
+        state = _two_components(state) if change == "dim" else \
+            DiscreteState(state.poly, np.append(state.mu, 0.0))
+        orbit = tmp_path / "orbit.json"
+        orbit.write_text(json.dumps(state_to_document(state)))
+        out = tmp_path / "out"
+        doc = {"problem": "mackey_glass", "out_dir": str(out)}
+        if command == "solve":
+            doc["guess"] = {"kind": "file", "path": str(orbit)}
+        else:
+            doc["solution"] = str(orbit)
+        assert main([command, "--config",
+                     write_config(tmp_path / "c.json", doc)]) == 1
+        assert read_error(capsys)["type"] == "InvalidArgumentError"
+        assert list(out.iterdir()) == []
 
 
 class TestLogging:

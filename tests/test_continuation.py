@@ -240,7 +240,7 @@ class TestContinueBranch:
             continue_branch(start, prob, p0, 0.6, 5, previous=other)
 
     def test_failed_steps_and_stepping_stones_are_logged(self, short_branch,
-                                                         caplog):
+                                                         caplog, monkeypatch):
         """Without the onset prediction, a full first step from the
         plain orbit just past the onset collapses onto the equilibrium
         four times before a stepping stone holds."""
@@ -259,11 +259,11 @@ class TestContinueBranch:
             assert f"step p={p0:.6g} -> " in message
             assert message.endswith(f"failed at depth {depth}: collapse")
         caplog.clear()
+        monkeypatch.setattr("semdde.continuation.MAX_STEP_BISECTIONS", 1)
         with caplog.at_level(logging.DEBUG, logger="semdde.continuation"):
             with pytest.raises(StepFailureError):
                 continue_branch(start, prob, p0, first, 1,
-                                NewtonSettings(max_iter=1),
-                                max_bisections=1)
+                                NewtonSettings(max_iter=1))
         messages = [r.getMessage() for r in caplog.records
                     if r.name == "semdde.continuation"]
         assert messages and all("MaxIterExceededError" in m
@@ -290,22 +290,24 @@ class TestContinueBranch:
         assert point.state.flatten().tobytes() == \
             points[0].state.flatten().tobytes()
 
-    def test_first_step_failure_has_no_last_good(self, short_branch):
+    def test_first_step_failure_has_no_last_good(self, short_branch,
+                                                 monkeypatch):
         prob, start, p0, _ = short_branch
+        monkeypatch.setattr("semdde.continuation.MAX_STEP_BISECTIONS", 3)
         with pytest.raises(StepFailureError) as excinfo:
             continue_branch(start, prob, p0, 1.0, 1,
-                            NewtonSettings(max_iter=2), max_bisections=3)
+                            NewtonSettings(max_iter=2))
         assert excinfo.value.last_good is None
         assert excinfo.value.points == []
 
     def test_failure_past_the_onset_keeps_completed_points(
-            self, short_branch):
+            self, short_branch, monkeypatch):
         """No orbit exists below the onset delay, so a downward branch
         must fail after its first (still feasible) step."""
         prob, _, _, points = short_branch
+        monkeypatch.setattr("semdde.continuation.MAX_STEP_BISECTIONS", 3)
         with pytest.raises(StepFailureError) as excinfo:
-            continue_branch(points[-1].state, prob, 0.6, 0.3, 3,
-                            max_bisections=3)
+            continue_branch(points[-1].state, prob, 0.6, 0.3, 3)
         got = excinfo.value.points
         assert len(got) >= 1
         assert excinfo.value.last_good is got[-1]

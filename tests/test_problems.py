@@ -266,6 +266,14 @@ class TestRescaledRhs:
                                       times + -(0.5 + y + y**2) / 2.0)
         assert np.array_equal(got, rhs(v, times, mu))
 
+    def test_rejects_a_state_of_another_dimension(self):
+        rhs = RescaledRhs(mackey_glass())
+        v = sample_periodic(lambda t: np.ones((t.size, 2)), Mesh.uniform(1),
+                            2)
+        with pytest.raises(InvalidArgumentError,
+                           match=r"shape \(3, 2\), expected \(3, 1\)"):
+            rhs(v, np.array([0.1, 0.5, 0.9]), np.array([1.6, 0.5]))
+
     def test_rejects_bad_mu(self):
         rhs = RescaledRhs(mackey_glass())
         v = self._constant_poly(1.0)
