@@ -101,19 +101,15 @@ def _items(parse, value, name: str) -> tuple:
     return tuple(parse(v, name) for v in values)
 
 
-def _text(value, name: str) -> str:
-    return str(value)
-
-
 def _flag(value, name: str) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"{name} must be true or false, got {value!r}")
     return value
 
 
-def _path(value, name: str) -> str:
+def _string(value, name: str) -> str:
     if not isinstance(value, str):
-        raise ConfigError(f"{name} must be a file name, got {value!r}")
+        raise ConfigError(f"{name} must be a string, got {value!r}")
     return value
 
 
@@ -127,7 +123,7 @@ def _mesh(value, name: str) -> Mesh:
 _GUESSES = {
     "hopf": {"amplitude": (0.01, _real),
              "offset": (DEFAULT_HOPF_OFFSET, _real)},
-    "file": {"path": (None, _path)},
+    "file": {"path": (None, _string)},
     "constant": {"values": (None, partial(_items, _real)),
                  "period": (None, _real)},
     "seed": {},
@@ -200,7 +196,7 @@ class RunConfig:
     Gauss-Legendre nodes.
     """
 
-    problem: Optional[str] = _key(None, _text)
+    problem: Optional[str] = _key(None, _string)
     node_kind: NodeKind = _key(NodeKind.GAUSS_LEGENDRE,
                                lambda value, name: NodeKind.from_name(value))
     mesh: Optional[Mesh] = _key(None, _mesh)
@@ -208,14 +204,14 @@ class RunConfig:
     degree: Tuple[int, ...] = _key((), partial(_items, _int))
     params: Tuple[float, ...] = _key((), partial(_items, _real))
     newton: NewtonSettings = _key(NewtonSettings(), _newton)
-    out_dir: Optional[str] = _key(None, _text)
+    out_dir: Optional[str] = _key(None, _string)
     grid: int = _key(DEFAULT_ERR_GRID, partial(_int, minimum=2))
     guess: Optional[dict] = _key(None, _guess)
     p_to: Optional[float] = _key(None, _real)
     steps: Optional[int] = _key(None, _int)
     resume: bool = _key(False, _flag)
     k_max: int = _key(5, _int)
-    solution: Optional[str] = _key(None, _text)
+    solution: Optional[str] = _key(None, _string)
     samples: int = _key(10001, _int)
 
     @classmethod
@@ -452,7 +448,9 @@ def cmd_convergence(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
     if jobs == 1:
         tables = list(map(column, sizes))
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the pool starts all its workers at once: one per column at most
+        with ProcessPoolExecutor(max_workers=min(jobs, len(sizes))) \
+                as pool:
             tables = list(pool.map(column, sizes))
     table = ConvergenceTable(
         tuple(row for part in tables for row in part.rows),

@@ -14,16 +14,15 @@ the query time.  The sensitivities are forward differences on the
 query outputs, taken for all collocation points in one rhs call, so a
 Jacobian costs a few residual-sized evaluations for any mesh size.  Each
 (T, p) column is a forward difference of one rhs call.  Query rows and
-free-value columns come from ``PeriodicPiecewisePoly.eval_with_basis``;
-the collocation points are the fixed time set ``piecewise.COLLOCATION``,
-whose times and barycentric terms ``piecewise`` makes and keeps per
-discretization.
-The differentiation block keeps the reference matrices, and is built
-once per discretization (kept in the same store): each Jacobian starts
-from a copy.  One
-rule answers every query: query k reuses the value held for query k
-when its times have not moved.  The constraint rows are exact affine
-gradients.
+free-value columns come from ``PeriodicPiecewisePoly.eval_with_basis``,
+and at the collocation points, with the profile derivative, from one
+read of ``PeriodicPiecewisePoly._collocation_basis``, which ``piecewise``
+makes and keeps per discretization.  The differentiation block keeps the
+reference matrices, takes its columns from the free-value layout, and
+is built once per discretization (kept in the same store): each
+Jacobian starts from a copy.  One rule answers every query: query k
+reuses the value held for query k when its times have not moved.  The
+constraint rows are exact affine gradients.
 
 The Newton iteration damps by halving on residual increase, down to a
 floor, and solves for each step with numpy's dense LU with partial
@@ -316,18 +315,6 @@ def constraint_gradient(row: AffineRow, state: DiscreteState) -> np.ndarray:
     return grad
 
 
-def _collocation_basis(poly: PeriodicPiecewisePoly):
-    """``(times, idx, terms, eval_deriv(times))`` at the collocation
-    points from one read of the store: its barycentric terms, or terms
-    built here on the set's first request, which the store only records.
-    The derivative is bitwise ``poly._on(COLLOCATION, deriv=True)[2]``."""
-    times, idx, terms = poly._fixed(COLLOCATION)
-    if terms is None:
-        terms = poly._terms(idx, times)  # the times lie in [0, 1)
-    return times, idx, terms, poly._interpolate(poly._deriv_table, idx,
-                                                times, terms)
-
-
 def assemble_jacobian(state: DiscreteState, prob: DdeProblem,
                       cons: Sequence[AffineRow],
                       settings: NewtonSettings = NewtonSettings(),
@@ -363,7 +350,7 @@ def assemble_jacobian(state: DiscreteState, prob: DdeProblem,
     L, m, dim = mesh.num_intervals, poly.degree, poly.dim
     n_free = poly.free_values.size
     n = n_free + state.mu.size
-    times, fixed_idx, fixed_terms, deriv = _collocation_basis(poly)
+    times, *lag0, deriv = poly._collocation_basis()
     rows = np.arange(times.size * dim).reshape(times.size, dim)
 
     def differentiation_block():
@@ -373,8 +360,7 @@ def assemble_jacobian(state: DiscreteState, prob: DdeProblem,
         deriv = np.sum(basis[:, None, :] * poly.node_family.diff_matrix.T,
                        axis=2)
         block = deriv / mesh.lengths[:, None, None]
-        # a break belongs to the interval it starts: one row of columns each
-        cols = poly.eval_with_basis(mesh.breaks[:-1])[1][:, None, :] * dim
+        cols = poly._columns[:, None, :] * dim
         for s in range(dim):
             np.add.at(jac, (rows[:, s].reshape(L, m, 1), cols + s), block)
         return jac
@@ -388,10 +374,8 @@ def assemble_jacobian(state: DiscreteState, prob: DdeProblem,
     answers = []
 
     def record(k, at):
-        # lag 0: the collocation points' terms; those times lie in [0, 1),
-        # so wrap to themselves
-        value, free, lagrange = poly._with_basis(
-            fixed_idx, times, fixed_terms) if np.array_equal(at, times) \
+        # lag 0 reads the collocation points' basis
+        value, free, lagrange = lag0 if np.array_equal(at, times) \
             else poly.eval_with_basis(at)
         answers.append((value, at, free, lagrange))
         return value.copy()

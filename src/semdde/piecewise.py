@@ -16,11 +16,12 @@ q_j = w_j / (t - x_j) from ``nodes.barycentric_terms``, contracts them
 with the gathered values and divides once by their sum.  The basis rows
 q / sum(q) are formed only where the basis itself is wanted: the rows
 ``eval_with_basis`` returns to the Jacobian and the constraint
-gradients.  Every reduction runs along one query's terms, so a query's
-result does not depend on the rest of the batch, and querying a stored
-node time (a unit row of terms, summing to 1) returns the stored value
-bitwise.  Interval lookup follows the half-open convention: a break time
-belongs to the interval starting there, and t = 1 wraps to 0.
+gradients, and those of the collocation points' basis.  Every reduction
+runs along one query's terms, so a query's result does not depend on
+the rest of the batch, and querying a stored node time (a unit row of
+terms, summing to 1) returns the stored value bitwise.  Interval lookup
+follows the half-open convention: a break time belongs to the interval
+starting there, and t = 1 wraps to 0.
 
 Queries run in chunks of ``_CHUNK`` through workspaces allocated once
 per call and reused by every chunk: a term buffer, into which the
@@ -337,15 +338,27 @@ class PeriodicPiecewisePoly(_PiecewiseBase):
         cols[p, j] is value p to roundoff.  The rows are returned whole,
         so for collocation-sized batches only; the caller owns them."""
         t = _wrap_time(np.asarray(times, dtype=float))
-        return self._with_basis(self.mesh.interval_index(t), t)
+        idx = self.mesh.interval_index(t)
+        return self._basis(self._value_table, idx, t, self._terms(idx, t))
 
-    def _with_basis(self, idx, t, terms=None):
-        """``eval_with_basis`` at wrapped times t in intervals idx, from
-        their barycentric terms if given; the rows are the terms over
-        their sums, bitwise ``nodes.lagrange_rows``."""
-        terms = self._terms(idx, t) if terms is None else terms
-        return self._interpolate(self._value_table, idx, t, terms), \
-            self._columns[idx], terms / np.sum(terms, axis=1, keepdims=True)
+    def _basis(self, table, idx, t, terms):
+        """``table`` at wrapped times t in intervals idx from their
+        barycentric terms, with the free-value columns and the Lagrange
+        rows: the terms over their sums, bitwise ``nodes.lagrange_rows``."""
+        return self._interpolate(table, idx, t, terms), self._columns[idx], \
+            terms / np.sum(terms, axis=1, keepdims=True)
+
+    def _collocation_basis(self):
+        """``(times, values, cols, rows, derivatives)`` at the collocation
+        points from one read of the store: the set's kept terms, or terms
+        built here on its first request, which the store only records.
+        Values, columns and rows are bitwise ``eval_with_basis(times)``,
+        the derivatives ``_on(COLLOCATION, deriv=True)[2]``."""
+        times, idx, terms = self._fixed(COLLOCATION)
+        if terms is None:
+            terms = self._terms(idx, times)  # the times lie in [0, 1)
+        both, cols, rows = self._basis(self._both_table, idx, times, terms)
+        return times, both[:, :self.dim], cols, rows, both[:, self.dim:]
 
     def _fixed(self, name):
         """``(times, idx, terms)`` of the fixed time set ``name``: times as

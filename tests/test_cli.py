@@ -12,6 +12,7 @@ import os
 import shutil
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -155,6 +156,19 @@ class TestRunConfig:
         assert main(["solve", "--config", path]) == 1
         assert read_error(capsys)["type"] == "ConfigError"
         assert not (tmp_path / "solution.json").exists()
+
+    @pytest.mark.parametrize("value", [None, 3], ids=["null", "number"])
+    @pytest.mark.parametrize("key", ["problem", "out_dir", "solution"])
+    def test_text_key_must_be_a_string(self, tmp_path, capsys, monkeypatch,
+                                       key, value):
+        # a relative output directory would land in tmp_path
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path / "c.json", {"degree": [4], key: value})
+        assert main(["nodes", "--config", path]) == 1
+        error = read_error(capsys)
+        assert error["type"] == "ConfigError"
+        assert key in error["message"]
+        assert os.listdir(tmp_path) == ["c.json"]
 
 
 class TestSolve:
@@ -699,6 +713,30 @@ class TestConvergence:
         for name in ("convergence.csv", "convergence.json"):
             assert (serial / name).read_bytes() == \
                 (parallel / name).read_bytes()
+
+    def test_jobs_start_at_most_one_worker_per_column(
+            self, mg_solution, tmp_path, monkeypatch):
+        workers = []
+
+        class Recording(ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                workers.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr("semdde.cli.ProcessPoolExecutor", Recording)
+        path = write_config(tmp_path / "c.json", {
+            "problem": "mackey_glass", "params": [0.4718196289360753],
+            "mesh_list": [2, 5], "degree": [4, 6],
+            "guess": {"kind": "file",
+                      "path": str(mg_solution / "solution.json")},
+        })
+        for jobs in ("1", "8"):
+            assert main(["convergence", "--config", path,
+                         "--out", str(tmp_path / jobs), "--jobs", jobs]) == 0
+        assert workers == [2]
+        for name in ("convergence.csv", "convergence.json"):
+            assert (tmp_path / "1" / name).read_bytes() == \
+                (tmp_path / "8" / name).read_bytes()
 
     def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         path = write_config(tmp_path / "c.json", {

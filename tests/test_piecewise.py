@@ -508,9 +508,11 @@ def test_eval_with_basis_is_the_reference_bitwise(size):
     rows = _reference_rows(flat, p.node_times[idx],
                            p.node_family.bary_weights)
     values = _reference_contract(p._value_table, idx, terms)
-    # terms built here, and terms handed in as the store hands them
-    held = [p.eval_with_basis(t), p._with_basis(idx, flat),
-            p._with_basis(idx, flat, terms.copy())]
+    # terms built by the kernel, and terms handed in as the store hands
+    # them
+    held = [p.eval_with_basis(t),
+            p._basis(p._value_table, idx, flat, p._terms(idx, flat)),
+            p._basis(p._value_table, idx, flat, terms.copy())]
     # later evaluations must not reuse returned rows as a workspace
     p.eval_with_deriv(_kernel_times(p, 2 * _CHUNK + 3)[::-1])
     for got_values, got_cols, got_rows in held:

@@ -1,7 +1,7 @@
 """The basis-row store of ``piecewise``: outputs never depend on it.
 
 The store keeps, for the latest discretization, the times, intervals
-and Lagrange rows of its fixed time sets (collocation points, uniform
+and barycentric terms of its fixed time sets (collocation points, uniform
 grids), which callers name and ``piecewise`` makes, and the Jacobian's
 differentiation block.  Every output here is compared bit for bit with
 a run in which the store keeps nothing, so each request takes the
@@ -20,7 +20,6 @@ from semdde.analysis import (
 )
 from semdde.collocation import (
     DiscreteState,
-    _collocation_basis,
     assemble_jacobian,
     assemble_residual,
     default_constraints,
@@ -29,12 +28,13 @@ from semdde.collocation import (
 )
 from semdde.continuation import continue_branch
 from semdde.errors import InvalidArgumentError
-from semdde.nodes import NodeKind, make_nodes
+from semdde.nodes import NodeKind, interpolation_matrix, make_nodes
 from semdde.oracle import phi_m_defect
 from semdde.piecewise import COLLOCATION, Mesh, sample_periodic
 from semdde.problems import mackey_glass
 
 from test_collocation import (
+    _coupled_case,
     _mackey_glass_case,
     _repeated_query_case,
     _sd_quadratic_case,
@@ -163,13 +163,15 @@ def test_a_grid_needs_two_points(name):
 def test_a_fixed_set_gives_its_rows_from_the_first_request():
     prob, state, cons = _with_constraints(lambda: _mackey_glass_case(11, 8))
     poly = state.poly
-    first = poly._fixed(COLLOCATION)  # only recorded
-    second = poly._fixed(COLLOCATION)  # built into the store
-    assert first[2] is None and second[2] is not None
+    first = poly._collocation_basis()  # terms built, the set only recorded
+    assert piecewise._STORE.current[1][COLLOCATION] is None
+    second = poly._collocation_basis()  # built into the store
+    assert piecewise._STORE.current[1][COLLOCATION] is not None
     want = poly.eval_with_basis(first[0])
-    for times, idx, rows in (first, second):
-        got = poly._with_basis(idx, times, rows)
-        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+    for got in (first, second):
+        # values, columns and rows
+        assert all(g.tobytes() == w.tobytes()
+                   for g, w in zip(got[1:4], want))
     # a Jacobian reads the set once: the first one builds its rows itself
     # and leaves the set recorded, the second stores them, the third
     # reads them
@@ -189,12 +191,74 @@ def test_the_jacobian_takes_the_derivative_of_on_from_one_read(
     with monkeypatch.context() as patch:
         patch.setattr(piecewise, "_STORE", _KeepsNothing())
         want = poly._on(COLLOCATION, deriv=True)
-    # rows built on the first read, then stored, then read from the store
-    for _ in range(3):
-        times, _, rows, deriv = _collocation_basis(poly)
+    # terms built on the first read, then stored, then read from the store
+    for read in range(3):
+        times, *_, deriv = poly._collocation_basis()
         assert times.tobytes() == want[0].tobytes()
         assert deriv.tobytes() == want[2].tobytes()
-    assert rows is piecewise._STORE.current[1][COLLOCATION][2]
+        kept = piecewise._STORE.current[1][COLLOCATION]
+        assert (kept is None) == (read == 0)
+
+
+@pytest.mark.parametrize("case", ["mackey_glass_11_8", "sd_quadratic_20_12"])
+def test_the_collocation_basis_is_eval_with_basis_and_on_bitwise(
+        monkeypatch, case):
+    _, state = CASES[case]()
+    poly = state.poly
+    with monkeypatch.context() as patch:
+        patch.setattr(piecewise, "_STORE", _KeepsNothing())
+        on = poly._on(COLLOCATION, deriv=True)
+        basis = poly.eval_with_basis(on[0])
+    want = (on[0],) + basis + (on[2],)
+    assert basis[0].tobytes() == on[1].tobytes()
+    # the set's first request, its second (which stores it), a stored read
+    for _ in range(3):
+        got = poly._collocation_basis()
+        assert len(got) == len(want)
+        assert all(g.shape == w.shape and g.tobytes() == w.tobytes()
+                   for g, w in zip(got, want))
+    assert piecewise._STORE.current[1][COLLOCATION] is not None
+
+
+def _break_column_block(poly, n):
+    """The differentiation block with each interval's free-value columns
+    taken from an evaluation at its left break, as it was built before it
+    read them from the free-value layout."""
+    mesh = poly.mesh
+    L, m, dim = mesh.num_intervals, poly.degree, poly.dim
+    rows = np.arange(L * m * dim).reshape(L * m, dim)
+    jac = np.zeros((n, n))
+    basis = interpolation_matrix(
+        poly.node_family, make_nodes(NodeKind.GAUSS_LEGENDRE, m).nodes)
+    deriv = np.sum(basis[:, None, :] * poly.node_family.diff_matrix.T,
+                   axis=2)
+    block = deriv / mesh.lengths[:, None, None]
+    cols = poly.eval_with_basis(mesh.breaks[:-1])[1][:, None, :] * dim
+    for s in range(dim):
+        np.add.at(jac, (rows[:, s].reshape(L, m, 1), cols + s), block)
+    return jac
+
+
+@pytest.mark.parametrize("L", [1, 3])
+@pytest.mark.parametrize("make", [
+    lambda: _mackey_glass_case(11, 8),
+    _coupled_case,
+], ids=["mackey_glass", "coupled_pair"])
+def test_the_differentiation_block_reads_the_free_value_layout(make, L):
+    def on_mesh():
+        prob, state = make()
+        return prob, resample_state(state, Mesh.uniform(L),
+                                    state.poly.degree)
+
+    prob, state, cons = _with_constraints(on_mesh)
+    poly = state.poly
+    n = state.flatten().size
+    # L = 1: nodes 0 and m share a column, so add.at sums two terms
+    assert (poly._columns[0, 0] == poly._columns[0, -1]) == (L == 1)
+    for _ in range(2):  # the second Jacobian keeps the block
+        assemble_jacobian(state, prob, cons)
+    kept = piecewise._STORE.current[1][("jacobian start", poly.dim, n)]
+    assert kept.tobytes() == _break_column_block(poly, n).tobytes()
 
 
 def test_branch_points_do_not_depend_on_what_the_store_holds():
