@@ -89,10 +89,6 @@ def _table_digest(table) -> _Digest:
     return digest
 
 
-def _lag(y, p):
-    return p[0] + y[..., 0] + y[..., 0] ** 2
-
-
 def digests(seed: int) -> dict:
     """Input name -> digest of its outputs."""
     out = {}
@@ -133,7 +129,7 @@ def digests(seed: int) -> dict:
     out["sdq_fine"] = _Digest().state(fine.state).add(fine.iterations)
 
     circle = analysis.circle_map_analysis(
-        analysis.orbit_lag_map(fine.state, _lag), 5, 4000)
+        analysis.orbit_lag_map(fine.state, sdq.lag), 5, 4000)
     digest = _Digest().add(circle.kind, circle.times, circle.iterates)
     for pts in circle.periodic_points:
         digest.add(pts.iterate, pts.points, pts.derivatives,

@@ -25,15 +25,18 @@ reuses the value held for query k when its times have not moved.  The
 constraint rows are exact affine gradients.
 
 The Newton iteration damps by halving on residual increase, down to a
-floor, and solves for each step with numpy's dense LU with partial
-pivoting; it logs each accepted iteration at debug level under
-``semdde.collocation``.  numpy exposes no LU pivots, so a step that
-looks singular has them checked by a short elimination in numpy
-(``lu_factor``); numpy is the package's only linear algebra.
+floor; a trial is admissible when ``DiscreteState`` accepts it (finite,
+with period > 0) and its residual is finite.  Each step is solved with
+numpy's dense LU with partial pivoting, and each accepted iteration is
+logged at debug level under ``semdde.collocation``.  numpy exposes no
+LU pivots, so a step that looks singular has them checked by a short
+elimination in numpy (``lu_factor``); numpy is the package's only
+linear algebra.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import numbers
@@ -110,6 +113,18 @@ class DiscreteState:
         poly = PeriodicPiecewisePoly(mesh, degree,
                                      flat[:n_free].reshape(L, degree, dim))
         return cls(poly, flat[n_free:])
+
+
+def _admissible(state: DiscreteState, flat) -> Optional[DiscreteState]:
+    """``flat`` as a state in ``state``'s layout, or None where the
+    ``DiscreteState`` and ``PeriodicPiecewisePoly`` constructors reject
+    it (a non-finite entry or a period <= 0)."""
+    poly = state.poly
+    try:
+        return DiscreteState.from_flat(flat, poly.mesh, poly.degree, poly.dim,
+                                       state.params.size)
+    except InvalidArgumentError:
+        return None
 
 
 def resample_state(state: DiscreteState, mesh: Mesh,
@@ -294,7 +309,7 @@ def _equation_rows(state: DiscreteState, prob: DdeProblem,
     """v'(t) - T G(v_t, p) at the times t of the fixed time set ``name``,
     shape (times, dim), and v(t), which equals ``poly.eval(times)``
     bitwise; query 0 at exactly those times (lag 0) reuses the values
-    of ``eval_with_deriv``."""
+    that ``_on(name, deriv=True)`` reads with the derivative."""
     times, values, deriv = state.poly._on(name, deriv=True)
     answer, _ = _held_answers(state.poly, [(values, times)])
     rows = deriv - RescaledRhs(prob).evaluate(times, state.mu, answer)
@@ -457,11 +472,14 @@ def newton_solve(init: DiscreteState, prob: DdeProblem,
                  ) -> NewtonResult:
     """Damped Newton iteration on the discretized periodic BVP.
 
-    Stops when the residual max-norm drops to ``tol_residual``.  Raises
-    when the iteration budget runs out, the step stagnates below
-    ``tol_step`` without meeting the tolerance, the Jacobian fails the
-    pivot rule, or the residual leaves the finite (or positive-period)
-    region at the damping floor.
+    Stops when the residual max-norm drops to ``tol_residual``.  Each
+    step is halved from damping 1 until a trial is admissible and lowers
+    the residual, or the damping reaches ``damping_min``.  A trial is
+    admissible when ``DiscreteState`` accepts it (finite, with period
+    > 0) and its residual is finite.  Raises when the iteration budget
+    runs out, the step stagnates below ``tol_step`` without meeting the
+    tolerance, the Jacobian fails the pivot rule, or the trial at the
+    damping floor is not admissible.
 
     Each step is solved once, by numpy (``lu_solve``).  A Jacobian that
     is not finite raises NonFiniteResidualError before the solve.  The
@@ -474,20 +492,14 @@ def newton_solve(init: DiscreteState, prob: DdeProblem,
     A near-singular Jacobian whose residual lies almost in its range
     amplifies too little to be checked, and its step is taken.
     """
-    mesh = init.poly.mesh
-    degree = init.poly.degree
-    dim = init.poly.dim
-    num_params = init.mu.size - 1
     x = init.flatten()
-    if not np.all(np.isfinite(x)):
-        raise InvalidArgumentError("initial state must be finite")
     state = init
     residual = assemble_residual(state, prob, cons)
-    if not np.all(np.isfinite(residual)):
+    res_norm = float(np.max(np.abs(residual)))
+    if not math.isfinite(res_norm):
         raise NonFiniteResidualError(
             "residual not finite at the initial state",
             residual_history=np.array([]))
-    res_norm = float(np.max(np.abs(residual)))
     history = [res_norm]
 
     for iteration in range(settings.max_iter):
@@ -514,31 +526,22 @@ def newton_solve(init: DiscreteState, prob: DdeProblem,
                 f"LU pivot below 1e-14 of the matrix scale {scale:.3e} at "
                 f"iteration {iteration}", residual_history=np.array(history))
 
-        damping = 1.0
-        halvings = 0
-        period_idx = x.size - state.mu.size
-        while True:
+        for halvings in itertools.count():
+            damping = 0.5 ** halvings
             x_trial = x + damping * step
-            trial_ok = (np.all(np.isfinite(x_trial))
-                        and x_trial[period_idx] > 0.0)
-            if trial_ok:
-                trial_state = DiscreteState.from_flat(
-                    x_trial, mesh, degree, dim, num_params)
+            trial_state = _admissible(state, x_trial)
+            trial_norm = math.nan  # an inadmissible trial has no norm
+            if trial_state is not None:
                 trial_residual = assemble_residual(trial_state, prob, cons)
-                finite = bool(np.all(np.isfinite(trial_residual)))
-            else:
-                finite = False
-            if finite:
                 trial_norm = float(np.max(np.abs(trial_residual)))
-                if trial_norm < res_norm or damping <= settings.damping_min:
-                    break
-            elif damping <= settings.damping_min:
+            last = damping <= settings.damping_min  # the damping floor
+            if math.isfinite(trial_norm) and (trial_norm < res_norm or last):
+                break
+            if last:
                 raise NonFiniteResidualError(
                     "residual left the finite region even at the damping "
                     f"floor (iteration {iteration})",
                     residual_history=np.array(history))
-            damping *= 0.5
-            halvings += 1
 
         step_norm = float(np.max(np.abs(damping * step)))
         x, state, residual = x_trial, trial_state, trial_residual

@@ -36,6 +36,7 @@ from .analysis import (
 from .collocation import (
     DiscreteState,
     NewtonSettings,
+    _admissible,
     default_constraints,
     newton_solve,
     state_from_document,
@@ -49,8 +50,8 @@ from .errors import (
     StepFailureError,
 )
 from .oracle import DEFAULT_DEFECT_GRID, phi_m_defect
-from .piecewise import FORMAT_VERSION, Mesh, PeriodicPiecewisePoly, \
-    check_format_version, sample_periodic
+from .piecewise import FORMAT_VERSION, Mesh, check_format_version, \
+    sample_periodic
 from .problems import DdeProblem, HopfData, mackey_glass
 
 log = logging.getLogger("semdde.continuation")
@@ -149,9 +150,9 @@ def _secant_guess(state: DiscreteState, previous: Optional[DiscreteState],
     through ``previous`` and ``state``, at the p[0] stored in each mu.
 
     Returns None when there is no predecessor, when the two stored p[0]
-    are equal, or when the prediction is not a valid state (a non-finite
-    entry or a period <= 0).  Other parameters are kept from ``state``;
-    the caller sets p[0] to the target.
+    are equal, or when ``DiscreteState`` rejects the prediction (a
+    non-finite entry or a period <= 0).  Other parameters are kept from
+    ``state``; the caller sets p[0] to the target.
     """
     if previous is None:
         return None
@@ -164,11 +165,7 @@ def _secant_guess(state: DiscreteState, previous: Optional[DiscreteState],
     n_keep = state.poly.free_values.size + 1  # free values and the period
     with np.errstate(over="ignore", invalid="ignore"):
         cur[:n_keep] += ratio * (cur[:n_keep] - previous.flatten()[:n_keep])
-    if not np.all(np.isfinite(cur)) or cur[n_keep - 1] <= 0.0:
-        return None
-    poly = state.poly
-    return DiscreteState.from_flat(cur, poly.mesh, poly.degree, poly.dim,
-                                   state.params.size)
+    return _admissible(state, cur)
 
 
 def _onset_guess(state: DiscreteState, onset: Optional[HopfData],
@@ -181,8 +178,8 @@ def _onset_guess(state: DiscreteState, onset: Optional[HopfData],
     the free values become y_h + sqrt(r) (y - y_h) and the period
     T_h + r (T - T_h).  Returns ``state`` itself when there is no onset,
     when r is not finite and positive (the target lies on the other side
-    of the onset, or ``state`` sits on it), or when the prediction is not
-    a valid state.  The caller sets p[0] to the target.
+    of the onset, or ``state`` sits on it), or when ``DiscreteState``
+    rejects the prediction.  The caller sets p[0] to the target.
     """
     if onset is None:
         return state
@@ -193,18 +190,14 @@ def _onset_guess(state: DiscreteState, onset: Optional[HopfData],
     ratio = (p_target - p_hopf) / (p_cur - p_hopf)
     if not (math.isfinite(ratio) and ratio > 0.0):
         return state
-    poly = state.poly
+    flat = state.flatten()
+    n_free = state.poly.free_values.size
     eq = onset.equilibrium
     with np.errstate(over="ignore", invalid="ignore"):
-        free = eq + math.sqrt(ratio) * (poly.free_values - eq)
-    period = onset.period + ratio * (state.period - onset.period)
-    if not (np.all(np.isfinite(free)) and math.isfinite(period)
-            and period > 0.0):
-        return state
-    mu = state.mu.copy()
-    mu[0] = period
-    return DiscreteState(PeriodicPiecewisePoly(poly.mesh, poly.degree, free),
-                         mu)
+        flat[:n_free] = (eq + math.sqrt(ratio)
+                         * (state.poly.free_values - eq)).ravel()
+    flat[n_free] = onset.period + ratio * (state.period - onset.period)
+    return _admissible(state, flat) or state
 
 
 def continue_branch(start: DiscreteState, prob: DdeProblem, p_from: float,
@@ -256,9 +249,8 @@ def continue_branch(start: DiscreteState, prob: DdeProblem, p_from: float,
     # measured once: one solve's result is the next solve's start
     def solve_at(p_value, orbit, predecessor):
         state, before = orbit
-        guess = _secant_guess(state, predecessor, p_value)
-        if guess is None:
-            guess = _onset_guess(state, prob.onset, p_value)
+        guess = (_secant_guess(state, predecessor, p_value)
+                 or _onset_guess(state, prob.onset, p_value))
         trial = with_parameter(guess, 0, p_value)
         cons = default_constraints(prob, trial.params)
         result = newton_solve(trial, prob, cons, settings)

@@ -9,10 +9,6 @@ class InvalidArgumentError(SemDdeError, ValueError):
     """An argument violates a documented precondition."""
 
 
-class NegativeDelayError(SemDdeError):
-    """A state-dependent delay evaluated to a negative value (an advance)."""
-
-
 class NoHopfError(SemDdeError):
     """The linearization admits no imaginary-axis eigenvalue crossing."""
 
@@ -41,6 +37,14 @@ class NonFiniteResidualError(NewtonError):
 class CollapseError(NewtonError):
     """Newton converged onto the equilibrium, not the orbit it started
     from (which also solves the system)."""
+
+
+class NegativeDelayError(NewtonError):
+    """A state-dependent delay evaluated to a negative value (an advance).
+
+    A Newton failure: the solve reached a state that the problem
+    rejects, so callers record or bisect it like any other failed solve.
+    """
 
 
 class StepFailureError(SemDdeError):

@@ -72,14 +72,14 @@ def _legendre_value_and_derivative(n: int, x: np.ndarray):
     return p, dp
 
 
-def _gauss_legendre_reference(m: int):
-    """Nodes of P_m on [-1, 1] by Newton iteration, plus P_m' there.
+def _gauss_legendre_reference(m: int) -> np.ndarray:
+    """Nodes of P_m on [-1, 1], increasing, by Newton iteration.
 
     Chebyshev-angle initial guesses converge in a handful of iterations;
     the final sweep symmetrizes so that nodes come in exact +-x pairs.
     """
     if m == 1:
-        return np.zeros(1), np.full(1, 1.0)
+        return np.zeros(1)
     j = np.arange(1, m + 1)
     x = np.cos(np.pi * (j - 0.25) / (m + 0.5))
     for _ in range(100):
@@ -89,8 +89,7 @@ def _gauss_legendre_reference(m: int):
         if np.max(np.abs(step)) < 1e-15:
             break
     x = 0.5 * (x - x[::-1])  # exact antisymmetry about 0
-    _, dp = _legendre_value_and_derivative(m, x)
-    return x[::-1], dp[::-1]
+    return x[::-1]
 
 
 def barycentric_weights(nodes: np.ndarray) -> np.ndarray:
@@ -144,8 +143,7 @@ def make_nodes(kind: NodeKind, m: int) -> NodeFamily:
     if m < 1:
         raise InvalidArgumentError(f"node count must be >= 1, got {m}")
     if kind == NodeKind.GAUSS_LEGENDRE:
-        x, _ = _gauss_legendre_reference(m)
-        nodes = (1.0 + x) / 2.0
+        nodes = (1.0 + _gauss_legendre_reference(m)) / 2.0
     elif kind == NodeKind.CHEBYSHEV_GAUSS:
         j = np.arange(1, m + 1)
         nodes = (1.0 - np.cos((2 * j - 1) * np.pi / (2 * m))) / 2.0

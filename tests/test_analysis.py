@@ -200,6 +200,17 @@ class TestConvergenceStudy:
         assert "Error" in row.failure
         assert math.isnan(row.err)
 
+    def test_a_negative_delay_is_recorded_as_a_failed_cell(self):
+        # delay 0.1 pulls the 0.95 orbit's delay law below zero
+        table = convergence_study(sd_quadratic(), [0.1], [10], [4, 6],
+                                  seed=sd_quadratic_seed(0.95))
+        assert [(row.num_intervals, row.degree) for row in table.rows] == [
+            (10, 4), (10, 6)]
+        for row in table.rows:
+            assert not row.completed and row.newton_iters == -1
+            assert row.failure.startswith(
+                "NegativeDelayError: state-dependent delay went negative")
+
     def test_each_cell_is_logged_at_debug_level(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="semdde.analysis"):
             table = convergence_study(mackey_glass(), 0.8, [1], [4, 5],

@@ -738,6 +738,24 @@ class TestConvergence:
             assert (tmp_path / "1" / name).read_bytes() == \
                 (tmp_path / "8" / name).read_bytes()
 
+    def test_a_negative_delay_writes_failed_cells_and_exits_0(self,
+                                                              tmp_path):
+        guess = tmp_path / "seed.json"
+        guess.write_text(json.dumps(state_to_document(
+            sd_quadratic_seed(0.95))))
+        path = write_config(tmp_path / "c.json", {
+            "problem": "sd_quadratic", "params": [0.1], "mesh_list": [10],
+            "degree": [4, 6], "guess": {"kind": "file", "path": str(guess)},
+            "out_dir": str(tmp_path / "out"),
+        })
+        assert main(["convergence", "--config", path]) == 0
+        doc = json.loads((tmp_path / "out" / "convergence.json").read_text())
+        assert [(row["num_intervals"], row["degree"], row["newton_iters"])
+                for row in doc["rows"]] == [(10, 4, -1), (10, 6, -1)]
+        for row in doc["rows"]:
+            assert row["failure"].startswith("NegativeDelayError: ")
+        assert (tmp_path / "out" / "convergence.csv").exists()
+
     def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         path = write_config(tmp_path / "c.json", {
             "problem": "sd_quadratic", "params": [0.95], "mesh_list": [4],

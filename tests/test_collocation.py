@@ -9,6 +9,7 @@ import dataclasses
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -661,6 +662,95 @@ class TestNewton:
                          NewtonSettings(max_iter=2))
         assert exc.value.residual_history is not None
         assert len(exc.value.residual_history) == 3
+
+    def test_exhausted_budget_reports_the_last_residual(self):
+        prob, init, cons = _near_hopf_guess()
+        full = newton_solve(init, prob, cons).residual_history
+        with pytest.raises(MaxIterExceededError) as exc:
+            newton_solve(init, prob, cons, NewtonSettings(max_iter=2))
+        history = exc.value.residual_history
+        assert history.tolist() == full[:3].tolist()
+        assert str(exc.value) == (f"no convergence in 2 iterations "
+                                  f"(residual {history[-1]:.3e})")
+
+    def test_a_step_below_tol_step_stalls(self):
+        prob = mackey_glass()
+        init = hopf_initial_guess(mackey_glass_hopf(), 0.01, Mesh.uniform(3),
+                                  6)
+        cons = default_constraints(prob, init.params)
+        settings = NewtonSettings(tol_residual=1e-300, tol_step=1e-6)
+        with pytest.raises(MaxIterExceededError) as exc:
+            newton_solve(init, prob, cons, settings)
+        history = exc.value.residual_history
+        assert history.shape == (6,)
+        assert history[0] == np.max(np.abs(assemble_residual(init, prob,
+                                                              cons)))
+        assert np.all(np.diff(history) < 0.0)
+        match = re.fullmatch(
+            r"Newton stalled: step (\S+) below tol_step with residual (\S+)",
+            str(exc.value))
+        assert match is not None
+        # tol_step is relative to max|x|, here the period of about 1.6
+        assert 0.0 < float(match.group(1)) <= settings.tol_step * 2.0
+        assert match.group(2) == f"{history[-1]:.3e}"
+
+    @pytest.mark.parametrize("damping_min, trials", [
+        (1.0 / 64.0, 7), (0.3, 3), (1.0, 1)])
+    def test_the_damping_floor_is_the_first_halving_at_or_below_it(
+            self, damping_min, trials, monkeypatch):
+        # every trial of the blow-up step is finite but its residual is
+        # not, so the step is halved from 1 until damping <= damping_min
+        prob, cons = _blowup_problem()
+        init = DiscreteState(
+            sample_periodic(lambda t: np.full_like(t, 0.5), Mesh.uniform(3),
+                            4), np.array([1.0, 0.0]))
+        calls = []
+        residual = collocation.assemble_residual
+
+        def counting(state, *args):
+            calls.append(state.period)
+            return residual(state, *args)
+
+        monkeypatch.setattr(collocation, "assemble_residual", counting)
+        with pytest.raises(NonFiniteResidualError) as exc:
+            newton_solve(init, prob, cons,
+                         NewtonSettings(damping_min=damping_min))
+        assert str(exc.value) == ("residual left the finite region even at "
+                                  "the damping floor (iteration 0)")
+        assert len(calls) == 1 + trials
+        assert exc.value.residual_history.tolist() == [
+            np.max(np.abs(residual(init, prob, cons)))]
+
+    def test_a_trial_with_a_period_at_or_below_zero_is_halved(
+            self, monkeypatch):
+        # y' = p - y with the period pinned to -1: each full step asks for
+        # a negative period, so only damped trials with T > 0 are solved,
+        # until even the floor's trial has T <= 0
+        prob = DdeProblem(name="linear", dim=1, num_params=1,
+                          rhs=lambda e, p: p[0] - e(0.0))
+        pin = AffineRow(point_terms=(), mu_coeffs=np.array([1.0, 0.0]),
+                        offset=1.0)
+        cons = (default_constraints(prob, [0.0], anchor_value=0.0)[0], pin)
+        init = DiscreteState(
+            sample_periodic(lambda t: np.zeros_like(t), Mesh.uniform(2), 3),
+            np.array([1.0, 0.0]))
+        periods = []
+        residual = collocation.assemble_residual
+
+        def recording(state, *args):
+            periods.append(state.period)
+            return residual(state, *args)
+
+        monkeypatch.setattr(collocation, "assemble_residual", recording)
+        with pytest.raises(NonFiniteResidualError) as exc:
+            newton_solve(init, prob, cons)
+        assert str(exc.value) == ("residual left the finite region even at "
+                                  "the damping floor (iteration 5)")
+        # dampings 1/4, 1/4, 1/16, 1/32, 1/64 move T towards -1
+        assert periods == [1.0, 0.5, 0.125, 0.0546875, 0.021728515625,
+                           0.005764007568359375]
+        assert exc.value.residual_history.tolist() == [
+            1.0 + period for period in periods]
 
     def test_convergence_study_records_a_non_finite_jacobian(self):
         prob, _ = _blowup_problem()
