@@ -28,6 +28,7 @@ from .collocation import (
 )
 from .errors import (
     AnalyticityViolationError,
+    CollapseError,
     InvalidArgumentError,
     NewtonError,
 )
@@ -64,6 +65,29 @@ def orbit_amplitude(state: DiscreteState,
     """Peak-to-peak range of the profile over a dense uniform grid."""
     values = state.poly._on(grid_points)[1]
     return float(np.max(values) - np.min(values))
+
+
+_COLLAPSE_RATIO = 0.1
+_COLLAPSE_FLOOR = 1e-8
+
+
+def checked_amplitude(state: DiscreteState,
+                      before: Optional[float] = None) -> float:
+    """Range of ``state``'s free values, the profile at its representation
+    nodes: the amplitude of the package's one collapse rule.
+
+    ``before`` is the same measure of the orbit the solve of ``state``
+    started from.  Raises CollapseError when the solve has fallen onto
+    the equilibrium, which also solves the system: ``before`` is above
+    the floor of a flat profile and the amplitude is below a tenth of it.
+    """
+    after = float(np.ptp(state.poly.free_values))
+    if (before is not None and before > _COLLAPSE_FLOOR
+            and after < _COLLAPSE_RATIO * before):
+        raise CollapseError(
+            f"orbit amplitude fell from {before:.3e} to {after:.3e}; "
+            f"converged to the trivial solution")
+    return after
 
 
 def err_and_amplitude(state: DiscreteState, prob: DdeProblem,
@@ -158,8 +182,10 @@ def convergence_study(prob: DdeProblem, params, L_list: Sequence[int],
 
     Each mesh size starts from ``seed`` re-sampled; within a mesh size
     the cells warm-start from the nearest previously completed cell.
-    Newton failures are recorded in the table rather than raised.  Each
-    cell is logged at debug level under ``semdde.analysis``.
+    Newton failures are recorded in the table rather than raised, a
+    solve that collapses onto the equilibrium (``checked_amplitude``)
+    among them.  Each cell is logged at debug level under
+    ``semdde.analysis``.
     """
     L_list = [int(L) for L in L_list]
     m_list = [int(m) for m in m_list]
@@ -183,6 +209,7 @@ def convergence_study(prob: DdeProblem, params, L_list: Sequence[int],
                     resample_state(warm, mesh, m).poly,
                     np.concatenate([[warm.period], params]))
                 result = newton_solve(init, prob, cons, settings)
+                checked_amplitude(result.state, checked_amplitude(init))
                 err = residual_err(result.state, prob, grid_points)
                 defect = phi_m_defect(result.state, prob, cons).max_defect
                 rows.append(ConvergenceCell(

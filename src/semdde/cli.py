@@ -27,6 +27,7 @@ import numpy as np
 from .analysis import (
     DEFAULT_ERR_GRID,
     ConvergenceTable,
+    checked_amplitude,
     circle_map_analysis,
     convergence_study,
     convergence_table_document,
@@ -47,7 +48,6 @@ from .collocation import (
 from .continuation import (
     DEFAULT_HOPF_OFFSET,
     append_branch_row,
-    checked_amplitude,
     continue_branch,
     hopf_initial_guess,
     read_branch_csv,

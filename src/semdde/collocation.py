@@ -48,6 +48,7 @@ import numpy as np
 from .errors import (
     InvalidArgumentError,
     MaxIterExceededError,
+    NewtonError,
     NonFiniteResidualError,
     SingularJacobianError,
 )
@@ -479,7 +480,9 @@ def newton_solve(init: DiscreteState, prob: DdeProblem,
     > 0) and its residual is finite.  Raises when the iteration budget
     runs out, the step stagnates below ``tol_step`` without meeting the
     tolerance, the Jacobian fails the pivot rule, or the trial at the
-    damping floor is not admissible.
+    damping floor is not admissible.  Every NewtonError it passes on, a
+    problem's own included, carries the residual max-norms recorded
+    before it as ``residual_history``.
 
     Each step is solved once, by numpy (``lu_solve``).  A Jacobian that
     is not finite raises NonFiniteResidualError before the solve.  The
@@ -492,73 +495,78 @@ def newton_solve(init: DiscreteState, prob: DdeProblem,
     A near-singular Jacobian whose residual lies almost in its range
     amplifies too little to be checked, and its step is taken.
     """
-    x = init.flatten()
-    state = init
-    residual = assemble_residual(state, prob, cons)
-    res_norm = float(np.max(np.abs(residual)))
-    if not math.isfinite(res_norm):
-        raise NonFiniteResidualError(
-            "residual not finite at the initial state",
-            residual_history=np.array([]))
-    history = [res_norm]
-
-    for iteration in range(settings.max_iter):
-        if res_norm <= settings.tol_residual:
-            return NewtonResult(state, iteration, np.array(history))
-        jac = assemble_jacobian(state, prob, cons, settings)
-        scale = float(np.max(np.abs(jac)))
-        if not math.isfinite(scale):
+    history = []
+    try:
+        x = init.flatten()
+        state = init
+        residual = assemble_residual(state, prob, cons)
+        res_norm = float(np.max(np.abs(residual)))
+        if not math.isfinite(res_norm):
             raise NonFiniteResidualError(
-                f"Jacobian not finite at iteration {iteration}",
-                residual_history=np.array(history))
-        pivot = math.inf  # the smallest LU pivot, found only when needed
-        try:
-            step = lu_solve(jac, -residual)
-        except np.linalg.LinAlgError:  # an exactly zero pivot: no step
-            pivot = 0.0
-        else:
-            amplification = float(np.max(np.abs(step))) * scale / res_norm
-            # a non-finite step gives inf or nan, which fail the test too
-            if not amplification <= _SUSPICIOUS_AMPLIFICATION:
-                pivot = float(np.min(np.abs(lu_factor(jac))))
-        if pivot < 1e-14 * scale:
-            raise SingularJacobianError(
-                f"LU pivot below 1e-14 of the matrix scale {scale:.3e} at "
-                f"iteration {iteration}", residual_history=np.array(history))
-
-        for halvings in itertools.count():
-            damping = 0.5 ** halvings
-            x_trial = x + damping * step
-            trial_state = _admissible(state, x_trial)
-            trial_norm = math.nan  # an inadmissible trial has no norm
-            if trial_state is not None:
-                trial_residual = assemble_residual(trial_state, prob, cons)
-                trial_norm = float(np.max(np.abs(trial_residual)))
-            last = damping <= settings.damping_min  # the damping floor
-            if math.isfinite(trial_norm) and (trial_norm < res_norm or last):
-                break
-            if last:
-                raise NonFiniteResidualError(
-                    "residual left the finite region even at the damping "
-                    f"floor (iteration {iteration})",
-                    residual_history=np.array(history))
-
-        step_norm = float(np.max(np.abs(damping * step)))
-        x, state, residual = x_trial, trial_state, trial_residual
-        res_norm = trial_norm
+                "residual not finite at the initial state")
         history.append(res_norm)
-        log.debug("newton iteration %d: residual %.3e, step %.3e, damping "
-                  "%.3g after %d halvings", iteration + 1, res_norm,
-                  step_norm, damping, halvings)
-        if res_norm <= settings.tol_residual:
-            return NewtonResult(state, iteration + 1, np.array(history))
-        if step_norm <= settings.tol_step * max(1.0, float(np.max(np.abs(x)))):
-            raise MaxIterExceededError(
-                f"Newton stalled: step {step_norm:.3e} below tol_step with "
-                f"residual {res_norm:.3e}",
-                residual_history=np.array(history))
 
-    raise MaxIterExceededError(
-        f"no convergence in {settings.max_iter} iterations "
-        f"(residual {res_norm:.3e})",
-        residual_history=np.array(history))
+        for iteration in range(settings.max_iter):
+            if res_norm <= settings.tol_residual:
+                return NewtonResult(state, iteration, np.array(history))
+            jac = assemble_jacobian(state, prob, cons, settings)
+            scale = float(np.max(np.abs(jac)))
+            if not math.isfinite(scale):
+                raise NonFiniteResidualError(
+                    f"Jacobian not finite at iteration {iteration}")
+            pivot = math.inf  # the smallest LU pivot, found only when needed
+            try:
+                step = lu_solve(jac, -residual)
+            except np.linalg.LinAlgError:  # an exactly zero pivot: no step
+                pivot = 0.0
+            else:
+                amplification = float(np.max(np.abs(step))) * scale / res_norm
+                # a non-finite step gives inf or nan, which fail the test
+                if not amplification <= _SUSPICIOUS_AMPLIFICATION:
+                    pivot = float(np.min(np.abs(lu_factor(jac))))
+            if pivot < 1e-14 * scale:
+                raise SingularJacobianError(
+                    f"LU pivot below 1e-14 of the matrix scale {scale:.3e} "
+                    f"at iteration {iteration}")
+
+            for halvings in itertools.count():
+                damping = 0.5 ** halvings
+                x_trial = x + damping * step
+                trial_state = _admissible(state, x_trial)
+                trial_norm = math.nan  # an inadmissible trial has no norm
+                if trial_state is not None:
+                    trial_residual = assemble_residual(trial_state, prob, cons)
+                    trial_norm = float(np.max(np.abs(trial_residual)))
+                last = damping <= settings.damping_min  # the damping floor
+                if math.isfinite(trial_norm) and (trial_norm < res_norm
+                                                  or last):
+                    break
+                if last:
+                    raise NonFiniteResidualError(
+                        ("residual left the finite region even at the "
+                         "damping floor" if trial_state is not None else
+                         "no admissible trial (finite, period > 0) was "
+                         "found down to the damping floor")
+                        + f" (iteration {iteration})")
+
+            step_norm = float(np.max(np.abs(damping * step)))
+            x, state, residual = x_trial, trial_state, trial_residual
+            res_norm = trial_norm
+            history.append(res_norm)
+            log.debug("newton iteration %d: residual %.3e, step %.3e, "
+                      "damping %.3g after %d halvings", iteration + 1,
+                      res_norm, step_norm, damping, halvings)
+            if res_norm <= settings.tol_residual:
+                return NewtonResult(state, iteration + 1, np.array(history))
+            x_scale = max(1.0, float(np.max(np.abs(x))))
+            if step_norm <= settings.tol_step * x_scale:
+                raise MaxIterExceededError(
+                    f"Newton stalled: step {step_norm:.3e} below tol_step "
+                    f"with residual {res_norm:.3e}")
+
+        raise MaxIterExceededError(
+            f"no convergence in {settings.max_iter} iterations "
+            f"(residual {res_norm:.3e})")
+    except NewtonError as exc:
+        exc.residual_history = np.array(history)
+        raise

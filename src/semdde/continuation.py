@@ -11,9 +11,10 @@ step from a Hopf guess, it starts from the Hopf normal form of the
 declared onset: the orbit's deviation from the equilibrium grows like
 the square root of the distance to the onset delay, and the period
 moves linearly in it.  Without an onset it starts from the previous
-orbit.  A step whose solve fails or collapses onto the equilibrium
-(``checked_amplitude``) is bisected.  Failed steps and stepping stones are logged
-at debug level under ``semdde.continuation``.
+orbit.  A step whose solve fails is bisected, and so is one that
+collapses onto the equilibrium by ``analysis.checked_amplitude``, the
+rule every solve in the package keeps.  Failed steps and stepping
+stones are logged at debug level under ``semdde.continuation``.
 """
 
 from __future__ import annotations
@@ -28,11 +29,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .analysis import (
-    DEFAULT_ERR_GRID,
-    err_and_amplitude,
-    orbit_amplitude,
-)
+from .analysis import DEFAULT_ERR_GRID, checked_amplitude, err_and_amplitude
 from .collocation import (
     DiscreteState,
     NewtonSettings,
@@ -49,7 +46,7 @@ from .errors import (
     NewtonError,
     StepFailureError,
 )
-from .oracle import DEFAULT_DEFECT_GRID, phi_m_defect
+from .oracle import phi_m_defect
 from .piecewise import FORMAT_VERSION, Mesh, check_format_version, \
     sample_periodic
 from .problems import DdeProblem, HopfData, mackey_glass
@@ -58,32 +55,6 @@ log = logging.getLogger("semdde.continuation")
 
 DEFAULT_HOPF_OFFSET = 1e-3
 MAX_STEP_BISECTIONS = 6
-
-#: a solve whose orbit amplitude drops below this fraction of the
-#: orbit it started from has fallen onto the equilibrium, which also
-#: solves the system; treated like a Newton failure
-_COLLAPSE_RATIO = 0.1
-_COLLAPSE_FLOOR = 1e-8
-_COLLAPSE_GRID = DEFAULT_DEFECT_GRID  # the defect's rows serve it too
-
-
-def checked_amplitude(state: DiscreteState,
-                      before: Optional[float] = None) -> float:
-    """Amplitude of ``state`` on the collapse-check grid.
-
-    ``before`` is the same measure of the orbit the solve of ``state``
-    started from.  Raises CollapseError when the solve has fallen onto
-    the equilibrium: ``before`` is above the floor of a flat profile
-    and the amplitude is below a tenth of it.
-    """
-    after = orbit_amplitude(state, _COLLAPSE_GRID)
-    if (before is not None and before > _COLLAPSE_FLOOR
-            and after < _COLLAPSE_RATIO * before):
-        raise CollapseError(
-            f"orbit amplitude fell from {before:.3e} to {after:.3e}; "
-            f"converged to the trivial solution")
-    return after
-
 
 def mackey_glass_hopf() -> HopfData:
     """Oscillation onset of the Mackey-Glass equation at its equilibrium,
@@ -226,11 +197,12 @@ def continue_branch(start: DiscreteState, prob: DdeProblem, p_from: float,
     passed the point before the one it starts from, give the same points
     bitwise.
 
-    A failing step (a Newton error, or an orbit whose amplitude falls
-    below a tenth of the orbit the step starts from) is split in half,
-    up to ``MAX_STEP_BISECTIONS`` nested halvings, with the midpoint
-    orbits used as stepping stones only.  Returns one BranchPoint per
-    scheduled value, in order.
+    A failing step (a Newton error, or a collapse by
+    ``checked_amplitude``: the range of the orbit's node values falls
+    below a tenth of that of the orbit the step starts from) is split in
+    half, up to ``MAX_STEP_BISECTIONS`` nested halvings, with the
+    midpoint orbits used as stepping stones only.  Returns one
+    BranchPoint per scheduled value, in order.
     """
     if steps < 1:
         raise InvalidArgumentError(f"steps must be >= 1, got {steps}")
@@ -245,20 +217,18 @@ def continue_branch(start: DiscreteState, prob: DdeProblem, p_from: float,
         settings = NewtonSettings()
     points: List[BranchPoint] = []
 
-    # an orbit travels with its collapse-check amplitude, so each is
-    # measured once: one solve's result is the next solve's start
-    def solve_at(p_value, orbit, predecessor):
-        state, before = orbit
+    def solve_at(p_value, state, predecessor):
         guess = (_secant_guess(state, predecessor, p_value)
                  or _onset_guess(state, prob.onset, p_value))
         trial = with_parameter(guess, 0, p_value)
         cons = default_constraints(prob, trial.params)
         result = newton_solve(trial, prob, cons, settings)
-        return result, cons, checked_amplitude(result.state, before)
+        checked_amplitude(result.state, checked_amplitude(state))
+        return result, cons
 
-    def advance(p_cur, orbit, predecessor, p_target, depth):
+    def advance(p_cur, state, predecessor, p_target, depth):
         try:
-            return solve_at(p_target, orbit, predecessor)
+            return solve_at(p_target, state, predecessor)
         except NewtonError as exc:
             log.debug("step p=%.6g -> %.6g failed at depth %d: %s",
                       p_cur, p_target, depth,
@@ -268,22 +238,18 @@ def continue_branch(start: DiscreteState, prob: DdeProblem, p_from: float,
                 raise StepFailureError(
                     f"step from p={p_cur:.6g} to p={p_target:.6g} failed "
                     f"after {MAX_STEP_BISECTIONS} bisections: {exc}",
-                    last_good=points[-1] if points else None,
                     points=list(points)) from exc
             p_mid = 0.5 * (p_cur + p_target)
-            mid, _, mid_amplitude = advance(p_cur, orbit, predecessor,
-                                            p_mid, depth + 1)
+            mid, _ = advance(p_cur, state, predecessor, p_mid, depth + 1)
             log.debug("stepping stone at p=%.6g (depth %d) in %d iterations",
                       p_mid, depth + 1, mid.iterations)
-            return advance(p_mid, (mid.state, mid_amplitude), orbit[0],
-                           p_target, depth + 1)
+            return advance(p_mid, mid.state, state, p_target, depth + 1)
 
-    orbit = (start, checked_amplitude(start))
+    state = start
     current_p = p_from
     for target in np.linspace(p_from, p_to, steps + 1)[1:]:
         target = float(target)
-        result, cons, checked = advance(current_p, orbit, previous, target,
-                                        0)
+        result, cons = advance(current_p, state, previous, target, 0)
         state = result.state
         err, amplitude = err_and_amplitude(state, prob, grid_points)
         points.append(BranchPoint(
@@ -296,7 +262,6 @@ def continue_branch(start: DiscreteState, prob: DdeProblem, p_from: float,
             phi_defect=phi_m_defect(state, prob, cons).max_defect,
         ))
         previous = points[-2].state if len(points) > 1 else None
-        orbit = (state, checked)
         current_p = target
     return points
 

@@ -14,12 +14,10 @@ class NoHopfError(SemDdeError):
 
 
 class NewtonError(SemDdeError):
-    """Base class for Newton iteration failures; ``residual_history``
-    holds the residual max-norms recorded before one, where set."""
+    """Base class for Newton iteration failures; ``newton_solve`` sets
+    ``residual_history`` to the residual max-norms recorded before one."""
 
-    def __init__(self, message, residual_history=None):
-        super().__init__(message)
-        self.residual_history = residual_history
+    residual_history = None
 
 
 class MaxIterExceededError(NewtonError):
@@ -50,14 +48,17 @@ class NegativeDelayError(NewtonError):
 class StepFailureError(SemDdeError):
     """Branch continuation could not complete a parameter step.
 
-    The last successfully converged branch point, if any, is attached as
-    ``last_good``.
+    ``points`` holds the branch points completed before it; the last of
+    them, if any, is ``last_good``.
     """
 
-    def __init__(self, message, last_good=None, points=None):
+    def __init__(self, message, points=None):
         super().__init__(message)
-        self.last_good = last_good
         self.points = points if points is not None else []
+
+    @property
+    def last_good(self):
+        return self.points[-1] if self.points else None
 
 
 class AnalyticityViolationError(SemDdeError):

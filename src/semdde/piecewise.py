@@ -270,11 +270,6 @@ class _PiecewiseBase:
         """
         return self._eval_table(self._deriv_table, t)
 
-    def eval_with_deriv(self, t):
-        """``(eval(t), eval_deriv(t))`` bitwise, from one pass of terms."""
-        both = self._eval_table(self._both_table, t)
-        return both[..., :self.dim], both[..., self.dim:]
-
     def integrate(self, a: float, b: float):
         """Exact integral over [a, b] within [0, 1], split at breaks."""
         if not 0.0 <= a <= b <= 1.0:

@@ -23,6 +23,7 @@ from semdde.analysis import (
     _lift_iterate,
     _merge_close,
     bernstein_bound_fit,
+    checked_amplitude,
     circle_map_analysis,
     convergence_study,
     convergence_table_document,
@@ -42,7 +43,8 @@ from semdde.collocation import (
     state_from_document,
 )
 from semdde.continuation import sd_quadratic_seed
-from semdde.errors import AnalyticityViolationError, InvalidArgumentError
+from semdde.errors import AnalyticityViolationError, CollapseError, \
+    InvalidArgumentError
 from semdde.piecewise import Mesh, _wrap_time, sample_periodic
 from semdde.problems import DdeProblem, RescaledRhs, mackey_glass, \
     sd_quadratic
@@ -141,6 +143,51 @@ class TestResidualErr:
             orbit_amplitude(state, grid_points))
 
 
+class TestCheckedAmplitude:
+    @pytest.mark.parametrize("state", [
+        lambda: _equilibrium_state(),
+        lambda: sd_quadratic_seed(0.95),
+        lambda: DiscreteState(sample_periodic(
+            lambda t: np.stack([np.sin(2 * np.pi * t),
+                                3.0 * np.cos(6 * np.pi * t)], axis=1),
+            Mesh([0.0, 0.3, 0.45, 1.0]), 7), np.array([1.0])),
+    ], ids=["flat", "sd_quadratic_seed", "two_components"])
+    def test_is_the_range_of_the_free_values_bitwise(self, state):
+        state = state()
+        got = checked_amplitude(state)
+        assert got.hex() == float(np.ptp(state.poly.free_values)).hex()
+
+    def test_the_continuation_module_keeps_the_one_rule(self):
+        from semdde import continuation
+        assert continuation.checked_amplitude is checked_amplitude
+
+    @pytest.mark.parametrize("ratio, collapsed", [
+        (0.5, False), (9.9, False), (10.1, True), (1e6, True)])
+    def test_raises_below_a_tenth_of_the_amplitude_before(self, ratio,
+                                                          collapsed):
+        state = sd_quadratic_seed(0.95)
+        amplitude = checked_amplitude(state)
+        before = ratio * amplitude
+        if not collapsed:
+            assert checked_amplitude(state, before) == amplitude
+            return
+        with pytest.raises(CollapseError) as exc:
+            checked_amplitude(state, before)
+        assert str(exc.value) == (
+            f"orbit amplitude fell from {before:.3e} to {amplitude:.3e}; "
+            f"converged to the trivial solution")
+
+    @pytest.mark.parametrize("before", [None, 0.0, 1e-9, 1e-8])
+    def test_never_raises_from_a_start_at_or_below_the_floor(self, before):
+        # the equilibrium's amplitude 0 is below a tenth of any positive
+        # amplitude, but a start at or below 1e-8 is itself flat
+        assert checked_amplitude(_equilibrium_state(), before) == 0.0
+
+    def test_a_start_just_above_the_floor_is_not_flat(self):
+        with pytest.raises(CollapseError):
+            checked_amplitude(_equilibrium_state(), np.nextafter(1e-8, 1.0))
+
+
 class TestConvergenceTable:
     def test_rejects_duplicate_cells(self):
         row = ConvergenceCell(1, 4, 1e-3, 1e-12, 3, 0.1)
@@ -210,6 +257,21 @@ class TestConvergenceStudy:
             assert not row.completed and row.newton_iters == -1
             assert row.failure.startswith(
                 "NegativeDelayError: state-dependent delay went negative")
+
+    def test_a_cell_that_collapses_onto_the_equilibrium_fails(self):
+        # at delay 1.5 the m=4 solve from the 1.1 orbit falls onto the
+        # equilibrium (err at roundoff, amplitude about 3e-15); it must
+        # neither count as converged nor warm-start m=8
+        table = convergence_study(sd_quadratic(), [1.5], [10], [4, 8],
+                                  seed=sd_quadratic_seed(1.1))
+        collapsed, solved = table.rows
+        assert not collapsed.completed and collapsed.newton_iters == -1
+        assert collapsed.failure.startswith(
+            "CollapseError: orbit amplitude fell from ")
+        assert collapsed.failure.endswith(
+            "; converged to the trivial solution")
+        assert solved.completed and solved.degree == 8
+        assert 1e-9 < solved.err < 1e-7
 
     def test_each_cell_is_logged_at_debug_level(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="semdde.analysis"):

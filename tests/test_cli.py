@@ -336,12 +336,14 @@ class TestSolve:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
     def test_orbit_that_grows_from_its_guess_is_kept(self, mg_solution):
-        # the Mackey-Glass hopf guess (peak to peak 0.02) converges to an
-        # orbit above the onset, which the collapse rule lets through
+        # the Mackey-Glass hopf guess (sine amplitude 0.01, whose peaks
+        # fall between the nodes of (11, 8)) converges to an orbit above
+        # the onset, which the collapse rule lets through
         cfg = RunConfig.from_document(
             json.loads((mg_solution / "config.json").read_text()))
         guess = _initial_state(cfg)
-        assert checked_amplitude(guess) == pytest.approx(0.02, rel=1e-6)
+        assert checked_amplitude(guess) == pytest.approx(0.0199702562209,
+                                                         rel=1e-12)
         result = json.loads((mg_solution / "result.json").read_text())
         assert result["amplitude"] == pytest.approx(0.029, abs=1e-3)
 
@@ -755,6 +757,25 @@ class TestConvergence:
         for row in doc["rows"]:
             assert row["failure"].startswith("NegativeDelayError: ")
         assert (tmp_path / "out" / "convergence.csv").exists()
+
+    def test_a_collapsed_cell_is_written_as_failed_and_exits_0(self,
+                                                               tmp_path):
+        guess = tmp_path / "seed.json"
+        guess.write_text(json.dumps(state_to_document(
+            sd_quadratic_seed(1.1))))
+        path = write_config(tmp_path / "c.json", {
+            "problem": "sd_quadratic", "params": [1.5], "mesh_list": [10],
+            "degree": [4, 8], "guess": {"kind": "file", "path": str(guess)},
+            "out_dir": str(tmp_path / "out"),
+        })
+        assert main(["convergence", "--config", path]) == 0
+        doc = json.loads((tmp_path / "out" / "convergence.json").read_text())
+        collapsed, solved = doc["rows"]
+        assert (collapsed["degree"], collapsed["newton_iters"]) == (4, -1)
+        assert collapsed["failure"].startswith("CollapseError: ")
+        assert solved["degree"] == 8 and solved["failure"] is None
+        rows = (tmp_path / "out" / "convergence.csv").read_text()
+        assert "CollapseError: " in rows
 
     def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         path = write_config(tmp_path / "c.json", {

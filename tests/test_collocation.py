@@ -44,6 +44,7 @@ from semdde.continuation import (
 from semdde.errors import (
     InvalidArgumentError,
     MaxIterExceededError,
+    NegativeDelayError,
     NonFiniteResidualError,
     SingularJacobianError,
 )
@@ -638,6 +639,20 @@ class TestNewton:
             newton_solve(init, prob, cons)
         assert exc.value.residual_history.shape == (0,)
 
+    def test_a_problem_error_at_the_initial_state_has_an_empty_history(
+            self):
+        # the solve of convergence_study's (10, 4) cell at delay 0.1: the
+        # initial state already has a negative delay (about -0.145)
+        prob, seed = sd_quadratic(), sd_quadratic_seed(0.95)
+        init = DiscreteState(
+            resample_state(seed, Mesh.uniform(10), 4).poly,
+            np.array([seed.period, 0.1]))
+        with pytest.raises(NegativeDelayError) as exc:
+            newton_solve(init, prob, default_constraints(prob, [0.1]))
+        assert exc.value.residual_history.shape == (0,)
+        table = convergence_study(prob, [0.1], [10], [4], seed=seed)
+        assert table.rows[0].failure == f"NegativeDelayError: {exc.value}"
+
     def test_non_finite_trial_at_the_damping_floor_keeps_the_history(self):
         # the anchor pulls v(0) from 0.5 to 1e4: even 1/64 of that step
         # takes y beyond 10, where the rhs is infinite
@@ -744,8 +759,10 @@ class TestNewton:
         monkeypatch.setattr(collocation, "assemble_residual", recording)
         with pytest.raises(NonFiniteResidualError) as exc:
             newton_solve(init, prob, cons)
-        assert str(exc.value) == ("residual left the finite region even at "
-                                  "the damping floor (iteration 5)")
+        # the floor's trial has T <= 0, so no residual was computed for it
+        assert str(exc.value) == ("no admissible trial (finite, period > 0) "
+                                  "was found down to the damping floor "
+                                  "(iteration 5)")
         # dampings 1/4, 1/4, 1/16, 1/32, 1/64 move T towards -1
         assert periods == [1.0, 0.5, 0.125, 0.0546875, 0.021728515625,
                            0.005764007568359375]

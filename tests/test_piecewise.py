@@ -169,19 +169,6 @@ class TestEval:
         one_at_a_time = np.array([fn(x) for x in t])
         np.testing.assert_array_equal(batch, one_at_a_time)
 
-    def test_eval_with_deriv_is_eval_and_eval_deriv_bitwise(self):
-        p = _random_continuous_poly(np.random.default_rng(3), 7, 9, 2)
-        # random times across chunks, every break, both ends and t = 1,
-        # where eval_deriv takes the first interval's one-sided derivative
-        t = np.concatenate([np.random.default_rng(4).uniform(-1, 2, 3000),
-                            p.mesh.breaks, p.node_times.ravel(), [1.0]])
-        values, deriv = p.eval_with_deriv(t)
-        np.testing.assert_array_equal(values, p.eval(t))
-        np.testing.assert_array_equal(deriv, p.eval_deriv(t))
-        values, deriv = p.eval_with_deriv(0.25)
-        np.testing.assert_array_equal(values, p.eval(0.25))
-        np.testing.assert_array_equal(deriv, p.eval_deriv(0.25))
-
     @pytest.mark.parametrize("num_intervals", [1, 7])
     def test_eval_with_basis_is_eval_bitwise_and_rebuilds_it(
             self, num_intervals):
@@ -252,6 +239,21 @@ class TestEvalDeriv:
                             Mesh.uniform(2), 20)
         got = p.eval_deriv(0.3)[0]
         assert abs(got - 2 * np.pi * np.cos(0.6 * np.pi)) <= 1e-9
+
+    def test_a_break_takes_the_right_intervals_derivative(self):
+        # at every break the interval that starts there gives the
+        # one-sided derivative, and t = 1 wraps onto the first interval
+        p = _random_continuous_poly(np.random.default_rng(3), 7, 9, 2)
+        ends = [np.einsum("k,iks->is", p.node_family.diff_matrix[j],
+                          p.values) / p.mesh.lengths[:, None]
+                for j in (0, -1)]
+        assert not np.allclose(ends[0], np.roll(ends[1], 1, axis=0))
+        np.testing.assert_allclose(p.eval_deriv(p.mesh.breaks[:-1]), ends[0],
+                                   rtol=1e-13)
+        np.testing.assert_array_equal(p.eval_deriv(1.0), p.eval_deriv(0.0))
+        t = np.concatenate([p.mesh.breaks, [0.25]])
+        np.testing.assert_array_equal(
+            p.eval_deriv(t), np.array([p.eval_deriv(x) for x in t]))
 
     def test_break_time_uses_right_interval(self):
         mesh = Mesh.uniform(2)
@@ -476,15 +478,13 @@ class TestKernelIsTheReferenceBitwise:
         p = _kernel_polys()[kind]
         t = _kernel_times(p, size)
         assert _same_bits(p.eval(t), reference(lambda: p.eval(t)))
-        got = p.eval_with_deriv(t)
-        want = reference(lambda: p.eval_with_deriv(t))
-        assert all(_same_bits(g, w) for g, w in zip(got, want))
-        assert _same_bits(p.eval_deriv(t), want[1])
+        assert _same_bits(p.eval_deriv(t), reference(lambda: p.eval_deriv(t)))
 
     def test_stored_rows(self, monkeypatch, reference, kind, size):
         monkeypatch.setattr(piecewise, "_STORE", piecewise._Store())
         p, name, times = _fixed_case(kind, size)
-        want = (times,) + reference(lambda: p.eval_with_deriv(times))
+        want = (times,) + reference(lambda: (p.eval(times),
+                                             p.eval_deriv(times)))
         # recorded, then built into the store, then read from it
         for _ in range(3):
             got = p._on(name, deriv=True)
@@ -514,7 +514,7 @@ def test_eval_with_basis_is_the_reference_bitwise(size):
             p._basis(p._value_table, idx, flat, p._terms(idx, flat)),
             p._basis(p._value_table, idx, flat, terms.copy())]
     # later evaluations must not reuse returned rows as a workspace
-    p.eval_with_deriv(_kernel_times(p, 2 * _CHUNK + 3)[::-1])
+    p.eval_deriv(_kernel_times(p, 2 * _CHUNK + 3)[::-1])
     for got_values, got_cols, got_rows in held:
         assert _same_bits(got_values, values)
         assert _same_bits(got_rows, rows)
@@ -596,10 +596,7 @@ def test_a_query_gives_its_bits_alone_and_anywhere_in_a_batch(degree, dim):
     t = _kernel_times(p, 2 * _CHUNK + 3)
     shifted = np.concatenate([np.full(5, 0.3), t])
 
-    def both(x):
-        return np.concatenate(p.eval_with_deriv(x), axis=-1)
-
-    for fn in (p.eval, both):
+    for fn in (p.eval, p.eval_deriv):
         batch = fn(t)
         assert _same_bits(fn(shifted)[5:], batch)
         assert _same_bits(np.array([fn(x) for x in t]), batch)

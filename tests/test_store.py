@@ -130,7 +130,7 @@ def test_stored_rows_belong_to_their_discretization(other):
     for poly in (state.poly, second):
         for _ in range(2):
             times, *got = poly._on(2001, deriv=True)
-            want = poly.eval_with_deriv(times)
+            want = poly.eval(times), poly.eval_deriv(times)
             assert got[0].tobytes() == want[0].tobytes()
             assert got[1].tobytes() == want[1].tobytes()
 
