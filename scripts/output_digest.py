@@ -13,10 +13,11 @@ The command-line runs go through ``python -m semdde.cli`` into a
 temporary directory: ``solve`` of Mackey-Glass from its Hopf guess on
 (11, 8), a 3-step ``continue`` from the same guess, ``convergence
 --jobs 2`` of sd_quadratic on L in {10, 20} seeded from the shipped
-orbit at delay 0.95, ``solve`` of that orbit on (20, 12), and
-``circle-map`` of both solved orbits.  Each digest covers the names and
-bytes of the data files a run writes; ``metadata.json``, which holds
-wall-clock times, is left out.
+orbit at delay 0.95, ``solve`` of that orbit on (20, 12),
+``circle-map`` of both solved orbits, and ``nodes`` of each node family
+at degrees 1, 2, 5, 16 and 40 with 5000 samples.  Each digest covers
+the names and bytes of the data files a run writes; ``metadata.json``,
+which holds wall-clock times, is left out.
 
 A seed other than 0 shifts the continuous inputs (Hopf amplitude,
 delays) by a bounded amount and keeps every (L, m) plan, with the shifts
@@ -198,6 +199,12 @@ def cli_digests(seed: int) -> dict:
                 work, name, "circle-map",
                 {"problem": problem, "k_max": 5, "grid": 4000,
                  "solution": str(work / solved / "solution.json")}))
+        for kind in semdde.NodeKind:
+            name = f"cli_nodes_{kind.value}"
+            out[name] = _files_digest(_run_cli(
+                work, name, "nodes",
+                {"node_kind": kind.value, "degree": [1, 2, 5, 16, 40],
+                 "samples": 5000}))
     return out
 
 

@@ -9,7 +9,6 @@ non-analyticity for state-dependent delays.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass, field
@@ -34,7 +33,7 @@ from .errors import (
 )
 from .nodes import NodeKind
 from .oracle import phi_m_defect
-from .piecewise import FORMAT_VERSION, Mesh, _wrap_time
+from .piecewise import FORMAT_VERSION, Mesh, _wrap_time, csv_writer
 from .problems import DdeProblem
 
 log = logging.getLogger("semdde.analysis")
@@ -172,6 +171,18 @@ class ConvergenceTable:
         return out
 
 
+def _checked_plan(L_list: Sequence[int], m_list: Sequence[int]):
+    """The mesh sizes and degrees of a table as lists of ints, each
+    nonempty and without repeats, the sizes >= 1 and the degrees >= 2."""
+    plan = [int(L) for L in L_list], [int(m) for m in m_list]
+    for name, values, least in zip(("mesh sizes", "degrees"), plan, (1, 2)):
+        if not values or min(values) < least or len(set(values)) < len(values):
+            raise InvalidArgumentError(
+                f"{name} must be distinct, >= {least} and nonempty, got "
+                f"{values}")
+    return plan
+
+
 def convergence_study(prob: DdeProblem, params, L_list: Sequence[int],
                       m_list: Sequence[int],
                       settings: Optional[NewtonSettings] = None, *,
@@ -184,15 +195,11 @@ def convergence_study(prob: DdeProblem, params, L_list: Sequence[int],
     the cells warm-start from the nearest previously completed cell.
     Newton failures are recorded in the table rather than raised, a
     solve that collapses onto the equilibrium (``checked_amplitude``)
-    among them.  Each cell is logged at debug level under
+    among them.  A repeated mesh size or degree is rejected before the
+    first solve.  Each cell is logged at debug level under
     ``semdde.analysis``.
     """
-    L_list = [int(L) for L in L_list]
-    m_list = [int(m) for m in m_list]
-    if not L_list or min(L_list) < 1:
-        raise InvalidArgumentError("mesh sizes must be >= 1 and nonempty")
-    if not m_list or min(m_list) < 2:
-        raise InvalidArgumentError("degrees must be >= 2 and nonempty")
+    L_list, m_list = _checked_plan(L_list, m_list)
     params = np.atleast_1d(np.asarray(params, dtype=float))
     if settings is None:
         settings = NewtonSettings()
@@ -246,13 +253,9 @@ def write_convergence_csv(table: ConvergenceTable, stream) -> None:
     Wall times are left out so the data file is byte-identical across
     runs; timing belongs in a separate metadata file.
     """
-    stream.write(f"# format_version={FORMAT_VERSION}\n")
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CONVERGENCE_CSV_COLUMNS)
-    # the csv module writes a float as its repr and None as an empty cell
-    for row in table.rows:
-        writer.writerow([getattr(row, name)
-                         for name in CONVERGENCE_CSV_COLUMNS])
+    csv_writer(stream, CONVERGENCE_CSV_COLUMNS).writerows(
+        [getattr(row, name) for name in CONVERGENCE_CSV_COLUMNS]
+        for row in table.rows)
 
 
 def convergence_table_document(table: ConvergenceTable) -> dict:
@@ -507,10 +510,6 @@ def orbit_lag_map(state: DiscreteState, lag: Callable) -> Callable:
 
 def write_circle_map_csv(result: CircleMapResult, stream) -> None:
     """Sampled iterates as CSV columns t, g1, g2, ... for plotting."""
-    stream.write(f"# format_version={FORMAT_VERSION}\n")
-    writer = csv.writer(stream, lineterminator="\n")
-    k_max = result.iterates.shape[0]
-    writer.writerow(["t"] + [f"g{k}" for k in range(1, k_max + 1)])
-    for j, t in enumerate(result.times):
-        writer.writerow([repr(float(t))]
-                        + [repr(float(v)) for v in result.iterates[:, j]])
+    header = ["t"] + [f"g{k}" for k in range(1, len(result.iterates) + 1)]
+    csv_writer(stream, header).writerows(
+        np.column_stack([result.times, result.iterates.T]).tolist())

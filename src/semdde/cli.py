@@ -9,7 +9,6 @@ byte-identical; wall-clock times go to a separate metadata file.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import math
@@ -27,6 +26,7 @@ import numpy as np
 from .analysis import (
     DEFAULT_ERR_GRID,
     ConvergenceTable,
+    _checked_plan,
     checked_amplitude,
     circle_map_analysis,
     convergence_study,
@@ -64,7 +64,7 @@ from .errors import (
 from .nodes import NodeKind, lebesgue_constant, make_nodes
 from .oracle import phi_m_defect
 from .piecewise import FORMAT_VERSION, Mesh, check_format_version, \
-    sample_periodic
+    csv_writer, sample_periodic
 from .problems import DdeProblem, get_problem
 
 log = logging.getLogger("semdde.cli")
@@ -249,15 +249,6 @@ def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _write_metadata(out_dir: Path, command: str, wall_time: float,
-                    extra: Optional[dict] = None) -> None:
-    doc = {"format_version": FORMAT_VERSION, "command": command,
-           "wall_time": wall_time}
-    if extra:
-        doc.update(extra)
-    _write_json(out_dir / "metadata.json", doc)
-
-
 def _load_state(path: str) -> DiscreteState:
     with open(path) as handle:
         try:
@@ -299,25 +290,34 @@ def _first_orbit(cfg: RunConfig, prob: DdeProblem):
     continuation step, a solve that collapses onto the equilibrium
     from a guess that is not flat raises CollapseError.  A ``seed`` or
     ``file`` guess is resampled onto the configured mesh and degree,
-    either one defaulting to the guess's own."""
+    either one defaulting to the guess's own, and solved at the
+    configured params, if any, from its own period, as a convergence
+    cell is."""
     init = _initial_state(cfg)
-    if cfg.guess["kind"] in ("seed", "file") and (
-            cfg.mesh is not None or cfg.degree):
-        init = resample_state(
-            init, init.poly.mesh if cfg.mesh is None else cfg.mesh,
-            _single_degree(cfg) if cfg.degree else init.poly.degree)
+    kind = cfg.guess["kind"]
+    if kind == "hopf" and cfg.params:
+        raise ConfigError("the onset and a hopf guess's offset set p; "
+                          "remove params")
+    if kind in ("seed", "file"):
+        if cfg.mesh is not None or cfg.degree:
+            init = resample_state(
+                init, init.poly.mesh if cfg.mesh is None else cfg.mesh,
+                _single_degree(cfg) if cfg.degree else init.poly.degree)
+        if cfg.params:
+            init = DiscreteState(init.poly,
+                                 np.array((init.period,) + cfg.params))
     cons = default_constraints(prob, init.params)
     result = newton_solve(init, prob, cons, cfg.newton)
     checked_amplitude(result.state, checked_amplitude(init))
     return result, cons
 
 
-def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
+def cmd_solve(cfg: RunConfig, out_dir: Path) -> Tuple[int, dict]:
     prob = get_problem(_require(cfg.problem, "problem"))
-    start = perf_counter()
+    phases = [perf_counter()]
     result, cons = _first_orbit(cfg, prob)
     state = result.state
-    phases = [start, perf_counter()]
+    phases.append(perf_counter())
     err, amplitude = err_and_amplitude(state, prob, cfg.grid)
     phases.append(perf_counter())
     defect = phi_m_defect(state, prob, cons).max_defect
@@ -335,21 +335,19 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
         "phi_defect": defect,
         "iterations": result.iterations,
     })
-    _write_metadata(out_dir, "solve", perf_counter() - start, dict(zip(
-        ("newton_s", "residual_err_s", "phi_defect_s"), np.diff(phases))))
     print(f"wrote {out_dir / 'solution.json'}")
-    return EXIT_OK
+    return EXIT_OK, dict(zip(("newton_s", "residual_err_s", "phi_defect_s"),
+                             np.diff(phases)))
 
 
 def _point_path(out_dir: Path, index: int) -> Path:
     return out_dir / f"point_{index:04d}.json"
 
 
-def cmd_continue(cfg: RunConfig, out_dir: Path) -> int:
+def cmd_continue(cfg: RunConfig, out_dir: Path) -> Tuple[int, dict]:
     prob = get_problem(_require(cfg.problem, "problem"))
     p_to = _require(cfg.p_to, "p_to")
     steps = _require(cfg.steps, "steps")
-    start_time = perf_counter()
     csv_path = out_dir / "branch.csv"
 
     if cfg.resume:
@@ -413,13 +411,12 @@ def cmd_continue(cfg: RunConfig, out_dir: Path) -> int:
             log.info("branch point p=%.6g T=%.6g amplitude=%.3e",
                      point.parameter, point.period, point.amplitude)
 
-    _write_metadata(out_dir, "continue", perf_counter() - start_time,
-                    {"new_points": done - first_new})
+    extra = {"new_points": done - first_new}
     if failure is not None:
         _emit_error(failure)
-        return EXIT_FAILURE
+        return EXIT_FAILURE, extra
     print(f"wrote {csv_path} ({done} points)")
-    return EXIT_OK
+    return EXIT_OK, extra
 
 
 def _convergence_column(cfg: RunConfig, seed_doc: dict,
@@ -430,11 +427,13 @@ def _convergence_column(cfg: RunConfig, seed_doc: dict,
         cfg.newton, seed=state_from_document(seed_doc), grid_points=cfg.grid)
 
 
-def cmd_convergence(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
-    # resolve the problem here so a bad name fails before any worker starts
+def cmd_convergence(cfg: RunConfig, out_dir: Path,
+                    jobs: int) -> Tuple[int, dict]:
+    # resolve the problem and check the plan here, so a bad name or a
+    # repeated mesh size or degree fails before any worker starts
     get_problem(_require(cfg.problem, "problem"))
     sizes = _require(cfg.mesh_list, "mesh_list")
-    _require(cfg.degree, "degree")
+    _checked_plan(sizes, _require(cfg.degree, "degree"))
     _require(cfg.params, "params")
     if _require(cfg.guess, "guess")["kind"] not in ("file", "seed"):
         raise ConfigError(
@@ -442,7 +441,6 @@ def cmd_convergence(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
             "or 'seed'")
     column = partial(_convergence_column, cfg,
                      state_to_document(_initial_state(cfg)))
-    start = perf_counter()
     # every column restarts from the seed, so any job count gives the
     # same rows
     if jobs == 1:
@@ -459,18 +457,14 @@ def cmd_convergence(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
         write_convergence_csv(table, handle)
     _write_json(out_dir / "convergence.json",
                 convergence_table_document(table))
-    _write_metadata(out_dir, "convergence", perf_counter() - start, {
-        "cell_wall_times": [
-            {"num_intervals": row.num_intervals, "degree": row.degree,
-             "wall_time": row.wall_time} for row in table.rows
-        ],
-    })
     log.info("fitted slopes: %s", table.slopes())
     print(f"wrote {out_dir / 'convergence.csv'} ({len(table.rows)} cells)")
-    return EXIT_OK
+    return EXIT_OK, {"cell_wall_times": [
+        {"num_intervals": row.num_intervals, "degree": row.degree,
+         "wall_time": row.wall_time} for row in table.rows]}
 
 
-def cmd_circle_map(cfg: RunConfig, out_dir: Path) -> int:
+def cmd_circle_map(cfg: RunConfig, out_dir: Path) -> Tuple[int, dict]:
     prob = get_problem(_require(cfg.problem, "problem"))
     if prob.lag is None:
         raise ConfigError(f"problem {prob.name!r} declares no delay map")
@@ -480,7 +474,6 @@ def cmd_circle_map(cfg: RunConfig, out_dir: Path) -> int:
             f"{cfg.solution} holds an orbit of dimension {state.poly.dim} "
             f"with {state.params.size} params; {prob.name} needs "
             f"{prob.dim} with {prob.num_params}")
-    start = perf_counter()
     lag = orbit_lag_map(state, prob.lag)
     result = circle_map_analysis(lag, cfg.k_max, cfg.grid)
     with open(out_dir / "circle_map.csv", "w") as handle:
@@ -499,36 +492,30 @@ def cmd_circle_map(cfg: RunConfig, out_dir: Path) -> int:
             for pts in result.periodic_points
         ],
     })
-    _write_metadata(out_dir, "circle-map", perf_counter() - start)
     print(f"wrote {out_dir / 'circle_map.csv'} (kind {result.kind})")
-    return EXIT_OK
+    return EXIT_OK, {}
 
 
-def cmd_nodes(cfg: RunConfig, out_dir: Path) -> int:
+def cmd_nodes(cfg: RunConfig, out_dir: Path) -> Tuple[int, dict]:
     degrees = _require(cfg.degree, "degree")
-    start = perf_counter()
+    kind = cfg.node_kind.value
     with open(out_dir / "nodes.csv", "w") as handle:
-        handle.write(f"# format_version={FORMAT_VERSION}\n")
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["kind", "m", "index", "node", "bary_weight"])
+        writer = csv_writer(handle,
+                            ["kind", "m", "index", "node", "bary_weight"])
         for m in degrees:
             family = make_nodes(cfg.node_kind, m)
-            for i, (node, weight) in enumerate(
-                    zip(family.nodes, family.bary_weights)):
-                writer.writerow([cfg.node_kind.value, m, i,
-                                 repr(float(node)), repr(float(weight))])
+            for i, pair in enumerate(zip(family.nodes.tolist(),
+                                         family.bary_weights.tolist())):
+                writer.writerow([kind, m, i, *pair])
     with open(out_dir / "lebesgue.csv", "w") as handle:
-        handle.write(f"# format_version={FORMAT_VERSION}\n")
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["kind", "m", "samples", "lebesgue_constant"])
+        writer = csv_writer(handle,
+                            ["kind", "m", "samples", "lebesgue_constant"])
         for m in degrees:
             value = lebesgue_constant(make_nodes(cfg.node_kind, m),
                                       cfg.samples)
-            writer.writerow([cfg.node_kind.value, m, cfg.samples,
-                             repr(value)])
-    _write_metadata(out_dir, "nodes", perf_counter() - start)
+            writer.writerow([kind, m, cfg.samples, value])
     print(f"wrote {out_dir / 'nodes.csv'}")
-    return EXIT_OK
+    return EXIT_OK, {}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -592,7 +579,12 @@ def main(argv=None) -> int:
         command = {"solve": cmd_solve, "continue": cmd_continue,
                    "convergence": partial(cmd_convergence, jobs=args.jobs),
                    "circle-map": cmd_circle_map, "nodes": cmd_nodes}
-        return command[args.command](cfg, out_dir)
+        start = perf_counter()
+        code, extra = command[args.command](cfg, out_dir)
+        _write_json(out_dir / "metadata.json", {
+            "format_version": FORMAT_VERSION, "command": args.command,
+            "wall_time": perf_counter() - start, **extra})
+        return code
     # InvalidArgumentError is a ValueError: bad input, wherever it is found
     except (ConfigError, FormatVersionError, OSError, ValueError,
             TypeError) as exc:

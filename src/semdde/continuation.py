@@ -47,7 +47,7 @@ from .errors import (
     StepFailureError,
 )
 from .oracle import phi_m_defect
-from .piecewise import FORMAT_VERSION, Mesh, check_format_version, \
+from .piecewise import Mesh, check_format_version, csv_writer, \
     sample_periodic
 from .problems import DdeProblem, HopfData, mackey_glass
 
@@ -294,8 +294,7 @@ BRANCH_CSV_COLUMNS = ("p", "T", "amplitude", "newton_iters", "residual_err",
 
 def write_branch_csv(points: Sequence[BranchPoint], stream) -> None:
     """One CSV row per branch point, preceded by the format version."""
-    stream.write(f"# format_version={FORMAT_VERSION}\n")
-    csv.writer(stream, lineterminator="\n").writerow(BRANCH_CSV_COLUMNS)
+    csv_writer(stream, BRANCH_CSV_COLUMNS)
     for point in points:
         append_branch_row(point, stream)
 
@@ -303,8 +302,8 @@ def write_branch_csv(points: Sequence[BranchPoint], stream) -> None:
 def append_branch_row(point: BranchPoint, stream) -> None:
     """Append one point's row to a branch CSV that write_branch_csv began."""
     csv.writer(stream, lineterminator="\n").writerow([
-        repr(point.parameter), repr(point.period), repr(point.amplitude),
-        point.newton_iters, repr(point.err), repr(point.phi_defect)])
+        point.parameter, point.period, point.amplitude, point.newton_iters,
+        point.err, point.phi_defect])
 
 
 def read_branch_csv(stream) -> List[dict]:

@@ -46,6 +46,7 @@ bitwise.
 
 from __future__ import annotations
 
+import csv
 from functools import cached_property
 
 import numpy as np
@@ -76,6 +77,15 @@ def check_format_version(version, what: str) -> None:
         raise FormatVersionError(
             f"{what} declares format_version {version}; this build reads "
             f"up to {FORMAT_VERSION}")
+
+
+def csv_writer(stream, header):
+    """The csv writer of a data file begun with the format-version line
+    and the header; it writes a float as its repr, None as empty."""
+    stream.write(f"# format_version={FORMAT_VERSION}\n")
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(header)
+    return writer
 
 
 class Mesh:
@@ -424,8 +434,6 @@ def project(f, mesh: Mesh, m: int) -> PiecewiseProjection:
     ``f`` maps an array of times to an array of values, one row per time;
     the result matches f exactly at the collocation points.
     """
-    if m < 1:
-        raise InvalidArgumentError(f"node count must be >= 1, got {m}")
     family = make_nodes(NodeKind.GAUSS_LEGENDRE, m)
     return PiecewiseProjection(mesh, family, _sample(f, mesh, family.nodes))
 

@@ -293,6 +293,26 @@ class TestConvergenceStudy:
         with pytest.raises(InvalidArgumentError):
             convergence_study(prob, 0.8, [1], [1], seed=seed)
 
+    @pytest.mark.parametrize("sizes, degrees, message", [
+        ([10, 10], [4], r"^mesh sizes must be distinct, >= 1 and nonempty, "
+                        r"got \[10, 10\]$"),
+        ([10], [4, 4], r"^degrees must be distinct, >= 2 and nonempty, "
+                       r"got \[4, 4\]$"),
+    ], ids=["mesh_size", "degree"])
+    def test_a_repeat_is_rejected_before_the_first_solve(
+            self, monkeypatch, sizes, degrees, message):
+        solves = []
+
+        def counted(*args, **kwargs):
+            solves.append(args)
+            return newton_solve(*args, **kwargs)
+
+        monkeypatch.setattr("semdde.analysis.newton_solve", counted)
+        with pytest.raises(InvalidArgumentError, match=message):
+            convergence_study(sd_quadratic(), [0.95], sizes, degrees,
+                              seed=sd_quadratic_seed(0.95))
+        assert solves == []
+
     def test_csv_and_json_exports_are_deterministic(self):
         prob = mackey_glass()
         seed = _equilibrium_state(tau=0.8)
@@ -419,6 +439,12 @@ class TestCircleMap:
         np.testing.assert_allclose(r(t), [(0.7 + 0.0) / 2.0, (0.7 + 1.0) / 2.0],
                                    atol=1e-10)
 
+    def test_points_across_t_0_merge_into_the_first(self):
+        # 1 - 1e-9 and 1e-9 lie 2e-9 apart across the wrap
+        assert _merge_close([0.5, 1.0 - 1e-9, 1e-9]) == [1e-9, 0.5]
+        assert _merge_close([0.5, 1.0 - 1e-7, 1e-9]) == [1e-9, 0.5,
+                                                         1.0 - 1e-7]
+
     def test_circle_map_csv_layout(self):
         result = circle_map_analysis(lambda t: np.zeros_like(t), 2, 1000)
         out = io.StringIO()
@@ -427,6 +453,16 @@ class TestCircleMap:
         assert lines[0] == "# format_version=1"
         assert lines[1] == "t,g1,g2"
         assert len(lines) == 2 + 1000
+
+    def test_circle_map_csv_reads_back_bitwise(self):
+        # every double is written as its repr
+        result = circle_map_analysis(_sine_lag, 3, 1000)
+        out = io.StringIO()
+        write_circle_map_csv(result, out)
+        cells = np.array([line.split(",") for line in
+                          out.getvalue().splitlines()[2:]], dtype=float)
+        assert np.array_equal(cells[:, 0], result.times)
+        assert np.array_equal(cells[:, 1:].T, result.iterates)
 
 
 def _bisect_root(fn, lo, hi, f_lo, tol=1e-10):

@@ -415,6 +415,63 @@ class TestSolve:
         dense = guess.poly.eval(np.linspace(0.0, 1.0, 2001))
         assert 0.199 <= np.max(np.abs(dense)) <= 0.201
 
+    @pytest.mark.parametrize("command", ["solve", "continue"])
+    def test_file_guess_is_solved_at_the_configured_params(self, tmp_path,
+                                                           command):
+        # the shipped orbit at delay 0.95, solved at 1.0 from its own
+        # period, as a convergence cell starts
+        seed = sd_quadratic_seed(0.95)
+        guess = tmp_path / "guess.json"
+        guess.write_text(json.dumps(state_to_document(seed)))
+        path = write_config(tmp_path / "c.json", {
+            "problem": "sd_quadratic", "params": [1.0], "p_to": 1.01,
+            "steps": 1, "guess": {"kind": "file", "path": str(guess)},
+            "out_dir": str(tmp_path / "out"),
+        })
+        assert main([command, "--config", path]) == 0
+        prob = sd_quadratic()
+        init = DiscreteState(seed.poly, [seed.period, 1.0])
+        state = newton_solve(init, prob,
+                             default_constraints(prob, init.params)).state
+        if command == "solve":
+            result = json.loads((tmp_path / "out" / "result.json").read_text())
+            assert (result["p"], result["T"]) == ([1.0], state.period)
+        else:
+            schedule = json.loads(
+                (tmp_path / "out" / "schedule.json").read_text())
+            assert schedule["p_start"] == 1.0
+        name = "solution.json" if command == "solve" else "point_0000.json"
+        assert (tmp_path / "out" / name).exists()
+
+    @pytest.mark.parametrize("command", ["solve", "continue"])
+    def test_hopf_guess_with_params_exits_1(self, tmp_path, capsys,
+                                            command):
+        out = tmp_path / "out"
+        path = write_config(tmp_path / "c.json", {
+            "problem": "mackey_glass", "mesh": 11, "degree": 4,
+            "params": [0.9], "p_to": 0.55, "steps": 1,
+            "guess": {"kind": "hopf", "amplitude": 0.01},
+            "out_dir": str(out),
+        })
+        assert main([command, "--config", path]) == 1
+        error = read_error(capsys)
+        assert error["type"] == "ConfigError"
+        assert "onset" in error["message"] and "offset" in error["message"]
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["solve", "continue"])
+    def test_several_degrees_exit_1(self, tmp_path, capsys, command):
+        path = write_config(tmp_path / "c.json", {
+            "problem": "mackey_glass", "mesh": 11, "degree": [4, 6],
+            "p_to": 0.55, "steps": 1,
+            "guess": {"kind": "hopf", "amplitude": 0.01},
+            "out_dir": str(tmp_path / "out"),
+        })
+        assert main([command, "--config", path]) == 1
+        assert read_error(capsys) == {
+            "type": "ConfigError",
+            "message": "this command needs a single degree"}
+
 
 class TestContinue:
     def test_branch_outputs(self, mg_branch):
@@ -832,6 +889,27 @@ class TestConvergence:
         assert main(["convergence", "--config", path]) == 1
         assert "converged orbit" in read_error(capsys)["message"]
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("plan", [
+        {"mesh_list": [10, 10], "degree": [4]},
+        {"mesh_list": [10], "degree": [4, 4]},
+    ], ids=["mesh_list", "degree"])
+    def test_a_repeated_entry_exits_1_before_any_column(
+            self, tmp_path, capsys, monkeypatch, plan, jobs):
+        def no_column(*args, **kwargs):
+            raise AssertionError("a column started")
+
+        monkeypatch.setattr("semdde.cli._convergence_column", no_column)
+        monkeypatch.setattr("semdde.cli.ProcessPoolExecutor", no_column)
+        path = write_config(tmp_path / "c.json", dict(
+            plan, problem="sd_quadratic", params=[0.95],
+            guess={"kind": "seed"}, out_dir=str(tmp_path / "out")))
+        assert main(["convergence", "--config", path, "--jobs", jobs]) == 1
+        error = read_error(capsys)
+        assert error["type"] == "InvalidArgumentError"
+        assert "must be distinct" in error["message"]
+        assert list((tmp_path / "out").iterdir()) == []
+
 
 @pytest.fixture(scope="module")
 def seed_file(tmp_path_factory):
@@ -969,6 +1047,58 @@ class TestNodes:
         })
         assert main(["nodes", "--config", path]) == 1
         assert read_error(capsys)["type"] == "InvalidArgumentError"
+
+
+class TestMetadata:
+    """main writes metadata.json once per command that returns: the
+    base keys and each command's own."""
+
+    BASE = {"format_version", "command", "wall_time"}
+
+    @staticmethod
+    def keys(out_dir, command):
+        meta = json.loads((out_dir / "metadata.json").read_text())
+        assert meta["command"] == command and meta["wall_time"] > 0.0
+        return set(meta) - TestMetadata.BASE
+
+    def test_solve(self, mg_solution):
+        assert self.keys(mg_solution, "solve") == {
+            "newton_s", "residual_err_s", "phi_defect_s"}
+
+    def test_continue(self, mg_branch):
+        assert self.keys(mg_branch[0], "continue") == {"new_points"}
+
+    def test_failed_continue(self, tmp_path):
+        path = write_config(tmp_path / "c.json", {
+            "problem": "mackey_glass", "mesh": 11, "degree": 4,
+            "guess": {"kind": "hopf", "amplitude": 0.01},
+            "p_to": 0.40, "steps": 3, "out_dir": str(tmp_path),
+        })
+        assert main(["continue", "--config", path]) == 2
+        assert self.keys(tmp_path, "continue") == {"new_points"}
+
+    def test_convergence(self, tmp_path):
+        path = write_config(tmp_path / "c.json", {
+            "problem": "sd_quadratic", "params": [0.95], "mesh_list": [2],
+            "degree": [4], "guess": {"kind": "seed"},
+            "out_dir": str(tmp_path),
+        })
+        assert main(["convergence", "--config", path]) == 0
+        assert self.keys(tmp_path, "convergence") == {"cell_wall_times"}
+
+    def test_circle_map(self, seed_file, tmp_path):
+        path = write_config(tmp_path / "c.json", {
+            "problem": "sd_quadratic", "solution": seed_file, "k_max": 1,
+            "grid": 1000, "out_dir": str(tmp_path),
+        })
+        assert main(["circle-map", "--config", path]) == 0
+        assert self.keys(tmp_path, "circle-map") == set()
+
+    def test_nodes(self, tmp_path):
+        path = write_config(tmp_path / "c.json", {
+            "degree": [4], "out_dir": str(tmp_path)})
+        assert main(["nodes", "--config", path]) == 0
+        assert self.keys(tmp_path, "nodes") == set()
 
 
 class TestNodeKind:

@@ -34,6 +34,8 @@ from semdde.collocation import (
     newton_solve,
     resample_state,
     state_from_document,
+    state_to_document,
+    with_parameter,
 )
 from semdde.continuation import (
     continue_branch,
@@ -280,6 +282,36 @@ class TestDiscreteState:
             DiscreteState(poly, np.array([1.0, np.nan]))
         with pytest.raises(InvalidArgumentError):
             DiscreteState.from_flat(np.ones(7), Mesh.uniform(2), 2, 1, 1)
+
+    @pytest.mark.parametrize("mu", [[], [[1.7, 0.4]]],
+                             ids=["empty", "two_dimensional"])
+    def test_rejects_mu_that_is_not_a_flat_vector(self, mu):
+        poly = sample_periodic(lambda t: np.ones_like(t), Mesh.uniform(1), 2)
+        with pytest.raises(InvalidArgumentError,
+                           match=r"^mu must pack \(period, parameters\)$"):
+            DiscreteState(poly, mu)
+
+    @pytest.mark.parametrize("index", [-1, 1])
+    def test_with_parameter_rejects_an_index_out_of_range(self, index):
+        state = _equilibrium_state()
+        with pytest.raises(InvalidArgumentError,
+                           match=rf"^parameter index {index} outside 0\.\.0$"):
+            with_parameter(state, index, 0.5)
+
+    @pytest.mark.parametrize("change, got", [
+        (lambda doc: dict(doc, note="hi"),
+         "['format_version', 'mu', 'note', 'profile']"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "mu"},
+         "['format_version', 'profile']"),
+        (lambda doc: list(doc), "list"),
+    ], ids=["extra_key", "missing_key", "not_an_object"])
+    def test_document_needs_exactly_its_keys(self, change, got):
+        doc = change(state_to_document(_equilibrium_state()))
+        with pytest.raises(InvalidArgumentError) as info:
+            state_from_document(doc)
+        assert str(info.value) == (
+            "state document needs keys ['format_version', 'mu', 'profile'], "
+            f"got {got}")
 
 
 class TestResidual:

@@ -83,6 +83,13 @@ class TestScalarHopfPoint:
         assert omega == pytest.approx(1.0, abs=1e-14)
         assert tau == pytest.approx(math.pi / 2.0, abs=1e-10)
 
+    @pytest.mark.parametrize("alpha, beta", [
+        (math.nan, -4.0), (-1.0, math.inf), (-math.inf, -4.0)])
+    def test_rejects_a_coefficient_that_is_not_finite(self, alpha, beta):
+        with pytest.raises(InvalidArgumentError,
+                           match="^alpha and beta must be finite$"):
+            scalar_hopf_point(alpha, beta)
+
 
 class TestHopfData:
     def test_mackey_glass_onset_digits(self):
@@ -143,12 +150,31 @@ class TestBranchPoint:
                         amplitude=good.amplitude, period=0.0, err=good.err,
                         newton_iters=1, phi_defect=good.phi_defect)
 
+    @pytest.mark.parametrize("parameter", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_parameter_that_is_not_finite(self, short_branch,
+                                                    parameter):
+        good = short_branch[3][0]
+        with pytest.raises(InvalidArgumentError,
+                           match="^parameter must be finite$"):
+            dataclasses.replace(good, parameter=parameter)
+
 
 class TestContinueBranch:
     def test_rejects_bad_step_count(self, short_branch):
         prob, start, p0, _ = short_branch
         with pytest.raises(InvalidArgumentError):
             continue_branch(start, prob, p0, 1.0, 0)
+
+    @pytest.mark.parametrize("p_from, p_to", [
+        (math.nan, 0.6), (None, math.inf), (-math.inf, 0.6)],
+        ids=["nan_from", "inf_to", "minus_inf_from"])
+    def test_rejects_a_range_that_is_not_finite(self, short_branch, p_from,
+                                                p_to):
+        prob, start, p0, _ = short_branch
+        with pytest.raises(InvalidArgumentError,
+                           match="^parameter range must be finite$"):
+            continue_branch(start, prob, p0 if p_from is None else p_from,
+                            p_to, 1)
 
     def test_branch_shape(self, short_branch):
         _, _, p0, points = short_branch

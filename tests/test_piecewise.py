@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from semdde import piecewise
-from semdde.errors import InvalidArgumentError
+from semdde.errors import FormatVersionError, InvalidArgumentError
 from semdde.nodes import (NodeKind, interpolation_matrix, lagrange_rows,
                           make_nodes)
 from semdde.piecewise import (
@@ -22,6 +22,7 @@ from semdde.piecewise import (
     Mesh,
     PeriodicPiecewisePoly,
     PiecewiseProjection,
+    check_format_version,
     poly_from_document,
     poly_to_document,
     project,
@@ -73,6 +74,11 @@ class TestMesh:
     def test_equality(self):
         assert Mesh.uniform(3) == Mesh.uniform(3)
         assert Mesh.uniform(3) != Mesh.uniform(4)
+
+    def test_uniform_needs_an_interval(self):
+        with pytest.raises(InvalidArgumentError,
+                           match="^interval count must be >= 1, got 0$"):
+            Mesh.uniform(0)
 
 
 class TestPeriodicPolyConstruction:
@@ -218,6 +224,12 @@ class TestSamplePeriodic:
         assert np.array_equal(p.values[-1, -1], p.values[0, 0])
 
 
+    def test_rejects_degree_zero(self):
+        with pytest.raises(InvalidArgumentError,
+                           match="^degree must be >= 1, got 0$"):
+            sample_periodic(np.sin, Mesh.uniform(2), 0)
+
+
 class TestEvalDeriv:
     def test_constant_has_zero_derivative(self):
         mesh = Mesh.uniform(2)
@@ -266,6 +278,12 @@ class TestEvalDeriv:
 
 
 class TestProject:
+    def test_rejects_zero_nodes(self):
+        # make_nodes' own check
+        with pytest.raises(InvalidArgumentError,
+                           match="^node count must be >= 1, got 0$"):
+            project(np.sin, Mesh.uniform(2), 0)
+
     def test_constant_reproduced_everywhere(self):
         proj = project(lambda t: np.full_like(t, 3.25), Mesh.uniform(3), 4)
         t = np.linspace(0.0, 1.0, 50)
@@ -370,6 +388,19 @@ class TestSerialization:
         for bad in (extra, missing, wrong_kind, wrong_dim):
             with pytest.raises(InvalidArgumentError):
                 poly_from_document(bad)
+
+    def test_rejects_ragged_values(self):
+        doc = dict(poly_to_document(sample_periodic(
+            np.sin, Mesh.uniform(2), 2)), values=[[[0.0], [1.0]], [[1.0]]])
+        with pytest.raises(InvalidArgumentError,
+                           match="^values must be a numeric array$"):
+            poly_from_document(doc)
+
+    @pytest.mark.parametrize("version", [True, "1", 0])
+    def test_format_version_must_be_an_int_of_at_least_1(self, version):
+        with pytest.raises(FormatVersionError) as info:
+            check_format_version(version, "doc")
+        assert str(info.value) == f"bad format_version {version!r} in doc"
 
 
 # The evaluation kernel written out of place, as the reference that the

@@ -18,6 +18,7 @@ from semdde.errors import (
 from semdde.piecewise import Mesh, sample_periodic
 from semdde.problems import (
     _BY_NAME,
+    DdeProblem,
     RescaledRhs,
     get_problem,
     mackey_glass,
@@ -273,6 +274,15 @@ class TestRescaledRhs:
         with pytest.raises(InvalidArgumentError,
                            match=r"shape \(3, 2\), expected \(3, 1\)"):
             rhs(v, np.array([0.1, 0.5, 0.9]), np.array([1.6, 0.5]))
+
+    def test_rejects_a_lag_batch_of_another_size(self):
+        prob = DdeProblem(name="batch", dim=1, num_params=0,
+                          rhs=lambda e, p: e(np.zeros(2)))
+        with pytest.raises(InvalidArgumentError,
+                           match="^lag batch of size 2 does not match 3 "
+                                 "base times$"):
+            RescaledRhs(prob)(self._constant_poly(1.0),
+                              np.array([0.1, 0.5, 0.9]), np.array([1.0]))
 
     def test_rejects_bad_mu(self):
         rhs = RescaledRhs(mackey_glass())
