@@ -33,7 +33,8 @@ from .errors import (
 )
 from .nodes import NodeKind
 from .oracle import phi_m_defect
-from .piecewise import FORMAT_VERSION, Mesh, _wrap_time, csv_writer
+from .piecewise import (FORMAT_VERSION, Mesh, _is_integer, _wrap_time,
+                        csv_writer)
 from .problems import DdeProblem
 
 log = logging.getLogger("semdde.analysis")
@@ -174,13 +175,15 @@ class ConvergenceTable:
 def _checked_plan(L_list: Sequence[int], m_list: Sequence[int]):
     """The mesh sizes and degrees of a table as lists of ints, each
     nonempty and without repeats, the sizes >= 1 and the degrees >= 2."""
-    plan = [int(L) for L in L_list], [int(m) for m in m_list]
+    plan = list(L_list), list(m_list)
     for name, values, least in zip(("mesh sizes", "degrees"), plan, (1, 2)):
+        if not all(map(_is_integer, values)):
+            raise InvalidArgumentError(f"{name} must be integers, got {values}")
         if not values or min(values) < least or len(set(values)) < len(values):
             raise InvalidArgumentError(
                 f"{name} must be distinct, >= {least} and nonempty, got "
                 f"{values}")
-    return plan
+    return [[int(v) for v in values] for values in plan]
 
 
 def convergence_study(prob: DdeProblem, params, L_list: Sequence[int],

@@ -63,8 +63,8 @@ from .errors import (
 )
 from .nodes import NodeKind, lebesgue_constant, make_nodes
 from .oracle import phi_m_defect
-from .piecewise import FORMAT_VERSION, Mesh, check_format_version, \
-    csv_writer, sample_periodic
+from .piecewise import FORMAT_VERSION, Mesh, _is_integer, \
+    check_format_version, csv_writer, sample_periodic
 from .problems import DdeProblem, get_problem
 
 log = logging.getLogger("semdde.cli")
@@ -87,8 +87,7 @@ def _real(value, name: str) -> float:
 
 
 def _int(value, name: str, minimum: int = 1) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or \
-            value < minimum:
+    if not _is_integer(value) or value < minimum:
         raise ConfigError(f"{name} must be an int >= {minimum}, got {value!r}")
     return value
 
@@ -288,24 +287,19 @@ def _initial_state(cfg: RunConfig) -> DiscreteState:
 def _first_orbit(cfg: RunConfig, prob: DdeProblem):
     """The configured guess solved, with its constraints; like a
     continuation step, a solve that collapses onto the equilibrium
-    from a guess that is not flat raises CollapseError.  A ``seed`` or
-    ``file`` guess is resampled onto the configured mesh and degree,
-    either one defaulting to the guess's own, and solved at the
-    configured params, if any, from its own period, as a convergence
-    cell is."""
+    from a guess that is not flat raises CollapseError.  Every guess is
+    resampled onto the configured mesh and degree (each defaulting to
+    the guess's own) and solved at the configured params, if any, from
+    its own period, as a convergence cell is."""
     init = _initial_state(cfg)
-    kind = cfg.guess["kind"]
-    if kind == "hopf" and cfg.params:
+    if cfg.guess["kind"] == "hopf" and cfg.params:
         raise ConfigError("the onset and a hopf guess's offset set p; "
                           "remove params")
-    if kind in ("seed", "file"):
-        if cfg.mesh is not None or cfg.degree:
-            init = resample_state(
-                init, init.poly.mesh if cfg.mesh is None else cfg.mesh,
-                _single_degree(cfg) if cfg.degree else init.poly.degree)
-        if cfg.params:
-            init = DiscreteState(init.poly,
-                                 np.array((init.period,) + cfg.params))
+    init = resample_state(
+        init, init.poly.mesh if cfg.mesh is None else cfg.mesh,
+        _single_degree(cfg) if cfg.degree else init.poly.degree)
+    if cfg.params:
+        init = DiscreteState(init.poly, np.array((init.period,) + cfg.params))
     cons = default_constraints(prob, init.params)
     result = newton_solve(init, prob, cons, cfg.newton)
     checked_amplitude(result.state, checked_amplitude(init))
@@ -429,6 +423,8 @@ def _convergence_column(cfg: RunConfig, seed_doc: dict,
 
 def cmd_convergence(cfg: RunConfig, out_dir: Path,
                     jobs: int) -> Tuple[int, dict]:
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
     # resolve the problem and check the plan here, so a bad name or a
     # repeated mesh size or degree fails before any worker starts
     get_problem(_require(cfg.problem, "problem"))
@@ -497,22 +493,21 @@ def cmd_circle_map(cfg: RunConfig, out_dir: Path) -> Tuple[int, dict]:
 
 
 def cmd_nodes(cfg: RunConfig, out_dir: Path) -> Tuple[int, dict]:
-    degrees = _require(cfg.degree, "degree")
     kind = cfg.node_kind.value
+    degrees = _require(cfg.degree, "degree")  # all checked before writing
+    families = [make_nodes(cfg.node_kind, m) for m in degrees]
+    constants = [lebesgue_constant(f, cfg.samples) for f in families]
     with open(out_dir / "nodes.csv", "w") as handle:
         writer = csv_writer(handle,
                             ["kind", "m", "index", "node", "bary_weight"])
-        for m in degrees:
-            family = make_nodes(cfg.node_kind, m)
+        for m, family in zip(degrees, families):
             for i, pair in enumerate(zip(family.nodes.tolist(),
                                          family.bary_weights.tolist())):
                 writer.writerow([kind, m, i, *pair])
     with open(out_dir / "lebesgue.csv", "w") as handle:
         writer = csv_writer(handle,
                             ["kind", "m", "samples", "lebesgue_constant"])
-        for m in degrees:
-            value = lebesgue_constant(make_nodes(cfg.node_kind, m),
-                                      cfg.samples)
+        for m, value in zip(degrees, constants):
             writer.writerow([kind, m, cfg.samples, value])
     print(f"wrote {out_dir / 'nodes.csv'}")
     return EXIT_OK, {}
@@ -537,8 +532,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                        "config's out_dir)")
         cmd.add_argument("--grid", type=int,
                          help="dense-grid size (overrides the config)")
-        cmd.add_argument("--jobs", type=int, default=1,
-                         help="worker processes for convergence columns")
+    sub.choices["convergence"].add_argument(
+        "--jobs", type=int, default=1, help="worker processes for columns")
     return parser
 
 
@@ -567,8 +562,6 @@ def main(argv=None) -> int:
         with open(args.config) as handle:
             cfg = RunConfig.from_document(json.load(handle),
                                           out_dir=args.out, grid=args.grid)
-        if args.jobs < 1:
-            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         if (args.command in ("solve", "continue", "convergence")
                 and cfg.node_kind != NodeKind.GAUSS_LEGENDRE):
             raise ConfigError(
@@ -577,7 +570,7 @@ def main(argv=None) -> int:
         out_dir = Path(cfg.out_dir or ".")
         out_dir.mkdir(parents=True, exist_ok=True)
         command = {"solve": cmd_solve, "continue": cmd_continue,
-                   "convergence": partial(cmd_convergence, jobs=args.jobs),
+                   "convergence": lambda *a: cmd_convergence(*a, args.jobs),
                    "circle-map": cmd_circle_map, "nodes": cmd_nodes}
         start = perf_counter()
         code, extra = command[args.command](cfg, out_dir)

@@ -60,6 +60,7 @@ from .piecewise import (
     Mesh,
     PeriodicPiecewisePoly,
     _document_array,
+    _is_integer,
     check_format_version,
     poly_from_document,
     poly_to_document,
@@ -253,9 +254,7 @@ class NewtonSettings:
     fd_step: float = float(np.sqrt(np.finfo(float).eps))
 
     def __post_init__(self):
-        if (isinstance(self.max_iter, bool)
-                or not isinstance(self.max_iter, numbers.Integral)
-                or self.max_iter < 1):
+        if not _is_integer(self.max_iter) or self.max_iter < 1:
             raise InvalidArgumentError(
                 f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         for name in ("tol_residual", "tol_step", "damping_min", "fd_step"):
@@ -497,7 +496,6 @@ def newton_solve(init: DiscreteState, prob: DdeProblem,
     """
     history = []
     try:
-        x = init.flatten()
         state = init
         residual = assemble_residual(state, prob, cons)
         res_norm = float(np.max(np.abs(residual)))
@@ -506,9 +504,14 @@ def newton_solve(init: DiscreteState, prob: DdeProblem,
                 "residual not finite at the initial state")
         history.append(res_norm)
 
-        for iteration in range(settings.max_iter):
+        for iteration in itertools.count():
             if res_norm <= settings.tol_residual:
                 return NewtonResult(state, iteration, np.array(history))
+            if iteration == settings.max_iter:
+                raise MaxIterExceededError(
+                    f"no convergence in {settings.max_iter} iterations "
+                    f"(residual {res_norm:.3e})")
+            x = state.flatten()
             jac = assemble_jacobian(state, prob, cons, settings)
             scale = float(np.max(np.abs(jac)))
             if not math.isfinite(scale):
@@ -550,23 +553,16 @@ def newton_solve(init: DiscreteState, prob: DdeProblem,
                         + f" (iteration {iteration})")
 
             step_norm = float(np.max(np.abs(damping * step)))
-            x, state, residual = x_trial, trial_state, trial_residual
-            res_norm = trial_norm
+            state, residual, res_norm = trial_state, trial_residual, trial_norm
             history.append(res_norm)
             log.debug("newton iteration %d: residual %.3e, step %.3e, "
                       "damping %.3g after %d halvings", iteration + 1,
                       res_norm, step_norm, damping, halvings)
-            if res_norm <= settings.tol_residual:
-                return NewtonResult(state, iteration + 1, np.array(history))
-            x_scale = max(1.0, float(np.max(np.abs(x))))
-            if step_norm <= settings.tol_step * x_scale:
+            if res_norm > settings.tol_residual and step_norm <= max(
+                    1.0, float(np.max(np.abs(x_trial)))) * settings.tol_step:
                 raise MaxIterExceededError(
                     f"Newton stalled: step {step_norm:.3e} below tol_step "
                     f"with residual {res_norm:.3e}")
-
-        raise MaxIterExceededError(
-            f"no convergence in {settings.max_iter} iterations "
-            f"(residual {res_norm:.3e})")
     except NewtonError as exc:
         exc.residual_history = np.array(history)
         raise

@@ -78,8 +78,6 @@ def _gauss_legendre_reference(m: int) -> np.ndarray:
     Chebyshev-angle initial guesses converge in a handful of iterations;
     the final sweep symmetrizes so that nodes come in exact +-x pairs.
     """
-    if m == 1:
-        return np.zeros(1)
     j = np.arange(1, m + 1)
     x = np.cos(np.pi * (j - 0.25) / (m + 0.5))
     for _ in range(100):
@@ -93,12 +91,13 @@ def _gauss_legendre_reference(m: int) -> np.ndarray:
 
 
 def barycentric_weights(nodes: np.ndarray) -> np.ndarray:
-    """Barycentric weights w_j = 1 / prod_{k!=j}(x_j - x_k), max-rescaled.
+    """Barycentric weights w_j = 1 / prod_{k!=j} 4 (x_j - x_k), max-rescaled.
 
-    The rescaling by the largest magnitude keeps the weights representable
-    for large node counts (they only ever appear in ratios).
+    The factor 4, the inverse capacity of [0, 1] and exact as a power of
+    two, keeps the products near 1 (Berrut & Trefethen, section 3); the
+    rescaling keeps the weights representable (they only appear in ratios).
     """
-    diff = np.subtract.outer(nodes, nodes)
+    diff = 4.0 * np.subtract.outer(nodes, nodes)
     np.fill_diagonal(diff, 1.0)
     w = 1.0 / np.prod(diff, axis=1)
     return w / np.max(np.abs(w))
@@ -132,7 +131,7 @@ def make_nodes(kind: NodeKind, m: int) -> NodeFamily:
         Node count for the open families (Gauss-Legendre, Chebyshev-Gauss,
         equidistant).  For Chebyshev-Lobatto, ``m`` is the polynomial
         degree and the family contains ``m + 1`` nodes including both
-        endpoints.
+        endpoints.  An m beyond 1098 (Lobatto 1097, equidistant 1027) raises.
 
     Returns
     -------
@@ -152,10 +151,14 @@ def make_nodes(kind: NodeKind, m: int) -> NodeFamily:
         nodes = (1.0 - np.cos(j * np.pi / m)) / 2.0
     elif kind == NodeKind.EQUIDISTANT:
         nodes = np.array([0.5]) if m == 1 else np.linspace(0.0, 1.0, m)
-    else:  # pragma: no cover
+    else:
         raise InvalidArgumentError(f"unhandled node kind {kind}")
-    w = barycentric_weights(nodes)
-    d = differentiation_matrix(nodes, w)
+    with np.errstate(all="ignore"):  # checked below
+        w = barycentric_weights(nodes)
+        d = differentiation_matrix(nodes, w)
+    if not np.isfinite(d).all():  # so every weight is finite and nonzero
+        raise InvalidArgumentError(f"{kind.value} nodes: m = {m} is past "
+                                   f"the range of finite barycentric weights")
     return NodeFamily(kind=kind, m=len(nodes), nodes=nodes, bary_weights=w,
                       diff_matrix=d)
 
@@ -170,11 +173,8 @@ def gauss_weights(family: NodeFamily) -> np.ndarray:
         raise InvalidArgumentError(
             f"quadrature weights require Gauss-Legendre nodes, got {family.kind}"
         )
-    m = family.m
-    if m == 1:
-        return np.ones(1)
     x = 2.0 * family.nodes - 1.0
-    _, dp = _legendre_value_and_derivative(m, x)
+    _, dp = _legendre_value_and_derivative(family.m, x)
     # weight on [-1,1] is 2 / ((1-x^2) P_m'(x)^2); halve for [0,1]
     return 1.0 / ((1.0 - x * x) * dp * dp)
 

@@ -47,6 +47,7 @@ bitwise.
 from __future__ import annotations
 
 import csv
+import numbers
 from functools import cached_property
 
 import numpy as np
@@ -67,11 +68,15 @@ _CHUNK = 1024
 COLLOCATION = "collocation points"
 
 
+def _is_integer(value) -> bool:
+    """The package's one integer rule: numpy's pass, bools do not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def check_format_version(version, what: str) -> None:
     """Reject a format_version that is not an integer >= 1 or is newer
     than this build reads."""
-    if (isinstance(version, bool) or not isinstance(version, int)
-            or version < 1):
+    if not _is_integer(version) or version < 1:
         raise FormatVersionError(f"bad format_version {version!r} in {what}")
     if version > FORMAT_VERSION:
         raise FormatVersionError(
@@ -455,7 +460,7 @@ def poly_to_document(p: PeriodicPiecewisePoly) -> dict:
 
 def _document_int(doc: dict, key: str) -> int:
     value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_integer(value):
         raise InvalidArgumentError(f"{key} must be an integer, got {value!r}")
     return value
 

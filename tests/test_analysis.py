@@ -20,6 +20,7 @@ from semdde.analysis import (
     CircleMapResult,
     ConvergenceCell,
     ConvergenceTable,
+    _checked_plan,
     _lift_iterate,
     _merge_close,
     bernstein_bound_fit,
@@ -312,6 +313,35 @@ class TestConvergenceStudy:
             convergence_study(sd_quadratic(), [0.95], sizes, degrees,
                               seed=sd_quadratic_seed(0.95))
         assert solves == []
+
+    @pytest.mark.parametrize("sizes, degrees, message", [
+        ([2.5], [4], r"^mesh sizes must be integers, got \[2\.5\]$"),
+        ([2], [4.9], r"^degrees must be integers, got \[4\.9\]$"),
+        ([2.5, True], [4.9], r"^mesh sizes must be integers, "),
+        ([True], [4], r"^mesh sizes must be integers, got \[True\]$"),
+        ([2], [np.float64(4.0)], r"^degrees must be integers, "),
+        ([2], ["4"], r"^degrees must be integers, got \['4'\]$"),
+    ], ids=["float_size", "float_degree", "float_and_bool", "bool_size",
+            "numpy_float_degree", "string_degree"])
+    def test_a_non_integer_entry_is_rejected_before_the_first_solve(
+            self, monkeypatch, sizes, degrees, message):
+        # int() would cut [2.5], [4.9] to a cell (2, 4) nobody asked for
+        solves = []
+
+        def counted(*args, **kwargs):
+            solves.append(args)
+            return newton_solve(*args, **kwargs)
+
+        monkeypatch.setattr("semdde.analysis.newton_solve", counted)
+        with pytest.raises(InvalidArgumentError, match=message):
+            convergence_study(mackey_glass(), [0.95], sizes, degrees,
+                              seed=_equilibrium_state())
+        assert solves == []
+
+    def test_numpy_integers_make_a_plan_of_python_ints(self):
+        sizes, degrees = _checked_plan(np.array([2, 3]), [np.int32(4)])
+        assert (sizes, degrees) == ([2, 3], [4])
+        assert all(type(v) is int for v in sizes + degrees)
 
     def test_csv_and_json_exports_are_deterministic(self):
         prob = mackey_glass()

@@ -865,6 +865,17 @@ class TestConvergence:
         assert read_error(capsys)["type"] == "ConfigError"
         assert not (tmp_path / "convergence.csv").exists()
 
+    @pytest.mark.parametrize("command",
+                             ["solve", "continue", "circle-map", "nodes"])
+    def test_jobs_is_a_flag_of_convergence_alone(self, tmp_path, capsys,
+                                                 command):
+        # argparse's usage error, as for any unknown flag
+        path = write_config(tmp_path / "c.json", {"degree": [4]})
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", path, "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_exits_1(self, mg_solution, tmp_path, capsys,
                                     jobs):
@@ -1047,6 +1058,42 @@ class TestNodes:
         })
         assert main(["nodes", "--config", path]) == 1
         assert read_error(capsys)["type"] == "InvalidArgumentError"
+
+    def test_chebyshev_lobatto_degree_600_is_written_finite(self, tmp_path):
+        path = write_config(tmp_path / "c.json", {
+            "degree": [600], "node_kind": "chebyshev_lobatto",
+            "samples": 6010, "out_dir": str(tmp_path),
+        })
+        assert main(["nodes", "--config", path]) == 0
+        rows = (tmp_path / "nodes.csv").read_text().splitlines()[2:]
+        weights = [float(row.split(",")[4]) for row in rows]
+        assert len(weights) == 601 and np.all(np.isfinite(weights))
+        leb = (tmp_path / "lebesgue.csv").read_text().splitlines()[2]
+        assert float(leb.split(",")[3]) < 2.0 / np.pi * np.log(601) + 1.0
+
+    def test_a_count_past_the_finite_range_exits_1_before_writing(
+            self, tmp_path, capsys):
+        path = write_config(tmp_path / "c.json", {
+            "degree": [4, 1100], "node_kind": "equidistant",
+            "samples": 11000, "out_dir": str(tmp_path),
+        })
+        assert main(["nodes", "--config", path]) == 1
+        error = read_error(capsys)
+        assert error["type"] == "InvalidArgumentError"
+        assert error["message"].startswith("equidistant nodes: m = 1100 ")
+        assert not (tmp_path / "nodes.csv").exists()
+
+    def test_too_few_samples_for_one_degree_exits_1_before_writing(
+            self, tmp_path, capsys):
+        # every Lebesgue constant is computed before a table is written
+        path = write_config(tmp_path / "c.json", {
+            "degree": [4, 40], "samples": 100, "out_dir": str(tmp_path),
+        })
+        assert main(["nodes", "--config", path]) == 1
+        assert read_error(capsys)["message"] == \
+            "samples must be >= 10*m = 400, got 100"
+        assert not (tmp_path / "nodes.csv").exists()
+        assert not (tmp_path / "lebesgue.csv").exists()
 
 
 class TestMetadata:

@@ -314,6 +314,28 @@ class TestDiscreteState:
             f"got {got}")
 
 
+class TestResampleOntoItsOwnDiscretization:
+    """The CLI resamples every guess onto the configured mesh and degree,
+    each defaulting to the guess's own; a guess already on them comes
+    back bitwise, because each free value is read at its own node."""
+
+    @pytest.mark.parametrize("guess", [
+        lambda: hopf_initial_guess(mackey_glass_hopf(), 0.01,
+                                   Mesh.uniform(11), 8),
+        lambda: DiscreteState(sample_periodic(
+            lambda t: np.tile([1.2, -0.4], (t.size, 1)), Mesh.uniform(5), 6),
+            np.array([2.0, 0.9])),
+        lambda: sd_quadratic_seed(0.95),
+        lambda: state_from_document(json.loads(MG_BRANCH_END.read_text())),
+    ], ids=["hopf", "constant", "seed", "converged"])
+    def test_gives_the_state_back_bitwise(self, guess):
+        state = guess()
+        again = resample_state(state, state.poly.mesh, state.poly.degree)
+        assert again.flatten().tobytes() == state.flatten().tobytes()
+        assert again.mu.tobytes() == state.mu.tobytes()
+        assert again.poly.mesh == state.poly.mesh
+
+
 class TestResidual:
     def test_system_is_square(self):
         prob = mackey_glass()
@@ -719,6 +741,31 @@ class TestNewton:
         assert history.tolist() == full[:3].tolist()
         assert str(exc.value) == (f"no convergence in 2 iterations "
                                   f"(residual {history[-1]:.3e})")
+
+    def test_a_budget_of_the_iterations_needed_is_enough(self):
+        prob, init, cons = _near_hopf_guess()
+        full = newton_solve(init, prob, cons)
+        k = full.iterations
+        assert k >= 2
+        exact = newton_solve(init, prob, cons, NewtonSettings(max_iter=k))
+        assert exact.iterations == k
+        assert exact.state.flatten().tobytes() == \
+            full.state.flatten().tobytes()
+        assert exact.residual_history.tolist() == \
+            full.residual_history.tolist()
+        with pytest.raises(MaxIterExceededError,
+                           match=rf"^no convergence in {k - 1} iterations "):
+            newton_solve(init, prob, cons, NewtonSettings(max_iter=k - 1))
+
+    def test_one_iteration_short_keeps_every_norm_but_the_last(self):
+        prob, init, cons = _near_hopf_guess()
+        full = newton_solve(init, prob, cons)
+        k = full.iterations
+        with pytest.raises(MaxIterExceededError) as exc:
+            newton_solve(init, prob, cons, NewtonSettings(max_iter=k - 1))
+        history = exc.value.residual_history
+        assert len(history) == k
+        assert history.tolist() == full.residual_history[:k].tolist()
 
     def test_a_step_below_tol_step_stalls(self):
         prob = mackey_glass()

@@ -10,6 +10,7 @@ import dataclasses
 import io
 import logging
 import math
+import re
 import warnings
 
 import numpy as np
@@ -164,6 +165,24 @@ class TestContinueBranch:
         prob, start, p0, _ = short_branch
         with pytest.raises(InvalidArgumentError):
             continue_branch(start, prob, p0, 1.0, 0)
+
+    @pytest.mark.parametrize("steps", [True, 2.0, 1.5, "2"],
+                             ids=["bool", "float", "fraction", "string"])
+    def test_rejects_a_step_count_that_is_not_an_integer(self, short_branch,
+                                                         steps):
+        # True would count as one step, and 2.0 would reach np.linspace
+        prob, start, p0, _ = short_branch
+        with pytest.raises(InvalidArgumentError,
+                           match=rf"^steps must be an integer, got "
+                                 rf"{re.escape(repr(steps))}$"):
+            continue_branch(start, prob, p0, 0.5, steps)
+
+    def test_a_numpy_integer_step_count_is_accepted(self, short_branch):
+        prob, _, _, points = short_branch
+        last = points[-1]
+        more = continue_branch(last.state, prob, last.parameter,
+                               last.parameter + 0.01, np.int64(1))
+        assert len(more) == 1
 
     @pytest.mark.parametrize("p_from, p_to", [
         (math.nan, 0.6), (None, math.inf), (-math.inf, 0.6)],

@@ -12,6 +12,7 @@ import pytest
 from semdde.errors import InvalidArgumentError
 from semdde.nodes import (
     NodeKind,
+    gauss_rule,
     gauss_weights,
     interpolation_matrix,
     lebesgue_constant,
@@ -81,6 +82,73 @@ def test_make_nodes_rejects_nonpositive_count(kind, m):
 def test_gauss_legendre_single_node_is_midpoint():
     fam = make_nodes(NodeKind.GAUSS_LEGENDRE, 1)
     assert fam.nodes.tolist() == [0.5]
+
+
+def test_one_gauss_legendre_node_is_exact_through_the_general_formulas():
+    # the Newton iteration for P_1 and the weight formula give these bits
+    fam = make_nodes(NodeKind.GAUSS_LEGENDRE, 1)
+    assert fam.nodes.tolist() == [0.5]
+    assert fam.bary_weights.tolist() == [1.0]
+    assert gauss_weights(fam).tolist() == [1.0]
+    nodes, weights = gauss_rule(1)
+    assert (nodes.tolist(), weights.tolist()) == ([0.5], [1.0])
+
+
+def test_make_nodes_rejects_a_kind_that_is_not_a_node_kind():
+    with pytest.raises(InvalidArgumentError,
+                       match="^unhandled node kind gauss_legendre$"):
+        make_nodes("gauss_legendre", 3)
+
+
+def _unscaled_weights(nodes):
+    """1 / prod_{k != j} (x_j - x_k), over the largest magnitude."""
+    diff = np.subtract.outer(nodes, nodes)
+    np.fill_diagonal(diff, 1.0)
+    w = 1.0 / np.prod(diff, axis=1)
+    return w / np.max(np.abs(w))
+
+
+@pytest.mark.parametrize("kind, m", [
+    (kind, m) for kind in ALL_KINDS
+    for m in (1, 2, 5, 40, 200, 423 if kind == NodeKind.EQUIDISTANT else 516)
+], ids=lambda v: getattr(v, "value", v))
+def test_weights_are_the_unscaled_product_bitwise_while_it_is_normal(kind, m):
+    # scaling every difference by 4 is exact; the unscaled products stay
+    # normal up to m = 516 (equidistant: 423)
+    fam = make_nodes(kind, m)
+    assert fam.bary_weights.tobytes() == _unscaled_weights(fam.nodes).tobytes()
+
+
+def test_chebyshev_lobatto_degree_600_has_finite_weights():
+    # the unscaled products are subnormal or zero from 517 nodes on
+    fam = make_nodes(NodeKind.CHEBYSHEV_LOBATTO, 600)
+    assert fam.m == 601
+    assert np.all(np.isfinite(fam.bary_weights))
+    assert np.all(fam.bary_weights != 0.0)
+    assert np.all(np.isfinite(fam.diff_matrix))
+    # the classical bound (2/pi) ln(n + 1) + 1 for degree n
+    assert lebesgue_constant(fam, 6010) < 2.0 / np.pi * np.log(601) + 1.0
+
+
+@pytest.mark.parametrize("kind, m", [
+    (NodeKind.GAUSS_LEGENDRE, 1099), (NodeKind.CHEBYSHEV_GAUSS, 1099),
+    (NodeKind.CHEBYSHEV_LOBATTO, 1098), (NodeKind.EQUIDISTANT, 1028),
+    (NodeKind.EQUIDISTANT, 1100),
+], ids=lambda v: getattr(v, "value", v))
+def test_a_count_past_the_finite_range_raises(kind, m):
+    with pytest.raises(InvalidArgumentError,
+                       match=rf"^{kind.value} nodes: m = {m} is past "):
+        make_nodes(kind, m)
+
+
+@pytest.mark.parametrize("kind, m", [
+    (NodeKind.GAUSS_LEGENDRE, 1098), (NodeKind.CHEBYSHEV_LOBATTO, 1097),
+    (NodeKind.EQUIDISTANT, 1027),
+], ids=lambda v: getattr(v, "value", v))
+def test_the_largest_count_in_range_is_finite(kind, m):
+    fam = make_nodes(kind, m)
+    assert np.all(np.isfinite(fam.diff_matrix))
+    assert np.all(np.isfinite(fam.bary_weights) & (fam.bary_weights != 0))
 
 
 def test_gauss_legendre_three_nodes_closed_form():
@@ -194,9 +262,8 @@ def test_diff_matrix_differentiates_polynomials(kind, m):
 
 
 def test_gauss_weights_small_closed_forms():
-    np.testing.assert_allclose(
-        gauss_weights(make_nodes(NodeKind.GAUSS_LEGENDRE, 1)), [1.0],
-        rtol=0, atol=1e-15)
+    assert gauss_weights(make_nodes(NodeKind.GAUSS_LEGENDRE, 1)).tolist() \
+        == [1.0]
     np.testing.assert_allclose(
         gauss_weights(make_nodes(NodeKind.GAUSS_LEGENDRE, 2)), [0.5, 0.5],
         rtol=0, atol=1e-15)

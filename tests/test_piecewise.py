@@ -229,6 +229,15 @@ class TestSamplePeriodic:
                            match="^degree must be >= 1, got 0$"):
             sample_periodic(np.sin, Mesh.uniform(2), 0)
 
+    def test_degree_600_evaluates_to_finite_values(self):
+        # the unscaled barycentric weights of degree 600 are NaN, and so
+        # would be every value off the nodes
+        poly = sample_periodic(
+            lambda t: np.cos(2.0 * np.pi * t)[:, None], Mesh.uniform(1), 600)
+        value = poly.eval(0.3)
+        assert np.all(np.isfinite(value))
+        assert abs(value[0] - np.cos(0.6 * np.pi)) < 1e-12
+
 
 class TestEvalDeriv:
     def test_constant_has_zero_derivative(self):
