@@ -30,11 +30,12 @@ from .errors import (
     CollapseError,
     InvalidArgumentError,
     NewtonError,
+    _checked_int,
+    _is_integer,
 )
 from .nodes import NodeKind
 from .oracle import phi_m_defect
-from .piecewise import (FORMAT_VERSION, Mesh, _is_integer, _wrap_time,
-                        csv_writer)
+from .piecewise import FORMAT_VERSION, Mesh, _wrap_time, csv_writer
 from .problems import DdeProblem
 
 log = logging.getLogger("semdde.analysis")
@@ -198,11 +199,12 @@ def convergence_study(prob: DdeProblem, params, L_list: Sequence[int],
     the cells warm-start from the nearest previously completed cell.
     Newton failures are recorded in the table rather than raised, a
     solve that collapses onto the equilibrium (``checked_amplitude``)
-    among them.  A repeated mesh size or degree is rejected before the
-    first solve.  Each cell is logged at debug level under
-    ``semdde.analysis``.
+    among them.  A repeated mesh size or degree, and a ``grid_points``
+    that is not an integer >= 2, are rejected before the first solve.
+    Each cell is logged at debug level under ``semdde.analysis``.
     """
     L_list, m_list = _checked_plan(L_list, m_list)
+    grid_points = _checked_int(grid_points, "grid_points", 2)
     params = np.atleast_1d(np.asarray(params, dtype=float))
     if settings is None:
         settings = NewtonSettings()
@@ -320,9 +322,7 @@ def bernstein_bound_fit(f: Callable, eta: float,
     """
     if not (math.isfinite(eta) and eta > 0.0):
         raise InvalidArgumentError(f"eta must be positive, got {eta}")
-    if samples < 16:
-        raise InvalidArgumentError(
-            f"need at least 16 sample points, got {samples}")
+    samples = _checked_int(samples, "samples", 16)
     ring_max = []
     for fraction in (0.0, 0.25, 0.5, 0.75, 1.0):
         if fraction == 0.0:
@@ -444,11 +444,8 @@ def circle_map_analysis(r: Callable, k_max: int, grid: int,
     the rest of the batch); the points then equal, bitwise, those of a
     bisection of one bracket at a time.
     """
-    if k_max < 1:
-        raise InvalidArgumentError(f"k_max must be >= 1, got {k_max}")
-    if grid < 1000:
-        raise InvalidArgumentError(
-            f"need a grid of at least 1000 points, got {grid}")
+    k_max = _checked_int(k_max, "k_max", 1)
+    grid = _checked_int(grid, "grid", 1000)
     times = np.linspace(0.0, 1.0, grid, endpoint=False)
 
     lifts = []

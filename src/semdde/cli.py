@@ -60,11 +60,12 @@ from .errors import (
     InvalidArgumentError,
     SemDdeError,
     StepFailureError,
+    _is_integer,
 )
 from .nodes import NodeKind, lebesgue_constant, make_nodes
 from .oracle import phi_m_defect
-from .piecewise import FORMAT_VERSION, Mesh, _is_integer, \
-    check_format_version, csv_writer, sample_periodic
+from .piecewise import FORMAT_VERSION, Mesh, check_format_version, \
+    csv_writer, sample_periodic
 from .problems import DdeProblem, get_problem
 
 log = logging.getLogger("semdde.cli")

@@ -51,6 +51,7 @@ from .errors import (
     NewtonError,
     NonFiniteResidualError,
     SingularJacobianError,
+    _checked_int,
 )
 from . import piecewise
 from .nodes import NodeKind, interpolation_matrix, make_nodes
@@ -60,7 +61,6 @@ from .piecewise import (
     Mesh,
     PeriodicPiecewisePoly,
     _document_array,
-    _is_integer,
     check_format_version,
     poly_from_document,
     poly_to_document,
@@ -140,14 +140,20 @@ def resample_state(state: DiscreteState, mesh: Mesh,
     return DiscreteState(poly, state.mu)
 
 
+def _parameter_index(index, num_params: int) -> int:
+    """``index`` checked to be an integer in 0..num_params-1."""
+    index = _checked_int(index, "parameter index")
+    if not 0 <= index < num_params:
+        raise InvalidArgumentError(
+            f"parameter index {index} outside 0..{num_params - 1}")
+    return index
+
+
 def with_parameter(state: DiscreteState, index: int,
                    value: float) -> DiscreteState:
     """Copy a state with one problem parameter replaced."""
-    if not 0 <= index < state.params.size:
-        raise InvalidArgumentError(
-            f"parameter index {index} outside 0..{state.params.size - 1}")
     mu = state.mu.copy()
-    mu[1 + index] = value
+    mu[1 + _parameter_index(index, state.params.size)] = value
     return DiscreteState(state.poly, mu)
 
 
@@ -176,7 +182,9 @@ class AffineRow:
     """One affine functional: sum of point values of the profile plus a
     linear term in mu plus an offset.
 
-    ``point_terms`` is a tuple of (time, component, coefficient).
+    ``point_terms`` is a tuple of (time, component, coefficient); each
+    component is an integer >= 0, and below the dim of every state the
+    row is applied to.
     """
 
     point_terms: Tuple[Tuple[float, int, float], ...]
@@ -187,16 +195,28 @@ class AffineRow:
         coeffs = np.asarray(self.mu_coeffs, dtype=float).copy()
         coeffs.flags.writeable = False
         object.__setattr__(self, "mu_coeffs", coeffs)
+        object.__setattr__(self, "point_terms", tuple(
+            (time, _checked_int(comp, "component", 0), coeff)
+            for time, comp, coeff in self.point_terms))
+
+    def _terms_within(self, dim: int):
+        """The point terms, each component checked to lie below ``dim``."""
+        for _, comp, _ in self.point_terms:
+            if comp >= dim:
+                raise InvalidArgumentError(
+                    f"component must be < dim = {dim}, got {comp}")
+        return self.point_terms
 
     def value(self, poly: PeriodicPiecewisePoly, mu: np.ndarray) -> float:
         total = float(self.mu_coeffs @ mu) + self.offset
-        for time, comp, coeff in self.point_terms:
+        for time, comp, coeff in self._terms_within(poly.dim):
             total += coeff * float(poly.eval(time)[comp])
         return total
 
 
 def phase_anchor_row(anchor_value: float, num_params: int) -> AffineRow:
     """The row y_0(0) - anchor_value = 0."""
+    num_params = _checked_int(num_params, "num_params", 0)
     return AffineRow(point_terms=((0.0, 0, 1.0),),
                      mu_coeffs=np.zeros(1 + num_params),
                      offset=-float(anchor_value))
@@ -205,8 +225,9 @@ def phase_anchor_row(anchor_value: float, num_params: int) -> AffineRow:
 def parameter_pin_row(param_index: int, target: float,
                       num_params: int) -> AffineRow:
     """The row p[param_index] - target = 0."""
+    num_params = _checked_int(num_params, "num_params", 0)
     coeffs = np.zeros(1 + num_params)
-    coeffs[1 + param_index] = 1.0
+    coeffs[1 + _parameter_index(param_index, num_params)] = 1.0
     return AffineRow(point_terms=(), mu_coeffs=coeffs, offset=-float(target))
 
 
@@ -254,9 +275,8 @@ class NewtonSettings:
     fd_step: float = float(np.sqrt(np.finfo(float).eps))
 
     def __post_init__(self):
-        if not _is_integer(self.max_iter) or self.max_iter < 1:
-            raise InvalidArgumentError(
-                f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        object.__setattr__(self, "max_iter",
+                           _checked_int(self.max_iter, "max_iter", 1))
         for name in ("tol_residual", "tol_step", "damping_min", "fd_step"):
             value = getattr(self, name)
             try:
@@ -322,7 +342,7 @@ def constraint_gradient(row: AffineRow, state: DiscreteState) -> np.ndarray:
     dim = poly.dim
     n_free = poly.free_values.size
     grad = np.zeros(n_free + state.mu.size)
-    for time, comp, coeff in row.point_terms:
+    for time, comp, coeff in row._terms_within(dim):
         _, free, basis = poly.eval_with_basis(np.array([float(time)]))
         # add.at sums both terms when nodes 0 and m share a column (L = 1)
         np.add.at(grad, free[0] * dim + comp, coeff * basis[0])

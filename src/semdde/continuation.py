@@ -45,10 +45,11 @@ from .errors import (
     InvalidArgumentError,
     NewtonError,
     StepFailureError,
+    _checked_int,
 )
 from .oracle import phi_m_defect
-from .piecewise import Mesh, _is_integer, check_format_version, \
-    csv_writer, sample_periodic
+from .piecewise import Mesh, check_format_version, csv_writer, \
+    sample_periodic
 from .problems import DdeProblem, HopfData, mackey_glass
 
 log = logging.getLogger("semdde.continuation")
@@ -204,10 +205,8 @@ def continue_branch(start: DiscreteState, prob: DdeProblem, p_from: float,
     midpoint orbits used as stepping stones only.  Returns one
     BranchPoint per scheduled value, in order.
     """
-    if not _is_integer(steps):
-        raise InvalidArgumentError(f"steps must be an integer, got {steps!r}")
-    if steps < 1:
-        raise InvalidArgumentError(f"steps must be >= 1, got {steps}")
+    steps = _checked_int(steps, "steps", 1)
+    grid_points = _checked_int(grid_points, "grid_points", 2)
     if not (math.isfinite(p_from) and math.isfinite(p_to)):
         raise InvalidArgumentError("parameter range must be finite")
     if previous is not None and (

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and its integer rule."""
+
+import numbers
 
 
 class SemDdeError(Exception):
@@ -7,6 +9,20 @@ class SemDdeError(Exception):
 
 class InvalidArgumentError(SemDdeError, ValueError):
     """An argument violates a documented precondition."""
+
+
+def _is_integer(value) -> bool:
+    """The package's one integer rule: numpy's pass, bools do not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _checked_int(value, name: str, minimum=None) -> int:
+    """The integer ``value`` (>= ``minimum`` if given) as a Python int."""
+    if not _is_integer(value):
+        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise InvalidArgumentError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
 
 
 class NoHopfError(SemDdeError):

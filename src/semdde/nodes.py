@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, _checked_int
 
 
 class NodeKind(enum.Enum):
@@ -118,10 +118,9 @@ def differentiation_matrix(nodes: np.ndarray, weights: np.ndarray) -> np.ndarray
     return d
 
 
-@lru_cache(maxsize=None)
 def make_nodes(kind: NodeKind, m: int) -> NodeFamily:
     """Build a node family on [0, 1].  Families are immutable, so repeated
-    requests share one cached instance.
+    requests share one cached instance; ``m`` is checked on every call.
 
     Parameters
     ----------
@@ -139,8 +138,11 @@ def make_nodes(kind: NodeKind, m: int) -> NodeFamily:
         Strictly increasing nodes, symmetric about 1/2, with barycentric
         weights and differentiation matrix.
     """
-    if m < 1:
-        raise InvalidArgumentError(f"node count must be >= 1, got {m}")
+    return _make_nodes(kind, _checked_int(m, "node count", 1))
+
+
+@lru_cache(maxsize=None)
+def _make_nodes(kind: NodeKind, m: int) -> NodeFamily:
     if kind == NodeKind.GAUSS_LEGENDRE:
         nodes = (1.0 + _gauss_legendre_reference(m)) / 2.0
     elif kind == NodeKind.CHEBYSHEV_GAUSS:
@@ -255,10 +257,9 @@ def lebesgue_constant(family: NodeFamily, samples: int = 10001) -> float:
     ``samples`` must be at least ``10 * m`` so the grid resolves the
     oscillation of the basis sum.
     """
-    if samples < 10 * family.m:
+    if _checked_int(samples, "samples") < 10 * family.m:
         raise InvalidArgumentError(
-            f"samples must be >= 10*m = {10 * family.m}, got {samples}"
-        )
+            f"samples must be >= 10*m = {10 * family.m}, got {samples}")
     grid = np.linspace(0.0, 1.0, samples)
     basis = interpolation_matrix(family, grid)
     return float(np.max(np.sum(np.abs(basis), axis=1)))

@@ -47,12 +47,12 @@ bitwise.
 from __future__ import annotations
 
 import csv
-import numbers
 from functools import cached_property
 
 import numpy as np
 
-from .errors import FormatVersionError, InvalidArgumentError
+from .errors import (FormatVersionError, InvalidArgumentError,
+                     _checked_int, _is_integer)
 from .nodes import (NodeFamily, NodeKind, barycentric_terms, gauss_rule,
                     make_nodes)
 
@@ -66,11 +66,6 @@ _CHUNK = 1024
 
 #: the name of the fixed time set of the collocation points
 COLLOCATION = "collocation points"
-
-
-def _is_integer(value) -> bool:
-    """The package's one integer rule: numpy's pass, bools do not."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def check_format_version(version, what: str) -> None:
@@ -109,9 +104,7 @@ class Mesh:
 
     @classmethod
     def uniform(cls, num_intervals: int) -> "Mesh":
-        if num_intervals < 1:
-            raise InvalidArgumentError(
-                f"interval count must be >= 1, got {num_intervals}")
+        num_intervals = _checked_int(num_intervals, "interval count", 1)
         return cls(np.linspace(0.0, 1.0, num_intervals + 1))
 
     @property
@@ -317,12 +310,10 @@ class PeriodicPiecewisePoly(_PiecewiseBase):
     """
 
     def __init__(self, mesh: Mesh, degree: int, free_values):
-        if degree < 1:
-            raise InvalidArgumentError(f"degree must be >= 1, got {degree}")
-        family = make_nodes(NodeKind.CHEBYSHEV_LOBATTO, degree)
+        family = _representation_nodes(degree)
+        self.degree = family.m - 1
         self.free_values = self._init_storage(mesh, family, free_values,
-                                              degree)
-        self.degree = degree
+                                              self.degree)
 
     @cached_property
     def _columns(self) -> np.ndarray:
@@ -375,9 +366,8 @@ class PeriodicPiecewisePoly(_PiecewiseBase):
         the rhs gets them (a grid ends at 1), intervals of the wrapped
         times, and barycentric terms, None on the first request (only
         recorded)."""
-        if name != COLLOCATION and name < 2:
-            raise InvalidArgumentError(
-                f"grid_points must be at least 2, got {name}")
+        if name != COLLOCATION:
+            name = _checked_int(name, "grid_points", 2)
 
         def located(terms=False):
             times = self.mesh.node_times(gauss_rule(self.degree)[0]).ravel() \
@@ -409,6 +399,12 @@ class PiecewiseProjection(_PiecewiseBase):
         self.degree = family.m - 1
 
 
+def _representation_nodes(degree) -> NodeFamily:
+    """The Chebyshev-Lobatto family of a degree, an integer >= 1."""
+    return make_nodes(NodeKind.CHEBYSHEV_LOBATTO,
+                      _checked_int(degree, "degree", 1))
+
+
 def _sample(f, mesh: Mesh, nodes) -> np.ndarray:
     """f on the given reference nodes of every interval, called once;
     shape (intervals, nodes, dim)."""
@@ -425,9 +421,7 @@ def sample_periodic(f, mesh: Mesh, degree: int) -> PeriodicPiecewisePoly:
     right-end value from the next interval's first sample, so shared
     breaks agree bitwise whatever rounding f does.
     """
-    if degree < 1:
-        raise InvalidArgumentError(f"degree must be >= 1, got {degree}")
-    family = make_nodes(NodeKind.CHEBYSHEV_LOBATTO, degree)
+    family = _representation_nodes(degree)
     return PeriodicPiecewisePoly(mesh, degree,
                                  _sample(f, mesh, family.nodes[:-1]))
 
@@ -458,13 +452,6 @@ def poly_to_document(p: PeriodicPiecewisePoly) -> dict:
     }
 
 
-def _document_int(doc: dict, key: str) -> int:
-    value = doc[key]
-    if not _is_integer(value):
-        raise InvalidArgumentError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
 def _document_array(value, name: str) -> np.ndarray:
     """A numeric field of a document as a float array; strings, booleans,
     nulls and ragged nesting are rejected."""
@@ -490,8 +477,8 @@ def poly_from_document(doc: dict) -> PeriodicPiecewisePoly:
         keys = sorted(doc) if isinstance(doc, dict) else type(doc).__name__
         raise InvalidArgumentError(
             f"polynomial document needs keys {sorted(required)}, got {keys}")
-    degree = _document_int(doc, "degree")
-    dim = _document_int(doc, "dim")
+    degree = _checked_int(doc["degree"], "degree")
+    dim = _checked_int(doc["dim"], "dim")
     kind = NodeKind.from_name(doc["rep_kind"])
     if kind != NodeKind.CHEBYSHEV_LOBATTO:
         raise InvalidArgumentError(

@@ -338,6 +338,24 @@ class TestConvergenceStudy:
                               seed=_equilibrium_state())
         assert solves == []
 
+    @pytest.mark.parametrize("grid_points", [1, 2.0, True],
+                             ids=["one", "float", "bool"])
+    def test_a_bad_grid_is_rejected_before_the_first_solve(
+            self, monkeypatch, grid_points):
+        # the first cell's residual_err alone would refuse grid_points=1
+        solves = []
+
+        def counted(*args, **kwargs):
+            solves.append(args)
+            return newton_solve(*args, **kwargs)
+
+        monkeypatch.setattr("semdde.analysis.newton_solve", counted)
+        with pytest.raises(InvalidArgumentError, match="^grid_points must "):
+            convergence_study(mackey_glass(), [0.95], [2], [4],
+                              seed=_equilibrium_state(),
+                              grid_points=grid_points)
+        assert solves == []
+
     def test_numpy_integers_make_a_plan_of_python_ints(self):
         sizes, degrees = _checked_plan(np.array([2, 3]), [np.int32(4)])
         assert (sizes, degrees) == ([2, 3], [4])
@@ -407,6 +425,9 @@ class TestBernsteinBound:
             bernstein_bound_fit(lambda z: z, eta=-1.0)
         with pytest.raises(InvalidArgumentError):
             bernstein_bound_fit(lambda z: z, eta=0.5, samples=4)
+        with pytest.raises(InvalidArgumentError,
+                           match=r"^samples must be an integer, got 1024\.0$"):
+            bernstein_bound_fit(lambda z: z, eta=0.5, samples=1024.0)
 
 
 class TestCircleMap:
@@ -459,6 +480,16 @@ class TestCircleMap:
             circle_map_analysis(lambda t: t, 0, 1000)
         with pytest.raises(InvalidArgumentError):
             circle_map_analysis(lambda t: t, 1, 999)
+
+    @pytest.mark.parametrize("k_max, grid, name", [
+        (True, 1000, "k_max"), (2.0, 1000, "k_max"), (2, 1000.0, "grid"),
+        (2, np.float64(1000.0), "grid"),
+    ], ids=["bool_k_max", "float_k_max", "float_grid", "numpy_float_grid"])
+    def test_counts_must_be_integers(self, k_max, grid, name):
+        # True would be one iterate, and a float would reach np.linspace
+        with pytest.raises(InvalidArgumentError,
+                           match=f"^{name} must be an integer, got "):
+            circle_map_analysis(lambda t: np.zeros_like(t), k_max, grid)
 
     def test_orbit_lag_map_rescales_by_period(self):
         mesh = Mesh.uniform(3)

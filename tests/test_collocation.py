@@ -32,6 +32,8 @@ from semdde.collocation import (
     default_constraints,
     lu_factor,
     newton_solve,
+    parameter_pin_row,
+    phase_anchor_row,
     resample_state,
     state_from_document,
     state_to_document,
@@ -298,6 +300,31 @@ class TestDiscreteState:
                            match=rf"^parameter index {index} outside 0\.\.0$"):
             with_parameter(state, index, 0.5)
 
+    @pytest.mark.parametrize("index", [True, 0.0, np.float64(0.0)],
+                             ids=["bool", "float", "numpy_float"])
+    def test_with_parameter_takes_an_integer_index(self, index):
+        # True would name p[0]
+        state = _equilibrium_state()
+        with pytest.raises(InvalidArgumentError,
+                           match="^parameter index must be an integer, got "):
+            with_parameter(state, index, 0.5)
+        assert with_parameter(state, np.int64(0), 0.5).params.tolist() == [0.5]
+
+    def test_a_numpy_integer_degree_round_trips_through_json(self):
+        # json.dumps refuses a numpy integer, so the degree must be an int
+        state = state_from_document(json.loads(MG_BRANCH_END.read_text()))
+        state = resample_state(state, state.poly.mesh, np.int64(6))
+        again = state_from_document(
+            json.loads(json.dumps(state_to_document(state))))
+        assert type(again.poly.degree) is int and again.poly.degree == 6
+        assert again.flatten().tobytes() == state.flatten().tobytes()
+
+    def test_a_float_degree_raises_at_construction(self):
+        # 4.0 would build a state whose document state_from_document refuses
+        with pytest.raises(InvalidArgumentError,
+                           match=r"^degree must be an integer, got 4\.0$"):
+            resample_state(_equilibrium_state(), Mesh.uniform(3), 4.0)
+
     @pytest.mark.parametrize("change, got", [
         (lambda doc: dict(doc, note="hi"),
          "['format_version', 'mu', 'note', 'profile']"),
@@ -543,6 +570,26 @@ class TestAffineRow:
                    + (value_at(base + d2) - value_at(base)))
             assert abs(lhs - rhs) <= 1e-12
 
+    @pytest.mark.parametrize("comp", [-1, 1, 0.5, True],
+                             ids=["negative", "dim", "fraction", "bool"])
+    def test_a_component_outside_the_state_raises(self, comp):
+        # on this dim-1 state, -1 would read component 0, and the gradient
+        # of component 1 would land in the next free value's column
+        state = _equilibrium_state()
+
+        def value():
+            row = AffineRow(((0.3, comp, 1.0),), np.zeros(2), 0.0)
+            return row.value(state.poly, state.mu)
+
+        def gradient():
+            row = AffineRow(((0.3, comp, 1.0),), np.zeros(2), 0.0)
+            return constraint_gradient(row, state)
+
+        for use in (value, gradient):
+            with pytest.raises(InvalidArgumentError,
+                               match="^component must be "):
+                use()
+
 
 class TestNewton:
     def test_settings_validation(self):
@@ -567,6 +614,7 @@ class TestNewton:
         settings = NewtonSettings(tol_residual=np.float64(1e-9),
                                   max_iter=np.int64(7))
         assert settings.max_iter == 7 and settings.tol_residual == 1e-9
+        assert type(settings.max_iter) is int
 
     def test_each_iteration_is_logged_at_debug_level(self, caplog):
         prob, init, cons = _near_hopf_guess()
@@ -917,3 +965,24 @@ class TestDefaultConstraints:
     def test_target_size_must_match(self):
         with pytest.raises(InvalidArgumentError):
             default_constraints(mackey_glass(), [0.5, 0.6])
+
+    @pytest.mark.parametrize("index, num_params", [
+        (True, 2), (1.0, 2), (-1, 2), (2, 2), (0, 2.0), (0, True),
+    ], ids=["bool_index", "float_index", "negative_index", "index_past_end",
+            "float_count", "bool_count"])
+    def test_a_pin_row_takes_an_integer_index_and_count(self, index,
+                                                        num_params):
+        # True would pin p[1], -1 the period, and 1.0 would raise IndexError
+        with pytest.raises(InvalidArgumentError):
+            parameter_pin_row(index, 0.5, num_params)
+        row = parameter_pin_row(np.int64(1), 0.5, np.int64(2))
+        assert row.mu_coeffs.tolist() == [0.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize("num_params", [True, 1.0, -1],
+                             ids=["bool", "float", "negative"])
+    def test_a_phase_anchor_takes_an_integer_count(self, num_params):
+        with pytest.raises(InvalidArgumentError,
+                           match="^num_params must be "):
+            phase_anchor_row(0.0, num_params)
+        assert phase_anchor_row(0.0, np.int64(1)).mu_coeffs.tolist() == \
+            [0.0, 0.0]

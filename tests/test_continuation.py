@@ -177,6 +177,24 @@ class TestContinueBranch:
                                  rf"{re.escape(repr(steps))}$"):
             continue_branch(start, prob, p0, 0.5, steps)
 
+    @pytest.mark.parametrize("grid_points", [1, 2.0, True],
+                             ids=["one", "float", "bool"])
+    def test_a_bad_grid_is_rejected_before_the_first_solve(
+            self, short_branch, monkeypatch, grid_points):
+        # the first step's err_and_amplitude alone would refuse
+        # grid_points=1, after its solve
+        prob, start, p0, _ = short_branch
+        solves = []
+
+        def counted(*args, **kwargs):
+            solves.append(args)
+            return newton_solve(*args, **kwargs)
+
+        monkeypatch.setattr("semdde.continuation.newton_solve", counted)
+        with pytest.raises(InvalidArgumentError, match="^grid_points must "):
+            continue_branch(start, prob, p0, 0.5, 1, grid_points=grid_points)
+        assert solves == []
+
     def test_a_numpy_integer_step_count_is_accepted(self, short_branch):
         prob, _, _, points = short_branch
         last = points[-1]

@@ -6,6 +6,8 @@ quadrature weights) or are recomputed in-test by an independent method
 module under test.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,23 @@ def test_node_kind_from_name_rejects_unknown():
 def test_make_nodes_rejects_nonpositive_count(kind, m):
     with pytest.raises(InvalidArgumentError):
         make_nodes(kind, m)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("bad, good", [(5.0, 5), (np.float64(5.0), 5),
+                                       (True, 1)],
+                         ids=["float", "numpy_float", "bool"])
+def test_a_count_that_is_not_an_integer_misses_the_cache(kind, bad, good):
+    # each equals and hashes like its integer, so a check inside the cache
+    # would see it only until that integer is cached
+    message = f"^node count must be an integer, got {re.escape(repr(bad))}$"
+    with pytest.raises(InvalidArgumentError, match=message):
+        make_nodes(kind, bad)
+    family = make_nodes(kind, good)
+    with pytest.raises(InvalidArgumentError, match=message):
+        make_nodes(kind, bad)
+    # a numpy integer reaches the same cached family
+    assert make_nodes(kind, np.int64(good)) is family
 
 
 def test_gauss_legendre_single_node_is_midpoint():
@@ -363,3 +382,14 @@ def test_lebesgue_constant_rejects_coarse_grid():
     fam = make_nodes(NodeKind.CHEBYSHEV_GAUSS, 12)
     with pytest.raises(InvalidArgumentError):
         lebesgue_constant(fam, 119)
+
+
+@pytest.mark.parametrize("samples", [5000.0, True, "5000"],
+                         ids=["float", "bool", "string"])
+def test_lebesgue_constant_takes_an_integer_sample_count(samples):
+    fam = make_nodes(NodeKind.CHEBYSHEV_GAUSS, 12)
+    with pytest.raises(InvalidArgumentError,
+                       match="^samples must be an integer, got "):
+        lebesgue_constant(fam, samples)
+    assert lebesgue_constant(fam, np.int64(5000)) == \
+        lebesgue_constant(fam, 5000)

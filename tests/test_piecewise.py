@@ -6,6 +6,7 @@ under test.
 """
 
 import json
+import re
 import tracemalloc
 from importlib import resources
 
@@ -79,6 +80,15 @@ class TestMesh:
         with pytest.raises(InvalidArgumentError,
                            match="^interval count must be >= 1, got 0$"):
             Mesh.uniform(0)
+
+    @pytest.mark.parametrize("count", [True, 2.0, np.float64(2.0)],
+                             ids=["bool", "float", "numpy_float"])
+    def test_uniform_takes_an_integer_count(self, count):
+        # True would be one interval, and 2.0 would reach np.linspace
+        with pytest.raises(InvalidArgumentError,
+                           match="^interval count must be an integer, got "):
+            Mesh.uniform(count)
+        assert Mesh.uniform(np.int64(2)) == Mesh.uniform(2)
 
 
 class TestPeriodicPolyConstruction:
@@ -228,6 +238,33 @@ class TestSamplePeriodic:
         with pytest.raises(InvalidArgumentError,
                            match="^degree must be >= 1, got 0$"):
             sample_periodic(np.sin, Mesh.uniform(2), 0)
+
+    @pytest.mark.parametrize("degree", [4.0, True, np.float64(4.0)],
+                             ids=["float", "bool", "numpy_float"])
+    def test_a_degree_that_is_not_an_integer_raises(self, degree):
+        # 4.0 would build a polynomial whose own document is refused, and
+        # True would be degree 1
+        message = ("^degree must be an integer, got "
+                   + re.escape(repr(degree)) + "$")
+        with pytest.raises(InvalidArgumentError, match=message):
+            sample_periodic(np.sin, Mesh.uniform(2), degree)
+        with pytest.raises(InvalidArgumentError, match=message):
+            PeriodicPiecewisePoly(Mesh.uniform(2), degree, np.ones((2, 4, 1)))
+
+    def test_a_numpy_integer_degree_is_kept_as_a_python_int(self):
+        poly = sample_periodic(lambda t: np.sin(t)[:, None], Mesh.uniform(2),
+                               np.int64(6))
+        assert type(poly.degree) is int and poly.degree == 6
+        assert json.loads(json.dumps(poly_to_document(poly)))["degree"] == 6
+
+    @pytest.mark.parametrize("grid", [2.0, np.float64(10.0), "10"],
+                             ids=["float", "numpy_float", "string"])
+    def test_a_grid_size_that_is_not_an_integer_raises(self, grid):
+        poly = sample_periodic(lambda t: np.sin(t)[:, None], Mesh.uniform(2),
+                               3)
+        with pytest.raises(InvalidArgumentError,
+                           match="^grid_points must be an integer, got "):
+            poly._on(grid)
 
     def test_degree_600_evaluates_to_finite_values(self):
         # the unscaled barycentric weights of degree 600 are NaN, and so
