@@ -14,8 +14,11 @@ temporary directory: ``solve`` of Mackey-Glass from its Hopf guess on
 (11, 8), a 3-step ``continue`` from the same guess, ``convergence
 --jobs 2`` of sd_quadratic on L in {10, 20} seeded from the shipped
 orbit at delay 0.95, ``solve`` of that orbit on (20, 12),
-``circle-map`` of both solved orbits, and ``nodes`` of each node family
-at degrees 1, 2, 5, 16 and 40 with 5000 samples.  Each digest covers
+``circle-map`` of both solved orbits, ``nodes`` of each node family
+at degrees 1, 2, 5, 16 and 40 with 5000 samples, and ``convergence
+--jobs 2`` of Mackey-Glass on L in {1, 2, 5}, m in {4, 6}, seeded from
+the solved orbit, so that one column waits for whichever process is free
+first.  Each digest covers
 the names and bytes of the data files a run writes; ``metadata.json``,
 which holds wall-clock times, is left out.
 
@@ -205,6 +208,14 @@ def cli_digests(seed: int) -> dict:
                 work, name, "nodes",
                 {"node_kind": kind.value, "degree": [1, 2, 5, 16, 40],
                  "samples": 5000}))
+        solved = json.loads((work / "cli_solve" / "result.json").read_text())
+        out["cli_convergence_mg"] = _files_digest(_run_cli(
+            work, "cli_convergence_mg", "convergence",
+            {"problem": "mackey_glass", "params": solved["p"],
+             "mesh_list": [1, 2, 5], "degree": [4, 6],
+             "guess": {"kind": "file",
+                       "path": str(work / "cli_solve" / "solution.json")}},
+            "--jobs", "2"))
     return out
 
 

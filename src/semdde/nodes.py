@@ -181,13 +181,17 @@ def gauss_weights(family: NodeFamily) -> np.ndarray:
     return 1.0 / ((1.0 - x * x) * dp * dp)
 
 
-@lru_cache(maxsize=None)
 def gauss_rule(m: int):
     """The m-point Gauss-Legendre rule on [0, 1] as (nodes, weights).
 
     Exact for polynomials up to degree ``2 m - 1``; cached, and both arrays
-    are read-only.
+    are read-only; ``m`` is checked on every call.
     """
+    return _gauss_rule(_checked_int(m, "node count", 1))
+
+
+@lru_cache(maxsize=None)
+def _gauss_rule(m: int):
     family = make_nodes(NodeKind.GAUSS_LEGENDRE, m)
     weights = gauss_weights(family)
     weights.flags.writeable = False

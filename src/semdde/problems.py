@@ -21,7 +21,8 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NegativeDelayError, NoHopfError
+from .errors import InvalidArgumentError, NegativeDelayError, NoHopfError, \
+    _checked_int
 from .piecewise import PeriodicPiecewisePoly
 
 
@@ -99,6 +100,9 @@ class DdeProblem:
     lag: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", _checked_int(self.dim, "dim", 1))
+        object.__setattr__(self, "num_params", _checked_int(
+            self.num_params, "num_params", 0))
         onset, declared = self.onset, self.equilibrium
         # the phase anchor reads the declared equilibrium, the onset
         # guesses start from the onset's: one equilibrium, bitwise

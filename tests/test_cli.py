@@ -6,13 +6,15 @@ of the contract, as is byte-identical output for repeated runs.
 """
 
 import dataclasses
+import gc
 import io
 import json
 import os
 import shutil
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +23,8 @@ import semdde
 from semdde.analysis import err_and_amplitude, orbit_amplitude, \
     residual_err
 from semdde.analysis import convergence_study
-from semdde.cli import RunConfig, _initial_state, main
+from semdde.cli import RunConfig, _convergence_column, _initial_state, \
+    main, run
 from semdde.collocation import DiscreteState, default_constraints, \
     newton_solve, resample_state, state_from_document, state_to_document
 from semdde.continuation import checked_amplitude, continue_branch, \
@@ -37,6 +40,15 @@ from semdde.problems import get_problem, mackey_glass, sd_quadratic
 def write_config(path, doc):
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def child_env(**variables):
+    """This environment with ``variables`` set, in which a child
+    interpreter imports the same semdde as this process, whether it is
+    installed or found through PYTHONPATH."""
+    package_root = os.path.dirname(os.path.dirname(semdde.__file__))
+    return dict(os.environ, **variables, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
 
 
 def read_error(capsys):
@@ -568,19 +580,13 @@ class TestContinue:
             "guess": {"kind": "hopf", "amplitude": 0.01},
             "p_to": 0.55, "steps": 3,
         }
-        # the child must import the same semdde as this process
-        package_root = os.path.dirname(os.path.dirname(semdde.__file__))
-        pythonpath = os.pathsep.join(
-            filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-
         def run(threads, out, config):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=pythonpath)
             proc = subprocess.run(
                 [sys.executable, "-m", "semdde.cli", "continue",
                  "--config", write_config(tmp_path / "c.json", config),
                  "--out", str(out)],
-                capture_output=True, text=True, env=env)
+                capture_output=True, text=True,
+                env=child_env(OPENBLAS_NUM_THREADS=threads))
             assert proc.returncode == 0, proc.stderr
 
         def data(out):
@@ -757,24 +763,79 @@ class TestConvergence:
 
     def test_parallel_run_matches_serial_bitwise(self, mg_solution,
                                                  tmp_path):
-        doc = {
+        # three columns: with two jobs one of them waits for whichever
+        # process is free first
+        path = write_config(tmp_path / "c.json", {
             "problem": "mackey_glass", "params": [0.4718196289360753],
-            "mesh_list": [2, 5], "degree": [4, 6],
+            "mesh_list": [1, 2, 5], "degree": [4, 6],
             "guess": {"kind": "file",
                       "path": str(mg_solution / "solution.json")},
-        }
-        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
-        path = write_config(tmp_path / "c.json", doc)
-        assert main(["convergence", "--config", path,
-                     "--out", str(serial)]) == 0
-        assert main(["convergence", "--config", path,
-                     "--out", str(parallel), "--jobs", "2"]) == 0
-        for name in ("convergence.csv", "convergence.json"):
-            assert (serial / name).read_bytes() == \
-                (parallel / name).read_bytes()
+        })
+        for jobs in ("1", "2", "3"):
+            assert main(["convergence", "--config", path,
+                         "--out", str(tmp_path / jobs), "--jobs", jobs]) == 0
+        for jobs in ("2", "3"):
+            for name in ("convergence.csv", "convergence.json"):
+                assert (tmp_path / "1" / name).read_bytes() == \
+                    (tmp_path / jobs / name).read_bytes()
 
-    def test_jobs_start_at_most_one_worker_per_column(
+    @pytest.mark.parametrize("jobs, submitted, computed", [
+        ("2", [2], [1, 5, 3, 2]),
+        ("3", [2, 3], [1, 5, 2, 3]),
+    ], ids=["two_jobs", "three_jobs"])
+    def test_the_calling_process_takes_every_column_no_worker_started(
+            self, mg_solution, tmp_path, monkeypatch, jobs, submitted,
+            computed):
+        """Workers that start only when the pool shuts down: meanwhile
+        the calling process computes its own column, then every column
+        not yet submitted, from the end of the plan."""
+        calls = []
+
+        class Deferred:
+            def __init__(self, max_workers):
+                self.queued = []
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                for fn, size, future in self.queued:
+                    future.set_result(fn(size))
+
+            def submit(self, fn, size):
+                calls.append(("submit", size))
+                future = Future()
+                self.queued.append((fn, size, future))
+                return future
+
+        def column(cfg, seed_doc, num_intervals):
+            calls.append(("column", num_intervals))
+            return _convergence_column(cfg, seed_doc, num_intervals)
+
+        monkeypatch.setattr("semdde.cli._convergence_column", column)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                            Deferred)
+        path = write_config(tmp_path / "c.json", {
+            "problem": "mackey_glass", "params": [0.4718196289360753],
+            "mesh_list": [1, 2, 3, 5], "degree": [4],
+            "guess": {"kind": "file",
+                      "path": str(mg_solution / "solution.json")},
+        })
+        for name in ("1", jobs):
+            calls.clear()
+            assert main(["convergence", "--config", path,
+                         "--out", str(tmp_path / name), "--jobs", name]) == 0
+        assert [size for kind, size in calls if kind == "submit"] == \
+            submitted
+        assert [size for kind, size in calls if kind == "column"] == \
+            computed
+        for name in ("convergence.csv", "convergence.json"):
+            assert (tmp_path / "1" / name).read_bytes() == \
+                (tmp_path / jobs / name).read_bytes()
+
+    def test_jobs_start_at_most_one_worker_per_other_column(
             self, mg_solution, tmp_path, monkeypatch):
+        # the calling process computes a column itself
         workers = []
 
         class Recording(ProcessPoolExecutor):
@@ -782,7 +843,8 @@ class TestConvergence:
                 workers.append(max_workers)
                 super().__init__(max_workers=max_workers, **kwargs)
 
-        monkeypatch.setattr("semdde.cli.ProcessPoolExecutor", Recording)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                            Recording)
         path = write_config(tmp_path / "c.json", {
             "problem": "mackey_glass", "params": [0.4718196289360753],
             "mesh_list": [2, 5], "degree": [4, 6],
@@ -792,7 +854,7 @@ class TestConvergence:
         for jobs in ("1", "8"):
             assert main(["convergence", "--config", path,
                          "--out", str(tmp_path / jobs), "--jobs", jobs]) == 0
-        assert workers == [2]
+        assert workers == [1]
         for name in ("convergence.csv", "convergence.json"):
             assert (tmp_path / "1" / name).read_bytes() == \
                 (tmp_path / "8" / name).read_bytes()
@@ -839,17 +901,12 @@ class TestConvergence:
             "problem": "sd_quadratic", "params": [0.95], "mesh_list": [4],
             "degree": [4, 6], "guess": {"kind": "seed"},
         })
-        # the child must import the same semdde as this process
-        package_root = os.path.dirname(os.path.dirname(semdde.__file__))
-        pythonpath = os.pathsep.join(
-            filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=pythonpath)
             proc = subprocess.run(
                 [sys.executable, "-m", "semdde.cli", "convergence",
                  "--config", path, "--out", str(tmp_path / threads)],
-                capture_output=True, text=True, env=env)
+                capture_output=True, text=True,
+                env=child_env(OPENBLAS_NUM_THREADS=threads))
             assert proc.returncode == 0, proc.stderr
         for name in ("convergence.csv", "convergence.json"):
             assert (tmp_path / "1" / name).read_bytes() == \
@@ -911,7 +968,8 @@ class TestConvergence:
             raise AssertionError("a column started")
 
         monkeypatch.setattr("semdde.cli._convergence_column", no_column)
-        monkeypatch.setattr("semdde.cli.ProcessPoolExecutor", no_column)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                            no_column)
         path = write_config(tmp_path / "c.json", dict(
             plan, problem="sd_quadratic", params=[0.95],
             guess={"kind": "seed"}, out_dir=str(tmp_path / "out")))
@@ -1280,16 +1338,68 @@ class TestLogging:
             "params": [0.3], "out_dir": str(tmp_path),
         }
         path = write_config(tmp_path / "c.json", config)
-        # the child must import the same semdde as this process, whether it
-        # is installed or found through PYTHONPATH
-        package_root = os.path.dirname(os.path.dirname(semdde.__file__))
-        pythonpath = os.pathsep.join(
-            filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, SEMDDE_LOG="info", PYTHONPATH=pythonpath)
         proc = subprocess.run(
             [sys.executable, "-m", "semdde.cli", "solve",
              "--config", path],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True, env=child_env(SEMDDE_LOG="info"),
         )
         assert proc.returncode == 0
         assert "solved mackey_glass" in proc.stderr
+
+
+class TestProgram:
+    """The command-line program is ``run``: ``main`` on a frozen heap.
+    ``main`` called in process leaves the collector as it found it."""
+
+    SOLVE = {"problem": "mackey_glass", "mesh": 3, "degree": 3,
+             "guess": {"kind": "constant", "values": [1.0], "period": 1.6},
+             "params": [0.3]}
+
+    def test_importing_the_cli_loads_no_process_pool(self):
+        # only a convergence run that forks imports the pool
+        child = ("import sys, semdde.cli; print(sorted(m for m in "
+                 "sys.modules if m.split('.')[0] in "
+                 "('concurrent', 'multiprocessing')))")
+        proc = subprocess.run([sys.executable, "-c", child],
+                              capture_output=True, text=True,
+                              env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    def test_main_in_process_freezes_nothing(self, tmp_path):
+        path = write_config(tmp_path / "c.json", self.SOLVE)
+        frozen = gc.get_freeze_count()
+        assert main(["solve", "--config", path, "--out",
+                     str(tmp_path)]) == 0
+        assert gc.get_freeze_count() == frozen
+
+    def test_the_program_writes_what_main_writes(self, tmp_path):
+        path = write_config(tmp_path / "c.json", self.SOLVE)
+        assert main(["solve", "--config", path, "--out",
+                     str(tmp_path / "main")]) == 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "semdde.cli", "solve", "--config", path,
+             "--out", str(tmp_path / "program")],
+            capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        names = sorted(p.name for p in (tmp_path / "main").iterdir())
+        assert names == sorted(
+            p.name for p in (tmp_path / "program").iterdir())
+        for name in set(names) - {"metadata.json"}:
+            assert (tmp_path / "main" / name).read_bytes() == \
+                (tmp_path / "program" / name).read_bytes()
+
+    def test_run_freezes_the_heap_then_exits_with_the_code_of_main(
+            self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr("semdde.cli.main",
+                            lambda: calls.append("main") or 2)
+        with pytest.raises(SystemExit) as exc:
+            run()
+        assert exc.value.code == 2
+        assert calls == ["freeze", "main"]
+        # the console script is the same entry as python -m semdde.cli
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        assert '\n[project.scripts]\nsemdde = "semdde.cli:run"\n' in \
+            pyproject.read_text()

@@ -98,6 +98,24 @@ def test_a_count_that_is_not_an_integer_misses_the_cache(kind, bad, good):
     assert make_nodes(kind, np.int64(good)) is family
 
 
+@pytest.mark.parametrize("numpy_first", [False, True],
+                         ids=["float_first", "numpy_integer_first"])
+def test_gauss_rule_checks_its_count_on_every_call(numpy_first):
+    # a numpy integer keys its own cache entry, which 6.0 equals and
+    # hashes like: a check inside the cache would depend on call order
+    if numpy_first:
+        rule = gauss_rule(np.int64(6))
+    with pytest.raises(InvalidArgumentError,
+                       match="^node count must be an integer, got 6.0$"):
+        gauss_rule(6.0)
+    if not numpy_first:
+        rule = gauss_rule(np.int64(6))
+    assert gauss_rule(6) is rule
+    for bad in (True, 0):
+        with pytest.raises(InvalidArgumentError, match="^node count must"):
+            gauss_rule(bad)
+
+
 def test_gauss_legendre_single_node_is_midpoint():
     fam = make_nodes(NodeKind.GAUSS_LEGENDRE, 1)
     assert fam.nodes.tolist() == [0.5]

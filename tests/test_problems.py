@@ -157,6 +157,23 @@ class TestOnset:
             dataclasses.replace(prob, num_params=0)
         assert dataclasses.replace(prob, dim=2, onset=None).onset is None
 
+    @pytest.mark.parametrize("key, bad, message", [
+        ("dim", True, "^dim must be an integer, got True$"),
+        ("dim", 1.0, "^dim must be an integer, got 1.0$"),
+        ("dim", 0, "^dim must be >= 1, got 0$"),
+        ("num_params", True, "^num_params must be an integer, got True$"),
+        ("num_params", 1.0, "^num_params must be an integer, got 1.0$"),
+        ("num_params", -1, "^num_params must be >= 0, got -1$"),
+    ], ids=["dim_bool", "dim_float", "dim_zero", "num_params_bool",
+            "num_params_float", "num_params_negative"])
+    def test_counts_are_integers(self, key, bad, message):
+        bare = dataclasses.replace(mackey_glass(), onset=None)
+        with pytest.raises(InvalidArgumentError, match=message):
+            dataclasses.replace(bare, **{key: bad})
+        # a numpy integer is stored as a Python int
+        kept = getattr(dataclasses.replace(bare, **{key: np.int64(1)}), key)
+        assert type(kept) is int and kept == 1
+
     @pytest.mark.parametrize("make, equilibrium", [
         (mackey_glass, [1.0 + 2.0**-52]),
         (mackey_glass, [[1.0]]),
