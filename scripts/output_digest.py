@@ -17,7 +17,7 @@ orbit at delay 0.95, ``solve`` of that orbit on (20, 12),
 ``circle-map`` of both solved orbits, ``nodes`` of each node family
 at degrees 1, 2, 5, 16 and 40 with 5000 samples, and ``convergence
 --jobs 2`` of Mackey-Glass on L in {1, 2, 5}, m in {4, 6}, seeded from
-the solved orbit, so that one column waits for whichever process is free
+the solved orbit, so that one column waits for whichever worker is free
 first.  Each digest covers
 the names and bytes of the data files a run writes; ``metadata.json``,
 which holds wall-clock times, is left out.

@@ -15,7 +15,6 @@ import logging
 import math
 import os
 import sys
-import threading
 from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
@@ -417,54 +416,10 @@ def cmd_continue(cfg: RunConfig, out_dir: Path) -> Tuple[int, dict]:
 
 def _convergence_column(cfg: RunConfig, seed_doc: dict,
                         num_intervals: int) -> ConvergenceTable:
-    """Table of one mesh-size column, computed by the calling process or
-    by a worker, so its arguments pickle."""
+    """Table of one mesh-size column; a worker, so its arguments pickle."""
     return convergence_study(
         get_problem(cfg.problem), cfg.params, [num_intervals], cfg.degree,
         cfg.newton, seed=state_from_document(seed_doc), grid_points=cfg.grid)
-
-
-def _map_columns(column, sizes, jobs: int) -> list:
-    """``column(size)`` for each mesh size, in plan order.
-
-    The calling process computes the first column, then, one at a time
-    from the end of the plan, each column no worker has started.  Beside
-    it at most ``jobs - 1`` worker processes, one per other column at
-    most, take columns from the front, each the next as it finishes one.
-    """
-    workers = min(jobs, len(sizes)) - 1
-    if workers == 0:
-        return [column(size) for size in sizes]
-    # only a run that forks pays for importing the pool
-    from concurrent.futures import ProcessPoolExecutor
-    tables = [None] * len(sizes)
-    todo = list(range(1, len(sizes)))  # the columns nobody has started
-    futures = {}
-    lock = threading.Lock()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        def feed(_done=None):
-            # also a done callback, run in the pool's own thread; a column
-            # leaves todo only once it is submitted, so one the pool
-            # refuses is computed here
-            with lock:
-                if not todo:
-                    return
-                future = pool.submit(column, sizes[todo[0]])
-                futures[todo.pop(0)] = future
-            future.add_done_callback(feed)
-
-        for _ in range(workers):
-            feed()
-        tables[0] = column(sizes[0])
-        while True:
-            with lock:
-                if not todo:
-                    break
-                index = todo.pop()
-            tables[index] = column(sizes[index])
-    for index, future in futures.items():
-        tables[index] = future.result()
-    return tables
 
 
 def cmd_convergence(cfg: RunConfig, out_dir: Path,
@@ -481,11 +436,19 @@ def cmd_convergence(cfg: RunConfig, out_dir: Path,
         raise ConfigError(
             "convergence needs a converged orbit as seed: guess kind 'file' "
             "or 'seed'")
+    column = partial(_convergence_column, cfg,
+                     state_to_document(_initial_state(cfg)))
     # every column restarts from the seed, so any job count gives the
     # same rows
-    tables = _map_columns(partial(_convergence_column, cfg,
-                                  state_to_document(_initial_state(cfg))),
-                          sizes, jobs)
+    if jobs == 1:
+        tables = list(map(column, sizes))
+    else:
+        # only a run that forks pays for importing the pool
+        from concurrent.futures import ProcessPoolExecutor
+        # the pool starts all its workers at once: one per column at most
+        with ProcessPoolExecutor(max_workers=min(jobs, len(sizes))) \
+                as pool:
+            tables = list(pool.map(column, sizes))
     table = ConvergenceTable(
         tuple(row for part in tables for row in part.rows),
         tables[0].metadata)
@@ -573,9 +536,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--grid", type=int,
                          help="dense-grid size (overrides the config)")
     sub.choices["convergence"].add_argument(
-        "--jobs", type=int, default=1,
-        help="processes computing mesh columns: this one and at most one "
-             "worker per other column")
+        "--jobs", type=int, default=1, help="worker processes for columns")
     return parser
 
 

@@ -13,7 +13,7 @@ import os
 import shutil
 import subprocess
 import sys
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +23,7 @@ import semdde
 from semdde.analysis import err_and_amplitude, orbit_amplitude, \
     residual_err
 from semdde.analysis import convergence_study
-from semdde.cli import RunConfig, _convergence_column, _initial_state, \
-    main, run
+from semdde.cli import RunConfig, _initial_state, main, run
 from semdde.collocation import DiscreteState, default_constraints, \
     newton_solve, resample_state, state_from_document, state_to_document
 from semdde.continuation import checked_amplitude, continue_branch, \
@@ -764,7 +763,7 @@ class TestConvergence:
     def test_parallel_run_matches_serial_bitwise(self, mg_solution,
                                                  tmp_path):
         # three columns: with two jobs one of them waits for whichever
-        # process is free first
+        # worker is free first
         path = write_config(tmp_path / "c.json", {
             "problem": "mackey_glass", "params": [0.4718196289360753],
             "mesh_list": [1, 2, 5], "degree": [4, 6],
@@ -779,63 +778,8 @@ class TestConvergence:
                 assert (tmp_path / "1" / name).read_bytes() == \
                     (tmp_path / jobs / name).read_bytes()
 
-    @pytest.mark.parametrize("jobs, submitted, computed", [
-        ("2", [2], [1, 5, 3, 2]),
-        ("3", [2, 3], [1, 5, 2, 3]),
-    ], ids=["two_jobs", "three_jobs"])
-    def test_the_calling_process_takes_every_column_no_worker_started(
-            self, mg_solution, tmp_path, monkeypatch, jobs, submitted,
-            computed):
-        """Workers that start only when the pool shuts down: meanwhile
-        the calling process computes its own column, then every column
-        not yet submitted, from the end of the plan."""
-        calls = []
-
-        class Deferred:
-            def __init__(self, max_workers):
-                self.queued = []
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                for fn, size, future in self.queued:
-                    future.set_result(fn(size))
-
-            def submit(self, fn, size):
-                calls.append(("submit", size))
-                future = Future()
-                self.queued.append((fn, size, future))
-                return future
-
-        def column(cfg, seed_doc, num_intervals):
-            calls.append(("column", num_intervals))
-            return _convergence_column(cfg, seed_doc, num_intervals)
-
-        monkeypatch.setattr("semdde.cli._convergence_column", column)
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
-                            Deferred)
-        path = write_config(tmp_path / "c.json", {
-            "problem": "mackey_glass", "params": [0.4718196289360753],
-            "mesh_list": [1, 2, 3, 5], "degree": [4],
-            "guess": {"kind": "file",
-                      "path": str(mg_solution / "solution.json")},
-        })
-        for name in ("1", jobs):
-            calls.clear()
-            assert main(["convergence", "--config", path,
-                         "--out", str(tmp_path / name), "--jobs", name]) == 0
-        assert [size for kind, size in calls if kind == "submit"] == \
-            submitted
-        assert [size for kind, size in calls if kind == "column"] == \
-            computed
-        for name in ("convergence.csv", "convergence.json"):
-            assert (tmp_path / "1" / name).read_bytes() == \
-                (tmp_path / jobs / name).read_bytes()
-
-    def test_jobs_start_at_most_one_worker_per_other_column(
+    def test_jobs_start_at_most_one_worker_per_column(
             self, mg_solution, tmp_path, monkeypatch):
-        # the calling process computes a column itself
         workers = []
 
         class Recording(ProcessPoolExecutor):
@@ -843,6 +787,7 @@ class TestConvergence:
                 workers.append(max_workers)
                 super().__init__(max_workers=max_workers, **kwargs)
 
+        # the cli imports the pool only on the branch that forks
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
                             Recording)
         path = write_config(tmp_path / "c.json", {
@@ -854,7 +799,7 @@ class TestConvergence:
         for jobs in ("1", "8"):
             assert main(["convergence", "--config", path,
                          "--out", str(tmp_path / jobs), "--jobs", jobs]) == 0
-        assert workers == [1]
+        assert workers == [2]
         for name in ("convergence.csv", "convergence.json"):
             assert (tmp_path / "1" / name).read_bytes() == \
                 (tmp_path / "8" / name).read_bytes()
