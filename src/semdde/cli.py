@@ -14,6 +14,7 @@ import json
 import logging
 import math
 import os
+import pickle
 import sys
 from dataclasses import dataclass, field, fields
 from functools import partial
@@ -414,21 +415,69 @@ def cmd_continue(cfg: RunConfig, out_dir: Path) -> Tuple[int, dict]:
     return EXIT_OK, extra
 
 
-def _convergence_column(cfg: RunConfig, seed_doc: dict,
-                        num_intervals: int) -> ConvergenceTable:
-    """Table of one mesh-size column; a worker, so its arguments pickle."""
-    return convergence_study(
-        get_problem(cfg.problem), cfg.params, [num_intervals], cfg.degree,
-        cfg.newton, seed=state_from_document(seed_doc), grid_points=cfg.grid)
+def _map_columns(column, sizes: tuple, jobs: int) -> list:
+    """``[column(L) for L in sizes]`` on W = min(jobs, len(sizes))
+    processes, this one and W - 1 forked children, worker w computing
+    sizes w, w + W, ...  Each child pickles its tables, or the exception
+    it raised, to its own pipe; one that ends without either raises
+    SemDdeError.  Every child is reaped, and killed first if this
+    process fails before it is."""
+    width = min(jobs, len(sizes))
+    children = []  # (worker, pid, read end of its pipe), not yet reaped
+    try:
+        for worker in range(1, width):
+            read, write = os.pipe()
+            sys.stdout.flush()  # the child inherits unwritten buffers
+            sys.stderr.flush()
+            pid = os.fork()
+            if pid == 0:  # the child: send, then exit without cleanup
+                try:
+                    try:
+                        result = [column(L) for L in sizes[worker::width]]
+                    except Exception as exc:  # raised again by the parent
+                        result = exc
+                    try:
+                        payload = pickle.dumps(result)
+                    except Exception:  # e.g. one holding a local object
+                        payload = pickle.dumps(SemDdeError(repr(result)))
+                    with open(write, "wb") as pipe:
+                        pipe.write(payload)
+                    os._exit(0)
+                finally:  # reached only if the above raised
+                    os._exit(1)
+            os.close(write)
+            children.append((worker, pid, open(read, "rb")))
+        shares = [[column(L) for L in sizes[::width]]]
+        while children:
+            worker, pid, pipe = children[0]
+            with pipe:
+                payload = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            children.pop(0)
+            if status != 0:
+                raise SemDdeError(
+                    f"the worker of mesh sizes {list(sizes[worker::width])} "
+                    f"ended without a result (wait status {status})")
+            shares.append(pickle.loads(payload))
+            if isinstance(shares[-1], Exception):
+                raise shares[-1]
+    finally:
+        for _, pid, pipe in children:
+            os.kill(pid, 9)  # SIGKILL, without importing signal at start
+            os.waitpid(pid, 0)
+            pipe.close()
+    return [shares[i % width][i // width] for i in range(len(sizes))]
 
 
 def cmd_convergence(cfg: RunConfig, out_dir: Path,
                     jobs: int) -> Tuple[int, dict]:
+    """The (L, m) table by mesh-size columns (``_map_columns``); each
+    restarts from the seed, so the data files are the same for any jobs."""
     if jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {jobs}")
     # resolve the problem and check the plan here, so a bad name or a
-    # repeated mesh size or degree fails before any worker starts
-    get_problem(_require(cfg.problem, "problem"))
+    # repeated mesh size or degree fails before any column starts
+    prob = get_problem(_require(cfg.problem, "problem"))
     sizes = _require(cfg.mesh_list, "mesh_list")
     _checked_plan(sizes, _require(cfg.degree, "degree"))
     _require(cfg.params, "params")
@@ -436,19 +485,10 @@ def cmd_convergence(cfg: RunConfig, out_dir: Path,
         raise ConfigError(
             "convergence needs a converged orbit as seed: guess kind 'file' "
             "or 'seed'")
-    column = partial(_convergence_column, cfg,
-                     state_to_document(_initial_state(cfg)))
-    # every column restarts from the seed, so any job count gives the
-    # same rows
-    if jobs == 1:
-        tables = list(map(column, sizes))
-    else:
-        # only a run that forks pays for importing the pool
-        from concurrent.futures import ProcessPoolExecutor
-        # the pool starts all its workers at once: one per column at most
-        with ProcessPoolExecutor(max_workers=min(jobs, len(sizes))) \
-                as pool:
-            tables = list(pool.map(column, sizes))
+    seed = _initial_state(cfg)
+    tables = _map_columns(lambda L: convergence_study(
+        prob, cfg.params, [L], cfg.degree, cfg.newton, seed=seed,
+        grid_points=cfg.grid), sizes, jobs)
     table = ConvergenceTable(
         tuple(row for part in tables for row in part.rows),
         tables[0].metadata)
@@ -536,7 +576,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--grid", type=int,
                          help="dense-grid size (overrides the config)")
     sub.choices["convergence"].add_argument(
-        "--jobs", type=int, default=1, help="worker processes for columns")
+        "--jobs", type=int, default=1,
+        help="processes for columns, at most one each, this one included")
     return parser
 
 
@@ -594,7 +635,7 @@ def main(argv=None) -> int:
 def run() -> None:
     """The program: ``main`` on the command line, then exit with its code.
 
-    The heap the imports built is frozen first, so forked workers share
+    The heap the imports built is frozen first, so forked children share
     its pages and the collector skips it at shutdown; every file the
     command writes is closed before ``main`` returns.
     """

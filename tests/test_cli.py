@@ -11,9 +11,10 @@ import io
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
+import time
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,8 @@ from semdde.collocation import DiscreteState, default_constraints, \
 from semdde.continuation import checked_amplitude, continue_branch, \
     hopf_initial_guess, mackey_glass_hopf, sd_quadratic_seed, \
     write_branch_csv
-from semdde.errors import ConfigError, InvalidArgumentError
+from semdde.errors import AnalyticityViolationError, ConfigError, \
+    InvalidArgumentError, SemDdeError
 from semdde.nodes import NodeKind, lebesgue_constant, make_nodes
 from semdde.oracle import phi_m_defect
 from semdde.piecewise import Mesh, PeriodicPiecewisePoly
@@ -762,44 +764,43 @@ class TestConvergence:
 
     def test_parallel_run_matches_serial_bitwise(self, mg_solution,
                                                  tmp_path):
-        # three columns: with two jobs one of them waits for whichever
-        # worker is free first
+        # three columns, dealt round robin over min(jobs, 3) processes:
+        # with two jobs this process computes L = 1 and 5 and its child
+        # L = 2; with four jobs, as with three, each column has its own
         path = write_config(tmp_path / "c.json", {
             "problem": "mackey_glass", "params": [0.4718196289360753],
             "mesh_list": [1, 2, 5], "degree": [4, 6],
             "guess": {"kind": "file",
                       "path": str(mg_solution / "solution.json")},
         })
-        for jobs in ("1", "2", "3"):
+        for jobs in ("1", "2", "3", "4"):
             assert main(["convergence", "--config", path,
                          "--out", str(tmp_path / jobs), "--jobs", jobs]) == 0
-        for jobs in ("2", "3"):
+        for jobs in ("2", "3", "4"):
             for name in ("convergence.csv", "convergence.json"):
                 assert (tmp_path / "1" / name).read_bytes() == \
                     (tmp_path / jobs / name).read_bytes()
+        with pytest.raises(ChildProcessError):  # every child was reaped
+            os.waitpid(-1, os.WNOHANG)
 
     def test_jobs_start_at_most_one_worker_per_column(
             self, mg_solution, tmp_path, monkeypatch):
-        workers = []
-
-        class Recording(ProcessPoolExecutor):
-            def __init__(self, max_workers=None, **kwargs):
-                workers.append(max_workers)
-                super().__init__(max_workers=max_workers, **kwargs)
-
-        # the cli imports the pool only on the branch that forks
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
-                            Recording)
+        forks = []
+        fork = os.fork
+        # this process computes columns too: 2 columns fork 1 child
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
         path = write_config(tmp_path / "c.json", {
             "problem": "mackey_glass", "params": [0.4718196289360753],
             "mesh_list": [2, 5], "degree": [4, 6],
             "guess": {"kind": "file",
                       "path": str(mg_solution / "solution.json")},
         })
+        counts = []
         for jobs in ("1", "8"):
             assert main(["convergence", "--config", path,
                          "--out", str(tmp_path / jobs), "--jobs", jobs]) == 0
-        assert workers == [2]
+            counts.append(len(forks))
+        assert counts == [0, 1]
         for name in ("convergence.csv", "convergence.json"):
             assert (tmp_path / "1" / name).read_bytes() == \
                 (tmp_path / "8" / name).read_bytes()
@@ -842,20 +843,25 @@ class TestConvergence:
         assert "CollapseError: " in rows
 
     def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # at --jobs 2 the forked child keeps the BLAS thread pool too
         path = write_config(tmp_path / "c.json", {
-            "problem": "sd_quadratic", "params": [0.95], "mesh_list": [4],
+            "problem": "sd_quadratic", "params": [0.95], "mesh_list": [4, 5],
             "degree": [4, 6], "guess": {"kind": "seed"},
         })
-        for threads in ("1", "2"):
+        runs = [(threads, jobs) for threads in ("1", "2")
+                for jobs in ("1", "2")]
+        for threads, jobs in runs:
             proc = subprocess.run(
                 [sys.executable, "-m", "semdde.cli", "convergence",
-                 "--config", path, "--out", str(tmp_path / threads)],
+                 "--config", path, "--out", str(tmp_path / threads / jobs),
+                 "--jobs", jobs],
                 capture_output=True, text=True,
                 env=child_env(OPENBLAS_NUM_THREADS=threads))
             assert proc.returncode == 0, proc.stderr
-        for name in ("convergence.csv", "convergence.json"):
-            assert (tmp_path / "1" / name).read_bytes() == \
-                (tmp_path / "2" / name).read_bytes()
+        for threads, jobs in runs[1:]:
+            for name in ("convergence.csv", "convergence.json"):
+                assert (tmp_path / "1" / "1" / name).read_bytes() == \
+                    (tmp_path / threads / jobs / name).read_bytes()
 
     def test_shipped_seed_needs_its_own_problem(self, tmp_path, capsys):
         path = write_config(tmp_path / "c.json", {
@@ -912,9 +918,8 @@ class TestConvergence:
         def no_column(*args, **kwargs):
             raise AssertionError("a column started")
 
-        monkeypatch.setattr("semdde.cli._convergence_column", no_column)
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
-                            no_column)
+        monkeypatch.setattr("semdde.cli.convergence_study", no_column)
+        monkeypatch.setattr(os, "fork", no_column)
         path = write_config(tmp_path / "c.json", dict(
             plan, problem="sd_quadratic", params=[0.95],
             guess={"kind": "seed"}, out_dir=str(tmp_path / "out")))
@@ -923,6 +928,95 @@ class TestConvergence:
         assert error["type"] == "InvalidArgumentError"
         assert "must be distinct" in error["message"]
         assert list((tmp_path / "out").iterdir()) == []
+
+
+class TestColumnWorkers:
+    """``convergence --jobs 2`` on two columns: this process computes
+    L = 1 and one forked child L = 2, each through a stand-in for
+    ``convergence_study``.  However a run ends, it leaves no child."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.fixture
+    def config(self, tmp_path):
+        return write_config(tmp_path / "c.json", {
+            "problem": "sd_quadratic", "params": [0.95], "mesh_list": [1, 2],
+            "degree": [4], "guess": {"kind": "seed"},
+            "out_dir": str(tmp_path / "out"),
+        })
+
+    @staticmethod
+    def convergence(monkeypatch, config, column, jobs="2"):
+        """``main`` with ``column(L)`` as the study of column L."""
+        monkeypatch.setattr(
+            "semdde.cli.convergence_study",
+            lambda prob, params, sizes, *args, **kwargs: column(sizes[0]))
+        return main(["convergence", "--config", config, "--jobs", jobs])
+
+    @pytest.mark.parametrize("end, status", [
+        (lambda: os._exit(3), 3 << 8),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), signal.SIGKILL),
+    ], ids=["exit", "signal"])
+    def test_a_child_that_ends_without_a_result_exits_2(
+            self, tmp_path, capsys, monkeypatch, config, end, status):
+        assert self.convergence(monkeypatch, config,
+                        lambda L: L == 2 and end()) == 2
+        assert read_error(capsys) == {
+            "type": "SemDdeError",
+            "message": f"the worker of mesh sizes [2] ended without a "
+                       f"result (wait status {status})"}
+        assert not (tmp_path / "out" / "convergence.csv").exists()
+
+    @pytest.mark.parametrize("error, code", [
+        (ConfigError("bad column"), 1),
+        (InvalidArgumentError("bad column"), 1),
+        (AnalyticityViolationError("bad column"), 2),
+    ])
+    def test_a_child_error_exits_as_it_would_in_serial(
+            self, tmp_path, capsys, monkeypatch, config, error, code):
+        def column(L):
+            if L == 2:
+                raise error
+
+        for jobs in ("1", "2"):
+            assert self.convergence(monkeypatch, config, column, jobs) == code
+            assert read_error(capsys) == {"type": type(error).__name__,
+                                          "message": "bad column"}
+        assert not (tmp_path / "out" / "convergence.csv").exists()
+
+    def test_an_error_that_does_not_pickle_arrives_as_its_repr(
+            self, capsys, monkeypatch, config):
+        class Local(SemDdeError):  # pickled by a name no import finds
+            pass
+
+        def column(L):
+            if L == 2:
+                raise Local("bad column")
+
+        assert self.convergence(monkeypatch, config, column) == 2
+        error = read_error(capsys)
+        assert error["type"] == "SemDdeError"
+        assert error["message"] == "Local('bad column')"
+
+    @pytest.mark.parametrize("error", [ConfigError, KeyboardInterrupt])
+    def test_a_failing_parent_kills_its_child(self, monkeypatch, config,
+                                              error):
+        def column(L):
+            if L == 2:
+                time.sleep(60)
+            raise error("parent column")
+
+        start = time.monotonic()
+        if error is KeyboardInterrupt:
+            with pytest.raises(KeyboardInterrupt):
+                self.convergence(monkeypatch, config, column)
+        else:
+            assert self.convergence(monkeypatch, config, column) == 1
+        assert time.monotonic() - start < 30
 
 
 @pytest.fixture(scope="module")
@@ -1301,7 +1395,6 @@ class TestProgram:
              "params": [0.3]}
 
     def test_importing_the_cli_loads_no_process_pool(self):
-        # only a convergence run that forks imports the pool
         child = ("import sys, semdde.cli; print(sorted(m for m in "
                  "sys.modules if m.split('.')[0] in "
                  "('concurrent', 'multiprocessing')))")
@@ -1310,6 +1403,29 @@ class TestProgram:
                               env=child_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+
+    def test_a_forking_run_prints_once_and_loads_no_process_pool(
+            self, tmp_path):
+        # a child that returned into main, or exited through Python's
+        # shutdown, would write or flush the report line a second time
+        path = write_config(tmp_path / "c.json", {
+            "problem": "sd_quadratic", "params": [0.95], "mesh_list": [4, 5],
+            "degree": [4], "guess": {"kind": "seed"},
+        })
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "semdde.cli",
+             "convergence", "--config", path, "--out", str(tmp_path),
+             "--jobs", "2"],
+            capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == \
+            f"wrote {tmp_path / 'convergence.csv'} (2 cells)\n"
+        imported = [line.rsplit("|", 1)[-1].strip()
+                    for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert "numpy" in imported
+        assert [name for name in imported if name.split(".")[0] in
+                ("concurrent", "multiprocessing")] == []
 
     def test_main_in_process_freezes_nothing(self, tmp_path):
         path = write_config(tmp_path / "c.json", self.SOLVE)
