@@ -32,12 +32,23 @@ repository root, once on each checkout to compare:
 With ``--dump DIR`` the script also writes ``DIR/<name>.json`` for each
 digest: a JSON list of the items it hashes in order, each a string or a
 (nested) list of floats, which round-trip exactly.  So two checkouts
-whose digests differ can be compared number by number.
+whose digests differ can be compared number by number:
+
+    python3 scripts/output_digest.py --compare DUMP_A DUMP_B
+
+prints, for each convergence table (the in-process tables and the
+``convergence.csv`` of the command-line runs), how many cells moved
+their err or phi_defect, the largest relative move, the cells with err
+>= 1e-10 that moved by more than 1e-6 relative, whether the largest
+phi_defect, the Newton iteration counts and the failures match; and for
+every other digest whether its items are the same.
 """
 
 import argparse
+import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -219,13 +230,101 @@ def cli_digests(seed: int) -> dict:
     return out
 
 
+#: the items ``_table_digest`` hashes per cell: L, m, err, phi_defect and
+#: Newton iterations, each dumped as a one-element list, and the failure
+#: message ("" for none)
+_CELL_ITEMS = 6
+
+
+def _table_rows(items):
+    """The cells of a dumped convergence table, each ``(L, m, err,
+    phi_defect, newton_iters, failure)``, or None for another digest."""
+    if "convergence.csv" in items[::2]:  # a command-line run's files
+        text = items[items.index("convergence.csv") + 1]
+        reader = csv.reader(line for line in text.splitlines()
+                            if not line.startswith("#"))
+        next(reader)  # the header
+        return [(int(L), int(m), float(err or "nan"),
+                 float(phi or "nan"), iters, failure)
+                for L, m, err, phi, iters, failure in reader]
+    cells = [items[i:i + _CELL_ITEMS]
+             for i in range(0, len(items), _CELL_ITEMS)]
+    if not cells or any(
+            len(cell) != _CELL_ITEMS or not isinstance(cell[5], str)
+            or not all(isinstance(x, list) and len(x) == 1
+                       for x in cell[:5])
+            for cell in cells):
+        return None
+    return [(int(cell[0][0]), int(cell[1][0]), cell[2][0], cell[3][0],
+             int(cell[4][0]), cell[5]) for cell in cells]
+
+
+def _moved(a: float, b: float) -> float:
+    """Relative move from a to b: 0 when equal (NaN included)."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    return abs(b - a) / abs(a) if a != 0.0 else math.inf
+
+
+def _compare_tables(old, new) -> str:
+    if [cell[:2] for cell in old] != [cell[:2] for cell in new]:
+        return "the (L, m) plans differ"
+    moves = [(_moved(a[2], b[2]), _moved(a[3], b[3])) for a, b in
+             zip(old, new)]
+    largest = max(max(pair) for pair in moves)
+    big = [f"({a[0]}, {a[1]}) {err:.1e}" for a, (err, _) in zip(old, moves)
+           if a[2] >= 1e-10 and err > 1e-6]
+    phi_max = [max((cell[3] for cell in table if not math.isnan(cell[3])),
+                   default=math.nan) for table in (old, new)]
+
+    def same(k):
+        return "same" if [a[k] for a in old] == [b[k] for b in new] \
+            else "DIFFER"
+
+    return (f"{len(old)} cells; err moved in "
+            f"{sum(err > 0 for err, _ in moves)}, phi_defect in "
+            f"{sum(phi > 0 for _, phi in moves)}; largest relative move "
+            f"{largest:.2e}; err >= 1e-10 moved > 1e-6 relative: "
+            f"{', '.join(big) or 'none'}; largest phi_defect "
+            f"{'same' if _moved(*phi_max) == 0.0 else 'DIFFERS'} "
+            f"({phi_max[0]:.3e} -> {phi_max[1]:.3e}); newton_iters "
+            f"{same(4)}; failures {same(5)}")
+
+
+def compare(dump_a: Path, dump_b: Path) -> None:
+    """Print, digest by digest, how the dump in ``dump_b`` differs from
+    the one in ``dump_a``."""
+    names = sorted({path.stem for path in dump_a.glob("*.json")}
+                   | {path.stem for path in dump_b.glob("*.json")})
+    for name in names:
+        paths = [dump / f"{name}.json" for dump in (dump_a, dump_b)]
+        if not all(path.exists() for path in paths):
+            print(f"{name}: only in "
+                  f"{dump_a if paths[0].exists() else dump_b}")
+            continue
+        old, new = (json.loads(path.read_text()) for path in paths)
+        rows = [_table_rows(items) for items in (old, new)]
+        if old == new:
+            print(f"{name}: same")
+        elif None not in rows:
+            print(f"{name}: {_compare_tables(*rows)}")
+        else:
+            print(f"{name}: differs")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--dump", type=Path, metavar="DIR",
                         help="also write each digest's hashed items as "
                              "DIR/<name>.json")
+    parser.add_argument("--compare", type=Path, nargs=2,
+                        metavar=("DUMP_A", "DUMP_B"),
+                        help="compare two --dump directories instead")
     args = parser.parse_args()
+    if args.compare:
+        compare(*args.compare)
+        return
     if args.dump:
         args.dump.mkdir(parents=True, exist_ok=True)
     for name, digest in {**digests(args.seed),

@@ -311,8 +311,11 @@ def _require_square(state: DiscreteState, cons: Sequence[AffineRow]):
 
 def _held_answers(poly: PeriodicPiecewisePoly, held):
     """The one evaluator-query rule: query k gets a copy of held[k][0] when
-    its times equal held[k][1] bitwise, else ``poly.eval`` (the same bits,
-    since evaluation is batch-independent).  Returns (callback, asked)."""
+    its times equal held[k][1] bitwise, else ``poly.eval``.  Held values
+    read by ``eval_with_basis`` or the stored path of ``_on`` are
+    ``eval``'s bits, since evaluation is batch-independent; those of a
+    grid that tiles the mesh agree with them to roundoff.  Returns
+    (callback, asked)."""
     asked = []
 
     def answer(k, at):
@@ -327,9 +330,9 @@ def _held_answers(poly: PeriodicPiecewisePoly, held):
 def _equation_rows(state: DiscreteState, prob: DdeProblem,
                    name) -> Tuple[np.ndarray, np.ndarray]:
     """v'(t) - T G(v_t, p) at the times t of the fixed time set ``name``,
-    shape (times, dim), and v(t), which equals ``poly.eval(times)``
-    bitwise; query 0 at exactly those times (lag 0) reuses the values
-    that ``_on(name, deriv=True)`` reads with the derivative."""
+    shape (times, dim), and v(t), the values of ``_on(name)``; query 0
+    at exactly those times (lag 0) reuses the values that
+    ``_on(name, deriv=True)`` reads with the derivative."""
     times, values, deriv = state.poly._on(name, deriv=True)
     answer, _ = _held_answers(state.poly, [(values, times)])
     rows = deriv - RescaledRhs(prob).evaluate(times, state.mu, answer)

@@ -42,6 +42,16 @@ kept.  A request on another discretization empties the store.  Terms
 do not depend on the rest of their batch, so stored terms give the
 chunked path's bits, and a node time still returns its stored value
 bitwise.
+
+One kind of fixed set never enters the store: an n-point grid that
+tiles a uniform mesh of L >= 2 intervals, L dividing n - 1.  Its points
+sit at the same offsets j / per, per = (n - 1) / L, in every interval,
+and a basis row depends on the offset alone, so the rows of the per + 1
+offsets are built once per request and contracted with every
+interval's values; the grid's values agree with ``eval`` to roundoff,
+and its break points, taken by the kernel, bitwise.  The collocation
+points, a grid on L = 1, a grid whose n - 1 L does not divide, and any
+grid on a non-uniform mesh keep the stored path.
 """
 
 from __future__ import annotations
@@ -54,7 +64,7 @@ import numpy as np
 from .errors import (FormatVersionError, InvalidArgumentError,
                      _checked_int, _is_integer)
 from .nodes import (NodeFamily, NodeKind, barycentric_terms, gauss_rule,
-                    make_nodes)
+                    interpolation_matrix, make_nodes)
 
 #: version stamp carried by every file this package writes; readers
 #: reject anything newer
@@ -378,13 +388,61 @@ class PeriodicPiecewisePoly(_PiecewiseBase):
 
         return _STORE.get(self, name, lambda: located(True)) or located()
 
+    def _tiles(self, name) -> int:
+        """per = (n - 1) / L when ``name`` is an n-point grid that tiles
+        the mesh, holding its points at the offsets j / per of every
+        interval: the mesh is uniform (breaks bitwise those of
+        ``Mesh.uniform``), L >= 2 and L divides n - 1; else 0."""
+        if name == COLLOCATION:
+            return 0
+        n = _checked_int(name, "grid_points", 2)
+        L = self.mesh.num_intervals
+        if L < 2 or (n - 1) % L or not np.array_equal(
+                self.mesh.breaks, np.linspace(0.0, 1.0, L + 1)):
+            return 0
+        return (n - 1) // L
+
+    def _tiled(self, table, n, per):
+        """``(times, table at times)`` on an n-point grid that tiles the
+        mesh (see ``_tiles``), from the basis rows of the per + 1 offsets
+        alone.  Point k takes row j = (k mod (n - 1)) - idx * per of the
+        interval idx that ``Mesh.interval_index`` gives it.  The L + 1
+        points at the breaks, which linspace may round off them by an
+        ulp, are then taken by the kernel in that interval, so each gives
+        the bits of ``eval``: a break rounded into the left interval its
+        left one-sided derivative."""
+        times = np.linspace(0.0, 1.0, n)
+        t = _wrap_time(times)
+        idx = self.mesh.interval_index(t)
+        offsets = np.arange(per + 1) / per
+        L, c = table.shape[:2]
+        # every offset on every interval, from the rows of ``_CHUNK``
+        # offsets at a time; with optimize off, einsum runs its own
+        # loops, not BLAS
+        shared = np.empty((per + 1, L, c))
+        for lo in range(0, per + 1, _CHUNK):
+            rows = interpolation_matrix(self.node_family,
+                                        offsets[lo:lo + _CHUNK])
+            np.einsum("jn,lcn->jlc", rows, table, out=shared[lo:lo + _CHUNK])
+        j = np.arange(n) % (n - 1) - idx * per
+        out = np.take(shared.reshape(-1, c), j * L + idx, axis=0)
+        at = slice(0, n, per)
+        out[at] = self._interpolate(table, idx[at], t[at])
+        return times, out
+
     def _on(self, name, deriv=False):
         """``(times, eval(times))`` at the fixed time set ``name``, or
-        with ``deriv`` ``(times, eval(times), eval_deriv(times))``, each
-        bitwise."""
-        times, idx, terms = self._fixed(name)
+        with ``deriv`` ``(times, eval(times), eval_deriv(times))``.  Each
+        is bitwise, except on a grid that tiles the mesh (``_tiles``):
+        there, to roundoff of ``eval``, and the grid never enters the
+        store."""
         table = self._both_table if deriv else self._value_table
-        out = self._interpolate(table, idx, _wrap_time(times), terms)
+        per = self._tiles(name)
+        if per:
+            times, out = self._tiled(table, name, per)
+        else:
+            times, idx, terms = self._fixed(name)
+            out = self._interpolate(table, idx, _wrap_time(times), terms)
         return (times, out[:, :self.dim], out[:, self.dim:]) if deriv \
             else (times, out)
 

@@ -50,6 +50,8 @@ from semdde.piecewise import Mesh, _wrap_time, sample_periodic
 from semdde.problems import DdeProblem, RescaledRhs, mackey_glass, \
     sd_quadratic
 
+from test_piecewise import _tiled_reference, _tiles
+
 MG_BRANCH_END = (Path(__file__).resolve().parents[1] / "perfbench" / "data"
                  / "mg_branch_end.json")
 
@@ -108,10 +110,20 @@ class TestResidualErr:
     @pytest.mark.parametrize("grid_points", [2, 10001])
     def test_equals_the_two_pass_formula_bitwise(self, case, grid_points):
         prob, state = _residual_case(case)
+        poly = state.poly
         grid = np.linspace(0.0, 1.0, grid_points)  # holds t = 1
-        two_pass = np.max(np.abs(
-            state.poly.eval_deriv(grid)
-            - RescaledRhs(prob)(state.poly, grid, state.mu))) / state.period
+        rhs = RescaledRhs(prob)
+        if _tiles(poly, grid_points):  # 10001 points on L = 10 and 5
+            # the rows of the tiling path; a query at lag 0 reads its values
+            _, values, deriv = _tiled_reference(poly, grid_points)
+            rhs_values = rhs.evaluate(
+                grid, state.mu,
+                lambda k, at: values.copy()
+                if k == 0 and np.array_equal(at, grid) else poly.eval(at))
+        else:
+            deriv, rhs_values = poly.eval_deriv(grid), rhs(poly, grid,
+                                                           state.mu)
+        two_pass = np.max(np.abs(deriv - rhs_values)) / state.period
         assert residual_err(state, prob, grid_points) == two_pass
 
     def test_amplitude_of_sine_profile(self):
@@ -134,7 +146,8 @@ class TestResidualErr:
                               seed=_equilibrium_state(),
                               grid_points=grid_points)
 
-    @pytest.mark.parametrize("case", ["mackey_glass", "sd_quadratic"])
+    @pytest.mark.parametrize("case", ["mackey_glass", "sd_quadratic",
+                                      "lagged_pair"])
     @pytest.mark.parametrize("grid_points", [2, 2001, 10001])
     def test_shared_pass_equals_the_two_diagnostics_bitwise(
             self, case, grid_points):

@@ -532,6 +532,35 @@ def _fixed_case(kind, size):
         make_nodes(NodeKind.GAUSS_LEGENDRE, 9).nodes).ravel()
 
 
+# An n-point grid tiles a uniform mesh of L >= 2 intervals when L divides
+# n - 1: it holds its points at the offsets j / per of every interval,
+# per = (n - 1) / L, and ``_on`` takes it by its own path.
+def _tiles(p, n):
+    L = p.mesh.num_intervals
+    return L >= 2 and (n - 1) % L == 0 and p.mesh == Mesh.uniform(L)
+
+
+def _tiled_reference(p, n):
+    """``(times, values, derivatives)`` on an n-point grid that tiles the
+    mesh, one point at a time: point k contracts the basis row of the
+    offset j / per, j = (k mod (n - 1)) - idx * per, with the values of
+    the interval idx that ``interval_index`` gives it; the points at the
+    breaks are ``eval`` and ``eval_deriv``."""
+    assert _tiles(p, n)
+    per = (n - 1) // p.mesh.num_intervals
+    times = np.linspace(0.0, 1.0, n)
+    idx = p.mesh.interval_index(times % 1.0)
+    rows = interpolation_matrix(p.node_family, np.arange(per + 1) / per)
+    rows = rows[np.arange(n) % (n - 1) - idx * per]
+    out = [times]
+    for table, fn in ((p._value_table, p.eval),
+                      (p._deriv_table, p.eval_deriv)):
+        got = np.einsum("kn,kcn->kc", rows, table[idx])
+        got[::per] = fn(times[::per])
+        out.append(got)
+    return tuple(out)
+
+
 @pytest.fixture
 def reference(monkeypatch):
     """``reference(fn)`` is ``fn()`` on the reference kernel."""
@@ -560,12 +589,17 @@ class TestKernelIsTheReferenceBitwise:
     def test_stored_rows(self, monkeypatch, reference, kind, size):
         monkeypatch.setattr(piecewise, "_STORE", piecewise._Store())
         p, name, times = _fixed_case(kind, size)
-        want = (times,) + reference(lambda: (p.eval(times),
-                                             p.eval_deriv(times)))
-        # recorded, then built into the store, then read from it
+        tiles = name != COLLOCATION and _tiles(p, name)  # 1023 on L = 7
+        want = _tiled_reference(p, name) if tiles else (times,) + reference(
+            lambda: (p.eval(times), p.eval_deriv(times)))
+        # recorded, then built into the store, then read from it; a grid
+        # that tiles the mesh is neither
         for _ in range(3):
             got = p._on(name, deriv=True)
             assert all(_same_bits(g, w) for g, w in zip(got, want))
+        if tiles:
+            assert name not in piecewise._STORE.current[1]
+            return
         _, _, kept = piecewise._STORE.current[1][name]
         p.eval(_kernel_times(p, 2 * _CHUNK + 3)[::-1])
         flat = times - np.floor(times)
@@ -716,3 +750,98 @@ def test_kernel_is_as_accurate_as_the_normalized_formula(num_intervals,
         normalized = np.max(np.abs(_normalized_contract(table, idx, rows)
                                    - exact))
         assert 0.0 < kernel <= 2.0 * normalized, (kernel, normalized)
+
+
+@pytest.mark.parametrize("n", [2001, 10001])
+@pytest.mark.parametrize("L", [2, 5, 10, 20])
+def test_a_tiling_grid_is_the_contraction_per_offset(L, n):
+    """Every point of a tiling grid takes the row of its offset in the
+    interval ``interval_index`` gives it, and every break point the bits
+    of ``eval`` and ``eval_deriv``, also where linspace rounds the break
+    into the left interval: there the derivative is the left one."""
+    p = _random_continuous_poly(np.random.default_rng(L + n), L, 9, 2)
+    got = p._on(n, deriv=True)
+    assert all(_same_bits(g, w) for g, w in zip(got, _tiled_reference(p, n)))
+    times, values, deriv = got
+    at = times[::(n - 1) // L]
+    assert _same_bits(values[::(n - 1) // L], p.eval(at))
+    assert _same_bits(deriv[::(n - 1) // L], p.eval_deriv(at))
+    left = np.flatnonzero(at < p.mesh.breaks)
+    assert left.size > 0 or L == 2
+    assert np.array_equal(p.mesh.interval_index(at[left]), left - 1)
+    scale = np.max(np.abs(p._deriv_table))
+    k = left * ((n - 1) // L)
+    assert np.max(np.abs(deriv[k] - p._deriv_table[left - 1, :, -1]),
+                  initial=0.0) <= 1e-12 * scale
+    assert np.all(np.abs(deriv[k] - p._deriv_table[left, :, 0])
+                  > 1e-6 * scale)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps / 8,
+                    reason="np.longdouble is no wider than double here")
+@pytest.mark.parametrize("num_intervals, degree", [(2, 40), (5, 34),
+                                                   (10, 20), (20, 12)])
+def test_a_tiling_grid_is_as_accurate_as_the_normalized_formula(
+        num_intervals, degree):
+    """The tiling path's largest value and derivative errors stay within
+    the factor the kernel keeps, twice the normalized formula's error at
+    the grid times.  The path evaluates each interval's polynomial at
+    the offsets j / per, which linspace's times miss by up to an ulp, so
+    its extended-precision reference is taken at those offsets, on the
+    reference nodes."""
+    p = sample_periodic(
+        lambda t: np.stack([np.sin(2 * np.pi * t) + 0.3 * np.cos(6 * np.pi * t),
+                            np.exp(np.sin(2 * np.pi * t))], axis=1),
+        Mesh.uniform(num_intervals), degree)
+    n = 10001
+    per = (n - 1) // num_intervals
+    times, *got = p._on(n, deriv=True)
+    t = times[:-1]
+    idx = p.mesh.interval_index(t)
+    rows = _reference_rows(t, p.node_times[idx], p.node_family.bary_weights)
+    offsets = (np.arange(per + 1, dtype=np.longdouble) / per)[
+        np.arange(n - 1) - idx * per]
+    family = p.node_family
+    diff = offsets[:, None] - family.nodes.astype(np.longdouble)
+    hit = diff == 0.0
+    diff[hit] = 1.0
+    terms = family.bary_weights.astype(np.longdouble) / diff
+    on_node = np.any(hit, axis=1)
+    terms[on_node] = hit[on_node]
+    for values, table in zip(got, (p._value_table, p._deriv_table)):
+        at_offsets = (np.einsum("kdn,kn->kd",
+                                table[idx].astype(np.longdouble), terms)
+                      / np.sum(terms, axis=1)[:, None])
+        tiled = np.max(np.abs(values[:-1] - at_offsets))
+        normalized = np.max(np.abs(_normalized_contract(table, idx, rows)
+                                   - _longdouble_interpolate(p, table, t)))
+        assert 0.0 < tiled <= 2.0 * normalized, (tiled, normalized)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("L, n", [(2, 10001), (5, 2001), (10, 10001),
+                                  (20, 2001)])
+def test_a_tiling_grid_gives_the_same_values_with_derivatives(L, n, dim):
+    p = _random_continuous_poly(np.random.default_rng(dim), L, 8, dim)
+    assert _tiles(p, n)
+    assert _same_bits(p._on(n)[1], p._on(n, deriv=True)[1])
+
+
+@pytest.mark.parametrize("n", [2001, 10001])
+@pytest.mark.parametrize("mesh", [
+    Mesh.uniform(1), Mesh.uniform(11),
+    Mesh([0.0, 0.3, 0.5, 0.75, 1.0]),
+], ids=["L1", "L11", "nonuniform_L4"])
+def test_a_grid_that_does_not_tile_goes_through_the_store(monkeypatch, mesh,
+                                                          n):
+    monkeypatch.setattr(piecewise, "_STORE", piecewise._Store())
+    free = np.random.default_rng(n).standard_normal((mesh.num_intervals, 8,
+                                                     2))
+    p = PeriodicPiecewisePoly(mesh, 8, free)
+    assert not _tiles(p, n)
+    # recorded, then built into the store, then read from it
+    for read in range(3):
+        times, values, deriv = p._on(n, deriv=True)
+        assert _same_bits(values, p.eval(times))
+        assert _same_bits(deriv, p.eval_deriv(times))
+        assert (piecewise._STORE.current[1][n] is None) == (read == 0)

@@ -5,7 +5,9 @@ and barycentric terms of its fixed time sets (collocation points, uniform
 grids), which callers name and ``piecewise`` makes, and the Jacobian's
 differentiation block.  Every output here is compared bit for bit with
 a run in which the store keeps nothing, so each request takes the
-chunked path of the parent evaluation.
+chunked path of the parent evaluation.  A uniform grid that tiles a
+uniform mesh takes its own path, pinned to its reference in
+``test_piecewise``, and never enters the store.
 """
 
 import numpy as np
@@ -39,6 +41,7 @@ from test_collocation import (
     _repeated_query_case,
     _sd_quadratic_case,
 )
+from test_piecewise import _tiled_reference, _tiles
 
 
 class _KeepsNothing(piecewise._Store):
@@ -91,7 +94,16 @@ def test_outputs_do_not_depend_on_what_the_store_holds(monkeypatch, case):
     first = _outputs(prob, state, cons)
     second = _outputs(prob, state, cons)  # builds what the store keeps
     third = _outputs(prob, state, cons)  # reads it
-    assert piecewise._STORE.current[1][DEFAULT_ERR_GRID] is not None
+    kept = piecewise._STORE.current[1]
+    if _tiles(state.poly, DEFAULT_ERR_GRID):  # L = 20 and 4
+        # both dense grids tile the mesh: neither recorded nor built, and
+        # the amplitudes are the ranges of the tiling path's values
+        assert DEFAULT_ERR_GRID not in kept and 2001 not in kept
+        assert want[3].tobytes() == np.array(
+            [np.ptp(_tiled_reference(state.poly, n)[1])
+             for n in (DEFAULT_ERR_GRID, 2001)]).tobytes()
+    else:
+        assert kept[DEFAULT_ERR_GRID] is not None
     # another mesh and another degree each empty the store
     other = DiscreteState(
         sample_periodic(state.poly.eval, Mesh.uniform(3), 5), state.mu)
@@ -104,17 +116,22 @@ def test_outputs_do_not_depend_on_what_the_store_holds(monkeypatch, case):
         assert _same_bits(got, want)
 
 
-def test_stored_rows_give_the_values_of_eval_at_node_times():
-    _, state = _mackey_glass_case(11, 8)
+@pytest.mark.parametrize("L", [11, 3])
+def test_stored_rows_give_the_values_of_eval_at_node_times(L):
+    _, state = _mackey_glass_case(L, 8)
     poly = state.poly
-    # the 12-point grid is the breaks: node 0 of every interval, then 1
+    # on L = 11 the 12-point grid is the breaks, node 0 of every interval
+    # then 1: it tiles the mesh and never enters the store.  On L = 3 it
+    # is stored from its second request, and only its ends are breaks.
     for _ in range(3):
         times, values = poly._on(12)
         assert values.tobytes() == poly.eval(times).tobytes()
-    assert piecewise._STORE.current[1][12] is not None
+    kept = piecewise._STORE.current[1]
+    assert (12 not in kept) if L == 11 else (kept[12] is not None)
     # a node time returns the stored value bitwise; t = 1 wraps to 0
-    assert np.array_equal(values[:, 0], np.append(poly.values[:, 0, 0],
-                                                  poly.values[0, 0, 0]))
+    first = np.append(poly.values[:, 0, 0], poly.values[0, 0, 0])
+    hits = slice(None) if L == 11 else [0, -1]
+    assert np.array_equal(values[hits, 0], first[hits])
 
 
 @pytest.mark.parametrize("other", [
@@ -294,17 +311,22 @@ class _Recorder(piecewise._Store):
         return super().get(poly, name, logged)
 
 
-def test_a_grid_asked_for_once_is_never_stored(monkeypatch):
+@pytest.mark.parametrize("L", [2, 3])
+def test_a_grid_asked_for_once_is_never_stored(monkeypatch, L):
     recorder = _Recorder()
     monkeypatch.setattr(piecewise, "_STORE", recorder)
     _, seed = _mackey_glass_case(11, 8)
-    table = convergence_study(mackey_glass(), seed.params, [2], [4, 5, 6],
+    table = convergence_study(mackey_glass(), seed.params, [L], [4, 5, 6],
                               seed=seed)
     assert all(row.completed for row in table.rows)
     # one 10001-point residual and one 2001-point defect grid per cell
     assert DEFAULT_ERR_GRID not in recorder.built
     assert 2001 not in recorder.built
-    assert recorder.current[1][DEFAULT_ERR_GRID] is None
+    if L == 2:  # both grids tile the mesh: not even recorded
+        assert DEFAULT_ERR_GRID not in recorder.current[1]
+        assert 2001 not in recorder.current[1]
+    else:
+        assert recorder.current[1][DEFAULT_ERR_GRID] is None
 
 
 def test_the_store_keeps_one_discretization():
@@ -315,6 +337,12 @@ def test_the_store_keeps_one_discretization():
     times, idx, rows = piecewise._STORE.current[1][DEFAULT_ERR_GRID]
     assert times.shape == idx.shape == (DEFAULT_ERR_GRID,)
     assert rows.shape == (DEFAULT_ERR_GRID, 9)
-    _, other = _mackey_glass_case(5, 8)
+    # a grid that tiles its mesh (L = 5) leaves the store as it was
+    kept = piecewise._STORE.current
+    _, tiling = _mackey_glass_case(5, 8)
+    err_and_amplitude(tiling, prob)
+    assert piecewise._STORE.current is kept
+    # another discretization empties it
+    _, other = _mackey_glass_case(3, 8)
     err_and_amplitude(other, prob)
     assert piecewise._STORE.current[1] == {DEFAULT_ERR_GRID: None}
