@@ -3,7 +3,9 @@ show that a change keeps every output bitwise.
 
 The inputs are those of tests/test_acceptance.py, built from the library
 alone: the Mackey-Glass branch (Hopf guess on L=11, m=8, then 20 steps
-out to delay 1), the (L, m) table seeded from the branch end, both
+out to delay 1), the same guess on L=10, m=8, where the 10001- and
+2001-point grids tile the mesh, and 5 steps of the first quarter of that
+way (``mg_branch_tiling``), the (L, m) table seeded from the branch end, both
 sd_quadratic tables, the fine (20, 12) re-solve at delay 0.95 and the
 circle map of that orbit (k=5, 4000 points).  Each digest covers the
 states, periods, err, phi_defect, Newton iterations and failure messages
@@ -104,26 +106,39 @@ def _table_digest(table) -> _Digest:
     return digest
 
 
+def _branch(prob, amplitude: float, L: int, p_end: float, steps: int,
+            parts: int = 1):
+    """``(digest, points)`` of the Mackey-Glass Hopf guess on (L, 8),
+    solved, then continued in ``steps`` steps over the first 1 / parts
+    of the way to p_end."""
+    guess = continuation.hopf_initial_guess(
+        continuation.mackey_glass_hopf(), amplitude,
+        piecewise.Mesh.uniform(L), 8)
+    cons = collocation.default_constraints(prob, guess.params)
+    start = collocation.newton_solve(guess, prob, cons)
+    p_from = float(start.state.params[0])
+    points = continuation.continue_branch(
+        start.state, prob, p_from,
+        p_end if parts == 1 else p_from + (p_end - p_from) / parts, steps)
+    digest = _Digest().state(start.state).add(start.iterations)
+    for point in points:
+        digest.state(point.state).add(point.parameter, point.amplitude,
+                                      point.period, point.err,
+                                      point.newton_iters, point.phi_defect)
+    return digest, points
+
+
 def digests(seed: int) -> dict:
     """Input name -> digest of its outputs."""
     out = {}
     shift = _shifts(seed, 2)
 
     prob = problems.mackey_glass()
-    guess = continuation.hopf_initial_guess(
-        continuation.mackey_glass_hopf(), 0.01 * (1.0 + 0.1 * shift[0]),
-        piecewise.Mesh.uniform(11), 8)
-    cons = collocation.default_constraints(prob, guess.params)
-    start = collocation.newton_solve(guess, prob, cons)
-    points = continuation.continue_branch(
-        start.state, prob, float(start.state.params[0]),
-        1.0 + 0.01 * shift[1], 20)
-    digest = _Digest().state(start.state).add(start.iterations)
-    for point in points:
-        digest.state(point.state).add(point.parameter, point.amplitude,
-                                      point.period, point.err,
-                                      point.newton_iters, point.phi_defect)
-    out["mg_branch"] = digest
+    amplitude, p_end = 0.01 * (1.0 + 0.1 * shift[0]), 1.0 + 0.01 * shift[1]
+    out["mg_branch"], points = _branch(prob, amplitude, 11, p_end, 20)
+    # (10, 8): both dense grids tile the mesh, and every branch point asks
+    # for them again; the first quarter of the same schedule
+    out["mg_branch_tiling"], _ = _branch(prob, amplitude, 10, p_end, 5, 4)
 
     end = points[-1].state
     delay = float(end.params[0]) + 0.002 * _shifts(seed, 1)[0]

@@ -17,12 +17,11 @@ Jacobian costs a few residual-sized evaluations for any mesh size.  Each
 free-value columns come from ``PeriodicPiecewisePoly.eval_with_basis``,
 and at the collocation points, with the profile derivative, from one
 read of ``PeriodicPiecewisePoly._collocation_basis``, which ``piecewise``
-makes and keeps per discretization.  The differentiation block keeps the
-reference matrices, takes its columns from the free-value layout, and
-is built once per discretization (kept in the same store): each
-Jacobian starts from a copy.  One rule answers every query: query k
-reuses the value held for query k when its times have not moved.  The
-constraint rows are exact affine gradients.
+makes and keeps per discretization.  Each Jacobian starts from a fresh
+copy of the differentiation block, which ``piecewise`` makes and keeps
+in the same way (``PeriodicPiecewisePoly._jacobian_start``).  One rule
+answers every query: query k reuses the value held for query k when its
+times have not moved.  The constraint rows are exact affine gradients.
 
 The Newton iteration damps by halving on residual increase, down to a
 floor; a trial is admissible when ``DiscreteState`` accepts it (finite,
@@ -53,8 +52,6 @@ from .errors import (
     SingularJacobianError,
     _checked_int,
 )
-from . import piecewise
-from .nodes import NodeKind, interpolation_matrix, make_nodes
 from .piecewise import (
     COLLOCATION,
     FORMAT_VERSION,
@@ -312,7 +309,7 @@ def _require_square(state: DiscreteState, cons: Sequence[AffineRow]):
 def _held_answers(poly: PeriodicPiecewisePoly, held):
     """The one evaluator-query rule: query k gets a copy of held[k][0] when
     its times equal held[k][1] bitwise, else ``poly.eval``.  Held values
-    read by ``eval_with_basis`` or the stored path of ``_on`` are
+    read by ``eval_with_basis`` or the terms path of ``_on`` are
     ``eval``'s bits, since evaluation is batch-independent; those of a
     grid that tiles the mesh agree with them to roundoff.  Returns
     (callback, asked)."""
@@ -365,7 +362,8 @@ def assemble_jacobian(state: DiscreteState, prob: DdeProblem,
 
     - v'(t) is exact: the reference Lagrange row of the collocation node
       times ``diff_matrix``, over the interval length (rows built at the
-      global times would move entries in the last bits).
+      global times would move entries in the last bits), the block that
+      ``piecewise`` makes and keeps per discretization.
     - dG/dq_k is one forward difference on q_k's output per component,
       for all collocation points in one rhs call (G is pointwise in the
       base time), scattered through the query's ``eval_with_basis`` rows.
@@ -384,29 +382,13 @@ def assemble_jacobian(state: DiscreteState, prob: DdeProblem,
     """
     _require_square(state, cons)
     poly = state.poly
-    mesh = poly.mesh
-    L, m, dim = mesh.num_intervals, poly.degree, poly.dim
+    dim = poly.dim
     n_free = poly.free_values.size
     n = n_free + state.mu.size
     times, *lag0, deriv = poly._collocation_basis()
     rows = np.arange(times.size * dim).reshape(times.size, dim)
 
-    def differentiation_block():
-        jac = np.zeros((n, n))
-        basis = interpolation_matrix(
-            poly.node_family, make_nodes(NodeKind.GAUSS_LEGENDRE, m).nodes)
-        deriv = np.sum(basis[:, None, :] * poly.node_family.diff_matrix.T,
-                       axis=2)
-        block = deriv / mesh.lengths[:, None, None]
-        cols = poly._columns[:, None, :] * dim
-        for s in range(dim):
-            np.add.at(jac, (rows[:, s].reshape(L, m, 1), cols + s), block)
-        return jac
-
-    # the block depends on the discretization alone: kept, then copied
-    start = piecewise._STORE.get(poly, ("jacobian start", dim, n),
-                                 differentiation_block)
-    jac = differentiation_block() if start is None else start.copy()
+    jac = poly._jacobian_start(n)
 
     rhs = RescaledRhs(prob)
     answers = []

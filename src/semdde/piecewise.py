@@ -32,26 +32,23 @@ unmap, page-faulting, on every chunk.  Terms held by the store and rows
 handed to a caller never serve as a workspace.
 
 A private store keeps what depends on the discretization (breaks and
-node family) alone, for the latest one: its fixed time sets, each kept
-as times, intervals and terms, and the Jacobian's differentiation block.
-Callers only name a fixed set, and ``PeriodicPiecewisePoly`` makes its
-times: ``COLLOCATION`` the collocation points, an integer n >= 2 the
-n-point uniform grid of [0, 1].  A name asked for once is only
-recorded; from its second request on, the object is built once and
-kept.  A request on another discretization empties the store.  Terms
-do not depend on the rest of their batch, so stored terms give the
-chunked path's bits, and a node time still returns its stored value
-bitwise.
+node family) alone, for the latest one: what its fixed time sets need,
+and the Jacobian's differentiation block.  Callers only name a fixed
+set, and ``PeriodicPiecewisePoly`` makes its times: ``COLLOCATION`` the
+collocation points, an integer n >= 2 the n-point uniform grid of
+[0, 1].  One rule holds for every object: it is recorded on its first
+request, built once on its second and kept from then on, and a request
+on another discretization empties the store.  A set keeps its times,
+intervals and barycentric terms, which do not depend on the rest of
+their batch: stored terms give the chunked path's bits, and a node time
+still returns its stored value bitwise.
 
-One kind of fixed set never enters the store: an n-point grid that
-tiles a uniform mesh of L >= 2 intervals, L dividing n - 1.  Its points
-sit at the same offsets j / per, per = (n - 1) / L, in every interval,
-and a basis row depends on the offset alone, so the rows of the per + 1
-offsets are built once per request and contracted with every
-interval's values; the grid's values agree with ``eval`` to roundoff,
-and its break points, taken by the kernel, bitwise.  The collocation
-points, a grid on L = 1, a grid whose n - 1 L does not divide, and any
-grid on a non-uniform mesh keep the stored path.
+An n-point grid that tiles a uniform mesh of L >= 2 intervals, L
+dividing n - 1, keeps the basis rows of its offsets instead: its points
+sit at the offsets j / per, per = (n - 1) / L, of every interval, so the
+rows of the per + 1 offsets, contracted with every interval's values,
+give the grid's values to roundoff of ``eval``, and its break points,
+taken by the kernel, bitwise.
 """
 
 from __future__ import annotations
@@ -372,19 +369,24 @@ class PeriodicPiecewisePoly(_PiecewiseBase):
         return times, both[:, :self.dim], cols, rows, both[:, self.dim:]
 
     def _fixed(self, name):
-        """``(times, idx, terms)`` of the fixed time set ``name``: times as
+        """``(times, idx, kept)`` of the fixed time set ``name``: times as
         the rhs gets them (a grid ends at 1), intervals of the wrapped
-        times, and barycentric terms, None on the first request (only
-        recorded)."""
+        times, and the kept terms, or offset rows on a tiling grid
+        (``_tiles``), None on the first request (only recorded)."""
         if name != COLLOCATION:
             name = _checked_int(name, "grid_points", 2)
 
-        def located(terms=False):
+        def located(build=False):
             times = self.mesh.node_times(gauss_rule(self.degree)[0]).ravel() \
                 if name == COLLOCATION else np.linspace(0.0, 1.0, name)
             t = _wrap_time(times)
             idx = self.mesh.interval_index(t)
-            return times, idx, self._terms(idx, t) if terms else None
+            if not build:
+                return times, idx, None
+            per = self._tiles(name)
+            return times, idx, interpolation_matrix(
+                self.node_family, np.arange(per + 1) / per) if per \
+                else self._terms(idx, t)
 
         return _STORE.get(self, name, lambda: located(True)) or located()
 
@@ -402,49 +404,64 @@ class PeriodicPiecewisePoly(_PiecewiseBase):
             return 0
         return (n - 1) // L
 
-    def _tiled(self, table, n, per):
-        """``(times, table at times)`` on an n-point grid that tiles the
-        mesh (see ``_tiles``), from the basis rows of the per + 1 offsets
-        alone.  Point k takes row j = (k mod (n - 1)) - idx * per of the
-        interval idx that ``Mesh.interval_index`` gives it.  The L + 1
-        points at the breaks, which linspace may round off them by an
-        ulp, are then taken by the kernel in that interval, so each gives
-        the bits of ``eval``: a break rounded into the left interval its
-        left one-sided derivative."""
-        times = np.linspace(0.0, 1.0, n)
-        t = _wrap_time(times)
-        idx = self.mesh.interval_index(t)
+    def _tiled(self, table, t, idx, per, rows):
+        """``table`` at the wrapped times t, in intervals idx, of a grid
+        that tiles the mesh (``_tiles``), from the basis rows of the
+        per + 1 offsets: ``rows`` as kept, or None to build them
+        ``_CHUNK`` offsets at a time.  Point k takes row
+        j = (k mod (n - 1)) - idx * per.  The L + 1 points at the breaks,
+        which linspace may round off them by an ulp, are then taken by
+        the kernel, so each gives the bits of ``eval``: a break rounded
+        into the left interval its left one-sided derivative."""
         offsets = np.arange(per + 1) / per
         L, c = table.shape[:2]
-        # every offset on every interval, from the rows of ``_CHUNK``
-        # offsets at a time; with optimize off, einsum runs its own
-        # loops, not BLAS
+        # every offset on every interval, ``_CHUNK`` offsets at a time;
+        # with optimize off, einsum runs its own loops, not BLAS
         shared = np.empty((per + 1, L, c))
         for lo in range(0, per + 1, _CHUNK):
-            rows = interpolation_matrix(self.node_family,
-                                        offsets[lo:lo + _CHUNK])
-            np.einsum("jn,lcn->jlc", rows, table, out=shared[lo:lo + _CHUNK])
-        j = np.arange(n) % (n - 1) - idx * per
+            part = slice(lo, lo + _CHUNK)
+            chunk = interpolation_matrix(self.node_family, offsets[part]) \
+                if rows is None else rows[part]
+            np.einsum("jn,lcn->jlc", chunk, table, out=shared[part])
+        j = np.arange(t.size) % (t.size - 1) - idx * per
         out = np.take(shared.reshape(-1, c), j * L + idx, axis=0)
-        at = slice(0, n, per)
-        out[at] = self._interpolate(table, idx[at], t[at])
-        return times, out
+        out[::per] = self._interpolate(table, idx[::per], t[::per])
+        return out
 
     def _on(self, name, deriv=False):
         """``(times, eval(times))`` at the fixed time set ``name``, or
         with ``deriv`` ``(times, eval(times), eval_deriv(times))``.  Each
         is bitwise, except on a grid that tiles the mesh (``_tiles``):
-        there, to roundoff of ``eval``, and the grid never enters the
-        store."""
+        there, to roundoff of ``eval``."""
         table = self._both_table if deriv else self._value_table
+        times, idx, kept = self._fixed(name)
+        t = _wrap_time(times)
         per = self._tiles(name)
-        if per:
-            times, out = self._tiled(table, name, per)
-        else:
-            times, idx, terms = self._fixed(name)
-            out = self._interpolate(table, idx, _wrap_time(times), terms)
+        out = self._tiled(table, t, idx, per, kept) if per \
+            else self._interpolate(table, idx, t, kept)
         return (times, out[:, :self.dim], out[:, self.dim:]) if deriv \
             else (times, out)
+
+    def _jacobian_start(self, n):
+        """A fresh n x n Jacobian holding only its exact differentiation
+        block, kept under ``("jacobian start", dim, n)`` and then copied."""
+        L, m, dim = self.free_values.shape
+        family = self.node_family
+
+        def differentiation_block():
+            jac = np.zeros((n, n))
+            basis = interpolation_matrix(family, gauss_rule(m)[0])
+            deriv = np.sum(basis[:, None, :] * family.diff_matrix.T, axis=2)
+            block = deriv / self.mesh.lengths[:, None, None]
+            rows = np.arange(L * m * dim).reshape(L * m, dim)
+            cols = self._columns[:, None, :] * dim
+            for s in range(dim):
+                np.add.at(jac, (rows[:, s].reshape(L, m, 1), cols + s), block)
+            return jac
+
+        start = _STORE.get(self, ("jacobian start", dim, n),
+                           differentiation_block)
+        return differentiation_block() if start is None else start.copy()
 
 
 class PiecewiseProjection(_PiecewiseBase):

@@ -592,16 +592,17 @@ class TestKernelIsTheReferenceBitwise:
         tiles = name != COLLOCATION and _tiles(p, name)  # 1023 on L = 7
         want = _tiled_reference(p, name) if tiles else (times,) + reference(
             lambda: (p.eval(times), p.eval_deriv(times)))
-        # recorded, then built into the store, then read from it; a grid
-        # that tiles the mesh is neither
+        # recorded, then built into the store, then read from it
         for _ in range(3):
             got = p._on(name, deriv=True)
             assert all(_same_bits(g, w) for g, w in zip(got, want))
-        if tiles:
-            assert name not in piecewise._STORE.current[1]
-            return
         _, _, kept = piecewise._STORE.current[1][name]
         p.eval(_kernel_times(p, 2 * _CHUNK + 3)[::-1])
+        if tiles:  # the basis rows of the per + 1 offsets
+            per = (name - 1) // p.mesh.num_intervals
+            assert _same_bits(kept, interpolation_matrix(
+                p.node_family, np.arange(per + 1) / per))
+            return
         flat = times - np.floor(times)
         assert _same_bits(kept, _reference_terms(
             flat, p.node_times[p.mesh.interval_index(flat)],

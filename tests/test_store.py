@@ -1,13 +1,16 @@
-"""The basis-row store of ``piecewise``: outputs never depend on it.
+"""The store of ``piecewise``: outputs never depend on it.
 
-The store keeps, for the latest discretization, the times, intervals
-and barycentric terms of its fixed time sets (collocation points, uniform
-grids), which callers name and ``piecewise`` makes, and the Jacobian's
-differentiation block.  Every output here is compared bit for bit with
-a run in which the store keeps nothing, so each request takes the
-chunked path of the parent evaluation.  A uniform grid that tiles a
-uniform mesh takes its own path, pinned to its reference in
-``test_piecewise``, and never enters the store.
+The store keeps, for the latest discretization, what its fixed time sets
+(collocation points, uniform grids) need, which callers name and
+``piecewise`` makes: times, intervals and barycentric terms, or, for a
+uniform grid that tiles a uniform mesh, the basis rows of its offsets.
+It also keeps the Jacobian's differentiation block.  One rule holds for
+all of them: an object is recorded on its first request, built once on
+its second and kept from then on, and a request on another
+discretization empties the store.  Every output here is compared bit
+for bit with a run in which the store keeps nothing, so each request
+takes the path of a first request.  The tiling path itself is pinned to
+its reference in ``test_piecewise``.
 """
 
 import numpy as np
@@ -96,9 +99,13 @@ def test_outputs_do_not_depend_on_what_the_store_holds(monkeypatch, case):
     third = _outputs(prob, state, cons)  # reads it
     kept = piecewise._STORE.current[1]
     if _tiles(state.poly, DEFAULT_ERR_GRID):  # L = 20 and 4
-        # both dense grids tile the mesh: neither recorded nor built, and
-        # the amplitudes are the ranges of the tiling path's values
-        assert DEFAULT_ERR_GRID not in kept and 2001 not in kept
+        # both dense grids tile the mesh: each keeps the basis rows of its
+        # offsets, and the amplitudes are the ranges of the tiling path's
+        # values
+        for n in (DEFAULT_ERR_GRID, 2001):
+            per = (n - 1) // state.poly.mesh.num_intervals
+            assert kept[n][2].tobytes() == interpolation_matrix(
+                state.poly.node_family, np.arange(per + 1) / per).tobytes()
         assert want[3].tobytes() == np.array(
             [np.ptp(_tiled_reference(state.poly, n)[1])
              for n in (DEFAULT_ERR_GRID, 2001)]).tobytes()
@@ -121,13 +128,14 @@ def test_stored_rows_give_the_values_of_eval_at_node_times(L):
     _, state = _mackey_glass_case(L, 8)
     poly = state.poly
     # on L = 11 the 12-point grid is the breaks, node 0 of every interval
-    # then 1: it tiles the mesh and never enters the store.  On L = 3 it
-    # is stored from its second request, and only its ends are breaks.
+    # then 1: it tiles the mesh, and the store keeps the rows of its two
+    # offsets.  On L = 3 it keeps its terms, and only its ends are breaks.
+    # Either is stored from its second request.
     for _ in range(3):
         times, values = poly._on(12)
         assert values.tobytes() == poly.eval(times).tobytes()
-    kept = piecewise._STORE.current[1]
-    assert (12 not in kept) if L == 11 else (kept[12] is not None)
+    kept = piecewise._STORE.current[1][12][2]
+    assert kept.shape == ((2, 9) if L == 11 else (12, 9))
     # a node time returns the stored value bitwise; t = 1 wraps to 0
     first = np.append(poly.values[:, 0, 0], poly.values[0, 0, 0])
     hits = slice(None) if L == 11 else [0, -1]
@@ -278,8 +286,10 @@ def test_the_differentiation_block_reads_the_free_value_layout(make, L):
     assert kept.tobytes() == _break_column_block(poly, n).tobytes()
 
 
-def test_branch_points_do_not_depend_on_what_the_store_holds():
-    prob, seed = _mackey_glass_case(11, 8)
+@pytest.mark.parametrize("L", [11, 10])  # 10001 points tile L = 10
+def test_branch_points_do_not_depend_on_what_the_store_holds(monkeypatch,
+                                                             L):
+    prob, seed = _mackey_glass_case(L, 8)
     start = newton_solve(seed, prob,
                          default_constraints(prob, seed.params)).state
     p_from = float(start.params[0])
@@ -290,10 +300,15 @@ def test_branch_points_do_not_depend_on_what_the_store_holds():
                 for point in continue_branch(start, prob, p_from,
                                              p_from + 0.03, 3)]
 
+    with monkeypatch.context() as patch:
+        patch.setattr(piecewise, "_STORE", _KeepsNothing())
+        want = branch()
     warm = branch()  # the store holds this discretization's rows
-    assert piecewise._STORE.current[1][DEFAULT_ERR_GRID] is not None
+    kept = piecewise._STORE.current[1][DEFAULT_ERR_GRID][2]
+    # L = 10 keeps the rows of the 1001 offsets, L = 11 the grid's terms
+    assert kept.shape == ((1001, 9) if L == 10 else (DEFAULT_ERR_GRID, 9))
     piecewise._STORE = piecewise._Store()
-    assert branch() == warm
+    assert branch() == warm == want
 
 
 class _Recorder(piecewise._Store):
@@ -322,11 +337,9 @@ def test_a_grid_asked_for_once_is_never_stored(monkeypatch, L):
     # one 10001-point residual and one 2001-point defect grid per cell
     assert DEFAULT_ERR_GRID not in recorder.built
     assert 2001 not in recorder.built
-    if L == 2:  # both grids tile the mesh: not even recorded
-        assert DEFAULT_ERR_GRID not in recorder.current[1]
-        assert 2001 not in recorder.current[1]
-    else:
-        assert recorder.current[1][DEFAULT_ERR_GRID] is None
+    # recorded alike, whether they tile the mesh (L = 2) or not
+    assert recorder.current[1][DEFAULT_ERR_GRID] is None
+    assert recorder.current[1][2001] is None
 
 
 def test_the_store_keeps_one_discretization():
@@ -337,12 +350,50 @@ def test_the_store_keeps_one_discretization():
     times, idx, rows = piecewise._STORE.current[1][DEFAULT_ERR_GRID]
     assert times.shape == idx.shape == (DEFAULT_ERR_GRID,)
     assert rows.shape == (DEFAULT_ERR_GRID, 9)
-    # a grid that tiles its mesh (L = 5) leaves the store as it was
-    kept = piecewise._STORE.current
-    _, tiling = _mackey_glass_case(5, 8)
-    err_and_amplitude(tiling, prob)
-    assert piecewise._STORE.current is kept
-    # another discretization empties it
-    _, other = _mackey_glass_case(3, 8)
-    err_and_amplitude(other, prob)
-    assert piecewise._STORE.current[1] == {DEFAULT_ERR_GRID: None}
+    # another discretization empties it, one whose grid tiles its mesh
+    # (L = 5) as any other
+    for L in (5, 3):
+        _, other = _mackey_glass_case(L, 8)
+        err_and_amplitude(other, prob)
+        assert piecewise._STORE.current[1] == {DEFAULT_ERR_GRID: None}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("deriv", [False, True])
+@pytest.mark.parametrize("n", [2001, 10001])
+@pytest.mark.parametrize("L", [2, 5, 10, 20])
+def test_a_tiling_grid_is_built_once_and_kept(monkeypatch, L, n, deriv, dim):
+    recorder = _Recorder()
+    monkeypatch.setattr(piecewise, "_STORE", recorder)
+    p = sample_periodic(
+        lambda t: np.stack([np.sin(2 * np.pi * t),
+                            np.exp(np.cos(2 * np.pi * t))][:dim], axis=1),
+        Mesh.uniform(L), 9)
+    assert _tiles(p, n)
+    # recorded, then built into the store, then read from it
+    first, second, third = (p._on(n, deriv=deriv) for _ in range(3))
+    for got in (second, third):
+        assert _same_bits(got, first)
+    assert recorder.built == [n]
+    # the kept rows are those the first request built per chunk
+    per = (n - 1) // L
+    offsets = np.arange(per + 1) / per
+    chunked = np.concatenate([
+        interpolation_matrix(p.node_family, offsets[lo:lo + piecewise._CHUNK])
+        for lo in range(0, per + 1, piecewise._CHUNK)])
+    assert recorder.current[1][n][2].tobytes() == chunked.tobytes()
+
+
+def test_each_jacobian_gets_its_own_start_block():
+    prob, state, cons = _with_constraints(lambda: _mackey_glass_case(11, 8))
+    n = state.flatten().size
+    first = assemble_jacobian(state, prob, cons)  # builds its block
+    second = assemble_jacobian(state, prob, cons)  # keeps it, then copies
+    kept = piecewise._STORE.current[1][("jacobian start", state.poly.dim, n)]
+    want, block = second.copy(), kept.copy()
+    first[:] = np.nan
+    assert second.tobytes() == want.tobytes()
+    assert kept.tobytes() == block.tobytes()
+    second[:] = np.nan
+    assert kept.tobytes() == block.tobytes()
+    assert assemble_jacobian(state, prob, cons).tobytes() == want.tobytes()
