@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from semdde.analysis import circle_map_analysis, orbit_lag_map, residual_err
+from semdde.analysis import circle_map_analysis, err_and_amplitude, \
+    orbit_lag_map
 from semdde.collocation import (
     default_constraints,
     newton_solve,
@@ -60,7 +61,7 @@ def main() -> int:
         fine_cons = default_constraints(prob, fine_init.params)
         fine = newton_solve(fine_init, prob, fine_cons).state
         print(f"  fine T={fine.period:.9f} "
-              f"err={residual_err(fine, prob):.2e}")
+              f"err={err_and_amplitude(fine, prob)[0]:.2e}")
         refined[target] = fine
         coarse[target] = resample_state(fine, mesh, COARSE_M)
 

@@ -15,9 +15,8 @@ from .analysis import (
     bernstein_bound_fit,
     circle_map_analysis,
     convergence_study,
-    orbit_amplitude,
+    err_and_amplitude,
     orbit_lag_map,
-    residual_err,
 )
 from .collocation import (
     DiscreteState,
@@ -110,6 +109,7 @@ __all__ = [
     "continue_branch",
     "convergence_study",
     "default_constraints",
+    "err_and_amplitude",
     "gauss_weights",
     "get_problem",
     "hopf_initial_guess",
@@ -118,12 +118,10 @@ __all__ = [
     "mackey_glass_hopf",
     "make_nodes",
     "newton_solve",
-    "orbit_amplitude",
     "orbit_lag_map",
     "phi_m_defect",
     "project",
     "resample_state",
-    "residual_err",
     "sample_periodic",
     "scalar_hopf_point",
     "sd_quadratic",

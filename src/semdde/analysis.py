@@ -1,10 +1,10 @@
 """Post-hoc diagnostics for computed orbits.
 
-Four tools live here: the dense-grid residual of the delay equation
-along a profile, convergence tables over mesh size and degree, the
-ellipse-based interpolation error bound for analytic functions, and the
-circle-map diagnostic whose unstable periodic points flag likely
-non-analyticity for state-dependent delays.
+Four tools live here: the measured orbit (the dense-grid residual,
+amplitude and fixed-point defect of every orbit the package reports),
+convergence tables over mesh size and degree, the ellipse-based
+interpolation error bound for analytic functions, and the circle-map
+diagnostic whose unstable periodic points flag likely non-analyticity.
 """
 
 from __future__ import annotations
@@ -50,24 +50,6 @@ PLATEAU_FACTOR = 100.0  # see ConvergenceTable.slopes
 _MAX_PRINCIPLE_SLACK = 1e-8
 
 
-def residual_err(state: DiscreteState, prob: DdeProblem,
-                 grid_points: int = DEFAULT_ERR_GRID) -> float:
-    """Max-norm residual of the delay equation along the profile.
-
-    Evaluates |y'(t)/T - G(y(t + (.)/T), p)| on a uniform grid over one
-    period in rescaled time and returns the maximum.
-    """
-    rows, _ = _equation_rows(state, prob, grid_points)
-    return float(np.max(np.abs(rows)) / state.period)
-
-
-def orbit_amplitude(state: DiscreteState,
-                    grid_points: int = DEFAULT_ERR_GRID) -> float:
-    """Peak-to-peak range of the profile over a dense uniform grid."""
-    values = state.poly._on(grid_points)[1]
-    return float(np.max(values) - np.min(values))
-
-
 _COLLAPSE_RATIO = 0.1
 _COLLAPSE_FLOOR = 1e-8
 
@@ -94,11 +76,56 @@ def checked_amplitude(state: DiscreteState,
 def err_and_amplitude(state: DiscreteState, prob: DdeProblem,
                       grid_points: int = DEFAULT_ERR_GRID,
                       ) -> Tuple[float, float]:
-    """``(residual_err, orbit_amplitude)`` bitwise, from one pass of rows
-    on the grid: the equation rows come with the profile values."""
+    """``(err, amplitude)`` on a uniform grid over one period, from one
+    pass of rows: the max-norm residual |y'(t)/T - G(y(t + (.)/T), p)|
+    of the delay equation in rescaled time, and the profile's range."""
     rows, values = _equation_rows(state, prob, grid_points)
     return (float(np.max(np.abs(rows)) / state.period),
             float(np.max(values) - np.min(values)))
+
+
+@dataclass(frozen=True)
+class MeasuredOrbit:
+    """A solved orbit with its report: ``err_and_amplitude``, the largest
+    ``phi_m_defect`` and ``seconds``, the times of the solve, of ``err``
+    and of ``phi_defect``."""
+
+    state: DiscreteState
+    newton_iters: int
+    err: float
+    amplitude: float
+    phi_defect: float
+    seconds: Tuple[float, float, float]
+
+
+def measured_orbit(solve: Callable, prob: DdeProblem,
+                   grid_points: int = DEFAULT_ERR_GRID) -> MeasuredOrbit:
+    """Call ``solve()``, which returns ``(NewtonResult, constraints)``,
+    and measure its orbit: the one path by which ``solve``, each branch
+    point and each convergence cell are reported."""
+    times = [perf_counter()]
+    result, cons = solve()
+    times.append(perf_counter())
+    err, amplitude = err_and_amplitude(result.state, prob, grid_points)
+    times.append(perf_counter())
+    defect = phi_m_defect(result.state, prob, cons).max_defect
+    times.append(perf_counter())
+    return MeasuredOrbit(result.state, result.iterations, err, amplitude,
+                         defect, tuple(np.diff(times).tolist()))
+
+
+def _solve_resampled(guess: DiscreteState, prob: DdeProblem, mesh: Mesh,
+                     degree: int, params, settings: NewtonSettings):
+    """``guess`` resampled onto ``mesh`` and ``degree`` and solved at
+    ``params`` (its own if empty) from its own period, under the
+    collapse rule: the ``(NewtonResult, constraints)`` of one orbit."""
+    init = resample_state(guess, mesh, degree)
+    if len(params):
+        init = DiscreteState(init.poly, np.append(init.period, params))
+    cons = default_constraints(prob, init.params)
+    result = newton_solve(init, prob, cons, settings)
+    checked_amplitude(result.state, checked_amplitude(init))
+    return result, cons
 
 
 @dataclass(frozen=True)
@@ -208,7 +235,7 @@ def convergence_study(prob: DdeProblem, params, L_list: Sequence[int],
     params = np.atleast_1d(np.asarray(params, dtype=float))
     if settings is None:
         settings = NewtonSettings()
-    cons = default_constraints(prob, params)
+    default_constraints(prob, params)  # a wrong count fails before a cell
 
     rows = []
     for L in L_list:
@@ -217,20 +244,14 @@ def convergence_study(prob: DdeProblem, params, L_list: Sequence[int],
         for m in m_list:
             start = perf_counter()
             try:
-                init = DiscreteState(
-                    resample_state(warm, mesh, m).poly,
-                    np.concatenate([[warm.period], params]))
-                result = newton_solve(init, prob, cons, settings)
-                checked_amplitude(result.state, checked_amplitude(init))
-                err = residual_err(result.state, prob, grid_points)
-                defect = phi_m_defect(result.state, prob, cons).max_defect
+                orbit = measured_orbit(lambda: _solve_resampled(
+                    warm, prob, mesh, m, params, settings), prob, grid_points)
                 rows.append(ConvergenceCell(
-                    num_intervals=L, degree=m, err=err, phi_defect=defect,
-                    newton_iters=result.iterations,
-                    wall_time=perf_counter() - start))
-                warm = result.state
+                    L, m, orbit.err, orbit.phi_defect, orbit.newton_iters,
+                    perf_counter() - start))
+                warm = orbit.state
                 log.debug("cell L=%d m=%d: %d iterations, err %.3e", L, m,
-                          result.iterations, err)
+                          orbit.newton_iters, orbit.err)
             except NewtonError as exc:
                 rows.append(ConvergenceCell(
                     num_intervals=L, degree=m, err=float("nan"),

@@ -28,11 +28,11 @@ from .analysis import (
     DEFAULT_ERR_GRID,
     ConvergenceTable,
     _checked_plan,
-    checked_amplitude,
+    _solve_resampled,
     circle_map_analysis,
     convergence_study,
     convergence_table_document,
-    err_and_amplitude,
+    measured_orbit,
     orbit_lag_map,
     write_circle_map_csv,
     write_convergence_csv,
@@ -40,14 +40,12 @@ from .analysis import (
 from .collocation import (
     DiscreteState,
     NewtonSettings,
-    default_constraints,
-    newton_solve,
-    resample_state,
     state_from_document,
     state_to_document,
 )
 from .continuation import (
     DEFAULT_HOPF_OFFSET,
+    _refuse_flat_start,
     append_branch_row,
     continue_branch,
     hopf_initial_guess,
@@ -64,7 +62,6 @@ from .errors import (
     _is_integer,
 )
 from .nodes import NodeKind, lebesgue_constant, make_nodes
-from .oracle import phi_m_defect
 from .piecewise import FORMAT_VERSION, Mesh, check_format_version, \
     csv_writer, sample_periodic
 from .problems import DdeProblem, get_problem
@@ -287,53 +284,41 @@ def _initial_state(cfg: RunConfig) -> DiscreteState:
 
 
 def _first_orbit(cfg: RunConfig, prob: DdeProblem):
-    """The configured guess solved, with its constraints; like a
-    continuation step, a solve that collapses onto the equilibrium
-    from a guess that is not flat raises CollapseError.  Every guess is
-    resampled onto the configured mesh and degree (each defaulting to
-    the guess's own) and solved at the configured params, if any, from
-    its own period, as a convergence cell is."""
+    """The configured guess solved, for ``measured_orbit``; a collapse
+    onto the equilibrium from a guess that is not flat raises
+    CollapseError.  Every guess is resampled onto the configured mesh
+    and degree (each defaulting to the guess's own) and solved at the
+    configured params, if any, from its own period, as a convergence
+    cell is (``analysis._solve_resampled``)."""
     init = _initial_state(cfg)
     if cfg.guess["kind"] == "hopf" and cfg.params:
         raise ConfigError("the onset and a hopf guess's offset set p; "
                           "remove params")
-    init = resample_state(
-        init, init.poly.mesh if cfg.mesh is None else cfg.mesh,
-        _single_degree(cfg) if cfg.degree else init.poly.degree)
-    if cfg.params:
-        init = DiscreteState(init.poly, np.array((init.period,) + cfg.params))
-    cons = default_constraints(prob, init.params)
-    result = newton_solve(init, prob, cons, cfg.newton)
-    checked_amplitude(result.state, checked_amplitude(init))
-    return result, cons
+    return _solve_resampled(
+        init, prob, init.poly.mesh if cfg.mesh is None else cfg.mesh,
+        _single_degree(cfg) if cfg.degree else init.poly.degree, cfg.params,
+        cfg.newton)
 
 
 def cmd_solve(cfg: RunConfig, out_dir: Path) -> Tuple[int, dict]:
     prob = get_problem(_require(cfg.problem, "problem"))
-    phases = [perf_counter()]
-    result, cons = _first_orbit(cfg, prob)
-    state = result.state
-    phases.append(perf_counter())
-    err, amplitude = err_and_amplitude(state, prob, cfg.grid)
-    phases.append(perf_counter())
-    defect = phi_m_defect(state, prob, cons).max_defect
-    phases.append(perf_counter())
+    orbit = measured_orbit(lambda: _first_orbit(cfg, prob), prob, cfg.grid)
     log.info("solved %s in %d iterations, err %.3e", prob.name,
-             result.iterations, err)
-    _write_json(out_dir / "solution.json", state_to_document(state))
+             orbit.newton_iters, orbit.err)
+    _write_json(out_dir / "solution.json", state_to_document(orbit.state))
     _write_json(out_dir / "result.json", {
         "format_version": FORMAT_VERSION,
         "problem": prob.name,
-        "p": state.params.tolist(),
-        "T": state.period,
-        "amplitude": amplitude,
-        "err": err,
-        "phi_defect": defect,
-        "iterations": result.iterations,
+        "p": orbit.state.params.tolist(),
+        "T": orbit.state.period,
+        "amplitude": orbit.amplitude,
+        "err": orbit.err,
+        "phi_defect": orbit.phi_defect,
+        "iterations": orbit.newton_iters,
     })
     print(f"wrote {out_dir / 'solution.json'}")
     return EXIT_OK, dict(zip(("newton_s", "residual_err_s", "phi_defect_s"),
-                             np.diff(phases)))
+                             orbit.seconds))
 
 
 def _point_path(out_dir: Path, index: int) -> Path:
@@ -370,6 +355,7 @@ def cmd_continue(cfg: RunConfig, out_dir: Path) -> Tuple[int, dict]:
         log.info("resuming after %d stored points at p=%.6g", done, p_cur)
     else:
         state = _first_orbit(cfg, prob)[0].state
+        _refuse_flat_start(state)
         previous = None
         p_cur = float(state.params[0])
         targets = [float(v) for v in np.linspace(p_cur, p_to, steps + 1)[1:]]

@@ -29,7 +29,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .analysis import DEFAULT_ERR_GRID, checked_amplitude, err_and_amplitude
+from .analysis import _COLLAPSE_FLOOR, DEFAULT_ERR_GRID, checked_amplitude, \
+    measured_orbit
 from .collocation import (
     DiscreteState,
     NewtonSettings,
@@ -47,7 +48,6 @@ from .errors import (
     StepFailureError,
     _checked_int,
 )
-from .oracle import phi_m_defect
 from .piecewise import Mesh, check_format_version, csv_writer, \
     sample_periodic
 from .problems import DdeProblem, HopfData, mackey_glass
@@ -89,10 +89,10 @@ def hopf_initial_guess(data: HopfData, amplitude: float, mesh: Mesh,
 
 @dataclass(frozen=True)
 class BranchPoint:
-    """One converged orbit along a branch.
+    """One converged orbit along a branch, built from the
+    ``analysis.measured_orbit`` of its solve.
 
-    Construction happens right after the Newton solve, so the stored
-    state meets the solver tolerance at storage time; ``err`` is the
+    The stored state meets the solver tolerance; ``err`` is the
     dense-grid equation residual, which also carries the interpolation
     error between collocation points.
     """
@@ -172,6 +172,14 @@ def _onset_guess(state: DiscreteState, onset: Optional[HopfData],
     return _admissible(state, flat) or state
 
 
+def _refuse_flat_start(start: DiscreteState) -> None:
+    """CollapseError for a flat start: the equilibrium, with no branch."""
+    if checked_amplitude(start) <= _COLLAPSE_FLOOR:
+        raise CollapseError(
+            f"start's free values range over {checked_amplitude(start):.3e}"
+            f", not above the flat-profile floor {_COLLAPSE_FLOOR:g}")
+
+
 def continue_branch(start: DiscreteState, prob: DdeProblem, p_from: float,
                     p_to: float, steps: int,
                     settings: Optional[NewtonSettings] = None, *,
@@ -198,12 +206,12 @@ def continue_branch(start: DiscreteState, prob: DdeProblem, p_from: float,
     passed the point before the one it starts from, give the same points
     bitwise.
 
-    A failing step (a Newton error, or a collapse by
-    ``checked_amplitude``: the range of the orbit's node values falls
-    below a tenth of that of the orbit the step starts from) is split in
-    half, up to ``MAX_STEP_BISECTIONS`` nested halvings, with the
-    midpoint orbits used as stepping stones only.  Returns one
-    BranchPoint per scheduled value, in order.
+    A failing step (a Newton error, or a collapse by ``checked_amplitude``:
+    the range of the orbit's node values falls below a tenth of that of
+    the orbit the step starts from) is split in half, up to
+    ``MAX_STEP_BISECTIONS`` nested halvings, with the midpoint orbits used
+    as stepping stones only.  Returns one BranchPoint per scheduled value,
+    in order.  A flat ``start`` raises CollapseError before any solve.
     """
     steps = _checked_int(steps, "steps", 1)
     grid_points = _checked_int(grid_points, "grid_points", 2)
@@ -246,22 +254,18 @@ def continue_branch(start: DiscreteState, prob: DdeProblem, p_from: float,
                       p_mid, depth + 1, mid.iterations)
             return advance(p_mid, mid.state, state, p_target, depth + 1)
 
+    _refuse_flat_start(start)
     state = start
     current_p = p_from
     for target in np.linspace(p_from, p_to, steps + 1)[1:]:
         target = float(target)
-        result, cons = advance(current_p, state, previous, target, 0)
-        state = result.state
-        err, amplitude = err_and_amplitude(state, prob, grid_points)
+        orbit = measured_orbit(
+            lambda: advance(current_p, state, previous, target, 0), prob,
+            grid_points)
+        state = orbit.state
         points.append(BranchPoint(
-            parameter=target,
-            state=state,
-            amplitude=amplitude,
-            period=state.period,
-            err=err,
-            newton_iters=result.iterations,
-            phi_defect=phi_m_defect(state, prob, cons).max_defect,
-        ))
+            target, state, orbit.amplitude, state.period, orbit.err,
+            orbit.newton_iters, orbit.phi_defect))
         previous = points[-2].state if len(points) > 1 else None
         current_p = target
     return points

@@ -17,8 +17,8 @@ from semdde.analysis import (
     bernstein_bound_fit,
     circle_map_analysis,
     convergence_study,
+    err_and_amplitude,
     orbit_lag_map,
-    residual_err,
 )
 from semdde.collocation import (
     NewtonSettings,
@@ -250,7 +250,7 @@ def test_quadrature_projection_and_wrap_identities():
 def test_warm_started_solves_agree_on_the_same_cell(warm_start_states):
     first, second = warm_start_states
     prob = mackey_glass()
-    err_first = residual_err(first, prob)
-    err_second = residual_err(second, prob)
+    err_first = err_and_amplitude(first, prob)[0]
+    err_second = err_and_amplitude(second, prob)[0]
     assert err_first < 1e-9 and err_second < 1e-9
     assert abs(err_first - err_second) < 1e-9

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import semdde
 from semdde.analysis import (
     BernsteinBound,
     CircleMapResult,
@@ -29,15 +30,15 @@ from semdde.analysis import (
     convergence_study,
     convergence_table_document,
     err_and_amplitude,
-    orbit_amplitude,
+    measured_orbit,
     orbit_lag_map,
-    residual_err,
     write_circle_map_csv,
     write_convergence_csv,
 )
 from semdde.collocation import (
     DiscreteState,
     NewtonSettings,
+    _equation_rows,
     default_constraints,
     newton_solve,
     resample_state,
@@ -46,6 +47,7 @@ from semdde.collocation import (
 from semdde.continuation import sd_quadratic_seed
 from semdde.errors import AnalyticityViolationError, CollapseError, \
     InvalidArgumentError
+from semdde.oracle import phi_m_defect
 from semdde.piecewise import Mesh, _wrap_time, sample_periodic
 from semdde.problems import DdeProblem, RescaledRhs, mackey_glass, \
     sd_quadratic
@@ -92,18 +94,19 @@ def _residual_case(case):
 class TestResidualErr:
     def test_equilibrium_residual_vanishes(self):
         state = _equilibrium_state()
-        assert residual_err(state, mackey_glass()) <= 1e-13
+        assert err_and_amplitude(state, mackey_glass())[0] <= 1e-13
 
     def test_rejects_tiny_grid(self):
         with pytest.raises(InvalidArgumentError):
-            residual_err(_equilibrium_state(), mackey_glass(), grid_points=1)
+            err_and_amplitude(_equilibrium_state(), mackey_glass(),
+                              grid_points=1)
 
     def test_nonsolution_has_large_residual(self):
         mesh = Mesh.uniform(4)
         poly = sample_periodic(lambda t: 1.0 + 0.5 * np.sin(2 * np.pi * t),
                                mesh, 6)
         state = DiscreteState(poly, np.array([1.0, 0.8]))
-        assert residual_err(state, mackey_glass()) > 0.1
+        assert err_and_amplitude(state, mackey_glass())[0] > 0.1
 
     @pytest.mark.parametrize("case", ["mackey_glass", "sd_quadratic",
                                       "lagged_pair"])
@@ -124,19 +127,18 @@ class TestResidualErr:
             deriv, rhs_values = poly.eval_deriv(grid), rhs(poly, grid,
                                                            state.mu)
         two_pass = np.max(np.abs(deriv - rhs_values)) / state.period
-        assert residual_err(state, prob, grid_points) == two_pass
+        assert err_and_amplitude(state, prob, grid_points)[0] == two_pass
 
     def test_amplitude_of_sine_profile(self):
         mesh = Mesh.uniform(4)
         poly = sample_periodic(lambda t: 1.0 + 0.3 * np.sin(2 * np.pi * t),
                                mesh, 12)
         state = DiscreteState(poly, np.array([1.0, 0.8]))
-        assert orbit_amplitude(state) == pytest.approx(0.6, abs=1e-8)
+        assert err_and_amplitude(state, mackey_glass())[1] == pytest.approx(
+            0.6, abs=1e-8)
 
     @pytest.mark.parametrize("grid_points", [0, 1])
     def test_amplitude_rejects_tiny_grid(self, grid_points):
-        with pytest.raises(InvalidArgumentError):
-            orbit_amplitude(_equilibrium_state(), grid_points)
         with pytest.raises(InvalidArgumentError):
             err_and_amplitude(_equilibrium_state(), mackey_glass(),
                               grid_points)
@@ -151,10 +153,45 @@ class TestResidualErr:
     @pytest.mark.parametrize("grid_points", [2, 2001, 10001])
     def test_shared_pass_equals_the_two_diagnostics_bitwise(
             self, case, grid_points):
+        """The residual from the equation rows and the range of the
+        grid's values, each asked for first, so the shared pass reads
+        the grid on a later request of the store."""
         prob, state = _residual_case(case)
+        rows, _ = _equation_rows(state, prob, grid_points)
+        values = state.poly._on(grid_points)[1]
         assert err_and_amplitude(state, prob, grid_points) == (
-            residual_err(state, prob, grid_points),
-            orbit_amplitude(state, grid_points))
+            float(np.max(np.abs(rows)) / state.period),
+            float(np.max(values) - np.min(values)))
+
+
+class TestMeasuredOrbit:
+    def test_reports_what_the_solve_found(self):
+        prob = mackey_glass()
+        end = state_from_document(json.loads(MG_BRANCH_END.read_text()))
+        cons = default_constraints(prob, end.params)
+        result = newton_solve(end, prob, cons)
+        orbit = measured_orbit(lambda: (result, cons), prob, 2001)
+        assert orbit.state is result.state
+        assert orbit.newton_iters == result.iterations
+        assert (orbit.err, orbit.amplitude) == err_and_amplitude(
+            result.state, prob, 2001)
+        assert orbit.phi_defect == phi_m_defect(result.state, prob,
+                                                cons).max_defect
+        assert len(orbit.seconds) == 3
+        assert all(isinstance(t, float) and t >= 0.0 for t in orbit.seconds)
+
+    def test_a_failed_solve_is_not_measured(self, monkeypatch):
+        measured = []
+        monkeypatch.setattr(
+            "semdde.analysis.err_and_amplitude",
+            lambda *args: measured.append(args))
+
+        def collapse():
+            raise CollapseError("converged to the trivial solution")
+
+        with pytest.raises(CollapseError):
+            measured_orbit(collapse, mackey_glass())
+        assert measured == []
 
 
 class TestCheckedAmplitude:
@@ -664,3 +701,12 @@ class TestCircleMapAgainstTheScalarScan:
     def test_infinite_lag_is_rejected(self):
         with pytest.raises(InvalidArgumentError, match="finite"):
             circle_map_analysis(lambda t: np.full_like(t, np.inf), 2, 1000)
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in semdde.__all__
+               if not hasattr(semdde, name)]
+    assert missing == []
+    assert "err_and_amplitude" in semdde.__all__
+    assert "residual_err" not in semdde.__all__
+    assert "orbit_amplitude" not in semdde.__all__

@@ -21,8 +21,7 @@ import numpy as np
 import pytest
 
 import semdde
-from semdde.analysis import err_and_amplitude, orbit_amplitude, \
-    residual_err
+from semdde.analysis import err_and_amplitude
 from semdde.analysis import convergence_study
 from semdde.cli import RunConfig, _initial_state, main, run
 from semdde.collocation import DiscreteState, default_constraints, \
@@ -195,9 +194,9 @@ class TestSolve:
         assert result["err"] < 1e-6
         assert result["phi_defect"] < 1e-8
         assert result["amplitude"] > 0.01
-        # one dense pass gives both, bitwise equal to the two diagnostics
-        assert result["err"] == residual_err(state, mackey_glass(), 10001)
-        assert result["amplitude"] == orbit_amplitude(state, 10001)
+        # one dense pass gives both, bitwise
+        assert (result["err"], result["amplitude"]) == err_and_amplitude(
+            state, mackey_glass(), 10001)
         meta = json.loads((mg_solution / "metadata.json").read_text())
         assert meta["command"] == "solve" and meta["wall_time"] > 0.0
         phases = [meta[key] for key in
@@ -346,6 +345,21 @@ class TestSolve:
         error = read_error(capsys)
         assert error["type"] == "CollapseError"
         assert "2.000e-02" in error["message"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+    def test_continue_from_a_flat_first_orbit_exits_2(self, tmp_path,
+                                                      capsys):
+        # a hopf guess of amplitude 0 is the equilibrium, which solves
+        # without a collapse; continue refuses it before schedule.json
+        path = write_config(tmp_path / "c.json", {
+            "problem": "sd_quadratic", "mesh": 12, "degree": 5,
+            "guess": {"kind": "hopf", "amplitude": 0.0},
+            "p_to": 1.4, "steps": 2, "out_dir": str(tmp_path),
+        })
+        assert main(["continue", "--config", path]) == 2
+        error = read_error(capsys)
+        assert error["type"] == "CollapseError"
+        assert "flat-profile floor 1e-08" in error["message"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
     def test_orbit_that_grows_from_its_guess_is_kept(self, mg_solution):

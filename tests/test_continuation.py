@@ -30,11 +30,13 @@ from semdde.continuation import (
     write_branch_csv,
 )
 from semdde.errors import (
+    CollapseError,
     FormatVersionError,
     InvalidArgumentError,
     NoHopfError,
     StepFailureError,
 )
+from semdde.oracle import phi_m_defect
 from semdde.piecewise import Mesh, PeriodicPiecewisePoly, sample_periodic
 from semdde.problems import mackey_glass, scalar_hopf_point, sd_quadratic
 
@@ -195,6 +197,23 @@ class TestContinueBranch:
             continue_branch(start, prob, p0, 0.5, 1, grid_points=grid_points)
         assert solves == []
 
+    def test_a_flat_start_is_refused_before_the_first_solve(
+            self, monkeypatch):
+        """The Mackey-Glass equilibrium y = 1 solves every step, so the
+        collapse rule, which measures a step against its start, would
+        let a flat branch through."""
+        solves = []
+        monkeypatch.setattr("semdde.continuation.newton_solve",
+                            lambda *args, **kwargs: solves.append(args))
+        flat = DiscreteState(
+            sample_periodic(lambda t: np.ones_like(t), Mesh.uniform(4), 5),
+            np.array([1.6, 0.8]))
+        with pytest.raises(CollapseError,
+                           match=r"range over 0\.000e\+00, not above the "
+                                 r"flat-profile floor 1e-08$"):
+            continue_branch(flat, mackey_glass(), 0.8, 1.0, 3)
+        assert solves == []
+
     def test_a_numpy_integer_step_count_is_accepted(self, short_branch):
         prob, _, _, points = short_branch
         last = points[-1]
@@ -310,8 +329,16 @@ class TestContinueBranch:
         prob, start, p0, _ = short_branch
         prob = dataclasses.replace(prob, onset=None)
         first = p0 + (0.6 - p0) / 5
+        defects = []
+
+        def counted(*args, **kwargs):
+            defects.append(args)
+            return phi_m_defect(*args, **kwargs)
+
+        monkeypatch.setattr("semdde.analysis.phi_m_defect", counted)
         with caplog.at_level(logging.DEBUG, logger="semdde.continuation"):
             continue_branch(start, prob, p0, first, 1)
+        assert len(defects) == 1  # the branch point's; stones go unmeasured
         messages = [r.getMessage() for r in caplog.records
                     if r.name == "semdde.continuation"]
         failed = [m for m in messages if "failed" in m]

@@ -21,7 +21,6 @@ from semdde.analysis import (
     DEFAULT_ERR_GRID,
     convergence_study,
     err_and_amplitude,
-    orbit_amplitude,
 )
 from semdde.collocation import (
     DiscreteState,
@@ -75,12 +74,13 @@ CASES = {
 
 def _outputs(prob, state, cons):
     defect = phi_m_defect(state, prob, cons)
-    return [assemble_residual(state, prob, cons),
-            assemble_jacobian(state, prob, cons),
-            np.array(err_and_amplitude(state, prob)),
-            np.array([orbit_amplitude(state), orbit_amplitude(state, 2001)]),
-            np.array([defect.sup_defect_v, defect.defect_v0,
-                      defect.defect_mu])]
+    solver = [assemble_residual(state, prob, cons),
+              assemble_jacobian(state, prob, cons)]
+    dense = err_and_amplitude(state, prob)
+    return solver + [
+        np.array(dense),
+        np.array([dense[1], err_and_amplitude(state, prob, 2001)[1]]),
+        np.array([defect.sup_defect_v, defect.defect_v0, defect.defect_mu])]
 
 
 def _same_bits(got, want):
