@@ -45,6 +45,7 @@ from .collocation import (
 )
 from .continuation import (
     DEFAULT_HOPF_OFFSET,
+    _PREDICTOR_ORBITS,
     _refuse_flat_start,
     append_branch_row,
     continue_branch,
@@ -348,15 +349,15 @@ def cmd_continue(cfg: RunConfig, out_dir: Path) -> Tuple[int, dict]:
                 f"branch.csv holds p={stored}, which is not the start of "
                 f"the schedule's targets {targets}")
         done = len(stored)
-        state = _load_state(str(_point_path(out_dir, done - 1)))
-        previous = (_load_state(str(_point_path(out_dir, done - 2)))
-                    if done > 1 else None)
+        *previous, state = [
+            _load_state(str(_point_path(out_dir, i)))
+            for i in range(max(done - _PREDICTOR_ORBITS, 0), done)]
         p_cur = targets[done - 1]
         log.info("resuming after %d stored points at p=%.6g", done, p_cur)
     else:
         state = _first_orbit(cfg, prob)[0].state
         _refuse_flat_start(state)
-        previous = None
+        previous = []
         p_cur = float(state.params[0])
         targets = [float(v) for v in np.linspace(p_cur, p_to, steps + 1)[1:]]
         done = 0
@@ -369,9 +370,9 @@ def cmd_continue(cfg: RunConfig, out_dir: Path) -> Tuple[int, dict]:
     # One scheduled target per call, and each row flushed right after its
     # point file, so an interrupted run leaves a branch.csv whose rows
     # are exactly the completed points; resume continues from there.
-    # Each call is passed the stored point before the one it starts from,
-    # the predecessor continue_branch's predictor uses over a schedule, so
-    # the points equal one continue_branch call's.
+    # Each call is passed the stored points before the one it starts
+    # from, the history continue_branch's predictor uses over a schedule,
+    # so the points equal one continue_branch call's.
     first_new = done
     failure = None
     with open(csv_path, "a") as handle:
@@ -388,7 +389,8 @@ def cmd_continue(cfg: RunConfig, out_dir: Path) -> Tuple[int, dict]:
             append_branch_row(point, handle)
             handle.flush()
             done += 1
-            previous = state if done > 1 else None
+            if done > 1:
+                previous = (previous + [state])[1 - _PREDICTOR_ORBITS:]
             state, p_cur = point.state, target
             log.info("branch point p=%.6g T=%.6g amplitude=%.3e",
                      point.parameter, point.period, point.amplitude)

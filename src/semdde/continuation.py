@@ -5,16 +5,18 @@ equilibrium starts to oscillate (``problems.HopfData``, located for a
 scalar linearization by ``problems.scalar_hopf_point``).  The onset
 seeds a small sinusoidal orbit guess.  Branches are then continued in
 the delay by natural-parameter stepping.  Each step's Newton solve
-starts from a secant prediction, the last two orbits extrapolated
-linearly in the delay.  Where no valid secant exists, as on the first
-step from a Hopf guess, it starts from the Hopf normal form of the
-declared onset: the orbit's deviation from the equilibrium grows like
-the square root of the distance to the onset delay, and the period
-moves linearly in it.  Without an onset it starts from the previous
-orbit.  A step whose solve fails is bisected, and so is one that
-collapses onto the equilibrium by ``analysis.checked_amplitude``, the
-rule every solve in the package keeps.  Failed steps and stepping
-stones are logged at debug level under ``semdde.continuation``.
+starts from one predictor: the Lagrange extrapolation of the last
+``_PREDICTOR_ORBITS`` orbits of the branch.  Near the onset p_h an
+orbit's deviation from the equilibrium grows like sqrt(|p - p_h|) and
+its period moves linearly in p (the Hopf normal form), so on one side
+of a declared onset the free values are extrapolated in
+s = sqrt(|p - p_h|), where the branch is analytic, and the period in
+p; elsewhere both go in p.  A single orbit takes the onset as its
+second node, or is its own prediction without one.  A step whose
+solve fails is bisected, and so is one that collapses onto the
+equilibrium by ``analysis.checked_amplitude``, the rule every solve in
+the package keeps.  Failed steps and stepping stones are logged at
+debug level under ``semdde.continuation``.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ log = logging.getLogger("semdde.continuation")
 
 DEFAULT_HOPF_OFFSET = 1e-3
 MAX_STEP_BISECTIONS = 6
+_PREDICTOR_ORBITS = 6
 
 def mackey_glass_hopf() -> HopfData:
     """Oscillation onset of the Mackey-Glass equation at its equilibrium,
@@ -116,60 +119,86 @@ class BranchPoint:
                 f"period must be positive, got {self.period}")
 
 
-def _secant_guess(state: DiscreteState, previous: Optional[DiscreteState],
-                  p_target: float) -> Optional[DiscreteState]:
-    """Linear extrapolation in p[0] of the free values and the period
-    through ``previous`` and ``state``, at the p[0] stored in each mu.
+def _extrapolated(nodes: Sequence[float], values: Sequence[np.ndarray],
+                  x: float) -> Optional[np.ndarray]:
+    """Value at x of the polynomial through (nodes[i], values[i]), or
+    None when two nodes coincide.
 
-    Returns None when there is no predecessor, when the two stored p[0]
-    are equal, or when ``DiscreteState`` rejects the prediction (a
-    non-finite entry or a period <= 0).  Other parameters are kept from
-    ``state``; the caller sets p[0] to the target.
+    Written from the last node: values[-1] plus each other value's
+    difference from it times that node's Lagrange weight, so two nodes
+    give the secant values[-1] + r (values[-1] - values[0]) bitwise.
     """
-    if previous is None:
+    last = len(nodes) - 1
+    out = values[last].copy()
+    for i in range(last):
+        weight = 1.0
+        for j, node in enumerate(nodes):
+            if j != i:
+                if node == nodes[i]:
+                    return None
+                weight *= (x - node) / (nodes[i] - node)
+        out += weight * (values[i] - values[last])
+    return out
+
+
+def _predicted(orbits: Sequence[DiscreteState], onset: Optional[HopfData],
+               p_target: float) -> Optional[DiscreteState]:
+    """The extrapolation through all of ``orbits`` at p_target, or None
+    where there is none or ``DiscreteState`` rejects it."""
+    state = orbits[-1]
+    free = [orbit.poly.free_values.ravel() for orbit in orbits]
+    period = [orbit.mu[:1] for orbit in orbits]
+    p_nodes = [float(orbit.params[0]) for orbit in orbits]
+    nodes, x = p_nodes, p_target  # of the free values
+    offsets = ([p - onset.tau_hopf for p in p_nodes + [p_target]]
+               if onset is not None else [])
+    if offsets and (all(d > 0.0 for d in offsets)
+                    or all(d < 0.0 for d in offsets)):
+        *nodes, x = [math.sqrt(abs(d)) for d in offsets]
+        if len(orbits) == 1:  # the onset is the second node
+            nodes = [0.0] + nodes
+            free = [np.broadcast_to(onset.equilibrium,
+                                    state.poly.free_values.shape).ravel()
+                    ] + free
+            p_nodes = [onset.tau_hopf] + p_nodes
+            period = [np.array([onset.period])] + period
+    elif len(orbits) == 1:
         return None
-    p_prev = float(previous.params[0])
-    p_cur = float(state.params[0])
-    if p_prev == p_cur:
-        return None
-    ratio = (p_target - p_cur) / (p_cur - p_prev)
-    cur = state.flatten()
-    n_keep = state.poly.free_values.size + 1  # free values and the period
     with np.errstate(over="ignore", invalid="ignore"):
-        cur[:n_keep] += ratio * (cur[:n_keep] - previous.flatten()[:n_keep])
-    return _admissible(state, cur)
+        free = _extrapolated(nodes, free, x)
+        period = _extrapolated(p_nodes, period, p_target)
+    if free is None or period is None:
+        return None
+    return _admissible(state, np.concatenate([free, period,
+                                              state.mu[1:]]))
 
 
-def _onset_guess(state: DiscreteState, onset: Optional[HopfData],
-                 p_target: float) -> DiscreteState:
-    """Hopf normal-form prediction from ``state`` alone.
+def _predict(orbits: Sequence[DiscreteState], onset: Optional[HopfData],
+             p_target: float) -> DiscreteState:
+    """The Newton guess at p_target from the last orbits of a branch,
+    oldest first: the last ``_PREDICTOR_ORBITS`` of them extrapolated by
+    their Lagrange polynomial, at the p[0] stored in each mu.
 
-    Near the onset p_h the orbit's deviation from the equilibrium grows
-    like sqrt(|p - p_h|) and its period moves linearly in p.  With
-    r = (p_target - p_h) / (p - p_h), at the p[0] stored in ``state``,
-    the free values become y_h + sqrt(r) (y - y_h) and the period
-    T_h + r (T - T_h).  Returns ``state`` itself when there is no onset,
-    when r is not finite and positive (the target lies on the other side
-    of the onset, or ``state`` sits on it), or when ``DiscreteState``
-    rejects the prediction.  The caller sets p[0] to the target.
+    When ``onset`` is given and every orbit and p_target lie strictly on
+    one side of its delay p_h, the free values are extrapolated in the
+    Hopf normal form's variable s = sqrt(|p - p_h|), in which the branch
+    is analytic, and the period in p.  A single orbit then takes the
+    onset's equilibrium and period as its second node: the orbit's
+    deviation from the equilibrium scales with sqrt(r) and its period's
+    distance from the onset period with r, r = (p_target - p_h) /
+    (p - p_h).  Otherwise both are extrapolated in p, so two orbits give
+    the linear secant, and one gives itself.  A prediction with
+    coinciding nodes, a non-finite entry or a period <= 0 is retried
+    without its oldest orbit; the last orbit itself is the guess of last
+    resort.  Other parameters are kept from the last orbit; the caller
+    sets p[0] to the target.
     """
-    if onset is None:
-        return state
-    p_hopf = onset.tau_hopf
-    p_cur = float(state.params[0])
-    if p_cur == p_hopf:
-        return state
-    ratio = (p_target - p_hopf) / (p_cur - p_hopf)
-    if not (math.isfinite(ratio) and ratio > 0.0):
-        return state
-    flat = state.flatten()
-    n_free = state.poly.free_values.size
-    eq = onset.equilibrium
-    with np.errstate(over="ignore", invalid="ignore"):
-        flat[:n_free] = (eq + math.sqrt(ratio)
-                         * (state.poly.free_values - eq)).ravel()
-    flat[n_free] = onset.period + ratio * (state.period - onset.period)
-    return _admissible(state, flat) or state
+    orbits = orbits[-_PREDICTOR_ORBITS:]
+    for first in range(len(orbits)):
+        guess = _predicted(orbits[first:], onset, p_target)
+        if guess is not None:
+            return guess
+    return orbits[-1]
 
 
 def _refuse_flat_start(start: DiscreteState) -> None:
@@ -184,27 +213,27 @@ def continue_branch(start: DiscreteState, prob: DdeProblem, p_from: float,
                     p_to: float, steps: int,
                     settings: Optional[NewtonSettings] = None, *,
                     grid_points: int = DEFAULT_ERR_GRID,
-                    previous: Optional[DiscreteState] = None,
+                    previous: Sequence[DiscreteState] = (),
                     ) -> List[BranchPoint]:
     """Continue p[0] from p_from to p_to in equal natural-parameter steps.
 
-    Each solve starts from a secant prediction: the free values and the
-    period of the orbit it steps from, extrapolated linearly in p[0]
-    through that orbit's predecessor, at the p[0] stored in each state.
-    A branch point's predecessor is the branch point before it (the
-    first has none), a stepping stone's is the orbit it was solved from,
-    and ``start``'s is ``previous``.  Where there is no usable
-    predecessor (none, one at the same p[0], or a prediction that is
-    non-finite or has a period <= 0), the solve starts from the onset
-    prediction of the problem's declared ``onset``: the orbit's
-    deviation from the equilibrium scaled by sqrt(r) and its period's
-    distance from the onset period by r, for
-    r = (p_target - p_h) / (p - p_h).  It starts from the orbit it steps
-    from unchanged when the problem declares no onset, when r is not
-    finite and positive, or when that prediction is not a valid state
-    either.  So one call over a schedule and one call per target, each
-    passed the point before the one it starts from, give the same points
-    bitwise.
+    Each solve starts from the prediction of the orbit it steps from and
+    that orbit's history, at most ``_PREDICTOR_ORBITS`` orbits in all,
+    extrapolated at the p[0] stored in each state: in the Hopf normal
+    form's variable sqrt(|p - p_h|) for the free values and in p for the
+    period when the problem declares an onset p_h that no orbit nor the
+    target crosses or touches, otherwise both in p.  An orbit with no
+    history starts from the onset prediction (its deviation from the
+    equilibrium scaled by sqrt(r) and its period's distance from the
+    onset period by r, r = (p_target - p_h) / (p - p_h)), or from
+    itself without a usable onset.  A prediction that is not a valid
+    state, or has two orbits at one p[0], is tried again without its
+    oldest orbit.  A branch point's history is the branch points before
+    it (the first has none), a stepping stone's is the history of the
+    orbit it was solved from followed by that orbit, and ``start``'s is
+    ``previous``, oldest first.  So one call over a schedule and one
+    call per target, each passed the points before the one it starts
+    from, give the same points bitwise.
 
     A failing step (a Newton error, or a collapse by ``checked_amplitude``:
     the range of the orbit's node values falls below a tenth of that of
@@ -217,27 +246,27 @@ def continue_branch(start: DiscreteState, prob: DdeProblem, p_from: float,
     grid_points = _checked_int(grid_points, "grid_points", 2)
     if not (math.isfinite(p_from) and math.isfinite(p_to)):
         raise InvalidArgumentError("parameter range must be finite")
-    if previous is not None and (
-            previous.poly.free_values.shape != start.poly.free_values.shape
-            or previous.mu.shape != start.mu.shape):
+    history = tuple(previous)
+    if any(orbit.poly.free_values.shape != start.poly.free_values.shape
+           or orbit.mu.shape != start.mu.shape for orbit in history):
         raise InvalidArgumentError(
-            "previous must have the layout of start's free values and mu")
+            "each previous orbit must have the layout of start's free "
+            "values and mu")
     if settings is None:
         settings = NewtonSettings()
     points: List[BranchPoint] = []
 
-    def solve_at(p_value, state, predecessor):
-        guess = (_secant_guess(state, predecessor, p_value)
-                 or _onset_guess(state, prob.onset, p_value))
+    def solve_at(p_value, state, history):
+        guess = _predict(history + (state,), prob.onset, p_value)
         trial = with_parameter(guess, 0, p_value)
         cons = default_constraints(prob, trial.params)
         result = newton_solve(trial, prob, cons, settings)
         checked_amplitude(result.state, checked_amplitude(state))
         return result, cons
 
-    def advance(p_cur, state, predecessor, p_target, depth):
+    def advance(p_cur, state, history, p_target, depth):
         try:
-            return solve_at(p_target, state, predecessor)
+            return solve_at(p_target, state, history)
         except NewtonError as exc:
             log.debug("step p=%.6g -> %.6g failed at depth %d: %s",
                       p_cur, p_target, depth,
@@ -249,10 +278,11 @@ def continue_branch(start: DiscreteState, prob: DdeProblem, p_from: float,
                     f"after {MAX_STEP_BISECTIONS} bisections: {exc}",
                     points=list(points)) from exc
             p_mid = 0.5 * (p_cur + p_target)
-            mid, _ = advance(p_cur, state, predecessor, p_mid, depth + 1)
+            mid, _ = advance(p_cur, state, history, p_mid, depth + 1)
             log.debug("stepping stone at p=%.6g (depth %d) in %d iterations",
                       p_mid, depth + 1, mid.iterations)
-            return advance(p_mid, mid.state, state, p_target, depth + 1)
+            return advance(p_mid, mid.state, history + (state,), p_target,
+                           depth + 1)
 
     _refuse_flat_start(start)
     state = start
@@ -260,13 +290,14 @@ def continue_branch(start: DiscreteState, prob: DdeProblem, p_from: float,
     for target in np.linspace(p_from, p_to, steps + 1)[1:]:
         target = float(target)
         orbit = measured_orbit(
-            lambda: advance(current_p, state, previous, target, 0), prob,
+            lambda: advance(current_p, state, history, target, 0), prob,
             grid_points)
         state = orbit.state
         points.append(BranchPoint(
             target, state, orbit.amplitude, state.period, orbit.err,
             orbit.newton_iters, orbit.phi_defect))
-        previous = points[-2].state if len(points) > 1 else None
+        history = tuple(point.state for point in
+                        points[-_PREDICTOR_ORBITS:-1])
         current_p = target
     return points
 

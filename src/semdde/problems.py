@@ -81,9 +81,11 @@ class DdeProblem:
     theta <= 0 (unscaled time units); the periodic evaluator answers any
     such lag, so no window is declared.  ``onset``, where declared, is
     the Hopf point at which the equilibrium starts oscillating as p[0]
-    passes ``onset.tau_hopf``; the ``hopf`` guess starts there, and a
-    continuation step without a usable predecessor predicts its orbit
-    from it; its equilibrium is bitwise a declared ``equilibrium``.
+    passes ``onset.tau_hopf``; the ``hopf`` guess starts there, and the
+    continuation predictor extrapolates in sqrt(|p[0] - tau_hopf|)
+    where a step's orbits and target lie on one side of it, taking it
+    as the second node of a single orbit;
+    its equilibrium is bitwise a declared ``equilibrium``.
     ``lag``, where declared, is the delay law of a single delayed query:
     ``lag(y, p)`` maps state values of shape (..., dim) and the
     parameters to the unscaled delay, shape (...), element by element.

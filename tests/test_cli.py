@@ -72,12 +72,13 @@ def mg_solution(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def mg_branch(tmp_path_factory):
-    """A four-point branch used by the resume tests."""
+    """An eight-point branch used by the resume tests: it reaches the
+    predictor's full history of six orbits."""
     out = tmp_path_factory.mktemp("mg_branch")
     doc = {
         "problem": "mackey_glass", "mesh": 11, "degree": 4,
         "guess": {"kind": "hopf", "amplitude": 0.01},
-        "p_to": 0.55, "steps": 4, "out_dir": str(out),
+        "p_to": 0.55, "steps": 8, "out_dir": str(out),
     }
     cfg = out / "config.json"
     cfg.write_text(json.dumps(doc))
@@ -506,13 +507,13 @@ class TestContinue:
         lines = (out / "branch.csv").read_text().splitlines()
         assert lines[0] == "# format_version=1"
         assert lines[1].startswith("p,T,amplitude")
-        assert len(lines) == 6
+        assert len(lines) == 10
         amplitudes = [float(line.split(",")[2]) for line in lines[2:]]
         assert all(a < b for a, b in zip(amplitudes, amplitudes[1:]))
-        for i in range(4):
+        for i in range(8):
             assert (out / f"point_{i:04d}.json").exists()
         sched = json.loads((out / "schedule.json").read_text())
-        assert len(sched["targets"]) == 4
+        assert len(sched["targets"]) == 8
         assert sched["targets"][-1] == 0.55
 
     def test_points_equal_one_continue_branch_call_bitwise(self, mg_branch):
@@ -535,11 +536,12 @@ class TestContinue:
         write_branch_csv(points, csv_text)
         assert (out / "branch.csv").read_text() == csv_text.getvalue()
 
-    @pytest.mark.parametrize("cut", [1, 2, 3])
+    @pytest.mark.parametrize("cut", range(1, 8))
     def test_resume_reproduces_the_full_run_bitwise(self, mg_branch,
                                                     tmp_path, cut):
-        """Cut 1 resumes without a predecessor, cuts 2 and 3 with the
-        secant prediction through the last two stored points."""
+        """Cut 1 resumes with no history and cuts 2 to 6 with every
+        stored point before the last; cut 7 is the first to leave its
+        oldest point out of the predictor's six orbits."""
         out, doc = mg_branch
         partial = tmp_path / "partial"
         partial.mkdir()
@@ -554,7 +556,7 @@ class TestContinue:
         assert main(["continue", "--config", path]) == 0
         assert (partial / "branch.csv").read_bytes() == \
             (out / "branch.csv").read_bytes()
-        for i in range(4):
+        for i in range(8):
             name = f"point_{i:04d}.json"
             assert (partial / name).read_bytes() == (out / name).read_bytes()
 
@@ -582,7 +584,7 @@ class TestContinue:
         assert main(["continue", "--config", path]) == 0
         assert (run / "branch.csv").read_bytes() == \
             (out / "branch.csv").read_bytes()
-        for i in range(4):
+        for i in range(8):
             name = f"point_{i:04d}.json"
             assert (run / name).read_bytes() == (out / name).read_bytes()
 
@@ -1311,7 +1313,7 @@ class TestTruncatedStateFile:
             out, branch_doc = mg_branch
             partial = tmp_path / "partial"
             shutil.copytree(out, partial)
-            # resume loads the last stored point and its predecessor
+            # resume loads the last stored point and those before it
             last = -1 if source == "resume_point" else -2
             truncate(sorted(partial.glob("point_*.json"))[last])
             command, doc = "continue", dict(branch_doc, resume=True,

@@ -21,7 +21,8 @@ from semdde.collocation import DiscreteState, default_constraints, \
 from semdde.continuation import (
     BranchPoint,
     HopfData,
-    _onset_guess,
+    _PREDICTOR_ORBITS,
+    _predict,
     continue_branch,
     hopf_initial_guess,
     mackey_glass_hopf,
@@ -247,8 +248,9 @@ class TestContinueBranch:
         assert all(p.phi_defect <= 1e-8 for p in points)
 
     def test_reconverge_in_place(self, short_branch):
-        """A zero step: the third solve has a predecessor at the same p,
-        so it keeps the previous orbit instead of dividing by zero."""
+        """A zero step: the later solves have a history at the same p,
+        whose coinciding nodes are dropped, so each keeps the previous
+        orbit instead of dividing by zero."""
         prob, _, _, points = short_branch
         last = points[-1]
         with warnings.catch_warnings():
@@ -264,8 +266,7 @@ class TestContinueBranch:
 
     def test_predicted_points_match_the_previous_orbit_solves(
             self, short_branch, monkeypatch):
-        """The secant guess against the guess it replaced, the orbit the
-        step starts from: the same orbits within the solver tolerance, in
+        """The predicted guess against the orbit the step starts from: the same orbits within the solver tolerance, in
         no more Newton iterations."""
         prob, start, p0, _ = short_branch
         iterations = []
@@ -279,8 +280,8 @@ class TestContinueBranch:
         predicted = continue_branch(start, prob, p0, 0.6, 5)
         predicted_iters = sum(iterations)
         iterations.clear()
-        monkeypatch.setattr("semdde.continuation._secant_guess",
-                            lambda state, previous, p_target: state)
+        monkeypatch.setattr("semdde.continuation._predict",
+                            lambda orbits, onset, p_target: orbits[-1])
         reference = continue_branch(start, prob, p0, 0.6, 5)
         for point, ref in zip(predicted, reference):
             assert np.max(np.abs(point.state.poly.free_values
@@ -291,11 +292,10 @@ class TestContinueBranch:
     @pytest.mark.parametrize("bad", ["period_below_zero", "non_finite"])
     def test_invalid_prediction_keeps_the_previous_orbit(self, short_branch,
                                                          bad):
-        """The first step's secant through ``previous`` and ``start``
-        would have T <= 0 or a NaN; it falls back to the guess a step
-        without a predecessor takes, the onset prediction from
-        ``start``, so the branch is the one without a predecessor,
-        bitwise."""
+        """The first step's extrapolation through ``previous`` and
+        ``start`` would have T <= 0 or a NaN; it is retried without its
+        oldest orbit, down to the onset prediction from ``start``, so the
+        branch is the one without a history, bitwise."""
         prob, start, p0, points = short_branch
         mu = start.mu.copy()
         poly = start.poly
@@ -308,18 +308,49 @@ class TestContinueBranch:
             poly = PeriodicPiecewisePoly(poly.mesh, poly.degree,
                                          1e300 * poly.free_values)
         previous = DiscreteState(poly, mu)
-        got = continue_branch(start, prob, p0, 0.6, 5, previous=previous)
+        got = continue_branch(start, prob, p0, 0.6, 5, previous=(previous,))
         assert [(p.state.flatten().tobytes(), p.err, p.amplitude,
                  p.newton_iters) for p in got] == \
             [(p.state.flatten().tobytes(), p.err, p.amplitude,
               p.newton_iters) for p in points]
 
-    def test_previous_of_another_layout_is_rejected(self, short_branch):
-        prob, start, p0, points = short_branch
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_previous_of_another_layout_is_rejected(self, short_branch,
+                                                    where):
+        prob, _, _, points = short_branch
         other = hopf_initial_guess(mackey_glass_hopf(), 0.01,
                                    Mesh.uniform(5), 4)
+        previous = [point.state for point in points[:3]]
+        previous[where] = other
         with pytest.raises(InvalidArgumentError):
-            continue_branch(start, prob, p0, 0.6, 5, previous=other)
+            continue_branch(points[3].state, prob, points[3].parameter,
+                            0.6, 1, previous=tuple(previous))
+
+    def test_history_is_the_points_before_the_start(self, short_branch):
+        """One call per target, each passed the points before the one it
+        starts from, gives the points of one call over the schedule."""
+        prob, start, p0, points = short_branch
+        state, p_cur = start, p0
+        for i, point in enumerate(points):
+            (got,) = continue_branch(
+                state, prob, p_cur, point.parameter, 1,
+                previous=tuple(p.state for p in points[:max(i - 1, 0)][-5:]))
+            assert got.state.flatten().tobytes() == \
+                point.state.flatten().tobytes()
+            state, p_cur = got.state, point.parameter
+
+    def test_acceptance_branch_newton_iterations(self):
+        """The predictor puts most steps of the acceptance branch within
+        one Newton iteration of their orbit: at most 35 iterations over
+        the 20 points (52 with the linear secant in p)."""
+        prob = mackey_glass()
+        guess = hopf_initial_guess(mackey_glass_hopf(), 0.01,
+                                   Mesh.uniform(11), 8)
+        start = newton_solve(guess, prob,
+                             default_constraints(prob, guess.params)).state
+        points = continue_branch(start, prob, float(start.params[0]), 1.0,
+                                 20)
+        assert sum(point.newton_iters for point in points) <= 35
 
     def test_failed_steps_and_stepping_stones_are_logged(self, short_branch,
                                                          caplog, monkeypatch):
@@ -404,10 +435,13 @@ class TestContinueBranch:
         assert got[0].parameter == pytest.approx(0.5, abs=1e-12)
 
 
-class TestOnsetGuess:
-    """The Hopf normal-form guess of a step with no usable predecessor:
-    deviation from the equilibrium times sqrt(r), period's distance from
-    the onset period times r, r = (p_target - p_h) / (p - p_h)."""
+class TestPredict:
+    """The one predictor: the last orbits' Lagrange extrapolation, the
+    free values in s = sqrt(|p - p_h|) and the period in p on one side
+    of a declared onset, both in p otherwise; a single orbit takes the
+    onset as its second node: deviation from the equilibrium times
+    sqrt(r), period's distance from the onset period times r,
+    r = (p_target - p_h) / (p - p_h)."""
 
     ONSET = HopfData(tau_hopf=0.5, omega=2.0,
                      equilibrium=np.array([1.0, -2.0]))
@@ -420,11 +454,52 @@ class TestOnsetGuess:
             Mesh.uniform(3), 4)
         return DiscreteState(poly, np.array([period, p, 7.0]))
 
+    @staticmethod
+    def _with(state, free_values, p, period):
+        poly = state.poly
+        return DiscreteState(
+            PeriodicPiecewisePoly(poly.mesh, poly.degree, free_values),
+            np.array([period, p, 7.0]))
+
     @pytest.fixture(autouse=True)
     def _no_warnings(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             yield
+
+    @pytest.mark.parametrize("count", [2, 3, 6, 8])
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_polynomial_history_is_extrapolated_exactly(self, count, side):
+        """Free values a polynomial of degree min(count, 6) - 1 in s and
+        a period one of that degree in p are extrapolated exactly; of 8
+        orbits only the last 6 count, so two off the polynomial change
+        nothing."""
+        base = self._state(0.75)
+        eq = self.ONSET.equilibrium
+        shape = base.poly.free_values - eq
+        degree = min(count, _PREDICTOR_ORBITS) - 1
+        coefficients = [0.3, -0.7, 0.45, 0.2, -0.15, 0.05][:degree + 1]
+
+        def free(p):
+            s = math.sqrt(abs(p - 0.5))
+            return eq + sum(c * s ** k * np.roll(shape, k, axis=0)
+                            for k, c in enumerate(coefficients))
+
+        def period(p):
+            return math.pi + sum(c * (p - 0.5) ** k
+                                 for k, c in enumerate(coefficients))
+
+        ps = [0.5 + side * 0.05 * (k + 1) for k in range(count)]
+        orbits = [self._with(base, free(p), p, period(p)) for p in ps]
+        for k in range(count - _PREDICTOR_ORBITS):
+            orbits[k] = self._with(base, free(ps[k]) + 1.0, ps[k],
+                                   period(ps[k]) + 1.0)
+        target = 0.5 + side * 0.05 * (count + 1)
+        guess = _predict(orbits, self.ONSET, target)
+        np.testing.assert_allclose(guess.poly.free_values, free(target),
+                                   rtol=0.0, atol=1e-12)
+        assert guess.period == pytest.approx(period(target), rel=1e-13)
+        assert guess.params.tolist() == [ps[-1], 7.0]
 
     @pytest.mark.parametrize("p_cur,p_target,ratio", [
         (0.75, 1.5, 4.0),     # growing away from the onset
@@ -434,7 +509,7 @@ class TestOnsetGuess:
     def test_sqrt_amplitude_and_linear_period(self, p_cur, p_target,
                                               ratio):
         state = self._state(p_cur)
-        guess = _onset_guess(state, self.ONSET, p_target)
+        guess = _predict((state,), self.ONSET, p_target)
         eq = self.ONSET.equilibrium
         np.testing.assert_allclose(
             guess.poly.free_values,
@@ -452,19 +527,60 @@ class TestOnsetGuess:
     ])
     def test_no_prediction_across_or_from_the_onset(self, p_cur, p_target):
         state = self._state(p_cur)
-        assert _onset_guess(state, self.ONSET, p_target) is state
+        assert _predict((state,), self.ONSET, p_target) is state
 
     def test_no_prediction_without_an_onset(self):
         state = self._state(0.75)
-        assert _onset_guess(state, None, 1.5) is state
+        assert _predict((state,), None, 1.5) is state
+
+    @pytest.mark.parametrize("p_prev,p_cur,p_target,onset", [
+        (0.5, 0.75, 1.0, ONSET),   # an orbit on the onset
+        (0.75, 1.0, 0.25, ONSET),  # the target across it
+        (0.75, 1.0, 0.5, ONSET),   # the target on it
+        (0.75, 1.0, 1.25, None),   # no onset
+    ])
+    def test_two_orbits_off_one_side_give_the_secant_in_p(
+            self, p_prev, p_cur, p_target, onset):
+        previous = self._state(p_prev, period=3.0, scale=0.5)
+        state = self._state(p_cur)
+        guess = _predict((previous, state), onset, p_target)
+        ratio = (p_target - p_cur) / (p_cur - p_prev)
+        np.testing.assert_allclose(
+            guess.poly.free_values,
+            state.poly.free_values + ratio * (state.poly.free_values
+                                              - previous.poly.free_values),
+            rtol=0.0, atol=1e-15)
+        assert guess.period == pytest.approx(3.5 + ratio * 0.5, rel=1e-15)
+        assert guess.params.tolist() == [p_cur, 7.0]
 
     def test_invalid_prediction_keeps_the_orbit(self):
         # the period extrapolates below zero
         state = self._state(0.75, period=1.0)
-        assert _onset_guess(state, self.ONSET, 10.0) is state
+        assert _predict((state,), self.ONSET, 10.0) is state
         # the profile overflows: r is about 9e15, finite
         state = self._state(float(np.nextafter(0.5, 1.0)), scale=1e302)
-        assert _onset_guess(state, self.ONSET, 1.5) is state
+        assert _predict((state,), self.ONSET, 1.5) is state
+
+    @pytest.mark.parametrize("bad", ["period_below_zero", "non_finite",
+                                     "same_p"])
+    def test_an_invalid_prediction_drops_its_oldest_orbit(self, bad):
+        """An oldest orbit that spoils the extrapolation (a period below
+        zero, an overflow, or the p of another orbit) leaves the
+        prediction of the orbits after it, bitwise."""
+        orbits = [self._state(p, period=3.5 + 0.1 * p)
+                  for p in (0.6, 0.75, 0.9, 1.05)]
+        if bad == "period_below_zero":
+            orbits[0] = self._state(0.6, period=300.0)
+        elif bad == "non_finite":
+            orbits[0] = self._state(0.6, scale=1e308)
+        else:
+            orbits[0] = self._state(0.75)
+        for onset in (self.ONSET, None):
+            guess = _predict(orbits, onset, 1.5)
+            assert guess.flatten().tobytes() == \
+                _predict(orbits[1:], onset, 1.5).flatten().tobytes()
+            assert guess.flatten().tobytes() != \
+                orbits[-1].flatten().tobytes()
 
 
 class TestBranchCsv:
