@@ -30,7 +30,10 @@ from .errors import (
     CollapseError,
     InvalidArgumentError,
     NewtonError,
+    _checked_fields,
     _checked_int,
+    _checked_real,
+    _checked_reals,
     _is_integer,
 )
 from .nodes import NodeKind
@@ -232,7 +235,7 @@ def convergence_study(prob: DdeProblem, params, L_list: Sequence[int],
     """
     L_list, m_list = _checked_plan(L_list, m_list)
     grid_points = _checked_int(grid_points, "grid_points", 2)
-    params = np.atleast_1d(np.asarray(params, dtype=float))
+    params = np.atleast_1d(_checked_reals(params, "params"))
     if settings is None:
         settings = NewtonSettings()
     default_constraints(prob, params)  # a wrong count fails before a cell
@@ -309,13 +312,7 @@ class BernsteinBound:
     max_modulus: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.eta) and self.eta > 0.0):
-            raise InvalidArgumentError(
-                f"eta must be positive and finite, got {self.eta}")
-        if not (math.isfinite(self.max_modulus) and self.max_modulus > 0.0):
-            raise InvalidArgumentError(
-                f"max modulus must be positive and finite, got "
-                f"{self.max_modulus}")
+        _checked_fields(self, ("eta", "max_modulus"), 0.0, strict=True)
 
     def bound(self, m):
         m = np.asarray(m, dtype=float)
@@ -341,8 +338,7 @@ def bernstein_bound_fit(f: Callable, eta: float,
     maximum principle, so a singularity must sit inside the ellipse and
     the requested bound does not apply.
     """
-    if not (math.isfinite(eta) and eta > 0.0):
-        raise InvalidArgumentError(f"eta must be positive, got {eta}")
+    eta = _checked_real(eta, "eta", 0.0, strict=True)
     samples = _checked_int(samples, "samples", 16)
     ring_max = []
     for fraction in (0.0, 0.25, 0.5, 0.75, 1.0):

@@ -12,7 +12,6 @@ import argparse
 import gc
 import json
 import logging
-import math
 import os
 import pickle
 import sys
@@ -60,6 +59,7 @@ from .errors import (
     InvalidArgumentError,
     SemDdeError,
     StepFailureError,
+    _checked_real,
     _is_integer,
 )
 from .nodes import NodeKind, lebesgue_constant, make_nodes
@@ -75,15 +75,10 @@ EXIT_FAILURE = 2
 
 
 def _real(value, name: str) -> float:
-    number = math.nan
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:  # an integer beyond the double range
-            pass
-    if not math.isfinite(number):
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    return number
+    try:
+        return _checked_real(value, name)
+    except InvalidArgumentError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _int(value, name: str, minimum: int = 1) -> int:

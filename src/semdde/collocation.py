@@ -38,7 +38,6 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
@@ -50,14 +49,16 @@ from .errors import (
     NewtonError,
     NonFiniteResidualError,
     SingularJacobianError,
+    _checked_fields,
     _checked_int,
+    _checked_real,
+    _checked_reals,
 )
 from .piecewise import (
     COLLOCATION,
     FORMAT_VERSION,
     Mesh,
     PeriodicPiecewisePoly,
-    _document_array,
     check_format_version,
     poly_from_document,
     poly_to_document,
@@ -76,13 +77,10 @@ class DiscreteState:
     """
 
     def __init__(self, poly: PeriodicPiecewisePoly, mu):
-        mu = np.asarray(mu, dtype=float).copy()
+        mu = _checked_reals(mu, "mu")
         if mu.ndim != 1 or mu.size < 1:
             raise InvalidArgumentError("mu must pack (period, parameters)")
-        if not np.all(np.isfinite(mu)):
-            raise InvalidArgumentError("mu must be finite")
-        if mu[0] <= 0.0:
-            raise InvalidArgumentError(f"period must be positive, got {mu[0]}")
+        _checked_real(mu[0], "period", 0.0, strict=True)
         mu.flags.writeable = False
         self.poly = poly
         self.mu = mu
@@ -150,7 +148,8 @@ def with_parameter(state: DiscreteState, index: int,
                    value: float) -> DiscreteState:
     """Copy a state with one problem parameter replaced."""
     mu = state.mu.copy()
-    mu[1 + _parameter_index(index, state.params.size)] = value
+    mu[1 + _parameter_index(index, state.params.size)] = _checked_real(
+        value, "value")
     return DiscreteState(state.poly, mu)
 
 
@@ -170,8 +169,7 @@ def state_from_document(doc: dict) -> DiscreteState:
         raise InvalidArgumentError(
             f"state document needs keys {sorted(required)}, got {keys}")
     check_format_version(doc["format_version"], "state document")
-    return DiscreteState(poly_from_document(doc["profile"]),
-                         _document_array(doc["mu"], "mu"))
+    return DiscreteState(poly_from_document(doc["profile"]), doc["mu"])
 
 
 @dataclass(frozen=True)
@@ -189,12 +187,14 @@ class AffineRow:
     offset: float
 
     def __post_init__(self):
-        coeffs = np.asarray(self.mu_coeffs, dtype=float).copy()
+        coeffs = _checked_reals(self.mu_coeffs, "mu_coeffs")
         coeffs.flags.writeable = False
         object.__setattr__(self, "mu_coeffs", coeffs)
         object.__setattr__(self, "point_terms", tuple(
-            (time, _checked_int(comp, "component", 0), coeff)
+            (_checked_real(time, "time"), _checked_int(comp, "component", 0),
+             _checked_real(coeff, "coefficient"))
             for time, comp, coeff in self.point_terms))
+        _checked_fields(self, ("offset",))
 
     def _terms_within(self, dim: int):
         """The point terms, each component checked to lie below ``dim``."""
@@ -216,7 +216,7 @@ def phase_anchor_row(anchor_value: float, num_params: int) -> AffineRow:
     num_params = _checked_int(num_params, "num_params", 0)
     return AffineRow(point_terms=((0.0, 0, 1.0),),
                      mu_coeffs=np.zeros(1 + num_params),
-                     offset=-float(anchor_value))
+                     offset=-_checked_real(anchor_value, "anchor_value"))
 
 
 def parameter_pin_row(param_index: int, target: float,
@@ -225,7 +225,8 @@ def parameter_pin_row(param_index: int, target: float,
     num_params = _checked_int(num_params, "num_params", 0)
     coeffs = np.zeros(1 + num_params)
     coeffs[1 + _parameter_index(param_index, num_params)] = 1.0
-    return AffineRow(point_terms=(), mu_coeffs=coeffs, offset=-float(target))
+    return AffineRow(point_terms=(), mu_coeffs=coeffs,
+                     offset=-_checked_real(target, "target"))
 
 
 def default_constraints(prob: DdeProblem, params_target,
@@ -237,21 +238,20 @@ def default_constraints(prob: DdeProblem, params_target,
     problems without one must pass it explicitly (taken from the initial
     guess's value at t=0 by the callers that do so).
     """
-    params_target = np.atleast_1d(np.asarray(params_target, dtype=float))
-    if params_target.size != prob.num_params:
+    targets = np.atleast_1d(_checked_reals(params_target, "params_target"))
+    if targets.size != prob.num_params:
         raise InvalidArgumentError(
             f"expected {prob.num_params} target parameters, got "
-            f"{params_target.size}")
+            f"{targets.size}")
     if anchor_value is None:
         if prob.equilibrium is None:
             raise InvalidArgumentError(
                 f"problem {prob.name!r} declares no equilibrium; pass an "
                 f"explicit phase anchor value")
-        anchor_value = float(prob.equilibrium[0])
+        anchor_value = prob.equilibrium[0]
     rows = [phase_anchor_row(anchor_value, prob.num_params)]
     for k in range(prob.num_params):
-        rows.append(parameter_pin_row(k, float(params_target[k]),
-                                      prob.num_params))
+        rows.append(parameter_pin_row(k, targets[k], prob.num_params))
     return tuple(rows)
 
 
@@ -260,7 +260,7 @@ class NewtonSettings:
     """Damped Newton iteration controls.
 
     ``max_iter`` is an integer >= 1; every other entry is a positive
-    finite real.  Booleans are rejected, numpy scalars accepted.
+    finite real, kept as a Python float (``errors._checked_real``).
     ``fd_step`` is the relative forward-difference step of
     ``assemble_jacobian``, applied to query outputs and to mu.
     """
@@ -274,18 +274,8 @@ class NewtonSettings:
     def __post_init__(self):
         object.__setattr__(self, "max_iter",
                            _checked_int(self.max_iter, "max_iter", 1))
-        for name in ("tol_residual", "tol_step", "damping_min", "fd_step"):
-            value = getattr(self, name)
-            try:
-                usable = (not isinstance(value, bool)
-                          and isinstance(value, numbers.Real)
-                          and 0.0 < float(value) < math.inf)
-            except OverflowError:  # an integer beyond the double range
-                usable = False
-            if not usable:
-                raise InvalidArgumentError(
-                    f"{name} must be a positive finite number, got "
-                    f"{value!r}")
+        _checked_fields(self, ("tol_residual", "tol_step", "damping_min",
+                               "fd_step"), 0.0, strict=True)
 
 
 def assemble_residual(state: DiscreteState, prob: DdeProblem,
@@ -343,7 +333,7 @@ def constraint_gradient(row: AffineRow, state: DiscreteState) -> np.ndarray:
     n_free = poly.free_values.size
     grad = np.zeros(n_free + state.mu.size)
     for time, comp, coeff in row._terms_within(dim):
-        _, free, basis = poly.eval_with_basis(np.array([float(time)]))
+        _, free, basis = poly.eval_with_basis(np.array([time]))
         # add.at sums both terms when nodes 0 and m share a column (L = 1)
         np.add.at(grad, free[0] * dim + comp, coeff * basis[0])
     grad[n_free:] = row.mu_coeffs

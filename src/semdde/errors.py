@@ -1,6 +1,10 @@
-"""Exception hierarchy shared across the package, and its integer rule."""
+"""Exception hierarchy shared across the package, and its integer and
+real rules."""
 
+import math
 import numbers
+
+import numpy as np
 
 
 class SemDdeError(Exception):
@@ -23,6 +27,46 @@ def _checked_int(value, name: str, minimum=None) -> int:
     if minimum is not None and value < minimum:
         raise InvalidArgumentError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
+
+
+def _checked_real(value, name: str, minimum=None, strict=False) -> float:
+    """The package's one real rule: the finite real ``value`` (>=
+    ``minimum`` if given, > if ``strict``) as a Python float.  numpy's
+    reals pass; bools and ints beyond the double range do not."""
+    try:
+        number = float(value) if isinstance(value, numbers.Real) \
+            and not isinstance(value, bool) else math.nan
+    except OverflowError:  # an integer beyond the double range
+        number = math.nan
+    if not math.isfinite(number):
+        raise InvalidArgumentError(
+            f"{name} must be a finite number, got {value!r}")
+    if minimum is not None and (number <= minimum if strict
+                                else number < minimum):
+        raise InvalidArgumentError(f"{name} must be {'>' if strict else '>='} "
+                                   f"{minimum}, got {value!r}")
+    return number
+
+
+def _checked_fields(obj, names, minimum=None, strict=False) -> None:
+    """``_checked_real`` on the fields ``names`` of a frozen dataclass."""
+    for name in names:
+        object.__setattr__(obj, name, _checked_real(getattr(obj, name), name,
+                                                    minimum, strict))
+
+
+def _checked_reals(value, name: str) -> np.ndarray:
+    """``value`` as a fresh float array of finite numbers: a numeric
+    array whole, anything else by ``_checked_real`` on each entry."""
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+        arr = value.astype(float)
+    else:
+        entries = np.array(value, dtype=object)
+        arr = np.array([_checked_real(v, f"each entry of {name}")
+                        for v in entries.flat]).reshape(entries.shape)
+    if not np.isfinite(arr).all():
+        raise InvalidArgumentError(f"{name} must be finite")
+    return arr
 
 
 class NoHopfError(SemDdeError):

@@ -23,6 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .collocation import AffineRow, DiscreteState
+from .errors import _checked_fields
 from .nodes import NodeKind, gauss_rule, interpolation_matrix, make_nodes
 from .piecewise import PeriodicPiecewisePoly, project
 from .problems import DdeProblem, RescaledRhs
@@ -44,9 +45,7 @@ class FixedPointDefect:
     defect_mu: float
 
     def __post_init__(self):
-        for name in ("sup_defect_v", "defect_v0", "defect_mu"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
+        _checked_fields(self, ("sup_defect_v", "defect_v0", "defect_mu"), 0.0)
 
     @property
     def max_defect(self) -> float:
@@ -89,7 +88,7 @@ def phi_m_defect(state: DiscreteState, prob: DdeProblem,
     w = project(lambda t: rhs(poly, t, mu), mesh, m)
 
     total = w.integrate(0.0, 1.0)
-    defect_v0 = float(np.max(np.abs(total)))
+    defect_v0 = np.max(np.abs(total))
 
     # integral of w from each interval's left break to its Lobatto nodes,
     # shape (L, m+1, dim); node m spans the whole interval
@@ -100,9 +99,7 @@ def phi_m_defect(state: DiscreteState, prob: DdeProblem,
     reconstructed = (poly.values[0, 0] + prefix[:, None, :] + partial[:, :m]
                      - poly.node_times[:, :m, None] * total)
     defect = PeriodicPiecewisePoly(mesh, m, poly.free_values - reconstructed)
-    sup_defect_v = float(np.max(np.abs(defect._on(DEFAULT_DEFECT_GRID)[1])))
+    sup_defect_v = np.max(np.abs(defect._on(DEFAULT_DEFECT_GRID)[1]))
 
     defect_mu = max((abs(row.value(poly, mu)) for row in cons), default=0.0)
-    return FixedPointDefect(sup_defect_v=sup_defect_v,
-                            defect_v0=defect_v0,
-                            defect_mu=float(defect_mu))
+    return FixedPointDefect(sup_defect_v, defect_v0, defect_mu)

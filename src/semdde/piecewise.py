@@ -59,7 +59,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (FormatVersionError, InvalidArgumentError,
-                     _checked_int, _is_integer)
+                     _checked_int, _checked_real, _checked_reals, _is_integer)
 from .nodes import (NodeFamily, NodeKind, barycentric_terms, gauss_rule,
                     interpolation_matrix, make_nodes)
 
@@ -99,7 +99,7 @@ class Mesh:
     """Strictly increasing break points 0 = t_0 < ... < t_L = 1."""
 
     def __init__(self, breaks):
-        breaks = np.asarray(breaks, dtype=float).copy()
+        breaks = _checked_reals(breaks, "breaks")
         if breaks.ndim != 1 or breaks.size < 2:
             raise InvalidArgumentError("mesh needs at least two break points")
         if breaks[0] != 0.0 or breaks[-1] != 1.0:
@@ -186,7 +186,7 @@ class _PiecewiseBase:
     def _init_storage(self, mesh, node_family, data, per_interval):
         """Set the mesh, family and node times; return ``data`` checked
         to shape (L, per_interval, dim), finite and read-only."""
-        data = np.array(data, dtype=float)
+        data = _checked_reals(data, "values")
         if data.ndim != 3:
             raise InvalidArgumentError(
                 f"values must have shape (intervals, nodes, dim), got "
@@ -196,8 +196,6 @@ class _PiecewiseBase:
             raise InvalidArgumentError(
                 f"values shape {data.shape[:2]} does not match "
                 f"(intervals, nodes) = {expect}")
-        if not np.all(np.isfinite(data)):
-            raise InvalidArgumentError("values must be finite")
         times = mesh.node_times(node_family.nodes)
         data.flags.writeable = False
         times.flags.writeable = False
@@ -287,6 +285,7 @@ class _PiecewiseBase:
 
     def integrate(self, a: float, b: float):
         """Exact integral over [a, b] within [0, 1], split at breaks."""
+        a, b = _checked_real(a, "bound a"), _checked_real(b, "bound b")
         if not 0.0 <= a <= b <= 1.0:
             raise InvalidArgumentError(
                 f"integration bounds need 0 <= a <= b <= 1, got [{a}, {b}]")
@@ -527,18 +526,6 @@ def poly_to_document(p: PeriodicPiecewisePoly) -> dict:
     }
 
 
-def _document_array(value, name: str) -> np.ndarray:
-    """A numeric field of a document as a float array; strings, booleans,
-    nulls and ragged nesting are rejected."""
-    try:
-        arr = np.asarray(value)
-    except ValueError:  # ragged nesting
-        arr = None
-    if arr is None or arr.dtype.kind not in "iuf":
-        raise InvalidArgumentError(f"{name} must be a numeric array")
-    return arr.astype(float)
-
-
 def poly_from_document(doc: dict) -> PeriodicPiecewisePoly:
     """Rebuild a periodic piecewise polynomial from its JSON document.
 
@@ -559,8 +546,8 @@ def poly_from_document(doc: dict) -> PeriodicPiecewisePoly:
         raise InvalidArgumentError(
             "representation nodes must include both interval endpoints; "
             f"got {kind.value}")
-    mesh = Mesh(_document_array(doc["breaks"], "breaks"))
-    values = _document_array(doc["values"], "values")
+    mesh = Mesh(doc["breaks"])
+    values = _checked_reals(doc["values"], "values")
     expect = (mesh.num_intervals, degree + 1, dim)
     if values.shape != expect:
         raise InvalidArgumentError(

@@ -22,7 +22,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import InvalidArgumentError, NegativeDelayError, NoHopfError, \
-    _checked_int
+    _checked_fields, _checked_int, _checked_real, _checked_reals
 from .piecewise import PeriodicPiecewisePoly
 
 
@@ -35,15 +35,10 @@ class HopfData:
     equilibrium: np.ndarray
 
     def __post_init__(self):
-        if not (math.isfinite(self.tau_hopf) and self.tau_hopf > 0.0):
-            raise InvalidArgumentError(
-                f"tau_hopf must be positive, got {self.tau_hopf}")
-        if not (math.isfinite(self.omega) and self.omega > 0.0):
-            raise InvalidArgumentError(
-                f"omega must be positive, got {self.omega}")
-        eq = np.asarray(self.equilibrium, dtype=float).copy()
-        if eq.ndim != 1 or not np.all(np.isfinite(eq)):
-            raise InvalidArgumentError("equilibrium must be a finite vector")
+        _checked_fields(self, ("tau_hopf", "omega"), 0.0, strict=True)
+        eq = _checked_reals(self.equilibrium, "equilibrium")
+        if eq.ndim != 1:
+            raise InvalidArgumentError("equilibrium must be a vector")
         eq.flags.writeable = False
         object.__setattr__(self, "equilibrium", eq)
 
@@ -60,8 +55,7 @@ def scalar_hopf_point(alpha: float, beta: float) -> Tuple[float, float]:
     where sin(omega tau) has the sign of -beta: omega tau in (0, pi) for
     beta < 0 and in (pi, 2 pi) for beta > 0.
     """
-    if not (math.isfinite(alpha) and math.isfinite(beta)):
-        raise InvalidArgumentError("alpha and beta must be finite")
+    alpha, beta = _checked_real(alpha, "alpha"), _checked_real(beta, "beta")
     if abs(beta) <= abs(alpha):
         raise NoHopfError(
             f"characteristic roots never reach the imaginary axis for "
@@ -106,14 +100,16 @@ class DdeProblem:
         object.__setattr__(self, "num_params", _checked_int(
             self.num_params, "num_params", 0))
         onset, declared = self.onset, self.equilibrium
+        if declared is not None:
+            declared = _checked_reals(declared, "equilibrium")
+            object.__setattr__(self, "equilibrium", declared)
         # the phase anchor reads the declared equilibrium, the onset
         # guesses start from the onset's: one equilibrium, bitwise
         if onset is not None and (
                 self.num_params < 1 or onset.equilibrium.shape != (self.dim,)
                 or declared is not None and (
-                    np.shape(declared) != (self.dim,)
-                    or np.asarray(declared, dtype=float).tobytes()
-                    != onset.equilibrium.tobytes())):
+                    declared.shape != (self.dim,)
+                    or declared.tobytes() != onset.equilibrium.tobytes())):
             raise InvalidArgumentError(
                 f"an onset needs a parameter p[0] and an equilibrium of "
                 f"{self.dim} components, bitwise any declared equilibrium")

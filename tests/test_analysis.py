@@ -388,6 +388,23 @@ class TestConvergenceStudy:
                               seed=_equilibrium_state())
         assert solves == []
 
+    @pytest.mark.parametrize("params", [[math.nan], ["0.95"], math.inf],
+                             ids=["nan", "string", "inf"])
+    def test_a_bad_parameter_is_rejected_before_the_first_resample(
+            self, monkeypatch, params):
+        # it used to pass the count check and fail in the first cell
+        resampled = []
+
+        def counted(*args):
+            resampled.append(args)
+            return resample_state(*args)
+
+        monkeypatch.setattr("semdde.analysis.resample_state", counted)
+        with pytest.raises(InvalidArgumentError, match="params must be"):
+            convergence_study(mackey_glass(), params, [2], [4],
+                              seed=_equilibrium_state())
+        assert resampled == []
+
     @pytest.mark.parametrize("grid_points", [1, 2.0, True],
                              ids=["one", "float", "bool"])
     def test_a_bad_grid_is_rejected_before_the_first_solve(

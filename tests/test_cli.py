@@ -170,6 +170,25 @@ class TestRunConfig:
         assert read_error(capsys)["type"] == "ConfigError"
         assert not (tmp_path / "solution.json").exists()
 
+    @pytest.mark.parametrize("mesh, code", [
+        ([k / 11 for k in range(12)], 0),
+        ([str(k / 11) for k in range(12)], 1), ([False, True], 1),
+    ], ids=["numbers", "strings", "bools"])
+    def test_mesh_breaks_pass_the_real_rule(self, tmp_path, capsys, mesh,
+                                            code):
+        # numpy read the strings as numbers and the bools as 0 and 1
+        path = write_config(tmp_path / "c.json", {
+            "problem": "mackey_glass", "mesh": mesh, "degree": 5,
+            "guess": {"kind": "hopf", "amplitude": 0.01},
+            "out_dir": str(tmp_path),
+        })
+        assert main(["solve", "--config", path]) == code
+        assert (tmp_path / "solution.json").exists() == (code == 0)
+        if code:
+            error = read_error(capsys)
+            assert error["type"] == "InvalidArgumentError"
+            assert error["message"].startswith("each entry of breaks must ")
+
     @pytest.mark.parametrize("value", [None, 3], ids=["null", "number"])
     @pytest.mark.parametrize("key", ["problem", "out_dir", "solution"])
     def test_text_key_must_be_a_string(self, tmp_path, capsys, monkeypatch,

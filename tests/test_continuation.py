@@ -91,7 +91,8 @@ class TestScalarHopfPoint:
         (math.nan, -4.0), (-1.0, math.inf), (-math.inf, -4.0)])
     def test_rejects_a_coefficient_that_is_not_finite(self, alpha, beta):
         with pytest.raises(InvalidArgumentError,
-                           match="^alpha and beta must be finite$"):
+                           match="^(alpha|beta) must be a finite number, "
+                                 "got -?(nan|inf)$"):
             scalar_hopf_point(alpha, beta)
 
 
@@ -159,7 +160,8 @@ class TestBranchPoint:
                                                     parameter):
         good = short_branch[3][0]
         with pytest.raises(InvalidArgumentError,
-                           match="^parameter must be finite$"):
+                           match="^parameter must be a finite number, "
+                                 "got -?(nan|inf)$"):
             dataclasses.replace(good, parameter=parameter)
 
 
@@ -229,7 +231,8 @@ class TestContinueBranch:
                                                 p_to):
         prob, start, p0, _ = short_branch
         with pytest.raises(InvalidArgumentError,
-                           match="^parameter range must be finite$"):
+                           match="^p_(from|to) must be a finite number, "
+                                 "got -?(nan|inf)$"):
             continue_branch(start, prob, p0 if p_from is None else p_from,
                             p_to, 1)
 

@@ -439,7 +439,8 @@ class TestSerialization:
         doc = dict(poly_to_document(sample_periodic(
             np.sin, Mesh.uniform(2), 2)), values=[[[0.0], [1.0]], [[1.0]]])
         with pytest.raises(InvalidArgumentError,
-                           match="^values must be a numeric array$"):
+                           match=r"^each entry of values must be a finite "
+                                 r"number, got \[\[0\.0\], \[1\.0\]\]$"):
             poly_from_document(doc)
 
     @pytest.mark.parametrize("version", [True, "1", 0])
