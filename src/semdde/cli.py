@@ -108,8 +108,11 @@ def _string(value, name: str) -> str:
 
 
 def _mesh(value, name: str) -> Mesh:
-    return Mesh(value) if isinstance(value, list) \
-        else Mesh.uniform(_int(value, name))
+    try:
+        return Mesh(value) if isinstance(value, list) \
+            else Mesh.uniform(_int(value, name))
+    except InvalidArgumentError as exc:  # a list breaking a Mesh rule
+        raise ConfigError(str(exc)) from None
 
 
 #: the keys of each guess kind besides "kind", each with its default and
@@ -160,7 +163,9 @@ def _schedule_targets(path: Path, p_to: float, steps: int) -> list:
     if not isinstance(sched, dict):
         raise ConfigError(f"{path} must hold a JSON object")
     check_format_version(sched.get("format_version"), "schedule.json")
-    if sched.get("p_to") != p_to or sched.get("steps") != steps:
+    # the config's own parsers first, since True == 1 == 1.0
+    if _real(sched.get("p_to"), "schedule.json p_to") != p_to or \
+            _int(sched.get("steps"), "schedule.json steps") != steps:
         raise ConfigError(
             "schedule.json disagrees with the config: stored "
             f"p_to={sched.get('p_to')} steps={sched.get('steps')}, "

@@ -81,7 +81,6 @@ class DiscreteState:
         if mu.ndim != 1 or mu.size < 1:
             raise InvalidArgumentError("mu must pack (period, parameters)")
         _checked_real(mu[0], "period", 0.0, strict=True)
-        mu.flags.writeable = False
         self.poly = poly
         self.mu = mu
 
@@ -187,9 +186,8 @@ class AffineRow:
     offset: float
 
     def __post_init__(self):
-        coeffs = _checked_reals(self.mu_coeffs, "mu_coeffs")
-        coeffs.flags.writeable = False
-        object.__setattr__(self, "mu_coeffs", coeffs)
+        object.__setattr__(self, "mu_coeffs",
+                           _checked_reals(self.mu_coeffs, "mu_coeffs"))
         object.__setattr__(self, "point_terms", tuple(
             (_checked_real(time, "time"), _checked_int(comp, "component", 0),
              _checked_real(coeff, "coefficient"))

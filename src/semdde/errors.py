@@ -56,7 +56,7 @@ def _checked_fields(obj, names, minimum=None, strict=False) -> None:
 
 
 def _checked_reals(value, name: str) -> np.ndarray:
-    """``value`` as a fresh float array of finite numbers: a numeric
+    """``value`` as a fresh read-only array of finite floats: a numeric
     array whole, anything else by ``_checked_real`` on each entry."""
     if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
         arr = value.astype(float)
@@ -66,6 +66,7 @@ def _checked_reals(value, name: str) -> np.ndarray:
                         for v in entries.flat]).reshape(entries.shape)
     if not np.isfinite(arr).all():
         raise InvalidArgumentError(f"{name} must be finite")
+    arr.flags.writeable = False
     return arr
 
 

@@ -1,17 +1,17 @@
 """Independent verification of converged states by a fixed-point identity.
 
 A solution of the collocation system also satisfies an integral
-reformulation: with w the degree-(m-1) interpolation projection of the
-rescaled right-hand side along the profile, the profile must equal
+reformulation: with w the degree-(m-1) interpolant of the rescaled
+right-hand side at the collocation points, the profile must equal
 
     t  ->  v(0) + integral_0^t w(s) ds - t * integral_0^1 w(s) ds,
 
-the mean of w must vanish, and the affine constraints must hold.  This
-module measures all three defects through projection and exact
-quadrature, a computation path disjoint from the solver's residual, so
-agreement cross-checks both.  A cached integration matrix gives the
-degree-m reconstruction exactly at the profile's own nodes, so the
-profile minus it is evaluated once on the defect grid.
+the mean of w must vanish, and the affine constraints must hold.  The
+first two defects come from the rhs values at ``COLLOCATION`` alone, with
+no projection built: a cached integration matrix gives the degree-m
+reconstruction at the profile's own nodes, the Gauss sum the mean.  The
+rhs queries are answered by ``eval``, a path disjoint from the solver's
+residual, so agreement cross-checks both.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from .collocation import AffineRow, DiscreteState
 from .errors import _checked_fields
 from .nodes import NodeKind, gauss_rule, interpolation_matrix, make_nodes
-from .piecewise import PeriodicPiecewisePoly, project
+from .piecewise import COLLOCATION, PeriodicPiecewisePoly
 from .problems import DdeProblem, RescaledRhs
 
 DEFAULT_DEFECT_GRID = 2001
@@ -72,28 +72,27 @@ def phi_m_defect(state: DiscreteState, prob: DdeProblem,
                  cons: Sequence[AffineRow]) -> FixedPointDefect:
     """Measure how far a state is from the integral fixed-point identity.
 
-    The projection of the right-hand side reuses the state's mesh and the
-    Gauss-Legendre collocation nodes.  Its integral from each break to
-    the interval's Chebyshev-Lobatto nodes comes exactly from the
-    integration matrix, which fixes the degree-m reconstruction at the
-    profile's own nodes; ``sup_defect_v`` is the maximum of the profile
-    minus that reconstruction over the uniform grid of
-    ``DEFAULT_DEFECT_GRID`` times.  A state solving the collocation
-    system has defects at roundoff level only.
+    The right-hand side is taken at the collocation set, not projected.
+    The integral of its interpolant from each break to the interval's
+    Chebyshev-Lobatto nodes comes exactly from the integration matrix,
+    which fixes the degree-m reconstruction at the profile's own nodes;
+    its integral over [0, 1] is the Gauss sum of the same values.
+    ``sup_defect_v`` is the maximum of the profile minus that
+    reconstruction over the uniform grid of ``DEFAULT_DEFECT_GRID``
+    times.  A state solving the collocation system has defects at
+    roundoff level only.
     """
-    poly = state.poly
+    poly, mu = state.poly, state.mu
     mesh, m = poly.mesh, poly.degree
-    mu = state.mu
-    rhs = RescaledRhs(prob)
-    w = project(lambda t: rhs(poly, t, mu), mesh, m)
-
-    total = w.integrate(0.0, 1.0)
+    w = RescaledRhs(prob)(poly, poly._fixed(COLLOCATION)[0], mu).reshape(
+        -1, m, poly.dim)  # (L, m, dim), interval-major like the times
+    total = np.einsum("i,q,iqs->s", mesh.lengths, gauss_rule(m)[1], w)
     defect_v0 = np.max(np.abs(total))
 
     # integral of w from each interval's left break to its Lobatto nodes,
     # shape (L, m+1, dim); node m spans the whole interval
     partial = mesh.lengths[:, None, None] * np.einsum(
-        "jk,iks->ijs", _integration_matrix(m), w.values)
+        "jk,iks->ijs", _integration_matrix(m), w)
     prefix = np.concatenate([np.zeros((1, poly.dim)),
                              np.cumsum(partial[:-1, m], axis=0)])
     reconstructed = (poly.values[0, 0] + prefix[:, None, :] + partial[:, :m]

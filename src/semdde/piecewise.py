@@ -5,10 +5,10 @@ polynomials per interval through values at Chebyshev-Lobatto nodes, and
 only the m free ones of each interval (nodes 0..m-1): the right end of an
 interval is the next interval's first node and the last interval closes
 onto the first, so the function is continuous and 1-periodic by
-construction.  ``PiecewiseProjection`` stores the degree-(m-1)
-interpolation projection on m nodes per interval (Gauss-Legendre, the
-collocation nodes, when built by ``project``), with no continuity across
-breaks.
+construction.  ``PiecewiseProjection``, for users only, stores the
+degree-(m-1) interpolation projection on m nodes per interval (the
+Gauss-Legendre collocation nodes when built by ``project``), with no
+continuity across breaks.
 
 Evaluation and integration use the second ("true") barycentric
 formula: each query gathers its interval's nodes, takes the terms
@@ -106,7 +106,6 @@ class Mesh:
             raise InvalidArgumentError("mesh must start at 0 and end at 1")
         if not np.all(np.diff(breaks) > 0):
             raise InvalidArgumentError("mesh breaks must be strictly increasing")
-        breaks.flags.writeable = False
         self.breaks = breaks
 
     @classmethod
@@ -197,7 +196,6 @@ class _PiecewiseBase:
                 f"values shape {data.shape[:2]} does not match "
                 f"(intervals, nodes) = {expect}")
         times = mesh.node_times(node_family.nodes)
-        data.flags.writeable = False
         times.flags.writeable = False
         self.mesh = mesh
         self.node_family = node_family

@@ -39,7 +39,6 @@ class HopfData:
         eq = _checked_reals(self.equilibrium, "equilibrium")
         if eq.ndim != 1:
             raise InvalidArgumentError("equilibrium must be a vector")
-        eq.flags.writeable = False
         object.__setattr__(self, "equilibrium", eq)
 
     @property

@@ -170,13 +170,16 @@ class TestRunConfig:
         assert read_error(capsys)["type"] == "ConfigError"
         assert not (tmp_path / "solution.json").exists()
 
-    @pytest.mark.parametrize("mesh, code", [
-        ([k / 11 for k in range(12)], 0),
-        ([str(k / 11) for k in range(12)], 1), ([False, True], 1),
-    ], ids=["numbers", "strings", "bools"])
+    @pytest.mark.parametrize("mesh, code, message", [
+        ([k / 11 for k in range(12)], 0, None),
+        ([str(k / 11) for k in range(12)], 1, "each entry of breaks must "),
+        ([False, True], 1, "each entry of breaks must "),
+        ([0, 0.7, 0.5, 1], 1, "mesh breaks must be strictly increasing"),
+    ], ids=["numbers", "strings", "bools", "not_increasing"])
     def test_mesh_breaks_pass_the_real_rule(self, tmp_path, capsys, mesh,
-                                            code):
-        # numpy read the strings as numbers and the bools as 0 and 1
+                                            code, message):
+        # numpy read the strings as numbers and the bools as 0 and 1; a
+        # refused list exits as ConfigError, like every other config value
         path = write_config(tmp_path / "c.json", {
             "problem": "mackey_glass", "mesh": mesh, "degree": 5,
             "guess": {"kind": "hopf", "amplitude": 0.01},
@@ -186,8 +189,8 @@ class TestRunConfig:
         assert (tmp_path / "solution.json").exists() == (code == 0)
         if code:
             error = read_error(capsys)
-            assert error["type"] == "InvalidArgumentError"
-            assert error["message"].startswith("each entry of breaks must ")
+            assert error["type"] == "ConfigError"
+            assert error["message"].startswith(message)
 
     @pytest.mark.parametrize("value", [None, 3], ids=["null", "number"])
     @pytest.mark.parametrize("key", ["problem", "out_dir", "solution"])
@@ -744,6 +747,27 @@ class TestContinue:
             dict(doc, resume=True, steps=9, out_dir=str(partial)))
         assert main(["continue", "--config", path]) == 1
         assert "disagrees" in read_error(capsys)["message"]
+
+    @pytest.mark.parametrize("key, config, message", [
+        ("steps", 1, "schedule.json steps must be an int >= 1, got True"),
+        ("p_to", 1.0, "schedule.json p_to must be a finite number, got True"),
+    ], ids=["steps", "p_to"])
+    def test_resume_with_a_bool_in_the_schedule_exits_1(
+            self, tmp_path, capsys, key, config, message):
+        # True == 1 == 1.0, so a plain comparison would resume from it
+        doc = {"problem": "mackey_glass", "mesh": 11, "degree": 4,
+               "guess": {"kind": "hopf", "amplitude": 0.01},
+               "p_to": 0.55, "steps": 1, "out_dir": str(tmp_path)}
+        path = write_config(tmp_path / "c.json", doc)
+        assert main(["continue", "--config", path]) == 0
+        sched = json.loads((tmp_path / "schedule.json").read_text())
+        (tmp_path / "schedule.json").write_text(
+            json.dumps(dict(sched, **{key: True})))
+        path = write_config(tmp_path / "c.json",
+                            dict(doc, resume=True, **{key: config}))
+        assert main(["continue", "--config", path]) == 1
+        assert read_error(capsys) == {"type": "ConfigError",
+                                      "message": message}
 
     def test_resume_with_empty_branch_exits_1(self, mg_branch, tmp_path,
                                               capsys):

@@ -1,11 +1,12 @@
 """Tests for the fixed-point verification oracle.
 
-The oracle recomputes the solution identity through projection and
-piecewise quadrature, a path disjoint from the Newton residual, so a
-converged state must score near machine zero while perturbations of any
-one value must be flagged at their own magnitude.
+The oracle recomputes the solution identity from the rhs at the
+collocation points and exact quadrature, a path disjoint from the Newton
+residual, so a converged state must score near machine zero while
+perturbations of any one value must be flagged at their own magnitude.
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -21,7 +22,12 @@ from semdde.collocation import (
 )
 from semdde.continuation import sd_quadratic_seed
 from semdde.nodes import NodeKind, gauss_rule, make_nodes
-from semdde.oracle import FixedPointDefect, _integration_matrix, phi_m_defect
+from semdde.oracle import (
+    DEFAULT_DEFECT_GRID,
+    FixedPointDefect,
+    _integration_matrix,
+    phi_m_defect,
+)
 from semdde.piecewise import Mesh, PeriodicPiecewisePoly, project, sample_periodic
 from semdde.problems import RescaledRhs, mackey_glass, sd_quadratic
 
@@ -62,6 +68,31 @@ def _reference_defects(state, prob, grid_points=2001):
                      - grid[:, None] * total)
     return (float(np.max(np.abs(poly.eval(grid) - reconstructed))),
             float(np.max(np.abs(total))))
+
+
+def _phi_m_defect_by_projection(state, prob, cons):
+    """The oracle through the path it replaced: the rhs projected onto
+    the collocation nodes (``project``), its mean by ``integrate(0, 1)``."""
+    poly, mu = state.poly, state.mu
+    mesh, m = poly.mesh, poly.degree
+    rhs = RescaledRhs(prob)
+    w = project(lambda t: rhs(poly, t, mu), mesh, m)
+    total = w.integrate(0.0, 1.0)
+    partial = mesh.lengths[:, None, None] * np.einsum(
+        "jk,iks->ijs", _integration_matrix(m), w.values)
+    prefix = np.concatenate([np.zeros((1, poly.dim)),
+                             np.cumsum(partial[:-1, m], axis=0)])
+    reconstructed = (poly.values[0, 0] + prefix[:, None, :] + partial[:, :m]
+                     - poly.node_times[:, :m, None] * total)
+    defect = PeriodicPiecewisePoly(mesh, m, poly.free_values - reconstructed)
+    return FixedPointDefect(
+        np.max(np.abs(defect._on(DEFAULT_DEFECT_GRID)[1])),
+        np.max(np.abs(total)),
+        max((abs(row.value(poly, mu)) for row in cons), default=0.0))
+
+
+def _bits(defect):
+    return [float(x).hex() for x in dataclasses.astuple(defect)]
 
 
 def _mackey_glass_cell(L, m):
@@ -179,6 +210,29 @@ class TestIntegrationMatrix:
             exact = ends ** (d + 1) / (d + 1)
             assert np.max(np.abs(np.sum(q * gauss**d, axis=1) - exact)) \
                 <= 1e-15
+
+
+class TestAgainstTheProjectionPath:
+    """The oracle takes the rhs at the collocation set and its Gauss sum;
+    every defect is bitwise the one of the projection path it replaced."""
+
+    @pytest.mark.parametrize("L, m", [(1, 40), (5, 20), (11, 8)])
+    def test_mackey_glass_cells(self, L, m):
+        prob, cons, state = _mackey_glass_cell(L, m)
+        assert _bits(phi_m_defect(state, prob, cons)) == \
+            _bits(_phi_m_defect_by_projection(state, prob, cons))
+
+    @pytest.mark.parametrize("converged", [False, True],
+                             ids=["seed", "converged"])
+    def test_sd_quadratic_state(self, converged):
+        prob = sd_quadratic()
+        seed = sd_quadratic_seed(0.95)
+        cons = default_constraints(prob, seed.params)
+        state = resample_state(seed, Mesh.uniform(20), 12)
+        if converged:
+            state = newton_solve(state, prob, cons).state
+        assert _bits(phi_m_defect(state, prob, cons)) == \
+            _bits(_phi_m_defect_by_projection(state, prob, cons))
 
 
 class TestAgainstQuadratureAtEveryGridPoint:

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from semdde.collocation import default_constraints
 from semdde.errors import (
     InvalidArgumentError,
     NegativeDelayError,
@@ -188,6 +189,19 @@ class TestOnset:
         assert dataclasses.replace(
             prob, equilibrium=prob.onset.equilibrium.astype(int)).onset
         assert dataclasses.replace(prob, equilibrium=None).onset
+
+    def test_declared_equilibrium_is_read_only(self):
+        # a write would move the phase anchor off the onset's equilibrium
+        prob = mackey_glass()
+        with pytest.raises(ValueError, match="read-only"):
+            prob.equilibrium[0] = 2.0
+        assert prob.equilibrium.tolist() == prob.onset.equilibrium.tolist()
+        assert default_constraints(prob, [0.5])[0].offset == -1.0
+        # the problem keeps a copy; the caller's array stays writable
+        mine = np.array([1.0])
+        assert dataclasses.replace(prob, equilibrium=mine).equilibrium \
+            is not mine
+        assert mine.flags.writeable
 
 
 class TestRegistry:

@@ -221,6 +221,17 @@ def test_a_numeric_array_is_taken_whole_and_copied():
             _checked_reals(np.array([0.5, bad]), "x")
 
 
+@pytest.mark.parametrize("value", [np.array([0.5]), [0.5], 0.5],
+                         ids=["array", "list", "scalar"])
+def test_a_checked_array_is_read_only(value):
+    # so no object that keeps one, a problem's equilibrium among them,
+    # can be changed behind its own checks
+    got = _checked_reals(value, "x")
+    assert not got.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        got[...] = 1.0
+
+
 @pytest.mark.parametrize("value", [[0.5, True], [[0.5], ["1"]], [None],
                                    [[0.5], [0.5, 1.0]], np.array([True])],
                          ids=["bool", "string", "none", "ragged",
