@@ -59,8 +59,8 @@ from .errors import (
     InvalidArgumentError,
     SemDdeError,
     StepFailureError,
+    _checked_int,
     _checked_real,
-    _is_integer,
 )
 from .nodes import NodeKind, lebesgue_constant, make_nodes
 from .piecewise import FORMAT_VERSION, Mesh, check_format_version, \
@@ -74,17 +74,24 @@ EXIT_CONFIG = 1
 EXIT_FAILURE = 2
 
 
-def _real(value, name: str) -> float:
+def _parsed(parse, value, name: str):
+    """``parse(value, name)``, a library rule's refusal of the value
+    raised again as ConfigError with the same message."""
     try:
-        return _checked_real(value, name)
+        return parse(value, name)
     except InvalidArgumentError as exc:
         raise ConfigError(str(exc)) from None
 
 
-def _int(value, name: str, minimum: int = 1) -> int:
-    if not _is_integer(value) or value < minimum:
-        raise ConfigError(f"{name} must be an int >= {minimum}, got {value!r}")
-    return value
+def _read_json(path, error):
+    """The document in the JSON file ``path``, or ``error`` if invalid."""
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as exc:  # invalid JSON or text encoding
+        raise error(f"{path} is not valid JSON: {exc}") from None
+
+
+_count = partial(_checked_int, minimum=1)
 
 
 def _items(parse, value, name: str) -> tuple:
@@ -108,21 +115,18 @@ def _string(value, name: str) -> str:
 
 
 def _mesh(value, name: str) -> Mesh:
-    try:
-        return Mesh(value) if isinstance(value, list) \
-            else Mesh.uniform(_int(value, name))
-    except InvalidArgumentError as exc:  # a list breaking a Mesh rule
-        raise ConfigError(str(exc)) from None
+    return Mesh(value) if isinstance(value, list) \
+        else Mesh.uniform(_count(value, name))
 
 
 #: the keys of each guess kind besides "kind", each with its default and
 #: parser; a key whose default is None is required (no parser takes None)
 _GUESSES = {
-    "hopf": {"amplitude": (0.01, _real),
-             "offset": (DEFAULT_HOPF_OFFSET, _real)},
+    "hopf": {"amplitude": (0.01, _checked_real),
+             "offset": (DEFAULT_HOPF_OFFSET, _checked_real)},
     "file": {"path": (None, _string)},
-    "constant": {"values": (None, partial(_items, _real)),
-                 "period": (None, _real)},
+    "constant": {"values": (None, partial(_items, _checked_real)),
+                 "period": (None, _checked_real)},
     "seed": {},
 }
 
@@ -147,25 +151,19 @@ def _newton(doc, name: str) -> NewtonSettings:
     keys = sorted(f.name for f in fields(NewtonSettings))
     if not isinstance(doc, dict) or set(doc) - set(keys):
         raise ConfigError(f"{name} settings accept keys {keys}")
-    try:
-        return NewtonSettings(**doc)
-    except InvalidArgumentError as exc:
-        raise ConfigError(f"{name}: {exc}") from None
+    return NewtonSettings(**doc)
 
 
 def _schedule_targets(path: Path, p_to: float, steps: int) -> list:
     """The targets of a stored schedule that matches the config."""
-    try:
-        with open(path) as handle:
-            sched = json.load(handle)
-    except ValueError as exc:  # invalid JSON or text encoding
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+    sched = _read_json(path, ConfigError)
     if not isinstance(sched, dict):
         raise ConfigError(f"{path} must hold a JSON object")
     check_format_version(sched.get("format_version"), "schedule.json")
-    # the config's own parsers first, since True == 1 == 1.0
-    if _real(sched.get("p_to"), "schedule.json p_to") != p_to or \
-            _int(sched.get("steps"), "schedule.json steps") != steps:
+    # the config's own rules first, since True == 1 == 1.0
+    stored = (_parsed(_checked_real, sched.get("p_to"), "schedule.json p_to"),
+              _parsed(_count, sched.get("steps"), "schedule.json steps"))
+    if stored != (p_to, steps):
         raise ConfigError(
             "schedule.json disagrees with the config: stored "
             f"p_to={sched.get('p_to')} steps={sched.get('steps')}, "
@@ -175,7 +173,8 @@ def _schedule_targets(path: Path, p_to: float, steps: int) -> list:
         raise ConfigError(
             f"schedule.json targets must be a list of {steps} numbers, "
             f"got {targets!r}")
-    return [_real(v, "schedule.json targets") for v in targets]
+    return [_parsed(_checked_real, v, "schedule.json targets")
+            for v in targets]
 
 
 def _key(default, parse):
@@ -196,22 +195,21 @@ class RunConfig:
     """
 
     problem: Optional[str] = _key(None, _string)
-    node_kind: NodeKind = _key(NodeKind.GAUSS_LEGENDRE,
-                               lambda value, name: NodeKind.from_name(value))
+    node_kind: NodeKind = _key(NodeKind.GAUSS_LEGENDRE, NodeKind.from_name)
     mesh: Optional[Mesh] = _key(None, _mesh)
-    mesh_list: Optional[Tuple[int, ...]] = _key(None, partial(_items, _int))
-    degree: Tuple[int, ...] = _key((), partial(_items, _int))
-    params: Tuple[float, ...] = _key((), partial(_items, _real))
+    mesh_list: Optional[Tuple[int, ...]] = _key(None, partial(_items, _count))
+    degree: Tuple[int, ...] = _key((), partial(_items, _count))
+    params: Tuple[float, ...] = _key((), partial(_items, _checked_real))
     newton: NewtonSettings = _key(NewtonSettings(), _newton)
     out_dir: Optional[str] = _key(None, _string)
-    grid: int = _key(DEFAULT_ERR_GRID, partial(_int, minimum=2))
+    grid: int = _key(DEFAULT_ERR_GRID, partial(_checked_int, minimum=2))
     guess: Optional[dict] = _key(None, _guess)
-    p_to: Optional[float] = _key(None, _real)
-    steps: Optional[int] = _key(None, _int)
+    p_to: Optional[float] = _key(None, _checked_real)
+    steps: Optional[int] = _key(None, _count)
     resume: bool = _key(False, _flag)
-    k_max: int = _key(5, _int)
+    k_max: int = _key(5, _count)
     solution: Optional[str] = _key(None, _string)
-    samples: int = _key(10001, _int)
+    samples: int = _key(10001, _count)
 
     @classmethod
     def from_document(cls, doc, **overrides) -> "RunConfig":
@@ -221,14 +219,14 @@ class RunConfig:
             raise ConfigError("config must be a JSON object")
         doc = dict(doc, **{key: value for key, value in overrides.items()
                            if value is not None})
-        keys = [f.name for f in fields(cls)]
-        unknown = set(doc) - set(keys)
+        parsers = {f.name: f.metadata["parse"] for f in fields(cls)}
+        unknown = set(doc) - set(parsers)
         if unknown:
             raise ConfigError(
                 f"unknown config keys {sorted(unknown)}; known keys are "
-                f"{sorted(keys)}")
-        return cls(**{f.name: f.metadata["parse"](doc[f.name], f.name)
-                      for f in fields(cls) if f.name in doc})
+                f"{sorted(parsers)}")
+        return cls(**{key: _parsed(parse, doc[key], key)
+                      for key, parse in parsers.items() if key in doc})
 
 
 def _require(value, name: str):
@@ -248,31 +246,33 @@ def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _load_state(path: str) -> DiscreteState:
-    with open(path) as handle:
-        try:
-            doc = json.load(handle)
-        except ValueError as exc:  # invalid JSON or text encoding
-            raise InvalidArgumentError(
-                f"{path} is not valid JSON: {exc}") from None
-    return state_from_document(doc)
+def _load_state(path, prob: DdeProblem) -> DiscreteState:
+    """The orbit stored at ``path``, refused (InvalidArgumentError) unless
+    its dimension and parameter count are the problem's."""
+    state = state_from_document(_read_json(path, InvalidArgumentError))
+    if (state.poly.dim, state.params.size) != (prob.dim, prob.num_params):
+        raise InvalidArgumentError(
+            f"{path} holds an orbit of dimension {state.poly.dim} "
+            f"with {state.params.size} params; {prob.name} needs "
+            f"{prob.dim} with {prob.num_params}")
+    return state
 
 
 def _initial_state(cfg: RunConfig) -> DiscreteState:
     guess = _require(cfg.guess, "guess")
     kind = guess["kind"]
+    prob = get_problem(_require(cfg.problem, "problem"))
     if kind == "hopf":
-        onset = get_problem(_require(cfg.problem, "problem")).onset
-        if onset is None:
+        if prob.onset is None:
             raise ConfigError(
                 f"problem {cfg.problem!r} declares no onset for the hopf "
                 f"guess; supply a file or constant guess instead")
         return hopf_initial_guess(
-            onset, guess["amplitude"],
+            prob.onset, guess["amplitude"],
             _require(cfg.mesh, "mesh"), _single_degree(cfg),
             offset=guess["offset"])
     if kind == "file":
-        return _load_state(guess["path"])
+        return _load_state(guess["path"], prob)
     if kind == "seed":
         if cfg.problem != "sd_quadratic":
             raise ConfigError("the shipped seed belongs to sd_quadratic")
@@ -350,7 +350,7 @@ def cmd_continue(cfg: RunConfig, out_dir: Path) -> Tuple[int, dict]:
                 f"the schedule's targets {targets}")
         done = len(stored)
         *previous, state = [
-            _load_state(str(_point_path(out_dir, i)))
+            _load_state(_point_path(out_dir, i), prob)
             for i in range(max(done - _PREDICTOR_ORBITS, 0), done)]
         p_cur = targets[done - 1]
         log.info("resuming after %d stored points at p=%.6g", done, p_cur)
@@ -461,8 +461,7 @@ def cmd_convergence(cfg: RunConfig, out_dir: Path,
                     jobs: int) -> Tuple[int, dict]:
     """The (L, m) table by mesh-size columns (``_map_columns``); each
     restarts from the seed, so the data files are the same for any jobs."""
-    if jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
+    _parsed(_count, jobs, "--jobs")
     # resolve the problem and check the plan here, so a bad name or a
     # repeated mesh size or degree fails before any column starts
     prob = get_problem(_require(cfg.problem, "problem"))
@@ -495,12 +494,7 @@ def cmd_circle_map(cfg: RunConfig, out_dir: Path) -> Tuple[int, dict]:
     prob = get_problem(_require(cfg.problem, "problem"))
     if prob.lag is None:
         raise ConfigError(f"problem {prob.name!r} declares no delay map")
-    state = _load_state(_require(cfg.solution, "solution"))
-    if (state.poly.dim, state.params.size) != (prob.dim, prob.num_params):
-        raise InvalidArgumentError(
-            f"{cfg.solution} holds an orbit of dimension {state.poly.dim} "
-            f"with {state.params.size} params; {prob.name} needs "
-            f"{prob.dim} with {prob.num_params}")
+    state = _load_state(_require(cfg.solution, "solution"), prob)
     lag = orbit_lag_map(state, prob.lag)
     result = circle_map_analysis(lag, cfg.k_max, cfg.grid)
     with open(out_dir / "circle_map.csv", "w") as handle:
@@ -510,14 +504,10 @@ def cmd_circle_map(cfg: RunConfig, out_dir: Path) -> Tuple[int, dict]:
         "kind": result.kind,
         "shift": result.shift,
         "periodic_points": [
-            {
-                "iterate": pts.iterate,
-                "points": pts.points.tolist(),
-                "derivatives": pts.derivatives.tolist(),
-                "unstable": [bool(u) for u in pts.unstable],
-            }
-            for pts in result.periodic_points
-        ],
+            {"iterate": pts.iterate, "points": pts.points.tolist(),
+             "derivatives": pts.derivatives.tolist(),
+             "unstable": [bool(u) for u in pts.unstable]}
+            for pts in result.periodic_points],
     })
     print(f"wrote {out_dir / 'circle_map.csv'} (kind {result.kind})")
     return EXIT_OK, {}
@@ -591,9 +581,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _configure_logging()
-        with open(args.config) as handle:
-            cfg = RunConfig.from_document(json.load(handle),
-                                          out_dir=args.out, grid=args.grid)
+        cfg = RunConfig.from_document(_read_json(args.config, ConfigError),
+                                      out_dir=args.out, grid=args.grid)
         if (args.command in ("solve", "continue", "convergence")
                 and cfg.node_kind != NodeKind.GAUSS_LEGENDRE):
             raise ConfigError(

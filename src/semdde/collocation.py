@@ -59,6 +59,7 @@ from .piecewise import (
     FORMAT_VERSION,
     Mesh,
     PeriodicPiecewisePoly,
+    check_document_keys,
     check_format_version,
     poly_from_document,
     poly_to_document,
@@ -162,11 +163,8 @@ def state_to_document(state: DiscreteState) -> dict:
 
 
 def state_from_document(doc: dict) -> DiscreteState:
-    required = {"format_version", "mu", "profile"}
-    if not isinstance(doc, dict) or set(doc) != required:
-        keys = sorted(doc) if isinstance(doc, dict) else type(doc).__name__
-        raise InvalidArgumentError(
-            f"state document needs keys {sorted(required)}, got {keys}")
+    check_document_keys(doc, ("format_version", "mu", "profile"),
+                        "state document")
     check_format_version(doc["format_version"], "state document")
     return DiscreteState(poly_from_document(doc["profile"]), doc["mu"])
 
@@ -178,7 +176,7 @@ class AffineRow:
 
     ``point_terms`` is a tuple of (time, component, coefficient); each
     component is an integer >= 0, and below the dim of every state the
-    row is applied to.
+    row is applied to, whose mu has one entry per entry of ``mu_coeffs``.
     """
 
     point_terms: Tuple[Tuple[float, int, float], ...]
@@ -194,8 +192,11 @@ class AffineRow:
             for time, comp, coeff in self.point_terms))
         _checked_fields(self, ("offset",))
 
-    def _terms_within(self, dim: int):
-        """The point terms, each component checked to lie below ``dim``."""
+    def _terms_within(self, dim: int, mu_size: int):
+        """The point terms, checked against a state's dim and mu size."""
+        if self.mu_coeffs.shape != (mu_size,):
+            raise InvalidArgumentError(f"mu_coeffs must have {mu_size} "
+                                       f"entries, got {self.mu_coeffs.shape}")
         for _, comp, _ in self.point_terms:
             if comp >= dim:
                 raise InvalidArgumentError(
@@ -203,8 +204,9 @@ class AffineRow:
         return self.point_terms
 
     def value(self, poly: PeriodicPiecewisePoly, mu: np.ndarray) -> float:
+        terms = self._terms_within(poly.dim, mu.size)
         total = float(self.mu_coeffs @ mu) + self.offset
-        for time, comp, coeff in self._terms_within(poly.dim):
+        for time, comp, coeff in terms:
             total += coeff * float(poly.eval(time)[comp])
         return total
 
@@ -330,7 +332,7 @@ def constraint_gradient(row: AffineRow, state: DiscreteState) -> np.ndarray:
     dim = poly.dim
     n_free = poly.free_values.size
     grad = np.zeros(n_free + state.mu.size)
-    for time, comp, coeff in row._terms_within(dim):
+    for time, comp, coeff in row._terms_within(dim, state.mu.size):
         _, free, basis = poly.eval_with_basis(np.array([time]))
         # add.at sums both terms when nodes 0 and m share a column (L = 1)
         np.add.at(grad, free[0] * dim + comp, coeff * basis[0])

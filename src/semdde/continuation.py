@@ -227,7 +227,8 @@ def continue_branch(start: DiscreteState, prob: DdeProblem, p_from: float,
     oldest orbit.  A branch point's history is the branch points before
     it (the first has none), a stepping stone's is the history of the
     orbit it was solved from followed by that orbit, and ``start``'s is
-    ``previous``, oldest first.  So one call over a schedule and one
+    ``previous``, oldest first, each on the same mesh, degree and mu
+    layout as ``start``.  So one call over a schedule and one
     call per target, each passed the points before the one it starts
     from, give the same points bitwise.
 
@@ -242,11 +243,12 @@ def continue_branch(start: DiscreteState, prob: DdeProblem, p_from: float,
     grid_points = _checked_int(grid_points, "grid_points", 2)
     p_from, p_to = _checked_real(p_from, "p_from"), _checked_real(p_to, "p_to")
     history = tuple(previous)
-    if any(orbit.poly.free_values.shape != start.poly.free_values.shape
+    if any(orbit.poly.mesh != start.poly.mesh
+           or orbit.poly.free_values.shape != start.poly.free_values.shape
            or orbit.mu.shape != start.mu.shape for orbit in history):
         raise InvalidArgumentError(
-            "each previous orbit must have the layout of start's free "
-            "values and mu")
+            "each previous orbit must have start's mesh, degree and mu "
+            "layout")
     if settings is None:
         settings = NewtonSettings()
     points: List[BranchPoint] = []

@@ -31,12 +31,12 @@ class NodeKind(enum.Enum):
     EQUIDISTANT = "equidistant"
 
     @classmethod
-    def from_name(cls, name: str) -> "NodeKind":
+    def from_name(cls, value, name: str = "node kind") -> "NodeKind":
         try:
-            return cls(name)
+            return cls(value)
         except ValueError:
             raise InvalidArgumentError(
-                f"unknown node kind {name!r}; expected one of "
+                f"unknown {name} {value!r}; expected one of "
                 f"{[k.value for k in cls]}"
             ) from None
 

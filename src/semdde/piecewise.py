@@ -86,6 +86,14 @@ def check_format_version(version, what: str) -> None:
             f"up to {FORMAT_VERSION}")
 
 
+def check_document_keys(doc, keys, what: str) -> None:
+    """Reject a document that is not an object with exactly ``keys``."""
+    got = sorted(doc) if isinstance(doc, dict) else type(doc).__name__
+    if got != sorted(keys):
+        raise InvalidArgumentError(
+            f"{what} needs keys {sorted(keys)}, got {got}")
+
+
 def csv_writer(stream, header):
     """The csv writer of a data file begun with the format-version line
     and the header; it writes a float as its repr, None as empty."""
@@ -186,10 +194,10 @@ class _PiecewiseBase:
         """Set the mesh, family and node times; return ``data`` checked
         to shape (L, per_interval, dim), finite and read-only."""
         data = _checked_reals(data, "values")
-        if data.ndim != 3:
+        if data.ndim != 3 or data.shape[2] < 1:
             raise InvalidArgumentError(
-                f"values must have shape (intervals, nodes, dim), got "
-                f"{data.shape}")
+                f"values must have shape (intervals, nodes, dim) with dim "
+                f">= 1, got {data.shape}")
         expect = (mesh.num_intervals, per_interval)
         if data.shape[:2] != expect:
             raise InvalidArgumentError(
@@ -532,11 +540,8 @@ def poly_from_document(doc: dict) -> PeriodicPiecewisePoly:
     value must agree bitwise and the last value must close onto the first
     before the free values are kept.
     """
-    required = {"breaks", "degree", "dim", "rep_kind", "values"}
-    if not isinstance(doc, dict) or set(doc) != required:
-        keys = sorted(doc) if isinstance(doc, dict) else type(doc).__name__
-        raise InvalidArgumentError(
-            f"polynomial document needs keys {sorted(required)}, got {keys}")
+    check_document_keys(doc, ("breaks", "degree", "dim", "rep_kind",
+                              "values"), "polynomial document")
     degree = _checked_int(doc["degree"], "degree")
     dim = _checked_int(doc["dim"], "dim")
     kind = NodeKind.from_name(doc["rep_kind"])

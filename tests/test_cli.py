@@ -192,6 +192,35 @@ class TestRunConfig:
             assert error["type"] == "ConfigError"
             assert error["message"].startswith(message)
 
+    #: one malformed value per config key; a key added later needs its own
+    MALFORMED = {
+        "problem": 3, "node_kind": "padua", "mesh": True, "mesh_list": [0],
+        "degree": "5", "params": "x", "newton": 3, "out_dir": 3, "grid": 1,
+        "guess": 3, "p_to": "x", "steps": 0, "resume": "false", "k_max": 0,
+        "solution": 3, "samples": True}
+
+    @pytest.mark.parametrize(
+        "key", [f.name for f in dataclasses.fields(RunConfig)])
+    def test_every_key_refuses_a_malformed_value_as_config_error(
+            self, tmp_path, capsys, monkeypatch, key):
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path / "c.json", {key: self.MALFORMED[key]})
+        assert main(["solve", "--config", path]) == 1
+        error = read_error(capsys)
+        assert error["type"] == "ConfigError"
+        assert key in error["message"]
+        assert os.listdir(tmp_path) == ["c.json"]
+
+    @pytest.mark.parametrize("text", [b"{not json", b"\xff\xfe{}"],
+                             ids=["not_json", "not_utf8"])
+    def test_a_config_that_is_not_json_exits_1(self, tmp_path, capsys, text):
+        path = tmp_path / "c.json"
+        path.write_bytes(text)
+        assert main(["solve", "--config", str(path)]) == 1
+        error = read_error(capsys)
+        assert error["type"] == "ConfigError"
+        assert error["message"].startswith(f"{path} is not valid JSON: ")
+
     @pytest.mark.parametrize("value", [None, 3], ids=["null", "number"])
     @pytest.mark.parametrize("key", ["problem", "out_dir", "solution"])
     def test_text_key_must_be_a_string(self, tmp_path, capsys, monkeypatch,
@@ -749,7 +778,7 @@ class TestContinue:
         assert "disagrees" in read_error(capsys)["message"]
 
     @pytest.mark.parametrize("key, config, message", [
-        ("steps", 1, "schedule.json steps must be an int >= 1, got True"),
+        ("steps", 1, "schedule.json steps must be an integer, got True"),
         ("p_to", 1.0, "schedule.json p_to must be a finite number, got True"),
     ], ids=["steps", "p_to"])
     def test_resume_with_a_bool_in_the_schedule_exits_1(
@@ -1185,7 +1214,7 @@ class TestCircleMap:
         assert len(lines) == 2 + 2000  # format line and header first
         assert main(["circle-map", "--config", path, "--grid", "1"]) == 1
         assert read_error(capsys) == {
-            "type": "ConfigError", "message": "grid must be an int >= 2, got 1"}
+            "type": "ConfigError", "message": "grid must be >= 2, got 1"}
 
 
 class TestNodes:
@@ -1213,7 +1242,11 @@ class TestNodes:
             "degree": [4], "node_kind": "padua", "out_dir": str(tmp_path),
         })
         assert main(["nodes", "--config", path]) == 1
-        assert read_error(capsys)["type"] == "InvalidArgumentError"
+        assert read_error(capsys) == {
+            "type": "ConfigError",
+            "message": "unknown node_kind 'padua'; expected one of "
+                       "['gauss_legendre', 'chebyshev_gauss', "
+                       "'chebyshev_lobatto', 'equidistant']"}
 
     def test_chebyshev_lobatto_degree_600_is_written_finite(self, tmp_path):
         path = write_config(tmp_path / "c.json", {
@@ -1419,6 +1452,51 @@ class TestWrongDimension:
                      write_config(tmp_path / "c.json", doc)]) == 1
         assert read_error(capsys)["type"] == "InvalidArgumentError"
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["solve", "continue", "convergence"])
+    def test_a_guess_file_is_refused_naming_it(self, mg_solution, tmp_path,
+                                               capsys, monkeypatch, command):
+        # before any solve, and for convergence before any column is forked
+        def forbidden():
+            raise AssertionError("a column worker was forked")
+
+        monkeypatch.setattr(os, "fork", forbidden)
+        state = state_from_document(
+            json.loads((mg_solution / "solution.json").read_text()))
+        orbit = tmp_path / "orbit.json"
+        orbit.write_text(json.dumps(state_to_document(_two_components(state))))
+        out = tmp_path / "out"
+        path = write_config(tmp_path / "c.json", {
+            "problem": "mackey_glass", "out_dir": str(out),
+            "guess": {"kind": "file", "path": str(orbit)},
+            "p_to": 0.55, "steps": 1, "params": state.params.tolist(),
+            "mesh_list": [3, 4], "degree": [4]})
+        argv = [command, "--config", path]
+        assert main(argv + ["--jobs", "2"] if command == "convergence"
+                    else argv) == 1
+        error = read_error(capsys)
+        assert error["type"] == "InvalidArgumentError"
+        assert error["message"].startswith(
+            f"{orbit} holds an orbit of dimension 2 with 1 params; ")
+        assert list(out.iterdir()) == []
+
+    def test_a_resume_point_is_refused_naming_it(self, mg_branch, tmp_path,
+                                                 capsys):
+        out, doc = mg_branch
+        partial = tmp_path / "partial"
+        shutil.copytree(out, partial)
+        last = sorted(partial.glob("point_*.json"))[-1]
+        state = state_from_document(json.loads(last.read_text()))
+        last.write_text(json.dumps(state_to_document(_two_components(state))))
+        before = {p.name: p.read_bytes() for p in partial.iterdir()}
+        path = write_config(tmp_path / "c.json",
+                            dict(doc, resume=True, out_dir=str(partial)))
+        assert main(["continue", "--config", path]) == 1
+        error = read_error(capsys)
+        assert error["type"] == "InvalidArgumentError"
+        assert error["message"].startswith(
+            f"{last} holds an orbit of dimension 2 with 1 params; ")
+        assert {p.name: p.read_bytes() for p in partial.iterdir()} == before
 
 
 class TestLogging:

@@ -52,6 +52,7 @@ from semdde.errors import (
     NonFiniteResidualError,
     SingularJacobianError,
 )
+from semdde.oracle import phi_m_defect
 from semdde.piecewise import (
     Mesh,
     PeriodicPiecewisePoly,
@@ -589,6 +590,20 @@ class TestAffineRow:
             with pytest.raises(InvalidArgumentError,
                                match="^component must be "):
                 use()
+
+    @pytest.mark.parametrize("call", [
+        assemble_residual, newton_solve, phi_m_defect, assemble_jacobian],
+        ids=lambda call: call.__name__)
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_mu_coeffs_of_another_length_than_mu_raise(self, call, size):
+        # numpy's matmul or broadcast raised a bare ValueError here
+        prob, state = mackey_glass(), _equilibrium_state()
+        anchor, pin = default_constraints(prob, state.params)
+        short = AffineRow(anchor.point_terms, np.zeros(size), anchor.offset)
+        with pytest.raises(InvalidArgumentError,
+                           match=r"^mu_coeffs must have 2 entries, got "
+                                 rf"\({size},\)$"):
+            call(state, prob, (short, pin))
 
 
 class TestNewton:

@@ -329,6 +329,20 @@ class TestContinueBranch:
             continue_branch(points[3].state, prob, points[3].parameter,
                             0.6, 1, previous=tuple(previous))
 
+    def test_previous_on_another_mesh_is_rejected(self):
+        # the same free-value and mu shapes, so only the mesh tells them
+        # apart; its nodes are not the start's
+        start = hopf_initial_guess(mackey_glass_hopf(), 0.01,
+                                   Mesh.uniform(4), 4)
+        other = hopf_initial_guess(mackey_glass_hopf(), 0.01,
+                                   Mesh([0.0, 0.1, 0.2, 0.3, 1.0]), 4)
+        assert other.poly.free_values.shape == start.poly.free_values.shape
+        with pytest.raises(InvalidArgumentError,
+                           match="^each previous orbit must have start's "
+                                 "mesh, degree and mu layout$"):
+            continue_branch(start, mackey_glass(), start.params[0], 0.6, 1,
+                            previous=(other,))
+
     def test_history_is_the_points_before_the_start(self, short_branch):
         """One call per target, each passed the points before the one it
         starts from, gives the points of one call over the schedule."""

@@ -115,6 +115,21 @@ class TestPeriodicPolyConstruction:
         with pytest.raises(InvalidArgumentError):
             PeriodicPiecewisePoly(mesh, 2, np.zeros((3, 3, 1)))
 
+    def test_rejects_values_without_a_component(self):
+        # eval raised numpy's bare "cannot reshape array of size 0"
+        mesh = Mesh.uniform(2)
+        message = (r"^values must have shape \(intervals, nodes, dim\) with "
+                   r"dim >= 1, got \(2, 2, 0\)$")
+        with pytest.raises(InvalidArgumentError, match=message):
+            PeriodicPiecewisePoly(mesh, 2, np.zeros((2, 2, 0)))
+        with pytest.raises(InvalidArgumentError, match=message):
+            PiecewiseProjection(mesh, make_nodes(NodeKind.GAUSS_LEGENDRE, 2),
+                                np.zeros((2, 2, 0)))
+        doc = _full_values_document(mesh, 2, np.zeros((2, 3, 0)))
+        assert doc["dim"] == 0
+        with pytest.raises(InvalidArgumentError, match="dim >= 1, got "):
+            poly_from_document(doc)
+
     def test_rejects_nonfinite_values(self):
         mesh = Mesh.uniform(1)
         values = np.full((1, 2, 1), np.nan)

@@ -92,8 +92,10 @@ def site(id, name, call, kept=None, error=InvalidArgumentError):
 
 
 SITES = [
-    site("cli_real", "guess.period", lambda x: cli._real(x, "guess.period"),
-         lambda got: got, ConfigError),
+    site("cli_real", "guess.period",
+         lambda x: cli.RunConfig.from_document({"guess": {
+             "kind": "constant", "values": [1.0], "period": x}}),
+         lambda got: got.guess["period"], ConfigError),
     *[site(f"newton_{name}", name, lambda x, n=name: NewtonSettings(**{n: x}),
            lambda got, n=name: getattr(got, n))
       for name in ("tol_residual", "tol_step", "damping_min", "fd_step")],
