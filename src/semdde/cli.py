@@ -248,8 +248,13 @@ def _write_json(path: Path, doc: dict) -> None:
 
 def _load_state(path, prob: DdeProblem) -> DiscreteState:
     """The orbit stored at ``path``, refused (InvalidArgumentError) unless
-    its dimension and parameter count are the problem's."""
-    state = state_from_document(_read_json(path, InvalidArgumentError))
+    its dimension and parameter count are the problem's; a refusal of its
+    document keeps its type and gets the path in front of its message."""
+    doc = _read_json(path, InvalidArgumentError)
+    try:
+        state = state_from_document(doc)
+    except (InvalidArgumentError, FormatVersionError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
     if (state.poly.dim, state.params.size) != (prob.dim, prob.num_params):
         raise InvalidArgumentError(
             f"{path} holds an orbit of dimension {state.poly.dim} "

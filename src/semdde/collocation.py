@@ -14,14 +14,14 @@ the query time.  The sensitivities are forward differences on the
 query outputs, taken for all collocation points in one rhs call, so a
 Jacobian costs a few residual-sized evaluations for any mesh size.  Each
 (T, p) column is a forward difference of one rhs call.  Query rows and
-free-value columns come from ``PeriodicPiecewisePoly.eval_with_basis``,
-and at the collocation points, with the profile derivative, from one
-read of ``PeriodicPiecewisePoly._collocation_basis``, which ``piecewise``
-makes and keeps per discretization.  Each Jacobian starts from a fresh
-copy of the differentiation block, which ``piecewise`` makes and keeps
-in the same way (``PeriodicPiecewisePoly._jacobian_start``).  One rule
-answers every query: query k reuses the value held for query k when its
-times have not moved.  The constraint rows are exact affine gradients.
+free-value columns come from ``PeriodicPiecewisePoly.eval_with_basis``;
+at the collocation points, with the profile derivative, from one read
+of ``_collocation_basis``, and at a constraint's point time from its
+kept row (``_point``).  ``piecewise`` makes and keeps both per
+discretization, as it keeps the differentiation block that each
+Jacobian starts from a copy of (``_jacobian_start``).  One rule answers
+every query: query k reuses the value held for query k when its times
+have not moved.  A constraint's value and exact gradient read one row.
 
 The Newton iteration damps by halving on residual increase, down to a
 floor; a trial is admissible when ``DiscreteState`` accepts it (finite,
@@ -204,10 +204,16 @@ class AffineRow:
         return self.point_terms
 
     def value(self, poly: PeriodicPiecewisePoly, mu: np.ndarray) -> float:
+        """Each point term contracts its time's kept Lagrange row with
+        the free values (``PeriodicPiecewisePoly._point``): exactly the
+        affine function whose gradient ``constraint_gradient`` scatters."""
         terms = self._terms_within(poly.dim, mu.size)
         total = float(self.mu_coeffs @ mu) + self.offset
+        free = poly.free_values.reshape(-1, poly.dim)
         for time, comp, coeff in terms:
-            total += coeff * float(poly.eval(time)[comp])
+            cols, row = poly._point(time)
+            # with optimize off, einsum runs its own loop, not BLAS
+            total += coeff * float(np.einsum("n,n->", row, free[cols, comp]))
         return total
 
 
@@ -333,9 +339,9 @@ def constraint_gradient(row: AffineRow, state: DiscreteState) -> np.ndarray:
     n_free = poly.free_values.size
     grad = np.zeros(n_free + state.mu.size)
     for time, comp, coeff in row._terms_within(dim, state.mu.size):
-        _, free, basis = poly.eval_with_basis(np.array([time]))
+        cols, basis = poly._point(time)
         # add.at sums both terms when nodes 0 and m share a column (L = 1)
-        np.add.at(grad, free[0] * dim + comp, coeff * basis[0])
+        np.add.at(grad, cols * dim + comp, coeff * basis)
     grad[n_free:] = row.mu_coeffs
     return grad
 

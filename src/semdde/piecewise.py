@@ -15,8 +15,8 @@ formula: each query gathers its interval's nodes, takes the terms
 q_j = w_j / (t - x_j) from ``nodes.barycentric_terms``, contracts them
 with the gathered values and divides once by their sum.  The basis rows
 q / sum(q) are formed only where the basis itself is wanted: the rows
-``eval_with_basis`` returns to the Jacobian and the constraint
-gradients, and those of the collocation points' basis.  Every reduction
+``eval_with_basis`` returns to the Jacobian, those of the collocation
+points' basis, and the point rows of the constraints.  Every reduction
 runs along one query's terms, so a query's result does not depend on
 the rest of the batch, and querying a stored node time (a unit row of
 terms, summing to 1) returns the stored value bitwise.  Interval lookup
@@ -33,15 +33,16 @@ handed to a caller never serve as a workspace.
 
 A private store keeps what depends on the discretization (breaks and
 node family) alone, for the latest one: what its fixed time sets need,
-and the Jacobian's differentiation block.  Callers only name a fixed
-set, and ``PeriodicPiecewisePoly`` makes its times: ``COLLOCATION`` the
+the Lagrange row of a point time (``_point``) and the Jacobian's
+differentiation block.  Callers only name a fixed set, and
+``PeriodicPiecewisePoly`` makes its times: ``COLLOCATION`` the
 collocation points, an integer n >= 2 the n-point uniform grid of
 [0, 1].  One rule holds for every object: it is recorded on its first
 request, built once on its second and kept from then on, and a request
 on another discretization empties the store.  A set keeps its times,
-intervals and barycentric terms, which do not depend on the rest of
-their batch: stored terms give the chunked path's bits, and a node time
-still returns its stored value bitwise.
+wrapped times, intervals, barycentric terms and their sums, which do
+not depend on the rest of their batch: they give the chunked path's
+bits, and a node time still returns its stored value bitwise.
 
 An n-point grid that tiles a uniform mesh of L >= 2 intervals, L
 dividing n - 1, keeps the basis rows of its offsets instead: its points
@@ -242,10 +243,10 @@ class _PiecewiseBase:
         return barycentric_terms(t, times, self.node_family.bary_weights,
                                  out=times)
 
-    def _interpolate(self, table, idx, t, terms=None):
+    def _interpolate(self, table, idx, t, terms=None, sums=None):
         """``table`` at times t in intervals idx, in chunks of ``_CHUNK``
-        queries; the terms are built per chunk unless given.  One set of
-        workspaces serves every chunk."""
+        queries; the terms and their sums are built per chunk unless
+        given.  One set of workspaces serves every chunk."""
         out = np.empty((t.size, table.shape[1]))
         size = min(t.size, _CHUNK)
         work = np.empty((size,) + table.shape[1:])
@@ -261,9 +262,10 @@ class _PiecewiseBase:
             # per query, one sum and one dot product per channel along
             # its terms; with optimize off, einsum runs its own loops, not
             # BLAS, and on short rows they are faster than np.sum's
-            np.einsum("kn->k", q, out=den[:k])
+            d = np.einsum("kn->k", q, out=den[:k]) if sums is None \
+                else sums[part]
             np.einsum("kdn,kn->kd", work[:k], q, out=out[part])
-            out[part] /= den[:k, None]
+            out[part] /= d[:, None]
         return out
 
     def _eval_table(self, table, t):
@@ -354,30 +356,41 @@ class PeriodicPiecewisePoly(_PiecewiseBase):
         idx = self.mesh.interval_index(t)
         return self._basis(self._value_table, idx, t, self._terms(idx, t))
 
-    def _basis(self, table, idx, t, terms):
+    def _basis(self, table, idx, t, terms, sums=None):
         """``table`` at wrapped times t in intervals idx from their
-        barycentric terms, with the free-value columns and the Lagrange
-        rows: the terms over their sums, bitwise ``nodes.lagrange_rows``."""
-        return self._interpolate(table, idx, t, terms), self._columns[idx], \
-            terms / np.sum(terms, axis=1, keepdims=True)
+        barycentric terms (and their sums, if given), with the free-value
+        columns and the Lagrange rows: the terms over their ``np.sum``,
+        bitwise ``nodes.lagrange_rows``."""
+        return self._interpolate(table, idx, t, terms, sums), \
+            self._columns[idx], terms / np.sum(terms, axis=1, keepdims=True)
+
+    def _point(self, time):
+        """``(cols, row)``, kept, so only to be read: the free-value columns
+        and Lagrange row of ``eval_with_basis(np.array([time]))`` row 0."""
+        def basis():
+            _, cols, rows = self.eval_with_basis(np.array([time]))
+            return cols[0], rows[0]
+
+        return _STORE.get(self, ("point", time), basis) or basis()
 
     def _collocation_basis(self):
         """``(times, values, cols, rows, derivatives)`` at the collocation
-        points from one read of the store: the set's kept terms, or terms
-        built here on its first request, which the store only records.
-        Values, columns and rows are bitwise ``eval_with_basis(times)``,
-        the derivatives ``_on(COLLOCATION, deriv=True)[2]``."""
-        times, idx, terms = self._fixed(COLLOCATION)
+        points from one read of the store: the set's kept terms and sums,
+        or terms built here on its first request (only recorded).  Values,
+        columns and rows are bitwise ``eval_with_basis(times)``, the
+        derivatives ``_on(COLLOCATION, deriv=True)[2]``."""
+        times, t, idx, terms, sums = self._fixed(COLLOCATION)
         if terms is None:
-            terms = self._terms(idx, times)  # the times lie in [0, 1)
-        both, cols, rows = self._basis(self._both_table, idx, times, terms)
+            terms = self._terms(idx, t)
+        both, cols, rows = self._basis(self._both_table, idx, t, terms, sums)
         return times, both[:, :self.dim], cols, rows, both[:, self.dim:]
 
     def _fixed(self, name):
-        """``(times, idx, kept)`` of the fixed time set ``name``: times as
-        the rhs gets them (a grid ends at 1), intervals of the wrapped
-        times, and the kept terms, or offset rows on a tiling grid
-        (``_tiles``), None on the first request (only recorded)."""
+        """``(times, t, idx, kept, sums)`` of the fixed time set ``name``:
+        times as the rhs gets them (a grid ends at 1), wrapped times t and
+        their intervals, the kept terms and their sums, or offset rows and
+        None on a tiling grid (``_tiles``); both None on the first request
+        (only recorded)."""
         if name != COLLOCATION:
             name = _checked_int(name, "grid_points", 2)
 
@@ -387,11 +400,13 @@ class PeriodicPiecewisePoly(_PiecewiseBase):
             t = _wrap_time(times)
             idx = self.mesh.interval_index(t)
             if not build:
-                return times, idx, None
+                return times, t, idx, None, None
             per = self._tiles(name)
-            return times, idx, interpolation_matrix(
-                self.node_family, np.arange(per + 1) / per) if per \
-                else self._terms(idx, t)
+            if per:
+                return times, t, idx, interpolation_matrix(
+                    self.node_family, np.arange(per + 1) / per), None
+            terms = self._terms(idx, t)
+            return times, t, idx, terms, np.einsum("kn->k", terms)
 
         return _STORE.get(self, name, lambda: located(True)) or located()
 
@@ -439,11 +454,10 @@ class PeriodicPiecewisePoly(_PiecewiseBase):
         is bitwise, except on a grid that tiles the mesh (``_tiles``):
         there, to roundoff of ``eval``."""
         table = self._both_table if deriv else self._value_table
-        times, idx, kept = self._fixed(name)
-        t = _wrap_time(times)
+        times, t, idx, kept, sums = self._fixed(name)
         per = self._tiles(name)
         out = self._tiled(table, t, idx, per, kept) if per \
-            else self._interpolate(table, idx, t, kept)
+            else self._interpolate(table, idx, t, kept, sums)
         return (times, out[:, :self.dim], out[:, self.dim:]) if deriv \
             else (times, out)
 
@@ -543,7 +557,7 @@ def poly_from_document(doc: dict) -> PeriodicPiecewisePoly:
     check_document_keys(doc, ("breaks", "degree", "dim", "rep_kind",
                               "values"), "polynomial document")
     degree = _checked_int(doc["degree"], "degree")
-    dim = _checked_int(doc["dim"], "dim")
+    dim = _checked_int(doc["dim"], "dim", 1)
     kind = NodeKind.from_name(doc["rep_kind"])
     if kind != NodeKind.CHEBYSHEV_LOBATTO:
         raise InvalidArgumentError(

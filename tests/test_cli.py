@@ -1407,6 +1407,47 @@ class TestTruncatedStateFile:
         assert "not valid JSON" in error["message"]
 
 
+class TestRefusedStateFile:
+    """A state file whose document the library refuses exits 1 with the
+    library's error type and the file's path in front of its message."""
+
+    @pytest.mark.parametrize("change,kind,message", [
+        (lambda doc: doc["profile"].update(dim=0), "InvalidArgumentError",
+         "dim must be >= 1, got 0"),
+        (lambda doc: doc.update(format_version=99), "FormatVersionError",
+         "state document declares format_version 99; "),
+        (lambda doc: doc.pop("mu"), "InvalidArgumentError",
+         "state document needs keys "),
+    ], ids=["dim_0", "format_version_99", "no_mu"])
+    @pytest.mark.parametrize("source", ["guess", "circle_map_solution",
+                                        "resume_point"])
+    def test_exits_1_naming_the_file(self, mg_solution, mg_branch, tmp_path,
+                                     capsys, source, change, kind, message):
+        if source == "resume_point":
+            out, branch_doc = mg_branch
+            partial = tmp_path / "partial"
+            shutil.copytree(out, partial)
+            orbit = sorted(partial.glob("point_*.json"))[-1]
+            command, doc = "continue", dict(branch_doc, resume=True,
+                                            out_dir=str(partial))
+        else:
+            orbit = tmp_path / "orbit.json"
+            shutil.copy(mg_solution / "solution.json", orbit)
+            command, doc = ("solve", {"guess": {"kind": "file",
+                                                "path": str(orbit)}}) \
+                if source == "guess" else ("circle-map",
+                                           {"solution": str(orbit)})
+            doc.update(problem="mackey_glass", out_dir=str(tmp_path / "out"))
+        stored = json.loads(orbit.read_text())
+        change(stored)
+        orbit.write_text(json.dumps(stored))
+        path = write_config(tmp_path / "c.json", doc)
+        assert main([command, "--config", path]) == 1
+        error = read_error(capsys)
+        assert error["type"] == kind
+        assert error["message"].startswith(f"{orbit}: {message}")
+
+
 def _two_components(state):
     """The orbit with its one component stored twice."""
     values = state.poly.free_values

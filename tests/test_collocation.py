@@ -53,6 +53,7 @@ from semdde.errors import (
     SingularJacobianError,
 )
 from semdde.oracle import phi_m_defect
+from semdde import piecewise
 from semdde.piecewise import (
     Mesh,
     PeriodicPiecewisePoly,
@@ -509,6 +510,30 @@ class TestJacobian:
         assemble_jacobian(state, prob, cons)
         assert len(evals) == calls
 
+    def test_kept_sets_leave_eval_only_the_lagged_query(self, monkeypatch):
+        monkeypatch.setattr(piecewise, "_STORE", piecewise._Store())
+        prob, state = _mackey_glass_case(11, 8)
+        cons = default_constraints(prob, state.params)
+        for _ in range(2):  # the discretization's sets recorded, then kept
+            assemble_residual(state, prob, cons)
+            assemble_jacobian(state, prob, cons)
+        calls = []
+        for cls, name in ((_PiecewiseBase, "eval"),
+                          (PeriodicPiecewisePoly, "eval_with_basis")):
+            def counted(self, t, original=getattr(cls, name), name=name):
+                calls.append((name, np.size(t)))
+                return original(self, t)
+
+            monkeypatch.setattr(cls, name, counted)
+        assemble_residual(state, prob, cons)
+        # the phase anchor reads its kept row, the lag 0 query the kept set
+        assert calls == [("eval", 88)]
+        calls.clear()
+        assemble_jacobian(state, prob, cons)
+        # the lagged query's rows; no constraint row asks for one
+        assert [call for call in calls if call[0] == "eval_with_basis"] \
+            == [("eval_with_basis", 88)]
+
     def test_constraint_count_must_match_mu(self):
         state = _equilibrium_state()
         prob = mackey_glass()
@@ -550,6 +575,27 @@ class TestJacobian:
         assert np.all(diffs <= 1e-4)
 
 
+def _parent_value(row, poly, mu):
+    """An affine row's value with each point term from ``eval``."""
+    total = float(row.mu_coeffs @ mu) + row.offset
+    for time, comp, coeff in row.point_terms:
+        total += coeff * float(poly.eval(time)[comp])
+    return total
+
+
+def _parent_gradient(row, state):
+    """An affine row's gradient with each point term's row and columns
+    from ``eval_with_basis``."""
+    poly = state.poly
+    n_free, dim = poly.free_values.size, poly.dim
+    grad = np.zeros(n_free + state.mu.size)
+    for time, comp, coeff in row.point_terms:
+        _, free, basis = poly.eval_with_basis(np.array([time]))
+        np.add.at(grad, free[0] * dim + comp, coeff * basis[0])
+    grad[n_free:] = row.mu_coeffs
+    return grad
+
+
 class TestAffineRow:
     def test_random_triple_test_confirms_affinity(self):
         rng = np.random.default_rng(23)
@@ -570,6 +616,48 @@ class TestAffineRow:
             rhs = ((value_at(base + d1) - value_at(base))
                    + (value_at(base + d2) - value_at(base)))
             assert abs(lhs - rhs) <= 1e-12
+
+    @pytest.mark.parametrize("L,dim", [(1, 1), (3, 1), (3, 2)])
+    def test_point_terms_at_a_node_are_the_parent_formulas_bitwise(
+            self, monkeypatch, L, dim):
+        # L = 1: nodes 0 and m share a column, so add.at sums two terms
+        free = np.random.default_rng(L + dim).standard_normal((L, 4, dim))
+        poly = PeriodicPiecewisePoly(Mesh.uniform(L), 4, free)
+        state = DiscreteState(poly, np.array([1.7, 0.3]))
+        # the anchor, and two terms at node times: t = 0 and an interior
+        # node of the last interval
+        node = float(poly.node_times[-1, 2])
+        rows = (phase_anchor_row(0.2, 1),
+                AffineRow(((0.0, dim - 1, -0.4), (node, 0, 1.3)),
+                          np.array([0.7, -1.1]), 0.25))
+        formulas = ((lambda row: row.value(poly, state.mu).hex(),
+                     lambda row: _parent_value(row, poly, state.mu).hex()),
+                    (lambda row: constraint_gradient(row, state).tobytes(),
+                     lambda row: _parent_gradient(row, state).tobytes()))
+        for row in rows:
+            for got, want in formulas:
+                monkeypatch.setattr(piecewise, "_STORE", piecewise._Store())
+                for request in range(3):  # recorded, built, kept
+                    assert got(row) == want(row)
+                    kept = piecewise._STORE.current[1][("point", 0.0)]
+                    assert (kept is None) == (request == 0)
+        assert rows[0].value(poly, state.mu) == free[0, 0, 0] - 0.2
+
+    def test_off_node_terms_are_eval_to_roundoff_and_match_the_gradient(
+            self, monkeypatch):
+        monkeypatch.setattr(piecewise, "_STORE", piecewise._Store())
+        rng = np.random.default_rng(29)
+        row = AffineRow(point_terms=((0.15, 0, 1.3), (0.6, 0, -0.4)),
+                        mu_coeffs=np.array([0.7, -1.1]), offset=0.25)
+        for _ in range(3):  # recorded, built, kept
+            flat = rng.standard_normal(2 * 3 * 1 + 2)
+            flat[-2] = 1.5
+            state = DiscreteState.from_flat(flat, Mesh.uniform(2), 3, 1, 1)
+            value = row.value(state.poly, state.mu)
+            assert abs(value - _parent_value(row, state.poly,
+                                             state.mu)) <= 1e-14
+            assert abs(value - (constraint_gradient(row, state) @ flat
+                                + row.offset)) <= 1e-14
 
     @pytest.mark.parametrize("comp", [-1, 1, 0.5, True],
                              ids=["negative", "dim", "fraction", "bool"])

@@ -104,7 +104,7 @@ def test_outputs_do_not_depend_on_what_the_store_holds(monkeypatch, case):
         # values
         for n in (DEFAULT_ERR_GRID, 2001):
             per = (n - 1) // state.poly.mesh.num_intervals
-            assert kept[n][2].tobytes() == interpolation_matrix(
+            assert kept[n][3].tobytes() == interpolation_matrix(
                 state.poly.node_family, np.arange(per + 1) / per).tobytes()
         assert want[3].tobytes() == np.array(
             [np.ptp(_tiled_reference(state.poly, n)[1])
@@ -134,7 +134,7 @@ def test_stored_rows_give_the_values_of_eval_at_node_times(L):
     for _ in range(3):
         times, values = poly._on(12)
         assert values.tobytes() == poly.eval(times).tobytes()
-    kept = piecewise._STORE.current[1][12][2]
+    kept = piecewise._STORE.current[1][12][3]
     assert kept.shape == ((2, 9) if L == 11 else (12, 9))
     # a node time returns the stored value bitwise; t = 1 wraps to 0
     first = np.append(poly.values[:, 0, 0], poly.values[0, 0, 0])
@@ -171,10 +171,10 @@ def test_a_fixed_set_has_the_times_its_name_says(name):
         want = np.linspace(0.0, 1.0, name)  # unwrapped: it ends at 1
     # recorded, then built into the store, then read from it
     for _ in range(3):
-        times, idx, _ = poly._fixed(name)
+        times, t, idx, *_ = poly._fixed(name)
         assert times.tobytes() == want.tobytes()
-        assert np.array_equal(idx,
-                              poly.mesh.interval_index(want % 1.0))
+        assert t.tobytes() == (want % 1.0).tobytes()
+        assert np.array_equal(idx, poly.mesh.interval_index(t))
 
 
 @pytest.mark.parametrize("name", [-1, 0, 1])
@@ -304,7 +304,7 @@ def test_branch_points_do_not_depend_on_what_the_store_holds(monkeypatch,
         patch.setattr(piecewise, "_STORE", _KeepsNothing())
         want = branch()
     warm = branch()  # the store holds this discretization's rows
-    kept = piecewise._STORE.current[1][DEFAULT_ERR_GRID][2]
+    kept = piecewise._STORE.current[1][DEFAULT_ERR_GRID][3]
     # L = 10 keeps the rows of the 1001 offsets, L = 11 the grid's terms
     assert kept.shape == ((1001, 9) if L == 10 else (DEFAULT_ERR_GRID, 9))
     piecewise._STORE = piecewise._Store()
@@ -347,9 +347,11 @@ def test_the_store_keeps_one_discretization():
     err_and_amplitude(state, prob)
     assert piecewise._STORE.current[1] == {DEFAULT_ERR_GRID: None}
     err_and_amplitude(state, prob)
-    times, idx, rows = piecewise._STORE.current[1][DEFAULT_ERR_GRID]
-    assert times.shape == idx.shape == (DEFAULT_ERR_GRID,)
-    assert rows.shape == (DEFAULT_ERR_GRID, 9)
+    times, t, idx, terms, sums = piecewise._STORE.current[1][
+        DEFAULT_ERR_GRID]
+    assert times.shape == t.shape == idx.shape == (DEFAULT_ERR_GRID,)
+    assert terms.shape == (DEFAULT_ERR_GRID, 9)
+    assert sums.shape == (DEFAULT_ERR_GRID,)
     # another discretization empties it, one whose grid tiles its mesh
     # (L = 5) as any other
     for L in (5, 3):
@@ -381,7 +383,42 @@ def test_a_tiling_grid_is_built_once_and_kept(monkeypatch, L, n, deriv, dim):
     chunked = np.concatenate([
         interpolation_matrix(p.node_family, offsets[lo:lo + piecewise._CHUNK])
         for lo in range(0, per + 1, piecewise._CHUNK)])
-    assert recorder.current[1][n][2].tobytes() == chunked.tobytes()
+    assert recorder.current[1][n][3].tobytes() == chunked.tobytes()
+
+
+def test_a_point_row_is_kept_from_its_second_request():
+    prob, state, cons = _with_constraints(lambda: _mackey_glass_case(11, 8))
+    anchor, poly = cons[0], state.poly
+    _, cols, rows = poly.eval_with_basis(np.array([0.0]))
+    want = anchor.value(poly, state.mu)  # recorded
+    assert piecewise._STORE.current[1][("point", 0.0)] is None
+    for _ in range(2):  # built, then kept
+        assert anchor.value(poly, state.mu) == want
+        kept = piecewise._STORE.current[1][("point", 0.0)]
+        assert kept[0].tobytes() == cols[0].tobytes()
+        assert kept[1].tobytes() == rows[0].tobytes()
+    assert poly._point(0.0) is kept
+    # a request on another discretization drops it
+    _, other = _mackey_glass_case(3, 8)
+    anchor.value(other.poly, other.mu)
+    assert piecewise._STORE.current[1] == {("point", 0.0): None}
+
+
+def test_a_terms_set_keeps_its_wrapped_times_and_term_sums():
+    _, state = _mackey_glass_case(11, 8)
+    poly = state.poly
+    assert not _tiles(poly, DEFAULT_ERR_GRID)
+    # recorded, then built into the store, then read from it
+    for _ in range(3):
+        times, values, deriv = poly._on(DEFAULT_ERR_GRID, deriv=True)
+        assert values.tobytes() == poly.eval(times).tobytes()
+        assert deriv.tobytes() == poly.eval_deriv(times).tobytes()
+    _, t, _, terms, sums = piecewise._STORE.current[1][DEFAULT_ERR_GRID]
+    assert t.tobytes() == (times % 1.0).tobytes()
+    # the sums of the whole set are those ``_interpolate`` takes per chunk
+    assert sums.tobytes() == np.concatenate([
+        np.einsum("kn->k", terms[lo:lo + piecewise._CHUNK])
+        for lo in range(0, DEFAULT_ERR_GRID, piecewise._CHUNK)]).tobytes()
 
 
 def test_each_jacobian_gets_its_own_start_block():
