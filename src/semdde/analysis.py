@@ -59,21 +59,31 @@ _COLLAPSE_FLOOR = 1e-8
 
 def checked_amplitude(state: DiscreteState,
                       before: Optional[float] = None) -> float:
-    """Range of ``state``'s free values, the profile at its representation
-    nodes: the amplitude of the package's one collapse rule.
+    """The largest range of any one component of ``state``'s free values,
+    the profile at its representation nodes: the amplitude of the
+    package's one collapse rule.
 
     ``before`` is the same measure of the orbit the solve of ``state``
     started from.  Raises CollapseError when the solve has fallen onto
     the equilibrium, which also solves the system: ``before`` is above
     the floor of a flat profile and the amplitude is below a tenth of it.
     """
-    after = float(np.ptp(state.poly.free_values))
+    free = state.poly.free_values
+    after = float((free.max(axis=(0, 1)) - free.min(axis=(0, 1))).max())
     if (before is not None and before > _COLLAPSE_FLOOR
             and after < _COLLAPSE_RATIO * before):
         raise CollapseError(
             f"orbit amplitude fell from {before:.3e} to {after:.3e}; "
             f"converged to the trivial solution")
     return after
+
+
+def _refuse_flat_start(start: DiscreteState) -> None:
+    """CollapseError for a flat start: the equilibrium, with no branch."""
+    if checked_amplitude(start) <= _COLLAPSE_FLOOR:
+        raise CollapseError(
+            f"start's free values range over {checked_amplitude(start):.3e}"
+            f", not above the flat-profile floor {_COLLAPSE_FLOOR:g}")
 
 
 def err_and_amplitude(state: DiscreteState, prob: DdeProblem,
@@ -219,7 +229,7 @@ def _checked_plan(L_list: Sequence[int], m_list: Sequence[int]):
 
 def convergence_study(prob: DdeProblem, params, L_list: Sequence[int],
                       m_list: Sequence[int],
-                      settings: Optional[NewtonSettings] = None, *,
+                      settings: NewtonSettings = NewtonSettings(), *,
                       seed: DiscreteState,
                       grid_points: int = DEFAULT_ERR_GRID,
                       ) -> ConvergenceTable:
@@ -236,8 +246,6 @@ def convergence_study(prob: DdeProblem, params, L_list: Sequence[int],
     L_list, m_list = _checked_plan(L_list, m_list)
     grid_points = _checked_int(grid_points, "grid_points", 2)
     params = np.atleast_1d(_checked_reals(params, "params"))
-    if settings is None:
-        settings = NewtonSettings()
     default_constraints(prob, params)  # a wrong count fails before a cell
 
     rows = []
@@ -495,10 +503,9 @@ def circle_map_analysis(r: Callable, k_max: int, grid: int,
         roots = times[np.nonzero(h[:, :-1] == 0.0)[1]].tolist()
         row, i = np.nonzero((h[:, :-1] != 0.0) & (h[:, 1:] != 0.0)
                             & ((h[:, :-1] < 0.0) != (h[:, 1:] < 0.0)))
-        if i.size:
-            roots += _bisect_roots(
-                lambda t, which: _lift_iterate(r, t, k) - t - n[row[which]],
-                times[i], times[i] + spacing, h[row, i]).tolist()
+        roots += _bisect_roots(
+            lambda t, which: _lift_iterate(r, t, k) - t - n[row[which]],
+            times[i], times[i] + spacing, h[row, i]).tolist()
         points = np.array(_merge_close(roots))
         derivs = np.zeros(0)
         if points.size:

@@ -27,6 +27,7 @@ from .analysis import (
     DEFAULT_ERR_GRID,
     ConvergenceTable,
     _checked_plan,
+    _refuse_flat_start,
     _solve_resampled,
     circle_map_analysis,
     convergence_study,
@@ -45,7 +46,6 @@ from .collocation import (
 from .continuation import (
     DEFAULT_HOPF_OFFSET,
     _PREDICTOR_ORBITS,
-    _refuse_flat_start,
     append_branch_row,
     continue_branch,
     hopf_initial_guess,

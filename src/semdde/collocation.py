@@ -240,9 +240,10 @@ def default_constraints(prob: DdeProblem, params_target,
                         ) -> Tuple[AffineRow, ...]:
     """Phase anchor at t=0 plus one pin row per free parameter.
 
-    The anchor value defaults to the problem's declared equilibrium;
-    problems without one must pass it explicitly (taken from the initial
-    guess's value at t=0 by the callers that do so).
+    The anchor value defaults to the problem's declared equilibrium's
+    first component.  No caller in the package passes it; users of a
+    problem without a declared equilibrium must, for example the
+    guess's first component at t=0.
     """
     targets = np.atleast_1d(_checked_reals(params_target, "params_target"))
     if targets.size != prob.num_params:

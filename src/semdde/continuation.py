@@ -31,8 +31,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .analysis import _COLLAPSE_FLOOR, DEFAULT_ERR_GRID, checked_amplitude, \
-    measured_orbit
+from .analysis import DEFAULT_ERR_GRID, _refuse_flat_start, \
+    checked_amplitude, measured_orbit
 from .collocation import (
     DiscreteState,
     NewtonSettings,
@@ -158,8 +158,6 @@ def _predicted(orbits: Sequence[DiscreteState], onset: Optional[HopfData],
                     ] + free
             p_nodes = [onset.tau_hopf] + p_nodes
             period = [np.array([onset.period])] + period
-    elif len(orbits) == 1:
-        return None
     with np.errstate(over="ignore", invalid="ignore"):
         free = _extrapolated(nodes, free, x)
         period = _extrapolated(p_nodes, period, p_target)
@@ -197,17 +195,9 @@ def _predict(orbits: Sequence[DiscreteState], onset: Optional[HopfData],
     return orbits[-1]
 
 
-def _refuse_flat_start(start: DiscreteState) -> None:
-    """CollapseError for a flat start: the equilibrium, with no branch."""
-    if checked_amplitude(start) <= _COLLAPSE_FLOOR:
-        raise CollapseError(
-            f"start's free values range over {checked_amplitude(start):.3e}"
-            f", not above the flat-profile floor {_COLLAPSE_FLOOR:g}")
-
-
 def continue_branch(start: DiscreteState, prob: DdeProblem, p_from: float,
                     p_to: float, steps: int,
-                    settings: Optional[NewtonSettings] = None, *,
+                    settings: NewtonSettings = NewtonSettings(), *,
                     grid_points: int = DEFAULT_ERR_GRID,
                     previous: Sequence[DiscreteState] = (),
                     ) -> List[BranchPoint]:
@@ -249,8 +239,6 @@ def continue_branch(start: DiscreteState, prob: DdeProblem, p_from: float,
         raise InvalidArgumentError(
             "each previous orbit must have start's mesh, degree and mu "
             "layout")
-    if settings is None:
-        settings = NewtonSettings()
     points: List[BranchPoint] = []
 
     def solve_at(p_value, state, history):

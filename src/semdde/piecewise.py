@@ -49,7 +49,9 @@ dividing n - 1, keeps the basis rows of its offsets instead: its points
 sit at the offsets j / per, per = (n - 1) / L, of every interval, so the
 rows of the per + 1 offsets, contracted with every interval's values,
 give the grid's values to roundoff of ``eval``, and its break points,
-taken by the kernel, bitwise.
+taken by the kernel, bitwise.  Whether a set tiles the mesh is decided
+once, when the set is located, and per (0 for a set that does not tile)
+is kept with its times.
 """
 
 from __future__ import annotations
@@ -270,10 +272,8 @@ class _PiecewiseBase:
 
     def _eval_table(self, table, t):
         t_arr = np.asarray(t, dtype=float)
-        flat = _wrap_time(np.atleast_1d(t_arr).ravel())
+        flat = _wrap_time(t_arr.ravel())
         out = self._interpolate(table, self.mesh.interval_index(flat), flat)
-        if t_arr.ndim == 0:
-            return out[0]
         return out.reshape(t_arr.shape + (table.shape[1],))
 
     def eval(self, t):
@@ -379,55 +379,50 @@ class PeriodicPiecewisePoly(_PiecewiseBase):
         or terms built here on its first request (only recorded).  Values,
         columns and rows are bitwise ``eval_with_basis(times)``, the
         derivatives ``_on(COLLOCATION, deriv=True)[2]``."""
-        times, t, idx, terms, sums = self._fixed(COLLOCATION)
+        times, t, idx, _, terms, sums = self._fixed(COLLOCATION)
         if terms is None:
             terms = self._terms(idx, t)
         both, cols, rows = self._basis(self._both_table, idx, t, terms, sums)
         return times, both[:, :self.dim], cols, rows, both[:, self.dim:]
 
     def _fixed(self, name):
-        """``(times, t, idx, kept, sums)`` of the fixed time set ``name``:
-        times as the rhs gets them (a grid ends at 1), wrapped times t and
-        their intervals, the kept terms and their sums, or offset rows and
-        None on a tiling grid (``_tiles``); both None on the first request
-        (only recorded)."""
+        """``(times, t, idx, per, kept, sums)`` of the fixed time set
+        ``name``: times as the rhs gets them (a grid ends at 1), wrapped
+        times t and their intervals; per = (n - 1) / L when ``name`` is
+        an n-point grid that tiles the mesh, holding its points at the
+        offsets j / per of every interval (the mesh is uniform, breaks
+        bitwise those of ``Mesh.uniform``, L >= 2 and L divides n - 1),
+        else 0; the kept terms and their sums, or offset rows and None
+        when per > 0, both None on the first request (only recorded)."""
         if name != COLLOCATION:
             name = _checked_int(name, "grid_points", 2)
 
         def located(build=False):
-            times = self.mesh.node_times(gauss_rule(self.degree)[0]).ravel() \
-                if name == COLLOCATION else np.linspace(0.0, 1.0, name)
+            if name == COLLOCATION:
+                times, per = self.mesh.node_times(
+                    gauss_rule(self.degree)[0]).ravel(), 0
+            else:
+                L = self.mesh.num_intervals
+                times = np.linspace(0.0, 1.0, name)
+                tiles = L >= 2 and (name - 1) % L == 0 and np.array_equal(
+                    self.mesh.breaks, np.linspace(0.0, 1.0, L + 1))
+                per = (name - 1) // L if tiles else 0
             t = _wrap_time(times)
             idx = self.mesh.interval_index(t)
             if not build:
-                return times, t, idx, None, None
-            per = self._tiles(name)
+                return times, t, idx, per, None, None
             if per:
-                return times, t, idx, interpolation_matrix(
+                return times, t, idx, per, interpolation_matrix(
                     self.node_family, np.arange(per + 1) / per), None
             terms = self._terms(idx, t)
-            return times, t, idx, terms, np.einsum("kn->k", terms)
+            return times, t, idx, per, terms, np.einsum("kn->k", terms)
 
         return _STORE.get(self, name, lambda: located(True)) or located()
 
-    def _tiles(self, name) -> int:
-        """per = (n - 1) / L when ``name`` is an n-point grid that tiles
-        the mesh, holding its points at the offsets j / per of every
-        interval: the mesh is uniform (breaks bitwise those of
-        ``Mesh.uniform``), L >= 2 and L divides n - 1; else 0."""
-        if name == COLLOCATION:
-            return 0
-        n = _checked_int(name, "grid_points", 2)
-        L = self.mesh.num_intervals
-        if L < 2 or (n - 1) % L or not np.array_equal(
-                self.mesh.breaks, np.linspace(0.0, 1.0, L + 1)):
-            return 0
-        return (n - 1) // L
-
     def _tiled(self, table, t, idx, per, rows):
         """``table`` at the wrapped times t, in intervals idx, of a grid
-        that tiles the mesh (``_tiles``), from the basis rows of the
-        per + 1 offsets: ``rows`` as kept, or None to build them
+        that tiles the mesh (per > 0 in ``_fixed``), from the basis rows
+        of the per + 1 offsets: ``rows`` as kept, or None to build them
         ``_CHUNK`` offsets at a time.  Point k takes row
         j = (k mod (n - 1)) - idx * per.  The L + 1 points at the breaks,
         which linspace may round off them by an ulp, are then taken by
@@ -451,11 +446,10 @@ class PeriodicPiecewisePoly(_PiecewiseBase):
     def _on(self, name, deriv=False):
         """``(times, eval(times))`` at the fixed time set ``name``, or
         with ``deriv`` ``(times, eval(times), eval_deriv(times))``.  Each
-        is bitwise, except on a grid that tiles the mesh (``_tiles``):
+        is bitwise, except on a grid that tiles the mesh (per > 0):
         there, to roundoff of ``eval``."""
         table = self._both_table if deriv else self._value_table
-        times, t, idx, kept, sums = self._fixed(name)
-        per = self._tiles(name)
+        times, t, idx, per, kept, sums = self._fixed(name)
         out = self._tiled(table, t, idx, per, kept) if per \
             else self._interpolate(table, idx, t, kept, sums)
         return (times, out[:, :self.dim], out[:, self.dim:]) if deriv \

@@ -6,8 +6,9 @@ plus the free parameters.  State-dependent delays are computed
 inside the rhs from evaluator queries, so the interface stays equal to
 the mathematical form y'(t) = G(y_t, p).
 
-Evaluators may be batched: e(theta) with a scalar lag returns one state
-row per base time, and a per-point lag array applies elementwise.  A rhs
+Evaluators may be batched: e(theta) with a scalar lag (or a lag array
+of size 1) returns one state row per base time, and a per-point lag
+array applies elementwise; both take one broadcast path.  A rhs
 built from numpy arithmetic therefore serves one point or a whole set of
 collocation points with the same source.
 """
@@ -220,10 +221,8 @@ class RescaledRhs:
 
     def __call__(self, poly: PeriodicPiecewisePoly, t, mu: np.ndarray):
         t_arr = np.asarray(t, dtype=float)
-        out = self.evaluate(np.atleast_1d(t_arr).ravel(), mu,
+        out = self.evaluate(t_arr.ravel(), mu,
                             lambda k, times: poly.eval(times))
-        if t_arr.ndim == 0:
-            return out[0]
         return out.reshape(t_arr.shape + (self.problem.dim,))
 
     def evaluate(self, base: np.ndarray, mu: np.ndarray,
@@ -246,15 +245,11 @@ class RescaledRhs:
         queries = itertools.count()
 
         def evaluator(theta):
-            th = np.asarray(theta, dtype=float)
-            if th.ndim > 0:
-                th = th.ravel()
-                if th.size not in (1, base.size):
-                    raise InvalidArgumentError(
-                        f"lag batch of size {th.size} does not match "
-                        f"{base.size} base times")
-                if th.size == 1:
-                    th = th[0]
+            th = np.asarray(theta, dtype=float).ravel()
+            if th.size not in (1, base.size):
+                raise InvalidArgumentError(
+                    f"lag batch of size {th.size} does not match "
+                    f"{base.size} base times")
             return answer(next(queries), base + th / period)
 
         out = period * np.asarray(self.problem.rhs(evaluator, mu[1:]),

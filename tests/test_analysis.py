@@ -10,7 +10,6 @@ import io
 import json
 import logging
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,16 +51,12 @@ from semdde.piecewise import Mesh, _wrap_time, sample_periodic
 from semdde.problems import DdeProblem, RescaledRhs, mackey_glass, \
     sd_quadratic
 
-from test_piecewise import _tiled_reference, _tiles
-
-MG_BRANCH_END = (Path(__file__).resolve().parents[1] / "perfbench" / "data"
-                 / "mg_branch_end.json")
-
-
-def _equilibrium_state(tau=0.8, period=1.6, num_intervals=3, degree=4):
-    mesh = Mesh.uniform(num_intervals)
-    poly = sample_periodic(lambda t: np.ones_like(t), mesh, degree)
-    return DiscreteState(poly, np.array([period, tau]))
+from support import (
+    MG_BRANCH_END,
+    equilibrium_state,
+    tiled_reference,
+    tiles_mesh,
+)
 
 
 def _lagged_pair():
@@ -93,12 +88,12 @@ def _residual_case(case):
 
 class TestResidualErr:
     def test_equilibrium_residual_vanishes(self):
-        state = _equilibrium_state()
+        state = equilibrium_state()
         assert err_and_amplitude(state, mackey_glass())[0] <= 1e-13
 
     def test_rejects_tiny_grid(self):
         with pytest.raises(InvalidArgumentError):
-            err_and_amplitude(_equilibrium_state(), mackey_glass(),
+            err_and_amplitude(equilibrium_state(), mackey_glass(),
                               grid_points=1)
 
     def test_nonsolution_has_large_residual(self):
@@ -116,9 +111,9 @@ class TestResidualErr:
         poly = state.poly
         grid = np.linspace(0.0, 1.0, grid_points)  # holds t = 1
         rhs = RescaledRhs(prob)
-        if _tiles(poly, grid_points):  # 10001 points on L = 10 and 5
+        if tiles_mesh(poly, grid_points):  # 10001 points on L = 10 and 5
             # the rows of the tiling path; a query at lag 0 reads its values
-            _, values, deriv = _tiled_reference(poly, grid_points)
+            _, values, deriv = tiled_reference(poly, grid_points)
             rhs_values = rhs.evaluate(
                 grid, state.mu,
                 lambda k, at: values.copy()
@@ -140,12 +135,12 @@ class TestResidualErr:
     @pytest.mark.parametrize("grid_points", [0, 1])
     def test_amplitude_rejects_tiny_grid(self, grid_points):
         with pytest.raises(InvalidArgumentError):
-            err_and_amplitude(_equilibrium_state(), mackey_glass(),
+            err_and_amplitude(equilibrium_state(), mackey_glass(),
                               grid_points)
         # a table's cells measure err on the grid too
         with pytest.raises(InvalidArgumentError):
             convergence_study(mackey_glass(), [0.8], [3], [4],
-                              seed=_equilibrium_state(),
+                              seed=equilibrium_state(),
                               grid_points=grid_points)
 
     @pytest.mark.parametrize("case", ["mackey_glass", "sd_quadratic",
@@ -194,19 +189,42 @@ class TestMeasuredOrbit:
         assert measured == []
 
 
+def _two_levels(amplitude, level):
+    """A dim-2 state: amplitude * sin(2 pi t) and the constant level."""
+    poly = sample_periodic(
+        lambda t: np.stack([amplitude * np.sin(2 * np.pi * t),
+                            np.full_like(t, level)], axis=1),
+        Mesh.uniform(4), 5)
+    return DiscreteState(poly, np.array([1.0, 0.5]))
+
+
 class TestCheckedAmplitude:
     @pytest.mark.parametrize("state", [
-        lambda: _equilibrium_state(),
+        lambda: equilibrium_state(),
         lambda: sd_quadratic_seed(0.95),
         lambda: DiscreteState(sample_periodic(
             lambda t: np.stack([np.sin(2 * np.pi * t),
                                 3.0 * np.cos(6 * np.pi * t)], axis=1),
             Mesh([0.0, 0.3, 0.45, 1.0]), 7), np.array([1.0])),
-    ], ids=["flat", "sd_quadratic_seed", "two_components"])
+        lambda: _two_levels(0.1, 5.0),
+    ], ids=["flat", "sd_quadratic_seed", "two_components", "two_levels"])
     def test_is_the_range_of_the_free_values_bitwise(self, state):
+        """The largest range of the free values of one component."""
         state = state()
-        got = checked_amplitude(state)
-        assert got.hex() == float(np.ptp(state.poly.free_values)).hex()
+        free = state.poly.free_values
+        want = max(float(np.ptp(free[:, :, s])) for s in range(free.shape[2]))
+        assert checked_amplitude(state).hex() == want.hex()
+        if free.shape[2] == 1:  # the range of all free values
+            assert checked_amplitude(state).hex() == \
+                float(np.ptp(free)).hex()
+
+    def test_a_component_collapsing_under_another_is_a_collapse(self):
+        """The first component falls from 0.1 sin(2 pi t) to 0 while the
+        second stays at 5: the range of all free values would fall only
+        from 5.1 to 5."""
+        before = checked_amplitude(_two_levels(0.1, 5.0))
+        with pytest.raises(CollapseError):
+            checked_amplitude(_two_levels(0.0, 5.0), before)
 
     def test_the_continuation_module_keeps_the_one_rule(self):
         from semdde import continuation
@@ -232,11 +250,11 @@ class TestCheckedAmplitude:
     def test_never_raises_from_a_start_at_or_below_the_floor(self, before):
         # the equilibrium's amplitude 0 is below a tenth of any positive
         # amplitude, but a start at or below 1e-8 is itself flat
-        assert checked_amplitude(_equilibrium_state(), before) == 0.0
+        assert checked_amplitude(equilibrium_state(), before) == 0.0
 
     def test_a_start_just_above_the_floor_is_not_flat(self):
         with pytest.raises(CollapseError):
-            checked_amplitude(_equilibrium_state(), np.nextafter(1e-8, 1.0))
+            checked_amplitude(equilibrium_state(), np.nextafter(1e-8, 1.0))
 
 
 class TestConvergenceTable:
@@ -272,7 +290,7 @@ class TestConvergenceTable:
 class TestConvergenceStudy:
     def test_degenerate_single_cell(self):
         prob = mackey_glass()
-        seed = _equilibrium_state(tau=0.8)
+        seed = equilibrium_state(tau=0.8)
         table = convergence_study(prob, 0.8, [1], [4], seed=seed)
         assert len(table.rows) == 1
         row = table.rows[0]
@@ -327,7 +345,7 @@ class TestConvergenceStudy:
     def test_each_cell_is_logged_at_debug_level(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="semdde.analysis"):
             table = convergence_study(mackey_glass(), 0.8, [1], [4, 5],
-                                      seed=_equilibrium_state(tau=0.8))
+                                      seed=equilibrium_state(tau=0.8))
             failed = self._failing_table()
         messages = [r.getMessage() for r in caplog.records
                     if r.name == "semdde.analysis"]
@@ -338,7 +356,7 @@ class TestConvergenceStudy:
 
     def test_rejects_empty_or_too_small_lists(self):
         prob = mackey_glass()
-        seed = _equilibrium_state()
+        seed = equilibrium_state()
         with pytest.raises(InvalidArgumentError):
             convergence_study(prob, 0.8, [], [4], seed=seed)
         with pytest.raises(InvalidArgumentError):
@@ -385,7 +403,7 @@ class TestConvergenceStudy:
         monkeypatch.setattr("semdde.analysis.newton_solve", counted)
         with pytest.raises(InvalidArgumentError, match=message):
             convergence_study(mackey_glass(), [0.95], sizes, degrees,
-                              seed=_equilibrium_state())
+                              seed=equilibrium_state())
         assert solves == []
 
     @pytest.mark.parametrize("params", [[math.nan], ["0.95"], math.inf],
@@ -402,7 +420,7 @@ class TestConvergenceStudy:
         monkeypatch.setattr("semdde.analysis.resample_state", counted)
         with pytest.raises(InvalidArgumentError, match="params must be"):
             convergence_study(mackey_glass(), params, [2], [4],
-                              seed=_equilibrium_state())
+                              seed=equilibrium_state())
         assert resampled == []
 
     @pytest.mark.parametrize("grid_points", [1, 2.0, True],
@@ -419,7 +437,7 @@ class TestConvergenceStudy:
         monkeypatch.setattr("semdde.analysis.newton_solve", counted)
         with pytest.raises(InvalidArgumentError, match="^grid_points must "):
             convergence_study(mackey_glass(), [0.95], [2], [4],
-                              seed=_equilibrium_state(),
+                              seed=equilibrium_state(),
                               grid_points=grid_points)
         assert solves == []
 
@@ -430,7 +448,7 @@ class TestConvergenceStudy:
 
     def test_csv_and_json_exports_are_deterministic(self):
         prob = mackey_glass()
-        seed = _equilibrium_state(tau=0.8)
+        seed = equilibrium_state(tau=0.8)
         table = convergence_study(prob, 0.8, [1], [4], seed=seed)
         first, second = io.StringIO(), io.StringIO()
         write_convergence_csv(table, first)
@@ -692,6 +710,18 @@ class TestCircleMapAgainstTheScalarScan:
         result = self._assert_equal_bitwise(_grid_zero_lag, 3, grid)
         assert {0.0, 0.25, _MIDPOINT_ROOT} <= set(
             result.periodic_points[0].points)
+
+    @pytest.mark.parametrize("r, points", [
+        # the displacement -r stays in (-0.15, -0.05): no bracket, no point
+        (lambda t: 0.1 + 0.05 * np.sin(2.0 * np.pi * np.asarray(t)), []),
+        # -r touches 0 without changing sign: t - r(t) is t at the grid
+        # times 0 and 1/2 (r(1/2) rounds away), two points, no bracket
+        (lambda t: 0.3 * np.sin(2.0 * np.pi * np.asarray(t)) ** 2,
+         [0.0, 0.5]),
+    ], ids=["no_zero", "touching_zero"])
+    def test_an_iterate_without_a_bracket(self, r, points):
+        result = self._assert_equal_bitwise(r, 2, 1000)
+        assert result.periodic_points[0].points.tolist() == points
 
     def test_one_batched_call_per_bisection_step(self, sd_quadratic_lag):
         calls = []

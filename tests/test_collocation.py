@@ -62,14 +62,17 @@ from semdde.piecewise import (
 )
 from semdde.problems import DdeProblem, mackey_glass, sd_quadratic
 
-from example_problems import state_eval_example
-
-TAU_HOPF = np.arccos(-0.25) / np.sqrt(15.0)
-PERIOD_HOPF = 2.0 * np.pi / np.sqrt(15.0)
-
-
-MG_BRANCH_END = (Path(__file__).resolve().parents[1] / "perfbench" / "data"
-                 / "mg_branch_end.json")
+from support import (
+    MG_BRANCH_END,
+    PERIOD_HOPF,
+    TAU_HOPF,
+    coupled_case,
+    equilibrium_state,
+    mackey_glass_case,
+    repeated_query_case,
+    sd_quadratic_case,
+    state_eval_example,
+)
 
 
 def _fd_jacobian(state, prob, cons, settings=NewtonSettings()):
@@ -108,34 +111,6 @@ def _full_residual_mu_columns(state, prob, cons, settings=NewtonSettings()):
     return np.stack(cols, axis=1)
 
 
-def _coupled_pair():
-    """Two components, each fed by delayed values of both, one lag
-    depending on the state: the cross-component blocks of the Jacobian."""
-
-    def rhs(e, p):
-        now = e(0.0)
-        lag = e(-p[0])
-        moving = e(-(0.5 * p[0] + 0.1 * now[:, 1] ** 2))
-        return np.stack([
-            -now[:, 0] + 2.0 * lag[:, 1] / (1.0 + lag[:, 0] ** 2),
-            -now[:, 1] + np.sin(lag[:, 0]) * moving[:, 0]
-            + 0.3 * moving[:, 1],
-        ], axis=1)
-
-    return DdeProblem(name="coupled_pair", dim=2, num_params=1, rhs=rhs)
-
-
-def _mackey_glass_case(L, m):
-    doc = json.loads(MG_BRANCH_END.read_text())
-    state = resample_state(state_from_document(doc), Mesh.uniform(L), m)
-    return mackey_glass(), state
-
-
-def _sd_quadratic_case(L, m):
-    state = resample_state(sd_quadratic_seed(0.95), Mesh.uniform(L), m)
-    return sd_quadratic(), state
-
-
 def _state_eval_case():
     # the profile is the lag, so it stays inside the window [-1, 0]
     poly = sample_periodic(lambda t: -0.5 + 0.3 * np.sin(2 * np.pi * t),
@@ -143,35 +118,15 @@ def _state_eval_case():
     return state_eval_example(), DiscreteState(poly, np.array([1.5]))
 
 
-def _coupled_case():
-    poly = sample_periodic(
-        lambda t: np.stack([np.cos(2 * np.pi * t),
-                            0.5 + np.sin(2 * np.pi * t)], axis=-1),
-        Mesh.uniform(5), 6)
-    return _coupled_pair(), DiscreteState(poly, np.array([2.0, 0.7]))
-
-
-def _repeated_query_case():
-    # queries 0 and 1 ask the same times; moving one must leave the other
-    # at its recorded value
-    def rhs(e, p):
-        return -e(0.0) * (1.0 + 0.5 * e(0.0)) + 0.2 * e(-p[0])
-
-    poly = sample_periodic(lambda t: 0.5 + 0.3 * np.sin(2 * np.pi * t),
-                           Mesh.uniform(4), 6)
-    return (DdeProblem(name="repeated_query", dim=1, num_params=1, rhs=rhs),
-            DiscreteState(poly, np.array([1.3, 0.4])))
-
-
 JACOBIAN_CASES = [
-    lambda: _mackey_glass_case(11, 8),
-    lambda: _mackey_glass_case(20, 12),
-    lambda: _mackey_glass_case(11, 40),
-    lambda: _sd_quadratic_case(10, 8),
-    lambda: _sd_quadratic_case(20, 12),
+    lambda: mackey_glass_case(11, 8),
+    lambda: mackey_glass_case(20, 12),
+    lambda: mackey_glass_case(11, 40),
+    lambda: sd_quadratic_case(10, 8),
+    lambda: sd_quadratic_case(20, 12),
     _state_eval_case,
-    _coupled_case,
-    _repeated_query_case,
+    coupled_case,
+    repeated_query_case,
 ]
 JACOBIAN_CASE_IDS = ["mackey_glass_11_8", "mackey_glass_20_12",
                      "mackey_glass_11_40", "sd_quadratic_10_8",
@@ -201,19 +156,13 @@ def _near_blowup_state():
                         Mesh.uniform(3), 4), np.array([1.0, 0.0]))
 
 
-def _equilibrium_state(tau=0.8, period=1.6, num_intervals=3, degree=4):
-    mesh = Mesh.uniform(num_intervals)
-    poly = sample_periodic(lambda t: np.ones_like(t), mesh, degree)
-    return DiscreteState(poly, np.array([period, tau]))
-
-
 def _duplicate_constraints_case():
     """Mackey-Glass with its parameter pin twice: the analytic constraint
     rows of the Jacobian are exactly dependent, so LU meets a zero
     pivot."""
     prob = mackey_glass()
     pin = default_constraints(prob, [0.8])[1]
-    return prob, _equilibrium_state(tau=0.8), (pin, pin)
+    return prob, equilibrium_state(tau=0.8), (pin, pin)
 
 
 def _near_hopf_guess():
@@ -297,7 +246,7 @@ class TestDiscreteState:
 
     @pytest.mark.parametrize("index", [-1, 1])
     def test_with_parameter_rejects_an_index_out_of_range(self, index):
-        state = _equilibrium_state()
+        state = equilibrium_state()
         with pytest.raises(InvalidArgumentError,
                            match=rf"^parameter index {index} outside 0\.\.0$"):
             with_parameter(state, index, 0.5)
@@ -306,7 +255,7 @@ class TestDiscreteState:
                              ids=["bool", "float", "numpy_float"])
     def test_with_parameter_takes_an_integer_index(self, index):
         # True would name p[0]
-        state = _equilibrium_state()
+        state = equilibrium_state()
         with pytest.raises(InvalidArgumentError,
                            match="^parameter index must be an integer, got "):
             with_parameter(state, index, 0.5)
@@ -325,7 +274,7 @@ class TestDiscreteState:
         # 4.0 would build a state whose document state_from_document refuses
         with pytest.raises(InvalidArgumentError,
                            match=r"^degree must be an integer, got 4\.0$"):
-            resample_state(_equilibrium_state(), Mesh.uniform(3), 4.0)
+            resample_state(equilibrium_state(), Mesh.uniform(3), 4.0)
 
     @pytest.mark.parametrize("change, got", [
         (lambda doc: dict(doc, note="hi"),
@@ -335,7 +284,7 @@ class TestDiscreteState:
         (lambda doc: list(doc), "list"),
     ], ids=["extra_key", "missing_key", "not_an_object"])
     def test_document_needs_exactly_its_keys(self, change, got):
-        doc = change(state_to_document(_equilibrium_state()))
+        doc = change(state_to_document(equilibrium_state()))
         with pytest.raises(InvalidArgumentError) as info:
             state_from_document(doc)
         assert str(info.value) == (
@@ -376,14 +325,14 @@ class TestResidual:
             assert r.size == state.flatten().size == L * m + 2
 
     def test_constraint_count_must_match_mu(self):
-        state = _equilibrium_state()
+        state = equilibrium_state()
         prob = mackey_glass()
         cons = default_constraints(prob, [0.8])
         with pytest.raises(InvalidArgumentError):
             assemble_residual(state, prob, cons[:1])
 
     def test_equilibrium_residual_vanishes(self):
-        state = _equilibrium_state(tau=0.8)
+        state = equilibrium_state(tau=0.8)
         cons = default_constraints(mackey_glass(), [0.8])
         r = assemble_residual(state, mackey_glass(), cons)
         assert np.abs(r).max() <= 1e-12
@@ -421,7 +370,7 @@ class TestResidual:
 
 class TestJacobian:
     def test_constraint_rows_match_finite_differences(self):
-        state = _equilibrium_state()
+        state = equilibrium_state()
         prob = mackey_glass()
         cons = default_constraints(prob, [0.8])
         x0 = state.flatten()
@@ -441,7 +390,7 @@ class TestJacobian:
         # residual rows are derivative-minus-rhs, so the directional
         # derivative along a uniform state shift is +5T per row
         period, tau = 1.6, 0.8
-        state = _equilibrium_state(tau=tau, period=period)
+        state = equilibrium_state(tau=tau, period=period)
         prob = mackey_glass()
         cons = default_constraints(prob, [tau])
         jac = assemble_jacobian(state, prob, cons)
@@ -492,8 +441,8 @@ class TestJacobian:
         assert np.max(np.abs(expected[:, 1])) > 1e5  # the jump is seen
 
     @pytest.mark.parametrize("case, calls", [
-        (lambda: _mackey_glass_case(11, 8), 2),  # only the lag moves with mu
-        (lambda: _sd_quadratic_case(20, 12), 3),  # the lag moves with y(t)
+        (lambda: mackey_glass_case(11, 8), 2),  # only the lag moves with mu
+        (lambda: sd_quadratic_case(20, 12), 3),  # the lag moves with y(t)
     ], ids=["mackey_glass_11_8", "sd_quadratic_20_12"])
     def test_queries_at_unmoved_times_reuse_their_answers(
             self, case, calls, monkeypatch):
@@ -512,7 +461,7 @@ class TestJacobian:
 
     def test_kept_sets_leave_eval_only_the_lagged_query(self, monkeypatch):
         monkeypatch.setattr(piecewise, "_STORE", piecewise._Store())
-        prob, state = _mackey_glass_case(11, 8)
+        prob, state = mackey_glass_case(11, 8)
         cons = default_constraints(prob, state.params)
         for _ in range(2):  # the discretization's sets recorded, then kept
             assemble_residual(state, prob, cons)
@@ -535,7 +484,7 @@ class TestJacobian:
             == [("eval_with_basis", 88)]
 
     def test_constraint_count_must_match_mu(self):
-        state = _equilibrium_state()
+        state = equilibrium_state()
         prob = mackey_glass()
         cons = default_constraints(prob, [0.8])
         for wrong in (cons[:1], cons + cons[:1]):
@@ -664,7 +613,7 @@ class TestAffineRow:
     def test_a_component_outside_the_state_raises(self, comp):
         # on this dim-1 state, -1 would read component 0, and the gradient
         # of component 1 would land in the next free value's column
-        state = _equilibrium_state()
+        state = equilibrium_state()
 
         def value():
             row = AffineRow(((0.3, comp, 1.0),), np.zeros(2), 0.0)
@@ -685,7 +634,7 @@ class TestAffineRow:
     @pytest.mark.parametrize("size", [1, 3])
     def test_mu_coeffs_of_another_length_than_mu_raise(self, call, size):
         # numpy's matmul or broadcast raised a bare ValueError here
-        prob, state = mackey_glass(), _equilibrium_state()
+        prob, state = mackey_glass(), equilibrium_state()
         anchor, pin = default_constraints(prob, state.params)
         short = AffineRow(anchor.point_terms, np.zeros(size), anchor.offset)
         with pytest.raises(InvalidArgumentError,
@@ -1015,9 +964,9 @@ def _pinned(prob, state):
 PIVOT_CASES = [
     _nearly_singular_case,
     _duplicate_constraints_case,
-    lambda: _pinned(*_mackey_glass_case(11, 8)),
-    lambda: _pinned(*_mackey_glass_case(5, 20)),
-    lambda: _pinned(*_mackey_glass_case(11, 40)),
+    lambda: _pinned(*mackey_glass_case(11, 8)),
+    lambda: _pinned(*mackey_glass_case(5, 20)),
+    lambda: _pinned(*mackey_glass_case(11, 40)),
 ]
 PIVOT_CASE_IDS = ["nearly_singular", "duplicate_constraints",
                   "mackey_glass_11_8", "mackey_glass_5_20",

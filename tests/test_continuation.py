@@ -41,8 +41,7 @@ from semdde.oracle import phi_m_defect
 from semdde.piecewise import Mesh, PeriodicPiecewisePoly, sample_periodic
 from semdde.problems import mackey_glass, scalar_hopf_point, sd_quadratic
 
-TAU_HOPF = math.acos(-0.25) / math.sqrt(15.0)
-PERIOD_HOPF = 2.0 * math.pi / math.sqrt(15.0)
+from support import PERIOD_HOPF, TAU_HOPF, coupled_pair
 
 
 @pytest.fixture(scope="module")
@@ -215,6 +214,22 @@ class TestContinueBranch:
                            match=r"range over 0\.000e\+00, not above the "
                                  r"flat-profile floor 1e-08$"):
             continue_branch(flat, mackey_glass(), 0.8, 1.0, 3)
+        assert solves == []
+
+    def test_a_flat_start_of_two_components_is_refused(self, monkeypatch):
+        """Each component is flat, though the free values range over 4."""
+        solves = []
+        monkeypatch.setattr("semdde.continuation.newton_solve",
+                            lambda *args, **kwargs: solves.append(args))
+        flat = DiscreteState(
+            sample_periodic(lambda t: np.stack([np.full_like(t, 1.0),
+                                                np.full_like(t, 5.0)], axis=1),
+                            Mesh.uniform(4), 5),
+            np.array([1.6, 0.7]))
+        with pytest.raises(CollapseError,
+                           match=r"range over 0\.000e\+00, not above the "
+                                 r"flat-profile floor 1e-08$"):
+            continue_branch(flat, coupled_pair(), 0.7, 0.8, 2)
         assert solves == []
 
     def test_a_numpy_integer_step_count_is_accepted(self, short_branch):
@@ -544,11 +559,14 @@ class TestPredict:
     ])
     def test_no_prediction_across_or_from_the_onset(self, p_cur, p_target):
         state = self._state(p_cur)
-        assert _predict((state,), self.ONSET, p_target) is state
+        guess = _predict((state,), self.ONSET, p_target)
+        assert guess.flatten().tobytes() == state.flatten().tobytes()
 
     def test_no_prediction_without_an_onset(self):
+        """One orbit extrapolated in p through its one node is itself."""
         state = self._state(0.75)
-        assert _predict((state,), None, 1.5) is state
+        guess = _predict((state,), None, 1.5)
+        assert guess.flatten().tobytes() == state.flatten().tobytes()
 
     @pytest.mark.parametrize("p_prev,p_cur,p_target,onset", [
         (0.5, 0.75, 1.0, ONSET),   # an orbit on the onset

@@ -8,7 +8,6 @@ perturbations of any one value must be flagged at their own magnitude.
 
 import dataclasses
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,12 +30,9 @@ from semdde.oracle import (
 from semdde.piecewise import Mesh, PeriodicPiecewisePoly, project, sample_periodic
 from semdde.problems import RescaledRhs, mackey_glass, sd_quadratic
 
-TAU_HOPF = np.arccos(-0.25) / np.sqrt(15.0)
-PERIOD_HOPF = 2.0 * np.pi / np.sqrt(15.0)
-NEWTON_TOL = 1e-10
+from support import MG_BRANCH_END, PERIOD_HOPF, TAU_HOPF, equilibrium_state
 
-MG_BRANCH_END = (Path(__file__).resolve().parents[1] / "perfbench" / "data"
-                 / "mg_branch_end.json")
+NEWTON_TOL = 1e-10
 
 
 def _prefix_integrals(proj, times):
@@ -103,12 +99,6 @@ def _mackey_glass_cell(L, m):
     return prob, cons, newton_solve(init, prob, cons).state
 
 
-def _equilibrium_state(tau=0.8, period=1.6, num_intervals=4, degree=5):
-    mesh = Mesh.uniform(num_intervals)
-    poly = sample_periodic(lambda t: np.ones_like(t), mesh, degree)
-    return DiscreteState(poly, np.array([period, tau]))
-
-
 @pytest.fixture(scope="module")
 def near_hopf_orbit():
     """Converged small orbit just past the Hopf point, L=11, m=4."""
@@ -140,7 +130,7 @@ class TestFixedPointDefect:
 class TestPhiMDefect:
     def test_equilibrium_defects_vanish(self):
         prob = mackey_glass()
-        state = _equilibrium_state()
+        state = equilibrium_state(num_intervals=4, degree=5)
         cons = default_constraints(prob, [0.8])
         defect = phi_m_defect(state, prob, cons)
         assert defect.sup_defect_v <= 1e-12

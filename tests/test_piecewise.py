@@ -30,6 +30,8 @@ from semdde.piecewise import (
     sample_periodic,
 )
 
+from support import tiled_reference, tiles_mesh
+
 
 def _random_continuous_poly(rng, num_intervals, degree, dim):
     """Random free values; the polynomial is continuous and periodic by
@@ -223,6 +225,17 @@ class TestEval:
         assert p.eval(0.3).shape == (2,)
         assert p.eval(np.linspace(0, 1, 5)).shape == (5, 2)
         assert p.eval(np.zeros((2, 3))).shape == (2, 3, 2)
+
+    @pytest.mark.parametrize("fn", ["eval", "eval_deriv"])
+    def test_a_0d_time_gives_the_bits_of_a_batch_row(self, fn):
+        p = _random_continuous_poly(np.random.default_rng(1), 3, 4, 2)
+        call = getattr(p, fn)
+        # inside an interval, at a node, at breaks and t = 1, and wrapped
+        for t in (0.3, p.node_times[1, 2], 0.0, 1.0 / 3.0, 1.0, -0.7):
+            for query in (t, np.float64(t), np.array(t)):
+                got = call(query)
+                assert got.shape == (2,)
+                assert got.tobytes() == call(np.array([t]))[0].tobytes()
 
 
 class TestSamplePeriodic:
@@ -549,35 +562,6 @@ def _fixed_case(kind, size):
         make_nodes(NodeKind.GAUSS_LEGENDRE, 9).nodes).ravel()
 
 
-# An n-point grid tiles a uniform mesh of L >= 2 intervals when L divides
-# n - 1: it holds its points at the offsets j / per of every interval,
-# per = (n - 1) / L, and ``_on`` takes it by its own path.
-def _tiles(p, n):
-    L = p.mesh.num_intervals
-    return L >= 2 and (n - 1) % L == 0 and p.mesh == Mesh.uniform(L)
-
-
-def _tiled_reference(p, n):
-    """``(times, values, derivatives)`` on an n-point grid that tiles the
-    mesh, one point at a time: point k contracts the basis row of the
-    offset j / per, j = (k mod (n - 1)) - idx * per, with the values of
-    the interval idx that ``interval_index`` gives it; the points at the
-    breaks are ``eval`` and ``eval_deriv``."""
-    assert _tiles(p, n)
-    per = (n - 1) // p.mesh.num_intervals
-    times = np.linspace(0.0, 1.0, n)
-    idx = p.mesh.interval_index(times % 1.0)
-    rows = interpolation_matrix(p.node_family, np.arange(per + 1) / per)
-    rows = rows[np.arange(n) % (n - 1) - idx * per]
-    out = [times]
-    for table, fn in ((p._value_table, p.eval),
-                      (p._deriv_table, p.eval_deriv)):
-        got = np.einsum("kn,kcn->kc", rows, table[idx])
-        got[::per] = fn(times[::per])
-        out.append(got)
-    return tuple(out)
-
-
 @pytest.fixture
 def reference(monkeypatch):
     """``reference(fn)`` is ``fn()`` on the reference kernel."""
@@ -606,14 +590,14 @@ class TestKernelIsTheReferenceBitwise:
     def test_stored_rows(self, monkeypatch, reference, kind, size):
         monkeypatch.setattr(piecewise, "_STORE", piecewise._Store())
         p, name, times = _fixed_case(kind, size)
-        tiles = name != COLLOCATION and _tiles(p, name)  # 1023 on L = 7
-        want = _tiled_reference(p, name) if tiles else (times,) + reference(
+        tiles = name != COLLOCATION and tiles_mesh(p, name)  # 1023 on L = 7
+        want = tiled_reference(p, name) if tiles else (times,) + reference(
             lambda: (p.eval(times), p.eval_deriv(times)))
         # recorded, then built into the store, then read from it
         for _ in range(3):
             got = p._on(name, deriv=True)
             assert all(_same_bits(g, w) for g, w in zip(got, want))
-        kept = piecewise._STORE.current[1][name][3]
+        kept = piecewise._STORE.current[1][name][4]
         p.eval(_kernel_times(p, 2 * _CHUNK + 3)[::-1])
         if tiles:  # the basis rows of the per + 1 offsets
             per = (name - 1) // p.mesh.num_intervals
@@ -779,7 +763,7 @@ def test_a_tiling_grid_is_the_contraction_per_offset(L, n):
     into the left interval: there the derivative is the left one."""
     p = _random_continuous_poly(np.random.default_rng(L + n), L, 9, 2)
     got = p._on(n, deriv=True)
-    assert all(_same_bits(g, w) for g, w in zip(got, _tiled_reference(p, n)))
+    assert all(_same_bits(g, w) for g, w in zip(got, tiled_reference(p, n)))
     times, values, deriv = got
     at = times[::(n - 1) // L]
     assert _same_bits(values[::(n - 1) // L], p.eval(at))
@@ -841,7 +825,7 @@ def test_a_tiling_grid_is_as_accurate_as_the_normalized_formula(
                                   (20, 2001)])
 def test_a_tiling_grid_gives_the_same_values_with_derivatives(L, n, dim):
     p = _random_continuous_poly(np.random.default_rng(dim), L, 8, dim)
-    assert _tiles(p, n)
+    assert tiles_mesh(p, n)
     assert _same_bits(p._on(n)[1], p._on(n, deriv=True)[1])
 
 
@@ -856,7 +840,7 @@ def test_a_grid_that_does_not_tile_goes_through_the_store(monkeypatch, mesh,
     free = np.random.default_rng(n).standard_normal((mesh.num_intervals, 8,
                                                      2))
     p = PeriodicPiecewisePoly(mesh, 8, free)
-    assert not _tiles(p, n)
+    assert not tiles_mesh(p, n)
     # recorded, then built into the store, then read from it
     for read in range(3):
         times, values, deriv = p._on(n, deriv=True)

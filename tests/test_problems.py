@@ -26,7 +26,7 @@ from semdde.problems import (
     sd_quadratic,
 )
 
-from example_problems import state_eval_example
+from support import state_eval_example
 
 
 def _const_history(c):
@@ -271,12 +271,15 @@ class TestRescaledRhs:
         v = sample_periodic(lambda t: np.sin(2 * np.pi * t), Mesh.uniform(2), 14)
         rhs = RescaledRhs(mackey_glass())
         mu = np.array([1.8, 0.6])
-        times = np.array([0.05, 0.3, 0.71, 0.99])
+        times = np.array([0.05, 0.3, 0.71, 0.99, 0.0, 0.5, 1.0, -0.25])
         batch = rhs(v, times, mu)
-        assert batch.shape == (4, 1)
+        assert batch.shape == (8, 1)
+        # a 0-d time takes the batch path: the bits of its batch row
         for k, t in enumerate(times):
-            np.testing.assert_allclose(batch[k], rhs(v, float(t), mu),
-                                       rtol=0, atol=1e-14)
+            for query in (float(t), np.array(t)):
+                got = rhs(v, query, mu)
+                assert got.shape == (1,)
+                assert got.tobytes() == batch[k].tobytes()
 
     def test_evaluate_hands_each_query_to_the_caller_in_order(self):
         # sd_quadratic asks for y(t), then for y(t - d/T) with d from it
@@ -305,6 +308,26 @@ class TestRescaledRhs:
         with pytest.raises(InvalidArgumentError,
                            match=r"shape \(3, 2\), expected \(3, 1\)"):
             rhs(v, np.array([0.1, 0.5, 0.9]), np.array([1.6, 0.5]))
+
+    @pytest.mark.parametrize("lag", [
+        -0.3, np.float64(-0.3), np.array(-0.3), np.array([-0.3]),
+        np.array([[-0.3]]),
+    ], ids=["float", "numpy_float", "0d_array", "size_1", "size_1_2d"])
+    @pytest.mark.parametrize("times", [
+        np.array([0.1, 0.45, 0.8]), np.array([0.45]),
+    ], ids=["three_times", "one_time"])
+    def test_one_lag_gives_the_bits_of_a_per_point_batch(self, lag, times):
+        v = sample_periodic(lambda t: np.sin(2 * np.pi * t), Mesh.uniform(3),
+                            7)
+
+        def rhs_of(theta):
+            prob = DdeProblem(name="lag", dim=1, num_params=0,
+                              rhs=lambda e, p: e(theta))
+            return RescaledRhs(prob)(v, times, np.array([1.7]))
+
+        got = rhs_of(lag)
+        assert got.shape == (times.size, 1)
+        assert got.tobytes() == rhs_of(np.full(times.size, -0.3)).tobytes()
 
     def test_rejects_a_lag_batch_of_another_size(self):
         prob = DdeProblem(name="batch", dim=1, num_params=0,

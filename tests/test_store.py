@@ -37,13 +37,14 @@ from semdde.oracle import phi_m_defect
 from semdde.piecewise import COLLOCATION, Mesh, sample_periodic
 from semdde.problems import mackey_glass
 
-from test_collocation import (
-    _coupled_case,
-    _mackey_glass_case,
-    _repeated_query_case,
-    _sd_quadratic_case,
+from support import (
+    coupled_case,
+    mackey_glass_case,
+    repeated_query_case,
+    sd_quadratic_case,
+    tiled_reference,
+    tiles_mesh,
 )
-from test_piecewise import _tiled_reference, _tiles
 
 
 class _KeepsNothing(piecewise._Store):
@@ -65,10 +66,10 @@ def _with_constraints(make):
 
 
 CASES = {
-    "mackey_glass_11_8": lambda: _mackey_glass_case(11, 8),
-    "sd_quadratic_20_12": lambda: _sd_quadratic_case(20, 12),
+    "mackey_glass_11_8": lambda: mackey_glass_case(11, 8),
+    "sd_quadratic_20_12": lambda: sd_quadratic_case(20, 12),
     # queries 0 and 1 ask for the collocation points, query 2 is lagged
-    "repeated_query": _repeated_query_case,
+    "repeated_query": repeated_query_case,
 }
 
 
@@ -98,16 +99,16 @@ def test_outputs_do_not_depend_on_what_the_store_holds(monkeypatch, case):
     second = _outputs(prob, state, cons)  # builds what the store keeps
     third = _outputs(prob, state, cons)  # reads it
     kept = piecewise._STORE.current[1]
-    if _tiles(state.poly, DEFAULT_ERR_GRID):  # L = 20 and 4
+    if tiles_mesh(state.poly, DEFAULT_ERR_GRID):  # L = 20 and 4
         # both dense grids tile the mesh: each keeps the basis rows of its
         # offsets, and the amplitudes are the ranges of the tiling path's
         # values
         for n in (DEFAULT_ERR_GRID, 2001):
             per = (n - 1) // state.poly.mesh.num_intervals
-            assert kept[n][3].tobytes() == interpolation_matrix(
+            assert kept[n][4].tobytes() == interpolation_matrix(
                 state.poly.node_family, np.arange(per + 1) / per).tobytes()
         assert want[3].tobytes() == np.array(
-            [np.ptp(_tiled_reference(state.poly, n)[1])
+            [np.ptp(tiled_reference(state.poly, n)[1])
              for n in (DEFAULT_ERR_GRID, 2001)]).tobytes()
     else:
         assert kept[DEFAULT_ERR_GRID] is not None
@@ -125,7 +126,7 @@ def test_outputs_do_not_depend_on_what_the_store_holds(monkeypatch, case):
 
 @pytest.mark.parametrize("L", [11, 3])
 def test_stored_rows_give_the_values_of_eval_at_node_times(L):
-    _, state = _mackey_glass_case(L, 8)
+    _, state = mackey_glass_case(L, 8)
     poly = state.poly
     # on L = 11 the 12-point grid is the breaks, node 0 of every interval
     # then 1: it tiles the mesh, and the store keeps the rows of its two
@@ -134,7 +135,7 @@ def test_stored_rows_give_the_values_of_eval_at_node_times(L):
     for _ in range(3):
         times, values = poly._on(12)
         assert values.tobytes() == poly.eval(times).tobytes()
-    kept = piecewise._STORE.current[1][12][3]
+    kept = piecewise._STORE.current[1][12][4]
     assert kept.shape == ((2, 9) if L == 11 else (12, 9))
     # a node time returns the stored value bitwise; t = 1 wraps to 0
     first = np.append(poly.values[:, 0, 0], poly.values[0, 0, 0])
@@ -149,7 +150,7 @@ def test_stored_rows_give_the_values_of_eval_at_node_times(L):
     lambda poly: sample_periodic(poly.eval, poly.mesh, poly.degree + 1),
 ], ids=["same_L_other_breaks", "other_degree"])
 def test_stored_rows_belong_to_their_discretization(other):
-    _, state = _mackey_glass_case(11, 8)
+    _, state = mackey_glass_case(11, 8)
     second = other(state.poly)
     assert second.mesh.num_intervals == 11
     for poly in (state.poly, second):
@@ -162,7 +163,7 @@ def test_stored_rows_belong_to_their_discretization(other):
 
 @pytest.mark.parametrize("name", [COLLOCATION, 2, 2001, DEFAULT_ERR_GRID])
 def test_a_fixed_set_has_the_times_its_name_says(name):
-    _, state = _mackey_glass_case(11, 8)
+    _, state = mackey_glass_case(11, 8)
     poly = state.poly
     if name == COLLOCATION:
         want = poly.mesh.node_times(
@@ -179,14 +180,14 @@ def test_a_fixed_set_has_the_times_its_name_says(name):
 
 @pytest.mark.parametrize("name", [-1, 0, 1])
 def test_a_grid_needs_two_points(name):
-    _, state = _mackey_glass_case(11, 8)
+    _, state = mackey_glass_case(11, 8)
     with pytest.raises(InvalidArgumentError):
         state.poly._fixed(name)
     assert piecewise._STORE.current[1] == {}
 
 
 def test_a_fixed_set_gives_its_rows_from_the_first_request():
-    prob, state, cons = _with_constraints(lambda: _mackey_glass_case(11, 8))
+    prob, state, cons = _with_constraints(lambda: mackey_glass_case(11, 8))
     poly = state.poly
     first = poly._collocation_basis()  # terms built, the set only recorded
     assert piecewise._STORE.current[1][COLLOCATION] is None
@@ -266,8 +267,8 @@ def _break_column_block(poly, n):
 
 @pytest.mark.parametrize("L", [1, 3])
 @pytest.mark.parametrize("make", [
-    lambda: _mackey_glass_case(11, 8),
-    _coupled_case,
+    lambda: mackey_glass_case(11, 8),
+    coupled_case,
 ], ids=["mackey_glass", "coupled_pair"])
 def test_the_differentiation_block_reads_the_free_value_layout(make, L):
     def on_mesh():
@@ -289,7 +290,7 @@ def test_the_differentiation_block_reads_the_free_value_layout(make, L):
 @pytest.mark.parametrize("L", [11, 10])  # 10001 points tile L = 10
 def test_branch_points_do_not_depend_on_what_the_store_holds(monkeypatch,
                                                              L):
-    prob, seed = _mackey_glass_case(L, 8)
+    prob, seed = mackey_glass_case(L, 8)
     start = newton_solve(seed, prob,
                          default_constraints(prob, seed.params)).state
     p_from = float(start.params[0])
@@ -304,7 +305,7 @@ def test_branch_points_do_not_depend_on_what_the_store_holds(monkeypatch,
         patch.setattr(piecewise, "_STORE", _KeepsNothing())
         want = branch()
     warm = branch()  # the store holds this discretization's rows
-    kept = piecewise._STORE.current[1][DEFAULT_ERR_GRID][3]
+    kept = piecewise._STORE.current[1][DEFAULT_ERR_GRID][4]
     # L = 10 keeps the rows of the 1001 offsets, L = 11 the grid's terms
     assert kept.shape == ((1001, 9) if L == 10 else (DEFAULT_ERR_GRID, 9))
     piecewise._STORE = piecewise._Store()
@@ -330,7 +331,7 @@ class _Recorder(piecewise._Store):
 def test_a_grid_asked_for_once_is_never_stored(monkeypatch, L):
     recorder = _Recorder()
     monkeypatch.setattr(piecewise, "_STORE", recorder)
-    _, seed = _mackey_glass_case(11, 8)
+    _, seed = mackey_glass_case(11, 8)
     table = convergence_study(mackey_glass(), seed.params, [L], [4, 5, 6],
                               seed=seed)
     assert all(row.completed for row in table.rows)
@@ -343,19 +344,20 @@ def test_a_grid_asked_for_once_is_never_stored(monkeypatch, L):
 
 
 def test_the_store_keeps_one_discretization():
-    prob, state = _mackey_glass_case(11, 8)
+    prob, state = mackey_glass_case(11, 8)
     err_and_amplitude(state, prob)
     assert piecewise._STORE.current[1] == {DEFAULT_ERR_GRID: None}
     err_and_amplitude(state, prob)
-    times, t, idx, terms, sums = piecewise._STORE.current[1][
+    times, t, idx, per, terms, sums = piecewise._STORE.current[1][
         DEFAULT_ERR_GRID]
+    assert per == 0
     assert times.shape == t.shape == idx.shape == (DEFAULT_ERR_GRID,)
     assert terms.shape == (DEFAULT_ERR_GRID, 9)
     assert sums.shape == (DEFAULT_ERR_GRID,)
     # another discretization empties it, one whose grid tiles its mesh
     # (L = 5) as any other
     for L in (5, 3):
-        _, other = _mackey_glass_case(L, 8)
+        _, other = mackey_glass_case(L, 8)
         err_and_amplitude(other, prob)
         assert piecewise._STORE.current[1] == {DEFAULT_ERR_GRID: None}
 
@@ -371,7 +373,7 @@ def test_a_tiling_grid_is_built_once_and_kept(monkeypatch, L, n, deriv, dim):
         lambda t: np.stack([np.sin(2 * np.pi * t),
                             np.exp(np.cos(2 * np.pi * t))][:dim], axis=1),
         Mesh.uniform(L), 9)
-    assert _tiles(p, n)
+    assert tiles_mesh(p, n)
     # recorded, then built into the store, then read from it
     first, second, third = (p._on(n, deriv=deriv) for _ in range(3))
     for got in (second, third):
@@ -383,11 +385,12 @@ def test_a_tiling_grid_is_built_once_and_kept(monkeypatch, L, n, deriv, dim):
     chunked = np.concatenate([
         interpolation_matrix(p.node_family, offsets[lo:lo + piecewise._CHUNK])
         for lo in range(0, per + 1, piecewise._CHUNK)])
-    assert recorder.current[1][n][3].tobytes() == chunked.tobytes()
+    assert recorder.current[1][n][3] == per
+    assert recorder.current[1][n][4].tobytes() == chunked.tobytes()
 
 
 def test_a_point_row_is_kept_from_its_second_request():
-    prob, state, cons = _with_constraints(lambda: _mackey_glass_case(11, 8))
+    prob, state, cons = _with_constraints(lambda: mackey_glass_case(11, 8))
     anchor, poly = cons[0], state.poly
     _, cols, rows = poly.eval_with_basis(np.array([0.0]))
     want = anchor.value(poly, state.mu)  # recorded
@@ -399,21 +402,22 @@ def test_a_point_row_is_kept_from_its_second_request():
         assert kept[1].tobytes() == rows[0].tobytes()
     assert poly._point(0.0) is kept
     # a request on another discretization drops it
-    _, other = _mackey_glass_case(3, 8)
+    _, other = mackey_glass_case(3, 8)
     anchor.value(other.poly, other.mu)
     assert piecewise._STORE.current[1] == {("point", 0.0): None}
 
 
 def test_a_terms_set_keeps_its_wrapped_times_and_term_sums():
-    _, state = _mackey_glass_case(11, 8)
+    _, state = mackey_glass_case(11, 8)
     poly = state.poly
-    assert not _tiles(poly, DEFAULT_ERR_GRID)
+    assert not tiles_mesh(poly, DEFAULT_ERR_GRID)
     # recorded, then built into the store, then read from it
     for _ in range(3):
         times, values, deriv = poly._on(DEFAULT_ERR_GRID, deriv=True)
         assert values.tobytes() == poly.eval(times).tobytes()
         assert deriv.tobytes() == poly.eval_deriv(times).tobytes()
-    _, t, _, terms, sums = piecewise._STORE.current[1][DEFAULT_ERR_GRID]
+    _, t, _, per, terms, sums = piecewise._STORE.current[1][DEFAULT_ERR_GRID]
+    assert per == 0
     assert t.tobytes() == (times % 1.0).tobytes()
     # the sums of the whole set are those ``_interpolate`` takes per chunk
     assert sums.tobytes() == np.concatenate([
@@ -422,7 +426,7 @@ def test_a_terms_set_keeps_its_wrapped_times_and_term_sums():
 
 
 def test_each_jacobian_gets_its_own_start_block():
-    prob, state, cons = _with_constraints(lambda: _mackey_glass_case(11, 8))
+    prob, state, cons = _with_constraints(lambda: mackey_glass_case(11, 8))
     n = state.flatten().size
     first = assemble_jacobian(state, prob, cons)  # builds its block
     second = assemble_jacobian(state, prob, cons)  # keeps it, then copies
