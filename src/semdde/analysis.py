@@ -57,19 +57,23 @@ _COLLAPSE_RATIO = 0.1
 _COLLAPSE_FLOOR = 1e-8
 
 
+def _amplitude(values: np.ndarray) -> float:
+    """The largest range of any one component of a (..., dim) array."""
+    return float(np.ptp(values.reshape(-1, values.shape[-1]), axis=0).max())
+
+
 def checked_amplitude(state: DiscreteState,
                       before: Optional[float] = None) -> float:
-    """The largest range of any one component of ``state``'s free values,
-    the profile at its representation nodes: the amplitude of the
-    package's one collapse rule.
+    """The ``_amplitude`` of ``state``'s free values, the profile at its
+    representation nodes: the amplitude of the package's one collapse
+    rule.
 
     ``before`` is the same measure of the orbit the solve of ``state``
     started from.  Raises CollapseError when the solve has fallen onto
     the equilibrium, which also solves the system: ``before`` is above
     the floor of a flat profile and the amplitude is below a tenth of it.
     """
-    free = state.poly.free_values
-    after = float((free.max(axis=(0, 1)) - free.min(axis=(0, 1))).max())
+    after = _amplitude(state.poly.free_values)
     if (before is not None and before > _COLLAPSE_FLOOR
             and after < _COLLAPSE_RATIO * before):
         raise CollapseError(
@@ -80,10 +84,11 @@ def checked_amplitude(state: DiscreteState,
 
 def _refuse_flat_start(start: DiscreteState) -> None:
     """CollapseError for a flat start: the equilibrium, with no branch."""
-    if checked_amplitude(start) <= _COLLAPSE_FLOOR:
+    amplitude = checked_amplitude(start)
+    if amplitude <= _COLLAPSE_FLOOR:
         raise CollapseError(
-            f"start's free values range over {checked_amplitude(start):.3e}"
-            f", not above the flat-profile floor {_COLLAPSE_FLOOR:g}")
+            f"start's free values range over {amplitude:.3e}, not above "
+            f"the flat-profile floor {_COLLAPSE_FLOOR:g}")
 
 
 def err_and_amplitude(state: DiscreteState, prob: DdeProblem,
@@ -91,10 +96,9 @@ def err_and_amplitude(state: DiscreteState, prob: DdeProblem,
                       ) -> Tuple[float, float]:
     """``(err, amplitude)`` on a uniform grid over one period, from one
     pass of rows: the max-norm residual |y'(t)/T - G(y(t + (.)/T), p)|
-    of the delay equation in rescaled time, and the profile's range."""
+    of the delay equation in rescaled time, and the ``_amplitude``."""
     rows, values = _equation_rows(state, prob, grid_points)
-    return (float(np.max(np.abs(rows)) / state.period),
-            float(np.max(values) - np.min(values)))
+    return float(np.max(np.abs(rows)) / state.period), _amplitude(values)
 
 
 @dataclass(frozen=True)

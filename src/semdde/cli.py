@@ -354,16 +354,15 @@ def cmd_continue(cfg: RunConfig, out_dir: Path) -> Tuple[int, dict]:
                 f"branch.csv holds p={stored}, which is not the start of "
                 f"the schedule's targets {targets}")
         done = len(stored)
-        *previous, state = [
-            _load_state(_point_path(out_dir, i), prob)
-            for i in range(max(done - _PREDICTOR_ORBITS, 0), done)]
+        orbits = [_load_state(_point_path(out_dir, i), prob)
+                  for i in range(max(done - _PREDICTOR_ORBITS, 0), done)]
         p_cur = targets[done - 1]
         log.info("resuming after %d stored points at p=%.6g", done, p_cur)
     else:
-        state = _first_orbit(cfg, prob)[0].state
-        _refuse_flat_start(state)
-        previous = []
-        p_cur = float(state.params[0])
+        first = _first_orbit(cfg, prob)[0].state
+        _refuse_flat_start(first)
+        orbits = []
+        p_cur = float(first.params[0])
         targets = [float(v) for v in np.linspace(p_cur, p_to, steps + 1)[1:]]
         done = 0
         _write_json(out_dir / "schedule.json", {
@@ -375,13 +374,15 @@ def cmd_continue(cfg: RunConfig, out_dir: Path) -> Tuple[int, dict]:
     # One scheduled target per call, and each row flushed right after its
     # point file, so an interrupted run leaves a branch.csv whose rows
     # are exactly the completed points; resume continues from there.
-    # Each call is passed the stored points before the one it starts
-    # from, the history continue_branch's predictor uses over a schedule,
-    # so the points equal one continue_branch call's.
+    # ``orbits`` holds the last stored points, at most _PREDICTOR_ORBITS;
+    # each call starts from the last (the first orbit while there is none)
+    # and is passed those before it, the history continue_branch's
+    # predictor uses over a schedule, so the points equal one call's.
     first_new = done
     failure = None
     with open(csv_path, "a") as handle:
         for target in targets[done:]:
+            *previous, state = orbits or [first]
             try:
                 point = continue_branch(
                     state, prob, p_cur, target, 1, cfg.newton,
@@ -394,9 +395,8 @@ def cmd_continue(cfg: RunConfig, out_dir: Path) -> Tuple[int, dict]:
             append_branch_row(point, handle)
             handle.flush()
             done += 1
-            if done > 1:
-                previous = (previous + [state])[1 - _PREDICTOR_ORBITS:]
-            state, p_cur = point.state, target
+            orbits = (orbits + [point.state])[-_PREDICTOR_ORBITS:]
+            p_cur = target
             log.info("branch point p=%.6g T=%.6g amplitude=%.3e",
                      point.parameter, point.period, point.amplitude)
 

@@ -8,9 +8,8 @@ terms q_j = w_j / (t - x_j) of the second ("true") barycentric formula
 sum_j q_j f_j / sum_j q_j, which is forward stable on Chebyshev-type
 nodes (Higham, IMA J. Numer. Anal. 24, 2004).  Piecewise evaluation and
 integration contract the terms with the values and divide once by their
-sum.  ``lagrange_rows`` normalizes the terms into basis rows, for what
-needs the basis itself: reference interpolation matrices, the Jacobian
-and constraint gradients.
+sum.  ``interpolation_matrix`` normalizes the terms at a family's own
+nodes into basis rows, for what needs the reference basis itself.
 """
 
 from __future__ import annotations
@@ -228,27 +227,16 @@ def barycentric_terms(points: np.ndarray, node_times: np.ndarray,
     return ratio
 
 
-def lagrange_rows(points: np.ndarray, node_times: np.ndarray,
-                  weights: np.ndarray) -> np.ndarray:
-    """Lagrange basis values at each point for its own set of nodes, in
-    one fresh array: the ``barycentric_terms`` of each row over their
-    sum, a unit row at a node hit.  The arguments are those of
-    ``barycentric_terms``; every reduction runs along a row, so a row
-    does not depend on the other rows of the batch.
+def interpolation_matrix(family: NodeFamily, points: np.ndarray) -> np.ndarray:
+    """Matrix mapping values at the family's nodes to values at ``points``,
+    in one fresh array: row ``i`` holds the Lagrange basis at ``points[i]``,
+    its ``barycentric_terms`` over their sum, a unit row at a node.  Every
+    reduction runs along a row, so a row does not depend on the others.
     """
-    terms = barycentric_terms(points, node_times, weights)
+    terms = barycentric_terms(np.asarray(points, dtype=float),
+                              family.nodes, family.bary_weights)
     terms /= np.sum(terms, axis=1, keepdims=True)
     return terms
-
-
-def interpolation_matrix(family: NodeFamily, points: np.ndarray) -> np.ndarray:
-    """Matrix mapping values at the family's nodes to values at ``points``.
-
-    Row ``i`` holds the Lagrange basis evaluated at ``points[i]``; rows for
-    points that coincide with a node reduce to a unit row.
-    """
-    points = np.asarray(points, dtype=float)
-    return lagrange_rows(points, family.nodes, family.bary_weights)
 
 
 def lebesgue_constant(family: NodeFamily, samples: int = 10001) -> float:

@@ -25,7 +25,8 @@ import numpy as np
 from .collocation import AffineRow, DiscreteState
 from .errors import _checked_fields
 from .nodes import NodeKind, gauss_rule, interpolation_matrix, make_nodes
-from .piecewise import COLLOCATION, PeriodicPiecewisePoly
+from .piecewise import (COLLOCATION, PeriodicPiecewisePoly,
+                        _representation_nodes)
 from .problems import DdeProblem, RescaledRhs
 
 DEFAULT_DEFECT_GRID = 2001
@@ -59,7 +60,7 @@ def _integration_matrix(m: int) -> np.ndarray:
     Gauss-Legendre nodes on [0, 1]; read-only.  The m-point Gauss rule on
     [0, x_j] integrates each l_k (degree m-1) exactly."""
     quad_nodes, quad_w = gauss_rule(m)
-    ends = make_nodes(NodeKind.CHEBYSHEV_LOBATTO, m).nodes
+    ends = _representation_nodes(m).nodes
     basis = interpolation_matrix(make_nodes(NodeKind.GAUSS_LEGENDRE, m),
                                  (ends[:, None] * quad_nodes).ravel())
     q = ends[:, None] * np.einsum("q,jqk->jk", quad_w,

@@ -107,7 +107,8 @@ def csv_writer(stream, header):
 
 
 class Mesh:
-    """Strictly increasing break points 0 = t_0 < ... < t_L = 1."""
+    """Strictly increasing break points 0 = t_0 < ... < t_L = 1 and the
+    interval lengths, both read-only."""
 
     def __init__(self, breaks):
         breaks = _checked_reals(breaks, "breaks")
@@ -115,9 +116,11 @@ class Mesh:
             raise InvalidArgumentError("mesh needs at least two break points")
         if breaks[0] != 0.0 or breaks[-1] != 1.0:
             raise InvalidArgumentError("mesh must start at 0 and end at 1")
-        if not np.all(np.diff(breaks) > 0):
+        lengths = np.diff(breaks)
+        if not np.all(lengths > 0):
             raise InvalidArgumentError("mesh breaks must be strictly increasing")
-        self.breaks = breaks
+        lengths.flags.writeable = False
+        self.breaks, self.lengths = breaks, lengths
 
     @classmethod
     def uniform(cls, num_intervals: int) -> "Mesh":
@@ -127,10 +130,6 @@ class Mesh:
     @property
     def num_intervals(self) -> int:
         return self.breaks.size - 1
-
-    @property
-    def lengths(self) -> np.ndarray:
-        return np.diff(self.breaks)
 
     def node_times(self, nodes) -> np.ndarray:
         """Global times of reference nodes on every interval, shape
@@ -360,7 +359,7 @@ class PeriodicPiecewisePoly(_PiecewiseBase):
         """``table`` at wrapped times t in intervals idx from their
         barycentric terms (and their sums, if given), with the free-value
         columns and the Lagrange rows: the terms over their ``np.sum``,
-        bitwise ``nodes.lagrange_rows``."""
+        as ``nodes.interpolation_matrix`` forms them."""
         return self._interpolate(table, idx, t, terms, sums), \
             self._columns[idx], terms / np.sum(terms, axis=1, keepdims=True)
 
@@ -404,8 +403,8 @@ class PeriodicPiecewisePoly(_PiecewiseBase):
             else:
                 L = self.mesh.num_intervals
                 times = np.linspace(0.0, 1.0, name)
-                tiles = L >= 2 and (name - 1) % L == 0 and np.array_equal(
-                    self.mesh.breaks, np.linspace(0.0, 1.0, L + 1))
+                tiles = L >= 2 and (name - 1) % L == 0 \
+                    and self.mesh == Mesh.uniform(L)
                 per = (name - 1) // L if tiles else 0
             t = _wrap_time(times)
             idx = self.mesh.interval_index(t)

@@ -16,6 +16,7 @@ import pytest
 
 import semdde
 from semdde.analysis import (
+    DEFAULT_ERR_GRID,
     BernsteinBound,
     CircleMapResult,
     ConvergenceCell,
@@ -53,6 +54,7 @@ from semdde.problems import DdeProblem, RescaledRhs, mackey_glass, \
 
 from support import (
     MG_BRANCH_END,
+    coupled_pair,
     equilibrium_state,
     tiled_reference,
     tiles_mesh,
@@ -148,15 +150,26 @@ class TestResidualErr:
     @pytest.mark.parametrize("grid_points", [2, 2001, 10001])
     def test_shared_pass_equals_the_two_diagnostics_bitwise(
             self, case, grid_points):
-        """The residual from the equation rows and the range of the
-        grid's values, each asked for first, so the shared pass reads
-        the grid on a later request of the store."""
+        """The residual from the equation rows and the largest range of
+        one component of the grid's values, each asked for first, so the
+        shared pass reads the grid on a later request of the store."""
         prob, state = _residual_case(case)
         rows, _ = _equation_rows(state, prob, grid_points)
         values = state.poly._on(grid_points)[1]
         assert err_and_amplitude(state, prob, grid_points) == (
             float(np.max(np.abs(rows)) / state.period),
-            float(np.max(values) - np.min(values)))
+            max(float(np.ptp(values[:, s])) for s in range(state.poly.dim)))
+
+    def test_amplitude_is_the_largest_range_of_one_component(self):
+        """(0.1 sin(2 pi t), 5) reads 0.2, the collapse rule's measure,
+        not the 5.1 of both components' values together."""
+        state = _two_levels(0.1, 5.0)
+        values = state.poly._on(DEFAULT_ERR_GRID)[1]
+        amplitude = err_and_amplitude(state, coupled_pair())[1]
+        assert amplitude == max(float(np.ptp(values[:, 0])),
+                                float(np.ptp(values[:, 1])))
+        assert amplitude == pytest.approx(checked_amplitude(state),
+                                          rel=1e-12)
 
 
 class TestMeasuredOrbit:

@@ -15,8 +15,7 @@ import pytest
 
 from semdde import piecewise
 from semdde.errors import FormatVersionError, InvalidArgumentError
-from semdde.nodes import (NodeKind, interpolation_matrix, lagrange_rows,
-                          make_nodes)
+from semdde.nodes import NodeKind, interpolation_matrix, make_nodes
 from semdde.piecewise import (
     _CHUNK,
     COLLOCATION,
@@ -53,6 +52,16 @@ class TestMesh:
         np.testing.assert_array_equal(mesh.breaks, [0.0, 0.25, 0.5, 0.75, 1.0])
         assert mesh.num_intervals == 4
         np.testing.assert_allclose(mesh.lengths, 0.25)
+
+    @pytest.mark.parametrize("breaks", [[0.0, 0.3, 0.45, 1.0], [0.0, 1.0],
+                                        list(np.linspace(0.0, 1.0, 12))])
+    def test_lengths_are_the_read_only_differences_of_the_breaks(self,
+                                                                 breaks):
+        mesh = Mesh(breaks)
+        assert _same_bits(mesh.lengths, np.diff(mesh.breaks))
+        assert mesh.lengths is mesh.lengths
+        with pytest.raises(ValueError):
+            mesh.lengths[0] = 0.5
 
     @pytest.mark.parametrize("breaks", [
         [0.0],
@@ -510,9 +519,9 @@ def _reference_interpolate(self, table, idx, t, terms=None):
 
 
 # The normalized formula the kernel used before: Lagrange rows (the terms
-# over their sum), then the sum of rows times values.  ``lagrange_rows``
-# and ``interpolation_matrix`` still give these rows bitwise, and the
-# contraction is the accuracy baseline of the kernel.
+# over their sum), then the sum of rows times values.  ``interpolation_matrix``
+# still gives these rows bitwise, and the contraction is the accuracy
+# baseline of the kernel.
 def _reference_rows(points, node_times, weights):
     terms = _reference_terms(points, node_times, weights)
     return terms / np.sum(terms, axis=1, keepdims=True)
@@ -643,28 +652,23 @@ def test_integrate_is_the_reference_bitwise(reference, bounds):
                       reference(lambda: p.integrate(*bounds)))
 
 
-@pytest.mark.parametrize("shared", [False, True], ids=["per_point",
-                                                       "shared_nodes"])
-def test_lagrange_rows_leaves_its_inputs_alone(shared):
+def test_interpolation_matrix_leaves_its_inputs_alone():
     family = make_nodes(NodeKind.CHEBYSHEV_LOBATTO, 12)
     rng = np.random.default_rng(9)
     points = np.concatenate([rng.uniform(0.0, 1.0, 40), family.nodes[:5]])
-    node_times = family.nodes if shared else np.tile(family.nodes,
-                                                     (points.size, 1))
-    weights = family.bary_weights.copy()
-    before = [arr.copy() for arr in (points, node_times, weights)]
-    rows = lagrange_rows(points, node_times, weights)
-    for arr, copy in zip((points, node_times, weights), before):
+    inputs = (points, family.nodes, family.bary_weights)
+    before = [arr.copy() for arr in inputs]
+    rows = interpolation_matrix(family, points)
+    for arr, copy in zip(inputs, before):
         assert _same_bits(arr, copy)
-    assert _same_bits(rows, _reference_rows(points, node_times, weights))
-    assert not np.shares_memory(rows, node_times)
+        assert not np.shares_memory(rows, arr)
+    assert _same_bits(rows, _reference_rows(*before))
 
 
 @pytest.mark.parametrize("kind", list(NodeKind))
 def test_interpolation_matrix_is_the_normalized_formula_bitwise(kind):
     """Interpolation matrices keep the bits of the normalized formula, node
-    hits included, across more than two chunks of points (the test above
-    checks ``lagrange_rows`` with nodes per point)."""
+    hits included, across more than two chunks of points."""
     family = make_nodes(kind, 12)
     points = np.concatenate([
         np.random.default_rng(13).uniform(0.0, 1.0, 2 * _CHUNK + 3),
